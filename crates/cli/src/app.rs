@@ -1625,43 +1625,6 @@ mod tests {
     }
 
     #[test]
-    fn run_traces_to_jsonl_and_validates() {
-        let _guard = dck_obs::exclusive_session();
-        let dir = std::env::temp_dir();
-        let trace = dir.join(format!("dck-run-{}.jsonl", std::process::id()));
-        let metrics = dir.join(format!("dck-run-{}.metrics.json", std::process::id()));
-        let (tp, mp) = (trace.to_str().unwrap(), metrics.to_str().unwrap());
-        let out = run_ok(&[
-            "run",
-            "--protocol",
-            "double-nbl",
-            "--phi-ratio",
-            "0.5",
-            "--mtbf",
-            "30min",
-            "--work",
-            "10h",
-            "--nodes",
-            "8",
-            "--seed",
-            "3",
-            "--trace",
-            tp,
-            "--metrics",
-            mp,
-        ]);
-        assert!(out.contains("empirical waste"), "{out}");
-        assert!(out.contains("timeline:"), "{out}");
-        assert!(out.contains("metric"), "{out}");
-        // Both emitted files pass schema validation.
-        let out = run_ok(&["validate", "--trace", tp, "--metrics", mp]);
-        assert!(out.contains("timestamps ordered"), "{out}");
-        assert!(out.contains("counters"), "{out}");
-        std::fs::remove_file(&trace).ok();
-        std::fs::remove_file(&metrics).ok();
-    }
-
-    #[test]
     fn all_stop_reason_traces_validate() {
         // Acceptance: traced runs for every StopReason end in Finished
         // and round-trip through `dck validate --trace`.
@@ -1784,40 +1747,6 @@ mod tests {
         assert_eq!(a, b);
         let c = run_ok(&["run", "--protocol", "triple", "--nodes", "9", "--rep", "3"]);
         assert_ne!(a, c, "different replications draw different streams");
-    }
-
-    #[test]
-    fn sweep_metrics_prints_table_and_writes_snapshot() {
-        let _guard = dck_obs::exclusive_session();
-        let metrics =
-            std::env::temp_dir().join(format!("dck-sweep-{}.metrics.json", std::process::id()));
-        let mp = metrics.to_str().unwrap();
-        let out = run_ok(&[
-            "sweep",
-            "--protocol",
-            "double-nbl",
-            "--phi-ratios",
-            "0.0,0.5",
-            "--mtbfs",
-            "30min",
-            "--reps",
-            "8",
-            "--work-mtbfs",
-            "5",
-            "--nodes",
-            "16",
-            "--metrics",
-            mp,
-        ]);
-        assert!(out.contains("observability metrics:"), "{out}");
-        assert!(out.contains("sweep.cells"), "{out}");
-        let json = std::fs::read_to_string(&metrics).unwrap();
-        let snap: MetricsSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(snap.counter("sweep.cells"), 2);
-        assert!(snap.counter("sweep.replications") >= 16);
-        let out = run_ok(&["validate", "--metrics", mp]);
-        assert!(out.contains("counters"), "{out}");
-        std::fs::remove_file(&metrics).ok();
     }
 
     #[test]

@@ -447,21 +447,4 @@ mod tests {
         )
         .is_err());
     }
-
-    #[test]
-    fn retune_counters_are_recorded() {
-        let _guard = dck_obs::exclusive_session();
-        dck_obs::reset();
-        let was = dck_obs::set_enabled(true);
-        let mut ctl = controller(100.0, ControllerConfig::default());
-        for i in 1..=20 {
-            ctl.record_failure(i as f64 * 100.0).unwrap();
-        }
-        let _ = ctl.maybe_retune(2_000.0).unwrap(); // in-band: suppressed
-        let _ = ctl.maybe_retune(4_000.0).unwrap(); // out-of-band: commits
-        let snap = dck_obs::snapshot();
-        dck_obs::set_enabled(was);
-        assert_eq!(snap.counter("adapt.retunes_suppressed"), 1);
-        assert_eq!(snap.counter("adapt.retunes"), 1);
-    }
 }

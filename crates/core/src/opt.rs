@@ -308,22 +308,4 @@ mod tests {
         let phi = optimal_phi_scan(4.0, |_| Ok(f64::INFINITY)).unwrap();
         assert_eq!(phi, 0.0);
     }
-
-    #[test]
-    fn operating_point_counts_probes_when_enabled() {
-        let _guard = dck_obs::exclusive_session();
-        dck_obs::reset();
-        let was = dck_obs::set_enabled(true);
-        let op = optimal_operating_point(Protocol::DoubleNbl, &base(), 3_600.0);
-        dck_obs::set_enabled(was);
-        op.unwrap();
-        let snap = dck_obs::snapshot();
-        // 33 grid probes plus golden-section refinement probes.
-        assert!(
-            snap.counter("opt.probes") >= 33,
-            "probes {}",
-            snap.counter("opt.probes")
-        );
-        assert_eq!(snap.counter("opt.probe_errors"), 0);
-    }
 }

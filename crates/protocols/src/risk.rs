@@ -31,31 +31,33 @@ pub struct FailureOutcome {
     pub members_at_risk: u32,
 }
 
-/// A node's most recent risk window, stamped with the generation it
-/// was opened in so [`RiskTracker::reset`] is O(1): windows from an
-/// older generation are treated as never opened.
+/// One risk window that may still be open: `node` failed, and its
+/// group is at risk until `until`.
 #[derive(Debug, Clone, Copy)]
-struct NodeWindow {
-    gen: u32,
+struct OpenWindow {
+    node: NodeId,
     until: f64,
 }
 
 /// Tracks open risk windows per group and detects fatal failures.
 ///
-/// Storage is one dense slot per node (the Monte-Carlo hot path
-/// records millions of failures, so the per-event work is a handful
-/// of reads within the victim's group — no ordered-map lookups and no
-/// allocation after construction).
+/// Storage is the short list of windows that may still be open, at
+/// most one per node. Each failure makes one pass over it, dropping
+/// the windows that closed and counting the victim's group mates among
+/// the rest, so memory and construction do not depend on the platform
+/// size. At the paper's operating points fewer than one window is open
+/// at any instant; the worst case is about `λ·n·Risk` entries.
+///
+/// **Precondition:** failure times must not decrease between
+/// [`RiskTracker::reset`]s. A window dropped as closed at `t` stays
+/// closed at every later time, which is what makes pruning exact.
 #[derive(Debug, Clone)]
 pub struct RiskTracker {
     layout: GroupLayout,
     risk_window: f64,
-    /// Current generation; slots stamped with an older one are closed.
-    gen: u32,
-    /// Latest window per node, dense by node id. All-zero initial
-    /// state (generation 0 never matches `gen >= 1`) keeps the
-    /// allocation a cheap `calloc` even for very large platforms.
-    windows: Vec<NodeWindow>,
+    windows: Vec<OpenWindow>,
+    /// Time of the last recorded failure (feed-order check only).
+    last_failure: f64,
     fatal_seen: u64,
     failures_seen: u64,
 }
@@ -78,17 +80,11 @@ impl RiskTracker {
         Ok(RiskTracker {
             layout,
             risk_window,
-            gen: 1,
-            windows: vec![NodeWindow { gen: 0, until: 0.0 }; layout.nodes() as usize],
+            windows: Vec::new(),
+            last_failure: f64::NEG_INFINITY,
             fatal_seen: 0,
             failures_seen: 0,
         })
-    }
-
-    /// Whether `node`'s window is still open at time `t`.
-    fn open(&self, node: NodeId, t: f64) -> bool {
-        let w = self.windows[node as usize];
-        w.gen == self.gen && w.until > t
     }
 
     /// The window length in use.
@@ -107,24 +103,33 @@ impl RiskTracker {
     }
 
     /// Records a failure of `node` at time `t` and reports whether it
-    /// is fatal. Expired windows need no pruning — they are simply not
-    /// open at `t`.
+    /// is fatal. `t` must be no earlier than the previous failure
+    /// recorded since the last [`RiskTracker::reset`].
     pub fn record_failure(&mut self, node: NodeId, t: f64) -> FailureOutcome {
+        debug_assert!(
+            t >= self.last_failure,
+            "risk tracker fed out of order: failure at {t} after {}",
+            self.last_failure
+        );
+        self.last_failure = t;
         self.failures_seen += 1;
-        let group = self.layout.group_of(node);
-        let others_at_risk = self
-            .layout
-            .members(group)
-            .filter(|&m| m != node && self.open(m, t))
-            .count() as u32;
-        let fatal = u64::from(others_at_risk) + 1 >= self.layout.group_size();
-
-        // Restart (or open) this node's window.
-        self.windows[node as usize] = NodeWindow {
-            gen: self.gen,
+        let layout = self.layout;
+        let group = layout.group_of(node);
+        let mut others_at_risk = 0u32;
+        // Drop closed windows and the victim's own earlier window (a
+        // repeat failure restarts it); count group mates still open.
+        self.windows.retain(|w| {
+            let keep = w.until > t && w.node != node;
+            if keep && layout.group_of(w.node) == group {
+                others_at_risk += 1;
+            }
+            keep
+        });
+        self.windows.push(OpenWindow {
+            node,
             until: t + self.risk_window,
-        };
-
+        });
+        let fatal = u64::from(others_at_risk) + 1 >= layout.group_size();
         if fatal {
             self.fatal_seen += 1;
         }
@@ -134,27 +139,10 @@ impl RiskTracker {
         }
     }
 
-    /// Number of groups with at least one window open at time `t`
-    /// (diagnostic; scans the platform).
-    pub fn groups_at_risk(&self, t: f64) -> usize {
-        (0..self.layout.groups())
-            .filter(|&g| self.layout.members(g).any(|m| self.open(m, t)))
-            .count()
-    }
-
-    /// Drops all state (e.g. after an application restart). O(1):
-    /// bumps the generation so every open window goes stale.
+    /// Drops all open windows (e.g. after an application restart).
     pub fn reset(&mut self) {
-        self.gen = match self.gen.checked_add(1) {
-            Some(g) => g,
-            None => {
-                // u32 generations exhausted: physically clear once and
-                // restart the stamping. (4 billion resets per tracker —
-                // unreachable in practice, handled for correctness.)
-                self.windows.fill(NodeWindow { gen: 0, until: 0.0 });
-                1
-            }
-        };
+        self.windows.clear();
+        self.last_failure = f64::NEG_INFINITY;
     }
 }
 
@@ -235,8 +223,14 @@ mod tests {
         t.record_failure(0, 100.0);
         assert!(!t.record_failure(2, 101.0).fatal);
         assert!(!t.record_failure(4, 102.0).fatal);
-        assert_eq!(t.groups_at_risk(103.0), 3);
-        assert_eq!(t.groups_at_risk(200.0), 0);
+        // At 103 the three touched pairs are at risk, the fourth is not.
+        for (buddy, at_risk) in [(1, true), (3, true), (5, true), (7, false)] {
+            assert_eq!(t.clone().record_failure(buddy, 103.0).fatal, at_risk);
+        }
+        // By 200 every window has closed.
+        for buddy in [1, 3, 5] {
+            assert!(!t.clone().record_failure(buddy, 200.0).fatal);
+        }
     }
 
     #[test]

@@ -111,53 +111,66 @@ proptest! {
     }
 
     /// Fatal detection matches a brute-force reference: replay a random
-    /// failure sequence and check each verdict against an O(n²) oracle
-    /// over the full history.
+    /// failure sequence and check each outcome against an O(n²) oracle
+    /// over the full history, for every registered protocol (group
+    /// sizes 2–5). The feed is cut into segments with a `reset` between
+    /// them; each segment is time-ordered (the tracker requires ordered
+    /// feeds) but may start earlier than the previous one ended.
     #[test]
     fn risk_tracker_matches_bruteforce(
-        events in prop::collection::vec((0u64..12, 0.0f64..1000.0), 1..60),
-        window in 0.5f64..100.0,
-        triple in any::<bool>(),
+        segments in prop::collection::vec(
+            prop::collection::vec((any::<u64>(), 0.0f64..1000.0), 0..40),
+            1..4,
+        ),
+        window in 0.5f64..300.0,
+        protocol in prop::sample::select(Protocol::registry()),
     ) {
-        let protocol = if triple { Protocol::Triple } else { Protocol::DoubleNbl };
-        let n = 12;
+        let n = 60; // every group size 2..=5 divides it
         let layout = GroupLayout::new(protocol, n).unwrap();
+        let k = layout.group_size();
         let mut tracker = RiskTracker::new(layout, window).unwrap();
 
-        // Sort events by time (the tracker requires ordered feeds).
-        let mut events = events;
-        events.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+        for (si, segment) in segments.into_iter().enumerate() {
+            if si > 0 {
+                tracker.reset();
+            }
+            // Crowd failures into two groups so overlaps are common.
+            let mut events: Vec<(u64, f64)> =
+                segment.into_iter().map(|(raw, t)| (raw % (2 * k), t)).collect();
+            events.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
 
-        let mut history: Vec<(u64, f64)> = Vec::new();
-        for &(node, t) in &events {
-            // Oracle: after this failure, is every member of the node's
-            // group inside an open window? A member's window is open if
-            // its most recent failure time t' satisfies t < t' + window.
-            let group = layout.group_of(node);
-            let mut members_at_risk = 1u64; // the current victim
-            for m in layout.members(group) {
-                if m == node {
-                    continue;
-                }
-                let last = history
-                    .iter()
-                    .rev()
-                    .find(|&&(hn, _)| hn == m)
-                    .map(|&(_, ht)| ht);
-                if let Some(ht) = last {
-                    if t < ht + window {
-                        members_at_risk += 1;
+            let mut history: Vec<(u64, f64)> = Vec::new();
+            for &(node, t) in &events {
+                // Oracle: after this failure, how many members of the
+                // node's group are inside an open window? A member's
+                // window is open if its most recent failure time t'
+                // since the reset satisfies t < t' + window.
+                let group = layout.group_of(node);
+                let mut members_at_risk = 1u32; // the current victim
+                for m in layout.members(group) {
+                    if m == node {
+                        continue;
+                    }
+                    let last = history
+                        .iter()
+                        .rev()
+                        .find(|&&(hn, _)| hn == m)
+                        .map(|&(_, ht)| ht);
+                    if let Some(ht) = last {
+                        if t < ht + window {
+                            members_at_risk += 1;
+                        }
                     }
                 }
+                let oracle_fatal = u64::from(members_at_risk) >= k;
+                let outcome = tracker.record_failure(node, t);
+                prop_assert_eq!(
+                    (outcome.fatal, outcome.members_at_risk),
+                    (oracle_fatal, members_at_risk),
+                    "{:?} node {} at t {}", protocol, node, t
+                );
+                history.push((node, t));
             }
-            let oracle_fatal = members_at_risk >= layout.group_size();
-            let outcome = tracker.record_failure(node, t);
-            prop_assert_eq!(
-                outcome.fatal, oracle_fatal,
-                "node {} at t {}: tracker {:?} vs oracle {}",
-                node, t, outcome, oracle_fatal
-            );
-            history.push((node, t));
         }
     }
 
@@ -401,4 +414,34 @@ fn waste_is_not_monotone_in_k_at_positive_phi() {
         w4.total,
         w3.total
     );
+}
+
+#[test]
+fn window_longer_than_the_feed_keeps_every_window_open() {
+    // 60 nodes in pairs, window longer than the whole feed: every
+    // window opened stays open, so the first failure of each pair
+    // is safe and the second, however late, is fatal.
+    let layout = GroupLayout::new(Protocol::DoubleNbl, 60).unwrap();
+    let mut t = RiskTracker::new(layout, 1e9).unwrap();
+    for node in (0..60).step_by(2) {
+        let o = t.record_failure(node, node as f64);
+        assert!(!o.fatal);
+        assert_eq!(o.members_at_risk, 1);
+    }
+    for node in (1..60).step_by(2) {
+        let o = t.record_failure(node, 100.0 + node as f64);
+        assert!(o.fatal, "node {node}");
+        assert_eq!(o.members_at_risk, 2);
+    }
+    assert_eq!(t.fatal_seen(), 30);
+    assert_eq!(t.failures_seen(), 60);
+}
+
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "out of order")]
+fn out_of_order_feed_panics_in_debug_builds() {
+    let mut t = RiskTracker::new(GroupLayout::new(Protocol::DoubleNbl, 8).unwrap(), 10.0).unwrap();
+    t.record_failure(0, 100.0);
+    t.record_failure(1, 99.0);
 }

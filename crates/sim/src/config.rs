@@ -66,7 +66,9 @@ impl RunConfig {
     }
 
     /// Builds the executable machinery for a run: schedule, failure
-    /// response, and risk tracker.
+    /// response, and risk tracker. The tracker starts empty and stores
+    /// only open risk windows, so the cost does not grow with the node
+    /// count; resolving [`PeriodChoice::Optimal`] is the costly part.
     pub fn build(&self) -> Result<(PeriodSchedule, FailureResponse, RiskTracker), ModelError> {
         let period = self.resolve_period()?;
         let schedule = PeriodSchedule::new(self.protocol, &self.params, self.phi, period)?;
@@ -130,5 +132,26 @@ mod tests {
         let mut cfg = RunConfig::new(Protocol::DoubleNbl, base(), 0.0, 3600.0);
         cfg.period = PeriodChoice::Explicit(10.0); // < δ + θmax
         assert!(cfg.build().is_err());
+    }
+
+    /// 10¹⁰ nodes on Exa: a tracker with storage per node would need
+    /// 160 GB and abort the process. Building must cost nothing that
+    /// grows with the platform, and a run must still detect risk.
+    #[test]
+    fn huge_platform_builds_and_runs() {
+        let mut p = dck_core::Scenario::exa().params;
+        p.nodes = 10_000_000_000;
+        let cfg = RunConfig::new(Protocol::DoubleNbl, p, 0.0, 3600.0);
+        let (_sched, _resp, mut tracker) = cfg.build().unwrap();
+        assert!(!tracker.record_failure(9_999_999_998, 10.0).fatal);
+        assert!(tracker.record_failure(9_999_999_999, 11.0).fatal);
+        let mc = crate::MonteCarloConfig {
+            replications: 8,
+            seed: 1,
+            workers: 1,
+            source: crate::montecarlo::SourceKind::Exponential,
+        };
+        let est = crate::estimate_waste(&cfg, 5.0 * 3600.0, &mc).unwrap();
+        assert_eq!(est.completed + est.fatal + est.truncated, 8);
     }
 }

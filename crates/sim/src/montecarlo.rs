@@ -403,8 +403,9 @@ pub fn estimate_waste(
     // Validate once up front so worker panics can't hide config errors.
     run_cfg.build()?;
     // Each REP_CHUNK-sized work unit lazily builds one ChunkRunner —
-    // the schedule resolution and risk-tracker allocation are paid once
-    // per chunk instead of once per replication — and stages outcomes
+    // the schedule resolution (a period solve under
+    // PeriodChoice::Optimal) is paid once per chunk instead of once per
+    // replication — and stages outcomes
     // in structure-of-arrays form, folded into a per-chunk accumulator
     // at merge time. Merging in fixed ascending chunk order keeps the
     // floats bit-identical across worker counts (and identical to the

@@ -268,9 +268,10 @@ fn drive(cfg: &RunConfig, stop: Stop, source: &mut dyn FailureSource) -> DriveRe
 /// Reusable simulation machinery for one run configuration.
 ///
 /// Building a [`RunConfig`] resolves the checkpoint period (possibly
-/// solving for the optimal one), derives the failure response and
-/// allocates a risk tracker — work identical for every replication of
-/// a Monte-Carlo estimate. `RunMachine` performs it once and drives
+/// solving for the optimal one) and derives the failure response and
+/// an empty risk tracker — work identical for every replication of a
+/// Monte-Carlo estimate, dominated by the period solve (the tracker
+/// holds only open windows, so it costs nothing per node). `RunMachine` performs it once and drives
 /// many runs against the same machinery: [`RunMachine::drive`] resets
 /// the risk tracker on entry and is generic over the failure source,
 /// so the Monte-Carlo fast path is monomorphized over the concrete

