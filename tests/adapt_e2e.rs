@@ -1,6 +1,6 @@
 //! Adaptive-controller end-to-end guarantees.
 //!
-//! Two pins that keep the adaptive executor honest:
+//! Three pins that keep the adaptive executor honest:
 //!
 //! 1. **Adaptation off is the static machine, bit for bit.** Every
 //!    script in the golden corpus replays identically — same outcome,
@@ -9,6 +9,9 @@
 //! 2. **The censored MLE converges** at the `1/√n` rate its CI claims:
 //!    across independent exponential failure streams the estimate
 //!    lands within a z-scaled standard error of the true MTBF.
+//! 3. **Adaptive and predicted results keep their bits.** Digests of a
+//!    regret run (one case per scenario kind) and of a predicted-waste
+//!    estimate are recorded as exact `to_bits` hashes.
 
 use dck::model::{ControllerConfig, EstimatorConfig, MtbfEstimator};
 use dck::sim::{run_adaptive_traced, run_to_completion_traced, AdaptiveRunConfig};
@@ -87,5 +90,114 @@ fn censored_mle_converges_at_the_ci_rate() {
     assert!(
         mean_err.abs() < 2.0 * se / (streams as f64).sqrt(),
         "ensemble bias {mean_err} exceeds 2 pooled standard errors"
+    );
+}
+
+/// FNV-1a over the exact bit patterns of a result's numbers.
+#[derive(Default)]
+struct Bits(u64);
+
+impl Bits {
+    fn word(&mut self, w: u64) -> &mut Self {
+        if self.0 == 0 {
+            self.0 = 0xcbf2_9ce4_8422_2325;
+        }
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+        self
+    }
+
+    fn f64(&mut self, x: f64) -> &mut Self {
+        self.word(x.to_bits())
+    }
+
+    fn stats(&mut self, s: &dck::simcore::OnlineStats) -> &mut Self {
+        let (n, mean, m2, min, max) = s.to_parts();
+        self.word(n).f64(mean).f64(m2).f64(min).f64(max)
+    }
+}
+
+/// Bits of the adaptive, predicted and adaptive-predicted executors,
+/// recorded before they were folded into one run kernel: one regret
+/// case of each scenario kind, and a predicted-waste estimate. Any
+/// change to event order, float accumulation or RNG consumption in
+/// those modes moves these digests.
+#[test]
+fn adaptive_and_predicted_results_keep_their_bits() {
+    use dck::model::{PlatformParams, PredictorSpec, Protocol};
+    use dck::sim::{
+        estimate_predicted_waste, run_regret, MonteCarloConfig, PeriodChoice, RegretCase,
+        RegretScenario, RegretSpec, RunConfig,
+    };
+
+    let params = PlatformParams::new(0.0, 2.0, 4.0, 10.0, 16).unwrap();
+    let predictor = PredictorSpec::new(0.8, 0.7, 30.0);
+    let spec = RegretSpec {
+        protocol: Protocol::DoubleNbl,
+        params,
+        phi: 1.0,
+        true_mtbf: 3600.0,
+        work_in_mtbfs: 40.0,
+        replications: 6,
+        seed: 2024,
+        controller: ControllerConfig::default(),
+        cases: vec![
+            RegretCase {
+                name: "misspecified".into(),
+                scenario: RegretScenario::Misspecified { factor: 4.0 },
+            },
+            RegretCase {
+                name: "drift".into(),
+                scenario: RegretScenario::Drift { end_factor: 0.25 },
+            },
+            RegretCase {
+                name: "predicted".into(),
+                scenario: RegretScenario::Predicted {
+                    factor: 2.0,
+                    predictor,
+                },
+            },
+        ],
+    };
+    let mut regret = Bits::default();
+    for r in run_regret(&spec).unwrap() {
+        regret
+            .f64(r.believed_mtbf)
+            .f64(r.oracle_mtbf)
+            .f64(r.static_period)
+            .f64(r.oracle_period);
+        for arm in [&r.adaptive, &r.static_arm, &r.oracle] {
+            regret
+                .f64(arm.mean_waste)
+                .f64(arm.ci95_half_width)
+                .word(arm.completed as u64)
+                .word(arm.fatal as u64)
+                .word(arm.truncated as u64);
+        }
+        regret
+            .f64(r.regret)
+            .f64(r.regret_ratio)
+            .word(u64::from(r.beats_static))
+            .f64(r.retunes_mean);
+    }
+
+    let mut cfg = RunConfig::new(Protocol::Triple, params, 0.5, 1800.0);
+    cfg.period = PeriodChoice::Explicit(300.0);
+    let est =
+        estimate_predicted_waste(&cfg, &predictor, 20.0 * 1800.0, &MonteCarloConfig::new(24, 7))
+            .unwrap();
+    let mut predicted = Bits::default();
+    predicted
+        .stats(&est.waste)
+        .stats(&est.failures)
+        .word(est.completed as u64)
+        .word(est.fatal as u64)
+        .word(est.truncated as u64);
+
+    assert_eq!(
+        (format!("{:016x}", regret.0), format!("{:016x}", predicted.0)),
+        ("a3b2707ad7fc50e7".to_string(), "59766aa830089028".to_string())
     );
 }
