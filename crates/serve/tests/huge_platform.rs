@@ -1,10 +1,15 @@
 //! One `sweep_cell` request for a 10¹⁰-node platform must get an
 //! answer and leave the server up. Building the run must cost nothing
 //! that grows with the node count: an allocation failure aborts the
-//! process, which `catch_unwind` in the worker cannot contain.
+//! process, which `catch_unwind` in the worker cannot contain. A
+//! per-node renewal source does keep state per node, so the same
+//! platform with a Weibull source is a typed `bad_params` error.
 
+use dck_failures::DistributionSpec;
 use dck_serve::{serve, ServeConfig};
+use dck_sim::montecarlo::SourceKind;
 use dck_sim::{SweepEngine, SweepSpec};
+use dck_simcore::SimTime;
 use serde::{Map, Serialize, Value};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -17,6 +22,19 @@ fn request(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream, line: &str
     let mut response = String::new();
     reader.read_line(&mut response).unwrap();
     serde_json::from_str(response.trim()).unwrap()
+}
+
+fn sweep_cell(id: &str, spec: &SweepSpec) -> String {
+    let mut query = Map::new();
+    query.insert("spec", spec.to_value());
+    query.insert("mtbf_idx", Value::U64(0));
+    query.insert("phi_idx", Value::U64(0));
+    let mut req = Map::new();
+    req.insert("v", Value::U64(1));
+    req.insert("id", Value::String(id.into()));
+    req.insert("method", Value::String("sweep_cell".into()));
+    req.insert("params", Value::Object(query));
+    serde_json::to_string(&Value::Object(req)).unwrap()
 }
 
 #[test]
@@ -50,20 +68,7 @@ fn huge_platform_sweep_cell_is_answered_and_server_stays_up() {
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut writer = stream;
 
-    let mut query = Map::new();
-    query.insert("spec", spec.to_value());
-    query.insert("mtbf_idx", Value::U64(0));
-    query.insert("phi_idx", Value::U64(0));
-    let mut req = Map::new();
-    req.insert("v", Value::U64(1));
-    req.insert("id", Value::String("huge".into()));
-    req.insert("method", Value::String("sweep_cell".into()));
-    req.insert("params", Value::Object(query));
-    let v = request(
-        &mut reader,
-        &mut writer,
-        &serde_json::to_string(&Value::Object(req)).unwrap(),
-    );
+    let v = request(&mut reader, &mut writer, &sweep_cell("huge", &spec));
     let cell = v
         .get("ok")
         .and_then(|ok| ok.get("cell"))
@@ -72,6 +77,14 @@ fn huge_platform_sweep_cell_is_answered_and_server_stays_up() {
         cell.get("replications_run").and_then(Value::as_u64),
         Some(8)
     );
+
+    spec.source = SourceKind::Renewal(DistributionSpec::Weibull {
+        mean: SimTime::hours(1.0),
+        shape: 0.7,
+    });
+    let v = request(&mut reader, &mut writer, &sweep_cell("renewal", &spec));
+    let code = v.get("err").and_then(|e| e.get("code"));
+    assert_eq!(code, Some(&Value::String("bad_params".into())), "{v:?}");
 
     let pong = request(
         &mut reader,
@@ -86,6 +99,6 @@ fn huge_platform_sweep_cell_is_answered_and_server_stays_up() {
     );
     assert!(bye.get("ok").is_some(), "{bye:?}");
     let summary = server.join().expect("server thread");
-    assert_eq!(summary.errors, 0, "{summary:?}");
+    assert_eq!(summary.errors, 1, "{summary:?}");
     assert_eq!(summary.worker_panics, 0, "{summary:?}");
 }

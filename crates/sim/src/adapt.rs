@@ -1,28 +1,25 @@
 //! Closed-loop adaptive execution and the regret harness.
 //!
-//! The static machine ([`crate::run`]) resolves one period up front
-//! and never revisits it. The adaptive executor here wires
-//! [`dck_core::PeriodController`] into the same O(1)-per-failure loop:
-//! every failure feeds the censored-MLE estimator, the controller is
-//! consulted at **outage ends** (the instants fresh information just
-//! arrived and the schedule is about to resume), and a committed
-//! retune is applied at the **next period boundary** — the schedule is
-//! never torn mid-period, the completed fraction of the old schedule
-//! is committed as done work, and the new schedule starts from a
-//! period boundary exactly as a fresh run would. Each applied retune
-//! emits a [`TimelineEvent::Retune`] marker into traced timelines.
+//! The static machine resolves one period up front and never revisits
+//! it. The adaptive policy here wires [`dck_core::PeriodController`]
+//! into the run kernel ([`crate::run`]): every failure feeds the
+//! censored-MLE estimator, the controller is consulted at **outage
+//! ends** (the instants fresh information just arrived and the
+//! schedule is about to resume), and the kernel applies a committed
+//! retune at the **next period boundary** — the schedule is never torn
+//! mid-period, the completed fraction of the old schedule is banked as
+//! done work, and the new schedule starts from a period boundary
+//! exactly as a fresh run would. Each applied retune emits a
+//! [`TimelineEvent::Retune`] marker into traced timelines.
 //!
-//! With the controller disabled the executor *delegates* to the static
-//! machine, so adaptation-off runs are bit-identical to
+//! With the controller disabled the executor drives the kernel under
+//! the static policy, so adaptation-off runs are bit-identical to
 //! [`crate::run::run_to_completion`] by construction — the golden
-//! corpus pins this.
+//! corpus pins this. The predictor-assisted variant wraps the same
+//! policy in the predicted one ([`crate::predict`]).
 //!
-//! The **risk tracker** keeps the window length of the initial
-//! operating point across retunes: the first-order window
-//! `D + R + 2θ(φ)` does not depend on the period, so a pure period
-//! retune is exact, and a `rescan_phi` retune changes the window by at
-//! most the `θ` shift (second-order at the benign operating points the
-//! harness probes).
+//! Adaptive runs keep the initial risk window across retunes, one of
+//! the two approximations documented in [`crate::run`].
 //!
 //! [`run_regret`] measures what adaptation buys: for each scenario it
 //! runs three **paired** arms against the same failure stream —
@@ -36,15 +33,16 @@
 //! exact.
 
 use crate::config::RunConfig;
-use crate::run::{RunMachine, RunOutcome, Stop, StopReason, TimelineEvent};
+use crate::montecarlo::WasteAccum;
+use crate::predict::Predicted;
+use crate::run::{Policy, RunMachine, RunOutcome, Static, Stop, TimelineEvent};
 use dck_core::{
-    optimal_period, predict::proactive_cost, predicted_optimal_period, ControllerConfig,
-    ModelError, PeriodController, PlatformParams, PredictorSpec, Protocol,
+    optimal_period, predicted_optimal_period, ControllerConfig, ModelError, PeriodController,
+    PlatformParams, PredictorSpec, Protocol, Retune,
 };
 use dck_failures::{DriftingExponential, FailureSource, MtbfSpec};
 use dck_simcore::{ConfidenceInterval, OnlineStats, RngFactory, SimTime};
 use rand::rngs::StdRng;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of an adaptive run.
@@ -69,9 +67,12 @@ pub struct AdaptiveRunConfig {
 pub struct AdaptiveOutcome {
     /// The base measurements (waste, failures, outage time, …).
     pub run: RunOutcome,
-    /// Retunes applied to the schedule.
+    /// Retunes the controller committed. The last one may still have
+    /// been waiting for its period boundary when the run ended; it then
+    /// has no `Retune` marker in the timeline.
     pub retunes: u64,
-    /// Period in force when the run ended (seconds).
+    /// The period last committed (seconds): the one in force when the
+    /// run ended, unless its retune was still waiting.
     pub final_period: f64,
     /// The controller's final MTBF belief (the prior if it never
     /// retuned).
@@ -81,7 +82,7 @@ pub struct AdaptiveOutcome {
 /// Runs one adaptive replication until `t_base` units of useful work
 /// complete. With `controller.enabled == false` this is exactly
 /// [`crate::run::run_to_completion`] (bit-identical event handling —
-/// it delegates to the same machine).
+/// it drives the same kernel under the static policy).
 ///
 /// # Errors
 /// Propagates configuration/controller validation; the failure source
@@ -91,7 +92,7 @@ pub fn run_adaptive_to_completion(
     t_base: f64,
     source: &mut dyn FailureSource,
 ) -> Result<AdaptiveOutcome, ModelError> {
-    run_adaptive_inner(cfg, t_base, source, |_| {})
+    run_adaptive(cfg, t_base, source, |_| {})
 }
 
 /// Like [`run_adaptive_to_completion`], but records the full timeline
@@ -106,31 +107,15 @@ pub fn run_adaptive_traced(
     source: &mut dyn FailureSource,
 ) -> Result<(AdaptiveOutcome, Vec<TimelineEvent>), ModelError> {
     let mut timeline = Vec::new();
-    let out = run_adaptive_inner(cfg, t_base, source, |e| timeline.push(e))?;
+    let out = run_adaptive(cfg, t_base, source, |e| timeline.push(e))?;
     Ok((out, timeline))
 }
 
-fn machinery(
-    base: &RunConfig,
-    phi: f64,
-    period: f64,
-) -> Result<
-    (
-        dck_protocols::PeriodSchedule,
-        dck_protocols::FailureResponse,
-    ),
-    ModelError,
-> {
-    let sched = dck_protocols::PeriodSchedule::new(base.protocol, &base.params, phi, period)?;
-    let resp = dck_protocols::FailureResponse::for_schedule(&base.params, &sched)?;
-    Ok((sched, resp))
-}
-
-fn run_adaptive_inner(
+fn run_adaptive(
     cfg: &AdaptiveRunConfig,
     t_base: f64,
     source: &mut dyn FailureSource,
-    mut observe: impl FnMut(TimelineEvent),
+    observe: impl FnMut(TimelineEvent),
 ) -> Result<AdaptiveOutcome, ModelError> {
     cfg.controller.validate()?;
     if cfg.controller.predictor.is_some() {
@@ -139,229 +124,24 @@ fn run_adaptive_inner(
             "use run_adaptive_predicted_to_completion for predictor-assisted runs",
         ));
     }
-    let initial_period = cfg.base.resolve_period()?;
-    if !cfg.controller.enabled {
-        // Bit-identity by construction: the disabled adaptive machine
-        // IS the static machine.
-        let (run, _) = RunMachine::new(&cfg.base)?.drive(Stop::Work(t_base), source, observe)?;
-        return Ok(AdaptiveOutcome {
-            run,
-            retunes: 0,
-            final_period: initial_period,
-            believed_mtbf: cfg.prior_mtbf,
-        });
-    }
-
-    let mut controller = PeriodController::new(
-        cfg.base.protocol,
-        &cfg.base.params,
-        cfg.base.phi,
-        cfg.prior_mtbf,
-        Some(initial_period),
-        cfg.controller,
-    )?;
-    // The risk tracker keeps the initial window across retunes (see
-    // module docs); schedule and response are rebuilt per retune.
-    let (mut sched, mut resp, mut tracker) = cfg.base.build()?;
-    if source.nodes() != cfg.base.usable_nodes() {
-        return Err(ModelError::invalid(
-            "failure_source",
-            format!(
-                "failure source covers {} nodes but the configuration simulates {} usable nodes",
-                source.nodes(),
-                cfg.base.usable_nodes()
-            ),
-        ));
-    }
-    tracker.reset();
-
-    let outcome = |reason, t: f64, useful: f64, failures, outage_time, fatal_at| RunOutcome {
-        reason,
-        total_time: t,
-        useful_work: useful,
-        failures,
-        outage_time,
-        fatal_at,
+    let mut policy = Adaptive::new(cfg)?;
+    let mut machine = RunMachine::new(&cfg.base)?;
+    let stop = Stop::Work(t_base);
+    let (run, _) = if cfg.controller.enabled {
+        machine.drive(stop, source, &mut policy, observe)?
+    } else {
+        machine.drive(stop, source, &mut Static, observe)?
     };
-    let no_progress_finish = |observe: &mut dyn FnMut(TimelineEvent)| {
-        observe(TimelineEvent::Finished {
-            at: 0.0,
-            reason: StopReason::NoProgress,
-        });
-        outcome(StopReason::NoProgress, f64::INFINITY, 0.0, 0, 0.0, None)
-    };
-    if sched.work_per_period() <= 0.0 {
-        let run = no_progress_finish(&mut observe);
-        return Ok(AdaptiveOutcome {
-            run,
-            retunes: 0,
-            final_period: initial_period,
-            believed_mtbf: cfg.prior_mtbf,
-        });
-    }
-
-    let mut t = 0.0_f64; // wall clock
-    let mut v = 0.0_f64; // position in the *current* schedule segment
-    let mut done = 0.0_f64; // work committed by completed segments
-    let mut outage: Option<(f64, f64)> = None; // (end time, period offset)
-    let mut failures = 0u64;
-    let mut outage_time = 0.0_f64;
-    let mut pending: Option<dck_core::Retune> = None;
-    let mut next = source.next_failure();
-
-    loop {
-        let next_at = next.at.as_secs();
-        let in_outage_at_event = outage.is_some();
-        match outage {
-            None => {
-                let remaining = t_base - done;
-                let ve = sched.time_to_reach_work(remaining);
-                let t_complete = t + (ve - v);
-                // A committed retune takes effect at the next period
-                // boundary, if the run gets there before completing
-                // and before the next failure strikes.
-                if let Some(r) = pending {
-                    let p = sched.period();
-                    let vb = (v / p).ceil() * p;
-                    let ts = t + (vb - v);
-                    if ts < t_complete && next_at >= ts {
-                        pending = None;
-                        done += sched.work_at(vb);
-                        let (s, fr) = machinery(&cfg.base, r.phi, r.new_period)?;
-                        sched = s;
-                        resp = fr;
-                        t = ts;
-                        v = 0.0;
-                        observe(TimelineEvent::Retune {
-                            at: ts,
-                            old_period: r.old_period,
-                            new_period: r.new_period,
-                            mtbf_estimate: r.mtbf_estimate,
-                        });
-                        if dck_obs::enabled() {
-                            dck_obs::incr("adapt.retunes_applied");
-                        }
-                        if sched.work_per_period() <= 0.0 {
-                            // A pathological retune target (saturated
-                            // operating point): no further progress is
-                            // possible.
-                            let run = no_progress_finish(&mut observe);
-                            return Ok(AdaptiveOutcome {
-                                run,
-                                retunes: controller.retunes(),
-                                final_period: controller.current_period(),
-                                believed_mtbf: controller.believed_mtbf(),
-                            });
-                        }
-                        continue;
-                    }
-                }
-                if next_at >= t_complete {
-                    observe(TimelineEvent::Finished {
-                        at: t_complete,
-                        reason: StopReason::WorkComplete,
-                    });
-                    return Ok(AdaptiveOutcome {
-                        run: outcome(
-                            StopReason::WorkComplete,
-                            t_complete,
-                            done + remaining,
-                            failures,
-                            outage_time,
-                            None,
-                        ),
-                        retunes: controller.retunes(),
-                        final_period: controller.current_period(),
-                        believed_mtbf: controller.believed_mtbf(),
-                    });
-                }
-                v += next_at - t;
-                t = next_at;
-            }
-            Some((end, _)) => {
-                if next_at >= end {
-                    observe(TimelineEvent::OutageEnd { at: end });
-                    t = end;
-                    outage = None;
-                    // Consult the controller as the schedule resumes;
-                    // one decision at a time — a committed retune must
-                    // be applied before the next is considered.
-                    if pending.is_none() {
-                        pending = controller.maybe_retune(t)?;
-                    }
-                    continue;
-                }
-                // Failure during the outage: restart it (same
-                // semantics as the static machine).
-                outage_time -= end - next_at;
-                t = next_at;
-            }
-        }
-
-        failures += 1;
-        controller.record_failure(t)?;
-        let fail = tracker.record_failure(next.node, t);
-        let off = v % sched.period();
-        let o = resp.outage(off);
-        observe(TimelineEvent::Failure {
-            at: t,
-            node: next.node,
-            offset: off,
-            outage: o.total(),
-            fatal: fail.fatal,
-            during_outage: in_outage_at_event,
-        });
-        if fail.fatal {
-            observe(TimelineEvent::Finished {
-                at: t,
-                reason: StopReason::Fatal,
-            });
-            return Ok(AdaptiveOutcome {
-                run: outcome(
-                    StopReason::Fatal,
-                    t,
-                    done + sched.work_at(v),
-                    failures,
-                    outage_time,
-                    Some(t),
-                ),
-                retunes: controller.retunes(),
-                final_period: controller.current_period(),
-                believed_mtbf: controller.believed_mtbf(),
-            });
-        }
-        outage = Some((t + o.total(), off));
-        outage_time += o.total();
-
-        if failures >= cfg.base.max_failures {
-            observe(TimelineEvent::Finished {
-                at: t,
-                reason: StopReason::FailureCapReached,
-            });
-            return Ok(AdaptiveOutcome {
-                run: outcome(
-                    StopReason::FailureCapReached,
-                    t,
-                    done + sched.work_at(v),
-                    failures,
-                    outage_time,
-                    None,
-                ),
-                retunes: controller.retunes(),
-                final_period: controller.current_period(),
-                believed_mtbf: controller.believed_mtbf(),
-            });
-        }
-        next = source.next_failure();
-    }
+    Ok(policy.outcome(run))
 }
 
-/// Adaptive execution of the fault-prediction scenario: the serialized
-/// predicted loop of [`crate::predict`] with the controller in the
-/// loop. Requires `controller.predictor` (retunes optimize the
-/// *predicted* waste model); `rng` drives the recall coins and the
-/// false-alarm process exactly as in
-/// [`crate::predict::run_predicted_to_completion`].
+/// Adaptive execution of the fault-prediction scenario: the predicted
+/// policy of [`crate::predict`] wrapped around the adaptive one.
+/// Requires `controller.predictor` (retunes optimize the *predicted*
+/// waste model); `rng` drives the recall coins and the false-alarm
+/// process exactly as in
+/// [`crate::predict::run_predicted_to_completion`], so a run that never
+/// retunes is bit-identical to it.
 ///
 /// # Errors
 /// Propagates configuration/controller/predictor validation.
@@ -378,251 +158,52 @@ pub fn run_adaptive_predicted_to_completion(
             "run_adaptive_predicted_to_completion requires controller.predictor",
         ));
     };
-    predictor.validate()?;
-    let cp = proactive_cost(&cfg.base.params);
-    if predictor.recall > 0.0 && predictor.window < cp {
-        return Err(ModelError::invalid(
-            "window",
-            format!(
-                "lead window {} shorter than the proactive checkpoint {cp}",
-                predictor.window
-            ),
-        ));
-    }
-    let initial_period = cfg.base.resolve_period()?;
-    let mut controller = PeriodController::new(
-        cfg.base.protocol,
-        &cfg.base.params,
-        cfg.base.phi,
-        cfg.prior_mtbf,
-        Some(initial_period),
-        cfg.controller,
-    )?;
-    let (mut sched, mut resp, mut tracker) = cfg.base.build()?;
-    if source.nodes() != cfg.base.usable_nodes() {
-        return Err(ModelError::invalid(
-            "failure_source",
-            format!(
-                "failure source covers {} nodes but the configuration simulates {} usable nodes",
-                source.nodes(),
-                cfg.base.usable_nodes()
-            ),
-        ));
-    }
-    tracker.reset();
-    let finish_state = |run| AdaptiveOutcome {
-        run,
-        retunes: 0,
-        final_period: initial_period,
-        believed_mtbf: cfg.prior_mtbf,
-    };
-    if sched.work_per_period() <= 0.0 {
-        return Ok(finish_state(RunOutcome {
-            reason: StopReason::NoProgress,
-            total_time: f64::INFINITY,
-            useful_work: 0.0,
-            failures: 0,
-            outage_time: 0.0,
-            fatal_at: None,
-        }));
+    let mut policy = Predicted::new(Adaptive::new(cfg)?, &predictor, &cfg.base, rng)?;
+    let (run, _) =
+        RunMachine::new(&cfg.base)?.drive(Stop::Work(t_base), source, &mut policy, |_| {})?;
+    Ok(policy.inner.outcome(run))
+}
+
+/// The adaptive policy: every failure feeds the controller's MTBF
+/// estimator, and each outage end consults it for a retune.
+pub(crate) struct Adaptive(PeriodController);
+
+impl Adaptive {
+    /// A controller holding the prior belief, starting from the
+    /// configuration's own period.
+    pub(crate) fn new(cfg: &AdaptiveRunConfig) -> Result<Self, ModelError> {
+        let controller = PeriodController::new(
+            cfg.base.protocol,
+            &cfg.base.params,
+            cfg.base.phi,
+            cfg.prior_mtbf,
+            Some(cfg.base.resolve_period()?),
+            cfg.controller,
+        )?;
+        Ok(Adaptive(controller))
     }
 
-    let d = cfg.base.params.downtime;
-    let rec = cfg.base.params.recovery();
-    let w = predictor.window;
-    // Physics: false alarms are a property of the machine's true
-    // failure rate, which `base.mtbf` carries (the controller's
-    // *belief* lives in `prior_mtbf`).
-    let far = predictor.false_alarm_rate(cfg.base.mtbf);
-    let exp_gap = |rng: &mut StdRng| -> f64 {
-        let u: f64 = rng.gen();
-        -(1.0 - u).ln() / far
-    };
-    let draw = |source: &mut dyn FailureSource, rng: &mut StdRng| {
-        let ev = source.next_failure();
-        let coin: f64 = rng.gen();
-        (ev, coin < predictor.recall)
-    };
-
-    let mut t = 0.0_f64;
-    let mut v = 0.0_f64; // position in the current schedule segment
-    let mut done = 0.0_f64;
-    let mut outage_time = 0.0_f64;
-    let mut failures = 0u64;
-    let mut pending: Option<dck_core::Retune> = None;
-    let (mut fault, mut fault_predicted) = draw(source, rng);
-    let mut next_false = if far > 0.0 {
-        exp_gap(rng)
-    } else {
-        f64::INFINITY
-    };
-
-    let outcome = |reason, t: f64, useful: f64, failures, outage_time, fatal_at| RunOutcome {
-        reason,
-        total_time: t,
-        useful_work: useful,
-        failures,
-        outage_time,
-        fatal_at,
-    };
-
-    loop {
-        let fault_at = fault.at.as_secs();
-        let alarm_at = if fault_predicted {
-            fault_at - w
-        } else {
-            f64::INFINITY
-        };
-        let effective_alarm = fault_predicted && alarm_at >= t;
-        let next_event = if effective_alarm {
-            alarm_at.min(next_false)
-        } else {
-            fault_at.min(next_false)
-        };
-
-        let remaining = t_base - done;
-        let ve = sched.time_to_reach_work(remaining);
-        let t_complete = t + (ve - v);
-
-        // Boundary retune, if it precedes the next disruption and the
-        // completion instant.
-        if let Some(r) = pending {
-            let p = sched.period();
-            let vb = (v / p).ceil() * p;
-            let ts = t + (vb - v);
-            if ts < t_complete && next_event >= ts {
-                pending = None;
-                done += sched.work_at(vb);
-                let (s, fr) = machinery(&cfg.base, r.phi, r.new_period)?;
-                sched = s;
-                resp = fr;
-                t = ts;
-                v = 0.0;
-                if dck_obs::enabled() {
-                    dck_obs::incr("adapt.retunes_applied");
-                }
-                if sched.work_per_period() <= 0.0 {
-                    return Ok(AdaptiveOutcome {
-                        run: outcome(
-                            StopReason::NoProgress,
-                            f64::INFINITY,
-                            done,
-                            failures,
-                            outage_time,
-                            None,
-                        ),
-                        retunes: controller.retunes(),
-                        final_period: controller.current_period(),
-                        believed_mtbf: controller.believed_mtbf(),
-                    });
-                }
-                continue;
-            }
+    /// The run's outcome with the controller's final state.
+    pub(crate) fn outcome(&self, run: RunOutcome) -> AdaptiveOutcome {
+        AdaptiveOutcome {
+            run,
+            retunes: self.0.retunes(),
+            final_period: self.0.current_period(),
+            believed_mtbf: self.0.believed_mtbf(),
         }
+    }
+}
 
-        if t_complete <= next_event {
-            return Ok(AdaptiveOutcome {
-                run: outcome(
-                    StopReason::WorkComplete,
-                    t_complete,
-                    done + remaining,
-                    failures,
-                    outage_time,
-                    None,
-                ),
-                retunes: controller.retunes(),
-                final_period: controller.current_period(),
-                believed_mtbf: controller.believed_mtbf(),
-            });
-        }
+impl Policy for Adaptive {
+    const RETUNES: bool = true;
 
-        if next_false <= next_event {
-            let at = next_false.max(t);
-            v += at - t;
-            t = at + cp;
-            outage_time += cp;
-            next_false = t + exp_gap(rng);
-            continue;
-        }
+    fn on_failure(&mut self, at: f64, _v: f64) -> Result<Option<f64>, ModelError> {
+        self.0.record_failure(at)?;
+        Ok(None)
+    }
 
-        if effective_alarm {
-            let at = alarm_at.max(t);
-            v += at - t;
-            t = at + cp;
-            outage_time += cp;
-            let snap_v = v;
-            if fault_at > t {
-                v += fault_at - t;
-                t = fault_at;
-            }
-            failures += 1;
-            let fail = tracker.record_failure(fault.node, fault_at);
-            if fail.fatal {
-                return Ok(AdaptiveOutcome {
-                    run: outcome(
-                        StopReason::Fatal,
-                        t,
-                        done + v,
-                        failures,
-                        outage_time,
-                        Some(t),
-                    ),
-                    retunes: controller.retunes(),
-                    final_period: controller.current_period(),
-                    believed_mtbf: controller.believed_mtbf(),
-                });
-            }
-            let o = d + rec + (v - snap_v);
-            t += o;
-            outage_time += o;
-        } else {
-            let at = fault_at.max(t);
-            v += at - t;
-            t = at;
-            failures += 1;
-            let fail = tracker.record_failure(fault.node, fault_at);
-            if fail.fatal {
-                return Ok(AdaptiveOutcome {
-                    run: outcome(
-                        StopReason::Fatal,
-                        t,
-                        done + sched.work_at(v),
-                        failures,
-                        outage_time,
-                        Some(t),
-                    ),
-                    retunes: controller.retunes(),
-                    final_period: controller.current_period(),
-                    believed_mtbf: controller.believed_mtbf(),
-                });
-            }
-            let off = v % sched.period();
-            let o = resp.outage(off).total();
-            t += o;
-            outage_time += o;
-        }
-
-        controller.record_failure(fault_at)?;
-        if pending.is_none() {
-            pending = controller.maybe_retune(t)?;
-        }
-
-        if failures >= cfg.base.max_failures {
-            return Ok(AdaptiveOutcome {
-                run: outcome(
-                    StopReason::FailureCapReached,
-                    t,
-                    done + sched.work_at(v),
-                    failures,
-                    outage_time,
-                    None,
-                ),
-                retunes: controller.retunes(),
-                final_period: controller.current_period(),
-                believed_mtbf: controller.believed_mtbf(),
-            });
-        }
-        (fault, fault_predicted) = draw(source, rng);
+    fn consult(&mut self, t: f64) -> Result<Option<Retune>, ModelError> {
+        self.0.maybe_retune(t)
     }
 }
 
@@ -710,18 +291,18 @@ pub struct ArmStats {
 }
 
 impl ArmStats {
-    fn from_stats(stats: &OnlineStats, fatal: usize, truncated: usize) -> ArmStats {
-        let ci = if stats.count() > 1 {
-            ConfidenceInterval::from_stats(stats, 0.95).half_width
+    fn from_accum(acc: &WasteAccum) -> ArmStats {
+        let ci = if acc.waste.count() > 1 {
+            ConfidenceInterval::from_stats(&acc.waste, 0.95).half_width
         } else {
             f64::INFINITY
         };
         ArmStats {
-            mean_waste: stats.mean(),
+            mean_waste: acc.waste.mean(),
             ci95_half_width: ci,
-            completed: stats.count() as usize,
-            fatal,
-            truncated,
+            completed: acc.completed,
+            fatal: acc.fatal,
+            truncated: acc.truncated,
         }
     }
 }
@@ -872,13 +453,7 @@ fn run_case(
         }
     };
 
-    let mut stats = [
-        OnlineStats::default(),
-        OnlineStats::default(),
-        OnlineStats::default(),
-    ];
-    let mut fatal = [0usize; 3];
-    let mut truncated = [0usize; 3];
+    let mut arms: [WasteAccum; 3] = Default::default();
     let mut retunes = OnlineStats::default();
     for rep in 0..spec.replications as u64 {
         // Paired arms: identical failure stream; identical predictor
@@ -921,18 +496,12 @@ fn run_case(
             run_static(&static_cfg)?,
             run_static(&oracle_cfg)?,
         ];
-        for (i, out) in outs.iter().enumerate() {
-            match out.reason {
-                StopReason::WorkComplete => stats[i].push(out.waste()),
-                StopReason::Fatal => fatal[i] += 1,
-                _ => truncated[i] += 1,
-            }
+        for (arm, out) in arms.iter_mut().zip(&outs) {
+            arm.absorb(out);
         }
     }
 
-    let adaptive = ArmStats::from_stats(&stats[0], fatal[0], truncated[0]);
-    let static_arm = ArmStats::from_stats(&stats[1], fatal[1], truncated[1]);
-    let oracle = ArmStats::from_stats(&stats[2], fatal[2], truncated[2]);
+    let [adaptive, static_arm, oracle] = arms.each_ref().map(ArmStats::from_accum);
     let regret = adaptive.mean_waste - oracle.mean_waste;
     let regret_ratio = if oracle.mean_waste > 0.0 {
         regret / oracle.mean_waste
@@ -960,7 +529,7 @@ fn run_case(
 mod tests {
     use super::*;
     use crate::config::PeriodChoice;
-    use crate::run::run_to_completion_traced;
+    use crate::run::{run_to_completion_traced, StopReason};
     use dck_failures::AggregatedExponential;
 
     fn base_params(nodes: u64) -> PlatformParams {
@@ -1116,6 +685,49 @@ mod tests {
         assert_eq!(out.run.reason, StopReason::WorkComplete);
         assert!(out.run.failures > 0);
         assert!(out.run.waste() > 0.0 && out.run.waste() < 1.0);
+    }
+
+    /// A predicted hit that is fatal reports the work done, not the
+    /// schedule position: an adaptive-predicted run that never retunes
+    /// must equal the static predicted run bit for bit.
+    #[test]
+    fn adaptive_predicted_without_retunes_matches_predicted() {
+        let mut base = RunConfig::new(Protocol::DoubleNbl, base_params(12), 0.0, 3600.0);
+        base.period = PeriodChoice::Explicit(100.0);
+        let predictor = PredictorSpec::new(1.0, 1.0, 10.0);
+        let trace = dck_failures::FailureTrace::new(
+            12,
+            [(500.0, 2), (520.0, 3)]
+                .map(|(at, node)| dck_failures::FailureEvent {
+                    at: SimTime::seconds(at),
+                    node,
+                })
+                .to_vec(),
+        );
+        let rng = || RngFactory::new(3).component_stream("predictor", 0);
+        let fixed = crate::predict::run_predicted_to_completion(
+            &base,
+            &predictor,
+            10_000.0,
+            &mut trace.replay(),
+            &mut rng(),
+        )
+        .unwrap();
+        let cfg = AdaptiveRunConfig {
+            base,
+            prior_mtbf: 3600.0,
+            controller: ControllerConfig {
+                min_failures: 1_000_000,
+                predictor: Some(predictor),
+                ..ControllerConfig::default()
+            },
+        };
+        let adaptive =
+            run_adaptive_predicted_to_completion(&cfg, 10_000.0, &mut trace.replay(), &mut rng())
+                .unwrap();
+        assert_eq!(fixed.run.reason, StopReason::Fatal);
+        assert_eq!(adaptive.retunes, 0);
+        assert_eq!(adaptive.run, fixed.run);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! across worker counts.
 
 use crate::config::RunConfig;
-use crate::run::{run_to_completion, RunMachine, RunOutcome, Stop, StopReason};
+use crate::run::{run_to_completion, RunMachine, RunOutcome, Static, Stop, StopReason};
 use dck_core::ModelError;
 use dck_failures::{AggregatedExponential, DistributionSpec, MtbfSpec, PerNodeRenewal};
 use dck_simcore::par::{default_workers, parallel_map_fold};
@@ -36,6 +36,14 @@ pub enum SourceKind {
     /// MTBFs before t = 0, approximating the stationary regime.
     RenewalWarmed(DistributionSpec),
 }
+
+/// Largest platform a per-node renewal source may simulate.
+/// [`PerNodeRenewal`] keeps one 24-byte queue entry per node for a
+/// whole replication, so this bound (about 4× Exa's 10⁶ nodes) caps one
+/// live source near 100 MB. Beyond it a spec could ask for more memory
+/// than the host has, and a failed allocation aborts the process where
+/// no worker can contain it.
+pub(crate) const MAX_RENEWAL_NODES: u64 = 1 << 22;
 
 /// Monte-Carlo harness configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -242,9 +250,19 @@ impl ChunkRunner {
     /// Builds the machinery for one chunk of replications.
     ///
     /// # Errors
-    /// Propagates configuration errors.
+    /// Propagates configuration errors and rejects renewal sources
+    /// above [`MAX_RENEWAL_NODES`].
     pub(crate) fn new(run_cfg: &RunConfig, mc: &MonteCarloConfig) -> Result<Self, ModelError> {
         let usable = run_cfg.usable_nodes();
+        if usable > MAX_RENEWAL_NODES && !matches!(mc.source, SourceKind::Exponential) {
+            return Err(ModelError::invalid(
+                "nodes",
+                format!(
+                    "a per-node renewal source keeps one queue entry per node; \
+                     {usable} nodes exceed its limit of {MAX_RENEWAL_NODES}"
+                ),
+            ));
+        }
         // Per-node MTBF is n·M; keep it fixed under rounding (same
         // calibration as `replication_source`).
         let individual = SimTime::seconds(run_cfg.mtbf * run_cfg.params.nodes as f64);
@@ -266,12 +284,12 @@ impl ChunkRunner {
                     nodes: self.usable,
                 };
                 let mut src = AggregatedExponential::new(mtbf, rng);
-                self.machine.drive(stop, &mut src, |_| {})
+                self.machine.drive(stop, &mut src, &mut Static, |_| {})
             }
             SourceKind::Renewal(spec) => {
                 let mut src =
                     PerNodeRenewal::new(spec.with_mean(self.individual), self.usable, rng);
-                self.machine.drive(stop, &mut src, |_| {})
+                self.machine.drive(stop, &mut src, &mut Static, |_| {})
             }
             SourceKind::RenewalWarmed(spec) => {
                 let mut src = PerNodeRenewal::with_warmup(
@@ -280,7 +298,7 @@ impl ChunkRunner {
                     rng,
                     self.individual * 10.0,
                 );
-                self.machine.drive(stop, &mut src, |_| {})
+                self.machine.drive(stop, &mut src, &mut Static, |_| {})
             }
         };
         result.expect("validated configuration cannot fail").0
@@ -394,14 +412,15 @@ pub struct SuccessEstimate {
 /// to completion across replications.
 ///
 /// # Errors
-/// Propagates configuration errors from the first replication.
+/// Propagates configuration errors, and rejects renewal sources on
+/// platforms too large to hold their per-node state.
 pub fn estimate_waste(
     run_cfg: &RunConfig,
     t_base: f64,
     mc: &MonteCarloConfig,
 ) -> Result<WasteEstimate, ModelError> {
     // Validate once up front so worker panics can't hide config errors.
-    run_cfg.build()?;
+    ChunkRunner::new(run_cfg, mc)?;
     // Each REP_CHUNK-sized work unit lazily builds one ChunkRunner —
     // the schedule resolution (a period solve under
     // PeriodChoice::Optimal) is paid once per chunk instead of once per
@@ -437,13 +456,14 @@ pub fn estimate_waste(
 /// `dck-bench` harness measures the monomorphized fast path against.
 ///
 /// # Errors
-/// Propagates configuration errors.
+/// Propagates configuration errors, and rejects renewal sources on
+/// platforms too large to hold their per-node state.
 pub fn estimate_waste_reference(
     run_cfg: &RunConfig,
     t_base: f64,
     mc: &MonteCarloConfig,
 ) -> Result<WasteEstimate, ModelError> {
-    run_cfg.build()?;
+    ChunkRunner::new(run_cfg, mc)?;
     let acc = parallel_map_fold(
         mc.replications,
         mc.resolved_workers(),
@@ -459,13 +479,14 @@ pub fn estimate_waste_reference(
 /// Estimates the success probability over an exploitation horizon.
 ///
 /// # Errors
-/// Propagates configuration errors.
+/// Propagates configuration errors, and rejects renewal sources on
+/// platforms too large to hold their per-node state.
 pub fn estimate_success(
     run_cfg: &RunConfig,
     horizon: f64,
     mc: &MonteCarloConfig,
 ) -> Result<SuccessEstimate, ModelError> {
-    run_cfg.build()?;
+    ChunkRunner::new(run_cfg, mc)?;
     let survived = parallel_map_fold(
         mc.replications,
         mc.resolved_workers(),
@@ -630,6 +651,34 @@ mod tests {
         });
         let est = estimate_waste(&run_cfg, 10_000.0, &mc).unwrap();
         assert_eq!(est.completed + est.fatal + est.truncated, 8);
+    }
+
+    /// A renewal source keeps state per node, so a platform above the
+    /// bound is a typed error on every Monte-Carlo entry point instead
+    /// of an allocation that aborts the process.
+    #[test]
+    fn huge_renewal_platforms_fail_typed() {
+        let mut p = params(8);
+        p.nodes = 10_000_000_000;
+        let run_cfg = RunConfig::new(Protocol::DoubleNbl, p, 1.0, 1800.0);
+        let mut mc = MonteCarloConfig::new(8, 3);
+        mc.source = SourceKind::RenewalWarmed(DistributionSpec::Weibull {
+            mean: SimTime::seconds(1.0),
+            shape: 0.7,
+        });
+        let predictor = dck_core::PredictorSpec::new(0.8, 0.5, 30.0);
+        let errors = [
+            estimate_waste(&run_cfg, 10_000.0, &mc).unwrap_err(),
+            estimate_waste_reference(&run_cfg, 10_000.0, &mc).unwrap_err(),
+            estimate_success(&run_cfg, 10_000.0, &mc).unwrap_err(),
+            crate::estimate_predicted_waste(&run_cfg, &predictor, 10_000.0, &mc).unwrap_err(),
+        ];
+        for e in errors {
+            assert!(e.to_string().contains("renewal"), "{e}");
+        }
+        p.nodes = MAX_RENEWAL_NODES;
+        let at_bound = RunConfig::new(Protocol::DoubleNbl, p, 1.0, 1800.0);
+        assert!(ChunkRunner::new(&at_bound, &mc).is_ok());
     }
 
     #[test]

@@ -1,30 +1,31 @@
 //! Mechanistic simulation of the fault-prediction scenario.
 //!
 //! Independent re-implementation of the physics behind
-//! [`dck_core::predict`]: failures stream from the usual aggregated
-//! Poisson source; each is flagged *predicted* with probability `r`
-//! (the predictor's recall) and announces itself `w` seconds early;
-//! false alarms arrive as their own Poisson process at rate
-//! `r(1 − p)/(pM)`. Every alarm freezes the platform for a proactive
-//! checkpoint `C_p = δ + R`; a predicted failure then rolls back only
-//! to that fresh image (outage `D + R` plus re-execution of the short
-//! stretch since the proactive checkpoint), while an unpredicted one
-//! pays the full §III/§V case-analysis outage.
+//! [`dck_core::predict`], as a policy on the run kernel
+//! ([`crate::run`]): failures stream from the usual sources; each is
+//! flagged *predicted* with probability `r` (the predictor's recall)
+//! and announces itself `w` seconds early; false alarms arrive as
+//! their own Poisson process at rate `r(1 − p)/(pM)`. Every alarm
+//! freezes the platform for a proactive checkpoint `C_p = δ + R`; a
+//! predicted failure then rolls back only to that fresh image (outage
+//! `D + R` plus re-execution of the short stretch since the proactive
+//! checkpoint), while an unpredicted one pays the full §III/§V
+//! case-analysis outage.
 //!
-//! The loop keeps the base simulator's accounting convention: the
+//! The policy keeps the base simulator's accounting convention: the
 //! schedule position `v` only moves forward, and all loss — downtime,
 //! blocking transfers, re-execution — is charged to the outage clock.
-//! Double events (an alarm or failure landing inside an outage) are
-//! serialized rather than restarted; at the benign operating points the
-//! conformance grid probes (`M` far above every outage) the difference
-//! is far below the CI95 tolerance.
+//! Predicted runs serialise events that land inside an outage, one of
+//! the two approximations documented in [`crate::run`].
 
 use crate::config::RunConfig;
-use crate::montecarlo::{replication_source, MonteCarloConfig, WasteEstimate};
-use crate::run::{RunOutcome, StopReason};
-use dck_core::{predict::proactive_cost, ModelError, PredictorSpec};
-use dck_failures::FailureSource;
-use dck_simcore::{ConfidenceInterval, OnlineStats, RngFactory};
+use crate::montecarlo::{
+    replication_source, ChunkRunner, MonteCarloConfig, WasteAccum, WasteEstimate,
+};
+use crate::run::{Policy, RunMachine, RunOutcome, RunState, Static, Stop};
+use dck_core::{predict::proactive_cost, ModelError, PredictorSpec, Retune};
+use dck_failures::{FailureEvent, FailureSource};
+use dck_simcore::RngFactory;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -54,194 +55,159 @@ pub fn run_predicted_to_completion(
     source: &mut dyn FailureSource,
     rng: &mut StdRng,
 ) -> Result<PredictedOutcome, ModelError> {
-    predictor.validate()?;
-    let cp = proactive_cost(&cfg.params);
-    if predictor.recall > 0.0 && predictor.window < cp {
-        return Err(ModelError::invalid(
-            "window",
-            format!(
-                "lead window {} shorter than the proactive checkpoint {cp}",
-                predictor.window
-            ),
-        ));
-    }
-    let (sched, resp, mut tracker) = cfg.build()?;
-    if source.nodes() != cfg.usable_nodes() {
-        return Err(ModelError::invalid(
-            "failure_source",
-            format!(
-                "failure source covers {} nodes but the configuration simulates {} usable nodes",
-                source.nodes(),
-                cfg.usable_nodes()
-            ),
-        ));
-    }
-    tracker.reset();
-    if sched.work_per_period() <= 0.0 {
-        return Ok(PredictedOutcome {
-            run: RunOutcome {
-                reason: StopReason::NoProgress,
-                total_time: f64::INFINITY,
-                useful_work: 0.0,
-                failures: 0,
-                outage_time: 0.0,
-                fatal_at: None,
-            },
+    let mut policy = Predicted::new(Static, predictor, cfg, rng)?;
+    let (run, _) = RunMachine::new(cfg)?.drive(Stop::Work(t_base), source, &mut policy, |_| {})?;
+    Ok(PredictedOutcome {
+        run,
+        alarms: policy.alarms,
+        predicted_hits: policy.hits,
+    })
+}
+
+/// The predicted policy, wrapped around the policy `P` that handles
+/// everything but alarms ([`Static`], or the adaptive controller).
+///
+/// The recall coin of each failure is flipped as it is drawn, so the
+/// predictor stream `rng` is consumed one deviate per failure plus one
+/// per false-alarm gap, in event order.
+pub(crate) struct Predicted<'r, P> {
+    /// The wrapped policy.
+    pub(crate) inner: P,
+    rng: &'r mut StdRng,
+    recall: f64,
+    window: f64,
+    /// Proactive checkpoint `C_p`.
+    cp: f64,
+    /// Rollback to the proactive image: `D + R`.
+    rollback: f64,
+    false_alarm_rate: f64,
+    /// Whether the failure drawn last will be predicted.
+    predicted: bool,
+    next_false: f64,
+    /// The alarm announcing the next failure, if it is still ahead.
+    alarm_at: Option<f64>,
+    event_at: f64,
+    /// Schedule position at the proactive checkpoint of the next hit.
+    snapshot: Option<f64>,
+    /// Alarms raised (true and false).
+    pub(crate) alarms: u64,
+    /// Failures that were predicted.
+    pub(crate) hits: u64,
+}
+
+impl<'r, P: Policy> Predicted<'r, P> {
+    /// Validates `predictor` against the platform of `cfg`.
+    pub(crate) fn new(
+        inner: P,
+        predictor: &PredictorSpec,
+        cfg: &RunConfig,
+        rng: &'r mut StdRng,
+    ) -> Result<Self, ModelError> {
+        predictor.validate()?;
+        let cp = proactive_cost(&cfg.params);
+        if predictor.recall > 0.0 && predictor.window < cp {
+            return Err(ModelError::invalid(
+                "window",
+                format!(
+                    "lead window {} shorter than the proactive checkpoint {cp}",
+                    predictor.window
+                ),
+            ));
+        }
+        Ok(Predicted {
+            inner,
+            rng,
+            recall: predictor.recall,
+            window: predictor.window,
+            cp,
+            rollback: cfg.params.downtime + cfg.params.recovery(),
+            // Physics: false alarms follow the machine's true failure
+            // rate, which `cfg.mtbf` carries.
+            false_alarm_rate: predictor.false_alarm_rate(cfg.mtbf),
+            predicted: false,
+            next_false: f64::INFINITY,
+            alarm_at: None,
+            event_at: f64::INFINITY,
+            snapshot: None,
             alarms: 0,
-            predicted_hits: 0,
-        });
+            hits: 0,
+        })
     }
 
-    let d = cfg.params.downtime;
-    let rec = cfg.params.recovery();
-    let w = predictor.window;
-    let far = predictor.false_alarm_rate(cfg.mtbf);
-    let exp_gap = |rng: &mut StdRng| -> f64 {
-        let u: f64 = rng.gen();
-        -(1.0 - u).ln() / far
-    };
+    fn false_alarm_gap(&mut self) -> f64 {
+        let u: f64 = self.rng.gen();
+        -(1.0 - u).ln() / self.false_alarm_rate
+    }
 
-    let ve = sched.time_to_reach_work(t_base);
-    let mut t = 0.0_f64; // wall clock
-    let mut v = 0.0_f64; // schedule position (monotone)
-    let mut outage_time = 0.0_f64;
-    let mut failures = 0u64;
-    let mut alarms = 0u64;
-    let mut predicted_hits = 0u64;
+    /// An alarm at `at` (or at once, if an outage overran it): the
+    /// platform advances to it and pays the proactive checkpoint.
+    fn proactive_checkpoint(&mut self, run: &mut RunState, at: f64) {
+        let at = at.max(run.t);
+        run.v += at - run.t;
+        run.t = at + self.cp;
+        run.outage_time += self.cp;
+        self.alarms += 1;
+    }
+}
 
-    // Next failure, with its recall coin flipped at draw time so the
-    // predictor stream is consumed one deviate per failure.
-    let draw = |source: &mut dyn FailureSource, rng: &mut StdRng| {
+impl<P: Policy> Policy for Predicted<'_, P> {
+    const RETUNES: bool = P::RETUNES;
+    const SERIALIZES: bool = true;
+
+    fn next_failure<S: FailureSource + ?Sized>(&mut self, source: &mut S) -> FailureEvent {
         let ev = source.next_failure();
-        let coin: f64 = rng.gen();
-        (ev, coin < predictor.recall)
-    };
-    let (mut fault, mut fault_predicted) = draw(source, rng);
-    let mut next_false = if far > 0.0 {
-        exp_gap(rng)
-    } else {
-        f64::INFINITY
-    };
+        let coin: f64 = self.rng.gen();
+        self.predicted = coin < self.recall;
+        ev
+    }
 
-    let finish = |reason, t: f64, v: f64, failures, outage_time, fatal_at| RunOutcome {
-        reason,
-        total_time: t,
-        useful_work: sched.work_at(v),
-        failures,
-        outage_time,
-        fatal_at,
-    };
+    fn first_failure<S: FailureSource + ?Sized>(&mut self, source: &mut S) -> FailureEvent {
+        let ev = self.next_failure(source);
+        if self.false_alarm_rate > 0.0 {
+            self.next_false = self.false_alarm_gap();
+        }
+        ev
+    }
 
-    loop {
-        let fault_at = fault.at.as_secs();
+    fn next_event(&mut self, fault_at: f64, t: f64) -> f64 {
         // An alarm precedes a predicted failure by `w`; a prediction
         // that would have had to arrive in the (already simulated) past
         // is too late to act on — the failure hits unpredicted.
-        let alarm_at = if fault_predicted {
-            fault_at - w
-        } else {
-            f64::INFINITY
-        };
-        let effective_alarm = fault_predicted && alarm_at >= t;
-        let next_event = if effective_alarm {
-            alarm_at.min(next_false)
-        } else {
-            fault_at.min(next_false)
-        };
+        let alarm_at = fault_at - self.window;
+        self.alarm_at = (self.predicted && alarm_at >= t).then_some(alarm_at);
+        self.event_at = self.alarm_at.unwrap_or(fault_at).min(self.next_false);
+        self.event_at
+    }
 
-        // Completion check against the next disruption.
-        let t_complete = t + (ve - v);
-        if t_complete <= next_event {
-            return Ok(PredictedOutcome {
-                run: finish(
-                    StopReason::WorkComplete,
-                    t_complete,
-                    ve,
-                    failures,
-                    outage_time,
-                    None,
-                ),
-                alarms,
-                predicted_hits,
-            });
+    fn disrupt(&mut self, run: &mut RunState) -> bool {
+        if self.next_false <= self.event_at {
+            // False alarm: a proactive checkpoint, and nothing strikes.
+            self.proactive_checkpoint(run, self.next_false);
+            self.next_false = run.t + self.false_alarm_gap();
+            return true;
         }
+        if let Some(at) = self.alarm_at {
+            // True alarm: checkpoint now; the failure strikes next.
+            self.proactive_checkpoint(run, at);
+            self.snapshot = Some(run.v);
+        }
+        false
+    }
 
-        if next_false <= next_event {
-            // False alarm: advance, pay the proactive checkpoint.
-            let at = next_false.max(t);
-            v += at - t;
-            t = at + cp;
-            outage_time += cp;
-            alarms += 1;
-            next_false = t + exp_gap(rng);
-            continue;
-        }
+    fn on_failure(&mut self, at: f64, v: f64) -> Result<Option<f64>, ModelError> {
+        // A predicted hit rolls back to the proactive image: downtime,
+        // own-image re-fetch, and re-execution of the stretch since the
+        // snapshot (charged to the outage clock; `v` stays).
+        let outage = self.snapshot.take().map(|snap| {
+            self.hits += 1;
+            self.rollback + (v - snap)
+        });
+        self.inner.on_failure(at, v)?;
+        Ok(outage)
+    }
 
-        if effective_alarm {
-            // True alarm: proactive checkpoint, then run to the hit.
-            let at = alarm_at.max(t);
-            v += at - t;
-            t = at + cp;
-            outage_time += cp;
-            alarms += 1;
-            let snap_v = v;
-            if fault_at > t {
-                v += fault_at - t;
-                t = fault_at;
-            }
-            failures += 1;
-            predicted_hits += 1;
-            // Risk windows key on the fault's true arrival time even
-            // when a prior outage delayed its processing.
-            let outcome = tracker.record_failure(fault.node, fault_at);
-            if outcome.fatal {
-                return Ok(PredictedOutcome {
-                    run: finish(StopReason::Fatal, t, v, failures, outage_time, Some(t)),
-                    alarms,
-                    predicted_hits,
-                });
-            }
-            // Roll back to the proactive image: downtime, own-image
-            // re-fetch, and re-execution of the stretch since the
-            // snapshot (charged to the outage clock; `v` stays).
-            let outage = d + rec + (v - snap_v);
-            t += outage;
-            outage_time += outage;
-        } else {
-            // Unpredicted failure: the paper's case analysis.
-            let at = fault_at.max(t);
-            v += at - t;
-            t = at;
-            failures += 1;
-            let outcome = tracker.record_failure(fault.node, fault_at);
-            if outcome.fatal {
-                return Ok(PredictedOutcome {
-                    run: finish(StopReason::Fatal, t, v, failures, outage_time, Some(t)),
-                    alarms,
-                    predicted_hits,
-                });
-            }
-            let off = v % sched.period();
-            let outage = resp.outage(off).total();
-            t += outage;
-            outage_time += outage;
-        }
-
-        if failures >= cfg.max_failures {
-            return Ok(PredictedOutcome {
-                run: finish(
-                    StopReason::FailureCapReached,
-                    t,
-                    v,
-                    failures,
-                    outage_time,
-                    None,
-                ),
-                alarms,
-                predicted_hits,
-            });
-        }
-        (fault, fault_predicted) = draw(source, rng);
+    fn consult(&mut self, t: f64) -> Result<Option<Retune>, ModelError> {
+        self.inner.consult(t)
     }
 }
 
@@ -254,7 +220,8 @@ pub fn run_predicted_to_completion(
 /// sequential — prediction grids are small).
 ///
 /// # Errors
-/// Propagates configuration/predictor validation.
+/// Propagates configuration/predictor validation, and rejects renewal
+/// sources on platforms too large to hold their per-node state.
 pub fn estimate_predicted_waste(
     cfg: &RunConfig,
     predictor: &PredictorSpec,
@@ -262,39 +229,18 @@ pub fn estimate_predicted_waste(
     mc: &MonteCarloConfig,
 ) -> Result<WasteEstimate, ModelError> {
     predictor.validate()?;
+    // Validates the configuration and the source once, up front.
+    ChunkRunner::new(cfg, mc)?;
     let factory = RngFactory::new(mc.seed);
-    let mut waste = OnlineStats::default();
-    let mut fail_stats = OnlineStats::default();
-    let mut completed = 0usize;
-    let mut fatal = 0usize;
-    let mut truncated = 0usize;
-    for i in 0..mc.replications {
-        let mut source = replication_source(cfg, mc, i as u64);
-        let mut rng = factory.component_stream("predictor", i as u64);
-        let out = run_predicted_to_completion(cfg, predictor, t_base, source.as_mut(), &mut rng)?;
-        match out.run.reason {
-            StopReason::WorkComplete => {
-                completed += 1;
-                waste.push(out.run.waste());
-                fail_stats.push(out.run.failures as f64);
-            }
-            StopReason::Fatal => fatal += 1,
-            _ => truncated += 1,
-        }
+    let mut acc = WasteAccum::default();
+    for i in 0..mc.replications as u64 {
+        let mut source = replication_source(cfg, mc, i);
+        let mut rng = factory.component_stream("predictor", i);
+        acc.absorb(
+            &run_predicted_to_completion(cfg, predictor, t_base, source.as_mut(), &mut rng)?.run,
+        );
     }
-    let ci95 = if completed > 0 {
-        Some(ConfidenceInterval::from_stats(&waste, 0.95))
-    } else {
-        None
-    };
-    Ok(WasteEstimate {
-        waste,
-        ci95,
-        failures: fail_stats,
-        completed,
-        fatal,
-        truncated,
-    })
+    Ok(acc.into_estimate())
 }
 
 #[cfg(test)]
@@ -302,6 +248,7 @@ mod tests {
     use super::*;
     use crate::config::PeriodChoice;
     use crate::montecarlo::estimate_waste;
+    use crate::run::StopReason;
     use dck_core::{PlatformParams, Protocol};
     use dck_failures::{FailureEvent, FailureTrace};
     use dck_simcore::SimTime;

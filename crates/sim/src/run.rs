@@ -1,11 +1,12 @@
-//! Single-run protocol simulation.
+//! Single-run protocol simulation: the one event loop every run mode
+//! shares.
 //!
-//! The simulator advances in O(1) per failure event: between failures
+//! The simulator advances in O(1) per failure event: between events
 //! the platform follows the deterministic period schedule, so nothing
-//! needs to happen per period. State is three scalars — wall-clock
+//! needs to happen per period. State is a few scalars — wall-clock
 //! time `t`, schedule position `v` (seconds of schedule successfully
-//! executed; work is `schedule.work_at(v)`), and an optional in-flight
-//! outage `(end, off)`.
+//! executed; work is `schedule.work_at(v)`), work `done` banked by
+//! earlier schedules, and an optional in-flight outage `(end, off)`.
 //!
 //! Failure handling: a failure at schedule offset `off` freezes `v` and
 //! opens an outage of `D + blocking + RE(off)` (§III/§V case analysis).
@@ -17,10 +18,47 @@
 //! victim's group; a failure that closes the last redundant copy of a
 //! group (buddy within an open window / all three triple members) is
 //! **fatal** and ends the run.
+//!
+//! # One kernel, several policies
+//!
+//! `RunMachine::drive` is the only failure-event loop in the crate.
+//! It owns the outage, horizon and completion bookkeeping, the
+//! source-coverage check, the `NoProgress` convention, the failure cap
+//! and the terminal [`TimelineEvent::Finished`]. A run mode is a
+//! `Policy`: a set of hooks the kernel calls at a failure, at an
+//! outage end (where a retune may be committed), at a period boundary
+//! (where a committed retune is applied and the finished schedule's
+//! work is banked) and for an extra disruption stream that preempts
+//! the next failure (the predictor's alarms).
+//!
+//! * `Static` — zero-sized, every hook a no-op: the Monte-Carlo and
+//!   sweep hot path monomorphises to the plain loop.
+//! * `Adaptive` ([`crate::adapt`]) — feeds the MTBF estimator, consults
+//!   the controller at outage ends, retunes at period boundaries.
+//! * `Predicted<P>` ([`crate::predict`]) — alarms with their proactive
+//!   checkpoint `C_p`, wrapped around `Static` or `Adaptive`.
+//!
+//! Two known approximations are kept as documented behaviour of the
+//! policies that use them (quantifying them is ROADMAP item 5(c)):
+//!
+//! * **Predicted runs serialise** (`Policy::SERIALIZES`): an outage
+//!   ends as soon as it begins, and an alarm or failure that lands
+//!   inside it is handled at its end instead of restarting it. A true
+//!   alarm likewise commits the run to its failure: completion is not
+//!   checked between the proactive checkpoint and the hit, so work that
+//!   completes inside the lead window is stamped `Finished` at the
+//!   completion instant, up to `w − C_p` before the hit's outage ends.
+//!   At the operating points the conformance grid probes (`M` far above
+//!   every outage) the difference is far below the CI95 tolerance.
+//! * **Adaptive runs keep the initial risk window** across retunes. The
+//!   first-order window `D + R + (k−1)θ(φ)` does not depend on the
+//!   period, so a period retune is exact; a `rescan_phi` retune changes
+//!   the window by at most the `θ` shift.
 
 use crate::config::RunConfig;
-use dck_core::ModelError;
-use dck_failures::FailureSource;
+use dck_core::{ModelError, Retune};
+use dck_failures::{FailureEvent, FailureSource};
+use dck_protocols::{FailureResponse, PeriodSchedule};
 use serde::{Deserialize, Serialize};
 
 /// Why a run ended.
@@ -94,6 +132,7 @@ impl RunOutcome {
 /// When a run stops: after a fixed amount of useful work (waste mode)
 /// or at a wall-clock horizon (risk mode). Crate-internal; the public
 /// entry points pick the variant.
+#[derive(Clone, Copy)]
 pub(crate) enum Stop {
     Work(f64),
     Horizon(f64),
@@ -159,7 +198,7 @@ pub fn run_to_completion(
     t_base: f64,
     source: &mut dyn FailureSource,
 ) -> Result<RunOutcome, ModelError> {
-    drive(cfg, Stop::Work(t_base), source).map(|(out, _)| out)
+    run_to_completion_with_pending(cfg, t_base, source).map(|(out, _)| out)
 }
 
 /// Like [`run_to_completion`], but also returns the failure event the
@@ -174,8 +213,8 @@ pub fn run_to_completion_with_pending(
     cfg: &RunConfig,
     t_base: f64,
     source: &mut dyn FailureSource,
-) -> Result<(RunOutcome, Option<dck_failures::FailureEvent>), ModelError> {
-    drive(cfg, Stop::Work(t_base), source)
+) -> Result<(RunOutcome, Option<FailureEvent>), ModelError> {
+    RunMachine::new(cfg)?.drive(Stop::Work(t_base), source, &mut Static, |_| {})
 }
 
 /// Runs for a fixed exploitation horizon (risk measurement mode): the
@@ -189,7 +228,9 @@ pub fn run_until(
     horizon: f64,
     source: &mut dyn FailureSource,
 ) -> Result<RunOutcome, ModelError> {
-    drive(cfg, Stop::Horizon(horizon), source).map(|(out, _)| out)
+    let (out, _) =
+        RunMachine::new(cfg)?.drive(Stop::Horizon(horizon), source, &mut Static, |_| {})?;
+    Ok(out)
 }
 
 /// Like [`run_to_completion`], but records every failure, outage end
@@ -221,7 +262,8 @@ pub fn run_to_completion_sinked(
     source: &mut dyn FailureSource,
     sink: &mut dyn dck_obs::EventSink<TimelineEvent>,
 ) -> Result<RunOutcome, ModelError> {
-    let (out, _) = RunMachine::new(cfg)?.drive(Stop::Work(t_base), source, |e| sink.emit(&e))?;
+    let (out, _) =
+        RunMachine::new(cfg)?.drive(Stop::Work(t_base), source, &mut Static, |e| sink.emit(&e))?;
     sink.flush();
     Ok(out)
 }
@@ -254,35 +296,106 @@ pub fn run_until_sinked(
     sink: &mut dyn dck_obs::EventSink<TimelineEvent>,
 ) -> Result<RunOutcome, ModelError> {
     let (out, _) =
-        RunMachine::new(cfg)?.drive(Stop::Horizon(horizon), source, |e| sink.emit(&e))?;
+        RunMachine::new(cfg)?.drive(Stop::Horizon(horizon), source, &mut Static, |e| {
+            sink.emit(&e)
+        })?;
     sink.flush();
     Ok(out)
 }
 
-type DriveResult = Result<(RunOutcome, Option<dck_failures::FailureEvent>), ModelError>;
-
-fn drive(cfg: &RunConfig, stop: Stop, source: &mut dyn FailureSource) -> DriveResult {
-    RunMachine::new(cfg)?.drive(stop, source, |_| {})
+/// Where a run stands; the part of the kernel's state that policy
+/// hooks may move.
+pub(crate) struct RunState {
+    /// Wall clock (seconds).
+    pub(crate) t: f64,
+    /// Position in the current schedule (frozen during outages).
+    pub(crate) v: f64,
+    /// Wall-clock time spent in outages so far.
+    pub(crate) outage_time: f64,
 }
 
-/// Reusable simulation machinery for one run configuration.
-///
-/// Building a [`RunConfig`] resolves the checkpoint period (possibly
-/// solving for the optimal one) and derives the failure response and
-/// an empty risk tracker — work identical for every replication of a
-/// Monte-Carlo estimate, dominated by the period solve (the tracker
-/// holds only open windows, so it costs nothing per node). `RunMachine` performs it once and drives
-/// many runs against the same machinery: [`RunMachine::drive`] resets
-/// the risk tracker on entry and is generic over the failure source,
-/// so the Monte-Carlo fast path is monomorphized over the concrete
-/// source type (no per-event dyn dispatch) while the public single-run
+/// The hooks through which a run mode extends [`RunMachine::drive`].
+/// Every hook defaults to the static machine's behaviour.
+pub(crate) trait Policy {
+    /// The policy may commit retunes: the kernel calls
+    /// [`Policy::consult`] only when this is set, so the retune branch
+    /// compiles out of every other run. A retuning run banks the work
+    /// of each finished schedule and reports the work target itself at
+    /// completion; a static run reports the work its one schedule
+    /// delivered at the completion position (the two can differ in the
+    /// last bit).
+    const RETUNES: bool = false;
+
+    /// Outages end as soon as they begin: events landing inside one
+    /// are handled at its end instead of restarting it, and the
+    /// failure cap stops the run at the outage end. See the module
+    /// docs for why predicted runs keep this approximation.
+    const SERIALIZES: bool = false;
+
+    /// Draws the next failure.
+    fn next_failure<S: FailureSource + ?Sized>(&mut self, source: &mut S) -> FailureEvent {
+        source.next_failure()
+    }
+
+    /// Draws the run's first failure (a policy with a stream of its
+    /// own starts it here, after the first failure's draw).
+    fn first_failure<S: FailureSource + ?Sized>(&mut self, source: &mut S) -> FailureEvent {
+        self.next_failure(source)
+    }
+
+    /// Time of the next event while the schedule runs at `t`: the
+    /// failure at `fault_at`, or an earlier event of the policy's own.
+    fn next_event(&mut self, fault_at: f64, _t: f64) -> f64 {
+        fault_at
+    }
+
+    /// Handles the event [`Policy::next_event`] announced if it is the
+    /// policy's own, moving the run state. Returns `true` when the
+    /// event was consumed, `false` when the failure strikes next.
+    fn disrupt(&mut self, _run: &mut RunState) -> bool {
+        false
+    }
+
+    /// A failure that arrived at `at` strikes at schedule position `v`.
+    /// Returns the outage to charge when the policy replaces the
+    /// paper's case analysis for it.
+    ///
+    /// # Errors
+    /// Propagates the policy's own failures.
+    fn on_failure(&mut self, _at: f64, _v: f64) -> Result<Option<f64>, ModelError> {
+        Ok(None)
+    }
+
+    /// An outage ended at `t` and no retune is pending: returns a
+    /// committed retune, which the kernel applies at the next period
+    /// boundary. One decision at a time — the kernel does not consult
+    /// again until it has applied the last one.
+    ///
+    /// # Errors
+    /// Propagates the policy's own failures.
+    fn consult(&mut self, _t: f64) -> Result<Option<Retune>, ModelError> {
+        Ok(None)
+    }
+}
+
+/// The static machine: one schedule for the whole run, no alarms.
+pub(crate) struct Static;
+
+impl Policy for Static {}
+
+/// Reusable simulation machinery for one run configuration: the
+/// resolved schedule (possibly a period solve), its failure response
+/// and an empty risk tracker, built once and driven for many runs.
+/// [`RunMachine::drive`] resets the tracker on entry and is generic
+/// over the failure source and the [`Policy`], so the Monte-Carlo fast
+/// path is monomorphized (no per-event dyn dispatch) while the public
 /// entry points keep their `&mut dyn FailureSource` signatures.
 pub(crate) struct RunMachine {
-    sched: dck_protocols::PeriodSchedule,
-    resp: dck_protocols::FailureResponse,
+    cfg: RunConfig,
+    sched: PeriodSchedule,
+    resp: FailureResponse,
     tracker: dck_protocols::RiskTracker,
     usable: u64,
-    max_failures: u64,
 }
 
 impl RunMachine {
@@ -293,24 +406,33 @@ impl RunMachine {
     pub(crate) fn new(cfg: &RunConfig) -> Result<Self, ModelError> {
         let (sched, resp, tracker) = cfg.build()?;
         Ok(RunMachine {
+            cfg: *cfg,
             sched,
             resp,
             tracker,
             usable: cfg.usable_nodes(),
-            max_failures: cfg.max_failures,
         })
     }
 
-    /// Drives one run to its stop condition. Every return path emits a
-    /// terminal [`TimelineEvent::Finished`] before building the
-    /// outcome, so traced timelines are never missing their end marker.
+    /// Drives one run to its stop condition under `policy`. Every stop
+    /// path leaves the loop through one exit that emits the terminal
+    /// [`TimelineEvent::Finished`], so traced timelines are never
+    /// missing their end marker. Alongside the outcome it returns the
+    /// failure drawn but not handled (it lies beyond the run's end).
     ///
     /// # Errors
     /// Fails when the failure source does not cover exactly the
-    /// configuration's usable nodes.
-    pub(crate) fn drive<S, O>(&mut self, stop: Stop, source: &mut S, mut observe: O) -> DriveResult
+    /// configuration's usable nodes, and propagates policy errors.
+    pub(crate) fn drive<S, P, O>(
+        &mut self,
+        stop: Stop,
+        source: &mut S,
+        policy: &mut P,
+        mut observe: O,
+    ) -> Result<(RunOutcome, Option<FailureEvent>), ModelError>
     where
         S: FailureSource + ?Sized,
+        P: Policy,
         O: FnMut(TimelineEvent),
     {
         if source.nodes() != self.usable {
@@ -324,192 +446,182 @@ impl RunMachine {
             ));
         }
         self.tracker.reset();
-        let sched = &self.sched;
-        let resp = &self.resp;
         let tracker = &mut self.tracker;
-
-        if sched.work_per_period() <= 0.0 {
-            // The operating point makes no progress: zero work ever
-            // completes, so waste() = 1 by convention. In work mode the
-            // requested work is unreachable and total_time is +∞; the
-            // terminal event is stamped at 0.0 because no wall-clock
-            // usefully elapsed and JSON cannot carry an infinite
-            // timestamp. In horizon mode the platform idles out the
-            // horizon, so both stamps are the horizon itself.
-            let (total_time, finished_at) = match stop {
-                Stop::Work(_) => (f64::INFINITY, 0.0),
-                Stop::Horizon(h) => (h, h),
-            };
-            observe(TimelineEvent::Finished {
-                at: finished_at,
-                reason: StopReason::NoProgress,
-            });
-            return Ok((
-                RunOutcome {
-                    reason: StopReason::NoProgress,
-                    total_time,
-                    useful_work: 0.0,
-                    failures: 0,
-                    outage_time: 0.0,
-                    fatal_at: None,
-                },
-                None,
-            ));
-        }
-
-        let v_end = match stop {
-            Stop::Work(w) => Some(sched.time_to_reach_work(w)),
-            Stop::Horizon(_) => None,
-        };
-        let horizon = match stop {
-            Stop::Work(_) => f64::INFINITY,
-            Stop::Horizon(h) => h,
+        // Retuning policies replace these at period boundaries.
+        let mut sched = self.sched;
+        let mut resp = self.resp;
+        let (work, horizon) = match stop {
+            Stop::Work(w) => (Some(w), f64::INFINITY),
+            Stop::Horizon(h) => (None, h),
         };
 
-        let mut t = 0.0_f64; // wall clock
-        let mut v = 0.0_f64; // schedule position (frozen during outages)
+        let mut st = RunState {
+            t: 0.0,
+            v: 0.0,
+            outage_time: 0.0,
+        };
+        let mut done = 0.0_f64; // work banked by schedules retired at a retune
         let mut outage: Option<(f64, f64)> = None; // (end time, period offset)
         let mut failures = 0u64;
-        let mut outage_time = 0.0_f64;
-        let mut next = source.next_failure();
+        let mut pending: Option<Retune> = None;
 
-        let finish = |reason, t: f64, v: f64, failures, outage_time, fatal_at| RunOutcome {
-            reason,
-            total_time: t,
-            useful_work: sched.work_at(v),
-            failures,
-            outage_time,
-            fatal_at,
+        // Every stop path breaks out with (reason, stop time, schedule
+        // position, failure drawn but not handled).
+        let (reason, at, pos, unhandled) = 'run: {
+            if sched.work_per_period() <= 0.0 {
+                break 'run (StopReason::NoProgress, st.t, st.v, None);
+            }
+            let mut v_end = work.map(|w| sched.time_to_reach_work(w - done));
+            let mut next = policy.first_failure(source);
+            loop {
+                let next_at = next.at.as_secs();
+                let in_outage_at_event = outage.is_some();
+                match outage {
+                    None => {
+                        let event_at = policy.next_event(next_at, st.t);
+                        let t_complete = v_end.map(|ve| st.t + (ve - st.v));
+                        // A committed retune takes effect at the next
+                        // period boundary, if the run gets there before
+                        // it stops and before the next event.
+                        if let Some(r) = pending {
+                            let p = sched.period();
+                            let vb = (st.v / p).ceil() * p;
+                            let ts = st.t + (vb - st.v);
+                            if ts < t_complete.unwrap_or(horizon) && event_at >= ts {
+                                pending = None;
+                                done += sched.work_at(vb);
+                                sched = PeriodSchedule::new(
+                                    self.cfg.protocol,
+                                    &self.cfg.params,
+                                    r.phi,
+                                    r.new_period,
+                                )?;
+                                resp = FailureResponse::for_schedule(&self.cfg.params, &sched)?;
+                                st.t = ts;
+                                st.v = 0.0;
+                                observe(TimelineEvent::Retune {
+                                    at: ts,
+                                    old_period: r.old_period,
+                                    new_period: r.new_period,
+                                    mtbf_estimate: r.mtbf_estimate,
+                                });
+                                if dck_obs::enabled() {
+                                    dck_obs::incr("adapt.retunes_applied");
+                                }
+                                if sched.work_per_period() <= 0.0 {
+                                    // A saturated retune target: no
+                                    // further progress is possible.
+                                    break 'run (StopReason::NoProgress, st.t, st.v, None);
+                                }
+                                v_end = work.map(|w| sched.time_to_reach_work(w - done));
+                                continue;
+                            }
+                        }
+                        if let (Some(tc), Some(ve)) = (t_complete, v_end) {
+                            if event_at >= tc && tc <= horizon {
+                                break 'run (StopReason::WorkComplete, tc, ve, Some(next));
+                            }
+                        }
+                        if event_at >= horizon {
+                            let pos = st.v + (horizon - st.t);
+                            break 'run (StopReason::HorizonReached, horizon, pos, Some(next));
+                        }
+                        if policy.disrupt(&mut st) {
+                            continue;
+                        }
+                        // The failure strikes while the schedule runs
+                        // (at once, if a serialised outage overran it).
+                        let at = next_at.max(st.t);
+                        st.v += at - st.t;
+                        st.t = at;
+                    }
+                    Some((end, _)) => {
+                        if next_at >= end && end <= horizon {
+                            // Outage completes; schedule resumes.
+                            observe(TimelineEvent::OutageEnd { at: end });
+                            st.t = end;
+                            outage = None;
+                            if P::RETUNES && pending.is_none() {
+                                pending = policy.consult(end)?;
+                            }
+                            continue;
+                        }
+                        if next_at >= horizon {
+                            // Horizon falls inside the outage.
+                            break 'run (StopReason::HorizonReached, horizon, st.v, Some(next));
+                        }
+                        // A failure strikes during the outage: the
+                        // platform rolls back again. The remaining
+                        // planned outage is discarded (its elapsed part
+                        // already counted via t) and `outage` is re-armed
+                        // below with the new recovery.
+                        st.outage_time -= end - next_at; // un-count the unspent tail
+                        st.t = next_at;
+                    }
+                }
+
+                failures += 1;
+                let replaced = policy.on_failure(next_at, st.v)?;
+                // Risk windows key on the failure's true arrival time,
+                // even when a serialised outage delayed its handling.
+                let fatal = tracker.record_failure(next.node, next_at).fatal;
+                let off = st.v % sched.period();
+                let o = replaced.unwrap_or_else(|| resp.outage(off).total());
+                observe(TimelineEvent::Failure {
+                    at: st.t,
+                    node: next.node,
+                    offset: off,
+                    outage: o,
+                    fatal,
+                    during_outage: in_outage_at_event,
+                });
+                if fatal {
+                    break 'run (StopReason::Fatal, st.t, st.v, None);
+                }
+                st.outage_time += o;
+                if P::SERIALIZES {
+                    st.t += o;
+                    observe(TimelineEvent::OutageEnd { at: st.t });
+                    if P::RETUNES && pending.is_none() {
+                        pending = policy.consult(st.t)?;
+                    }
+                } else {
+                    outage = Some((st.t + o, off));
+                }
+                if failures >= self.cfg.max_failures {
+                    break 'run (StopReason::FailureCapReached, st.t, st.v, None);
+                }
+                next = policy.next_failure(source);
+            }
         };
 
-        loop {
-            let next_at = next.at.as_secs();
-            let in_outage_at_event = outage.is_some();
-            match outage {
-                None => {
-                    // Completion by work?
-                    if let Some(ve) = v_end {
-                        let t_complete = t + (ve - v);
-                        if next_at >= t_complete && t_complete <= horizon {
-                            observe(TimelineEvent::Finished {
-                                at: t_complete,
-                                reason: StopReason::WorkComplete,
-                            });
-                            return Ok((
-                                finish(
-                                    StopReason::WorkComplete,
-                                    t_complete,
-                                    ve,
-                                    failures,
-                                    outage_time,
-                                    None,
-                                ),
-                                Some(next),
-                            ));
-                        }
-                    }
-                    // Completion by horizon?
-                    if next_at >= horizon {
-                        let dv = horizon - t;
-                        observe(TimelineEvent::Finished {
-                            at: horizon,
-                            reason: StopReason::HorizonReached,
-                        });
-                        return Ok((
-                            finish(
-                                StopReason::HorizonReached,
-                                horizon,
-                                v + dv,
-                                failures,
-                                outage_time,
-                                None,
-                            ),
-                            Some(next),
-                        ));
-                    }
-                    // A failure strikes while the schedule is running.
-                    v += next_at - t;
-                    t = next_at;
-                }
-                Some((end, _)) => {
-                    if next_at >= end && end <= horizon {
-                        // Outage completes; schedule resumes.
-                        observe(TimelineEvent::OutageEnd { at: end });
-                        t = end;
-                        outage = None;
-                        continue;
-                    }
-                    if next_at >= horizon {
-                        // Horizon falls inside the outage.
-                        observe(TimelineEvent::Finished {
-                            at: horizon,
-                            reason: StopReason::HorizonReached,
-                        });
-                        return Ok((
-                            finish(
-                                StopReason::HorizonReached,
-                                horizon,
-                                v,
-                                failures,
-                                outage_time,
-                                None,
-                            ),
-                            Some(next),
-                        ));
-                    }
-                    // A failure strikes during the outage: the platform
-                    // rolls back again. The remaining planned outage is
-                    // discarded (its elapsed part already counted via t)
-                    // and `outage` is re-armed below with the new recovery.
-                    outage_time -= end - next_at; // un-count the unspent tail
-                    t = next_at;
-                }
-            }
-
-            failures += 1;
-            let outcome = tracker.record_failure(next.node, t);
-            let off = v % sched.period();
-            let o = resp.outage(off);
-            observe(TimelineEvent::Failure {
-                at: t,
-                node: next.node,
-                offset: off,
-                outage: o.total(),
-                fatal: outcome.fatal,
-                during_outage: in_outage_at_event,
-            });
-            if outcome.fatal {
-                observe(TimelineEvent::Finished {
-                    at: t,
-                    reason: StopReason::Fatal,
-                });
-                return Ok((
-                    finish(StopReason::Fatal, t, v, failures, outage_time, Some(t)),
-                    None,
-                ));
-            }
-            outage = Some((t + o.total(), off));
-            outage_time += o.total();
-
-            if failures >= self.max_failures {
-                observe(TimelineEvent::Finished {
-                    at: t,
-                    reason: StopReason::FailureCapReached,
-                });
-                return Ok((
-                    finish(
-                        StopReason::FailureCapReached,
-                        t,
-                        v,
-                        failures,
-                        outage_time,
-                        None,
-                    ),
-                    None,
-                ));
-            }
-            next = source.next_failure();
-        }
+        // NoProgress in work mode: the requested work is unreachable, so
+        // total_time is +∞ and waste() = 1 by convention; the terminal
+        // event carries the finite instant progress stopped (0.0 for a
+        // schedule that never had any), because JSON cannot carry an
+        // infinite timestamp. In horizon mode the platform idles out
+        // the horizon, so both stamps are the horizon itself.
+        let (at, total_time) = match (reason, stop) {
+            (StopReason::NoProgress, Stop::Work(_)) => (at, f64::INFINITY),
+            (StopReason::NoProgress, Stop::Horizon(h)) => (h, h),
+            _ => (at, at),
+        };
+        observe(TimelineEvent::Finished { at, reason });
+        let useful_work = match (reason, work) {
+            (StopReason::NoProgress, _) => done,
+            (StopReason::WorkComplete, Some(w)) if P::RETUNES => done + (w - done),
+            _ => done + sched.work_at(pos),
+        };
+        let fatal_at = (reason == StopReason::Fatal).then_some(at);
+        let outcome = RunOutcome {
+            reason,
+            total_time,
+            useful_work,
+            failures,
+            outage_time: st.outage_time,
+            fatal_at,
+        };
+        Ok((outcome, unhandled))
     }
 }
 
@@ -919,5 +1031,148 @@ mod tests {
             .map(|l| serde_json::from_str(l).unwrap())
             .collect();
         assert_eq!(parsed, timeline);
+    }
+
+    /// The timeline invariants of the static machine hold for every
+    /// policy the kernel runs: exactly one terminal `Finished` naming
+    /// the outcome's reason, non-decreasing stamps, one `Failure` event
+    /// per counted failure and one `Retune` event per applied retune.
+    mod every_policy {
+        use super::*;
+        use crate::adapt::{Adaptive, AdaptiveRunConfig};
+        use crate::predict::Predicted;
+        use dck_core::{predict::proactive_cost, ControllerConfig, PredictorSpec};
+        use dck_failures::{AggregatedExponential, MtbfSpec};
+        use dck_simcore::RngFactory;
+        use proptest::prelude::*;
+
+        fn stamp(e: &TimelineEvent) -> f64 {
+            match *e {
+                TimelineEvent::Failure { at, .. }
+                | TimelineEvent::OutageEnd { at }
+                | TimelineEvent::Retune { at, .. }
+                | TimelineEvent::Finished { at, .. } => at,
+            }
+        }
+
+        /// `early` is how far the terminal `Finished` may precede the
+        /// event before it: a true alarm commits a serialised run to its
+        /// failure, so a completion inside the alarm window is stamped
+        /// up to `w − C_p` before the hit's outage ends (see the module
+        /// docs).
+        fn check(
+            out: &RunOutcome,
+            tl: &[TimelineEvent],
+            retunes: u64,
+            early: f64,
+        ) -> Result<(), TestCaseError> {
+            let count = |f: fn(&TimelineEvent) -> bool| tl.iter().filter(|e| f(e)).count() as u64;
+            prop_assert_eq!(
+                count(|e| matches!(e, TimelineEvent::Finished { .. })),
+                1,
+                "Finished events"
+            );
+            match tl.last() {
+                Some(TimelineEvent::Finished { reason, .. }) => {
+                    prop_assert_eq!(*reason, out.reason)
+                }
+                other => prop_assert!(false, "terminal event not Finished: {other:?}"),
+            }
+            for w in tl.windows(2) {
+                let slack = match w[1] {
+                    TimelineEvent::Finished {
+                        reason: StopReason::WorkComplete,
+                        ..
+                    } => early,
+                    _ => 0.0,
+                };
+                prop_assert!(
+                    stamp(&w[1]) >= stamp(&w[0]) - slack,
+                    "{:?} after {:?}",
+                    w[1],
+                    w[0]
+                );
+            }
+            prop_assert_eq!(
+                count(|e| matches!(e, TimelineEvent::Failure { .. })),
+                out.failures,
+                "failures of {:?}",
+                out
+            );
+            // `retunes` counts committed decisions: the last one may
+            // still wait for its period boundary when the run stops.
+            let applied = count(|e| matches!(e, TimelineEvent::Retune { .. }));
+            prop_assert!(
+                applied == retunes || applied + 1 == retunes,
+                "{applied} Retune events, {retunes} retunes"
+            );
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            #[test]
+            fn timelines_are_well_formed(
+                protocol in prop::sample::select(vec![
+                    Protocol::DoubleNbl,
+                    Protocol::DoubleBof,
+                    Protocol::Triple,
+                ]),
+                ratio in 0.0f64..1.0,
+                mtbf in 120.0f64..3600.0,
+                seed in 0u64..1000,
+                cap in prop::sample::select(vec![3u64, 50_000_000]),
+                policy in 0usize..5,
+            ) {
+                let params = base_params(24);
+                let mut c = RunConfig::new(protocol, params, ratio * params.theta_min, mtbf);
+                c.max_failures = cap;
+                let mut src = AggregatedExponential::new(
+                    MtbfSpec::Platform { mtbf: SimTime::seconds(mtbf), nodes: c.usable_nodes() },
+                    RngFactory::new(seed).component_stream("failures", 0),
+                );
+                let mut rng = RngFactory::new(seed).component_stream("predictor", 0);
+                let predictor = PredictorSpec::new(0.7, 0.8, 30.0);
+                let adaptive = |predictor| AdaptiveRunConfig {
+                    base: c,
+                    prior_mtbf: 4.0 * mtbf,
+                    controller: ControllerConfig {
+                        min_failures: 2,
+                        predictor,
+                        ..ControllerConfig::default()
+                    },
+                };
+                let mut machine = RunMachine::new(&c).unwrap();
+                let mut tl = Vec::new();
+                let work = Stop::Work(30.0 * mtbf);
+                let observe = |e| tl.push(e);
+                let (out, retunes) = match policy {
+                    0 => (machine.drive(work, &mut src, &mut Static, observe).unwrap().0, 0),
+                    1 => {
+                        let horizon = Stop::Horizon(20.0 * mtbf);
+                        (machine.drive(horizon, &mut src, &mut Static, observe).unwrap().0, 0)
+                    }
+                    2 => {
+                        let mut p = Adaptive::new(&adaptive(None)).unwrap();
+                        let out = machine.drive(work, &mut src, &mut p, observe).unwrap().0;
+                        (out, p.outcome(out).retunes)
+                    }
+                    3 => {
+                        let mut p = Predicted::new(Static, &predictor, &c, &mut rng).unwrap();
+                        (machine.drive(work, &mut src, &mut p, observe).unwrap().0, 0)
+                    }
+                    _ => {
+                        let cfg = adaptive(Some(predictor));
+                        let inner = Adaptive::new(&cfg).unwrap();
+                        let mut p = Predicted::new(inner, &predictor, &c, &mut rng).unwrap();
+                        let out = machine.drive(work, &mut src, &mut p, observe).unwrap().0;
+                        (out, p.inner.outcome(out).retunes)
+                    }
+                };
+                let early = if policy >= 3 { predictor.window - proactive_cost(&params) } else { 0.0 };
+                check(&out, &tl, retunes, early)?;
+            }
+        }
     }
 }

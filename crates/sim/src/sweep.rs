@@ -263,7 +263,6 @@ fn build_plan(spec: &SweepSpec, mi: usize, pi: usize) -> Result<CellPlan, ModelE
     let opt = optimal_period(spec.protocol, &spec.params, phi, mtbf)?;
     let mut run_cfg = RunConfig::new(spec.protocol, spec.params, phi, mtbf);
     run_cfg.period = PeriodChoice::Explicit(opt.period);
-    run_cfg.build()?;
     let mc = MonteCarloConfig {
         replications: spec.replications,
         // Independent stream space per cell.
@@ -274,6 +273,7 @@ fn build_plan(spec: &SweepSpec, mi: usize, pi: usize) -> Result<CellPlan, ModelE
         workers: spec.workers,
         source: spec.source,
     };
+    ChunkRunner::new(&run_cfg, &mc)?;
     Ok(CellPlan {
         phi_ratio: ratio,
         mtbf,

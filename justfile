@@ -23,6 +23,12 @@ lint:
     cargo build --release -p dck-cli
     ./target/release/dck lint
 
+# Non-test Rust lines per crate (each file up to its first
+# `#[cfg(test)]`): the one measure every change reports its net line
+# count with.
+loc:
+    scripts/loc.sh
+
 # Regenerate the analyze.toml skeleton after intentional changes.
 lint-baseline:
     cargo build --release -p dck-cli

@@ -185,9 +185,13 @@ fn adaptive_and_predicted_results_keep_their_bits() {
 
     let mut cfg = RunConfig::new(Protocol::Triple, params, 0.5, 1800.0);
     cfg.period = PeriodChoice::Explicit(300.0);
-    let est =
-        estimate_predicted_waste(&cfg, &predictor, 20.0 * 1800.0, &MonteCarloConfig::new(24, 7))
-            .unwrap();
+    let est = estimate_predicted_waste(
+        &cfg,
+        &predictor,
+        20.0 * 1800.0,
+        &MonteCarloConfig::new(24, 7),
+    )
+    .unwrap();
     let mut predicted = Bits::default();
     predicted
         .stats(&est.waste)
@@ -197,7 +201,13 @@ fn adaptive_and_predicted_results_keep_their_bits() {
         .word(est.truncated as u64);
 
     assert_eq!(
-        (format!("{:016x}", regret.0), format!("{:016x}", predicted.0)),
-        ("a3b2707ad7fc50e7".to_string(), "59766aa830089028".to_string())
+        (
+            format!("{:016x}", regret.0),
+            format!("{:016x}", predicted.0)
+        ),
+        (
+            "a3b2707ad7fc50e7".to_string(),
+            "59766aa830089028".to_string()
+        )
     );
 }
