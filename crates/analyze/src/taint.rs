@@ -5,7 +5,7 @@
 //! hash-order token; this workspace lint asks the sharper question the
 //! replay guarantee actually depends on: is the nondeterminism inside
 //! a function that a **sink** — `run_sweep*`, the checkpoint snapshot
-//! writers, serve's response encoders — can call? A sweep-engine
+//! writers, serve's response encoders — can call? A benchmark
 //! timing harness reading `Instant` is noise; the same read inside a
 //! function `run_sweep` calls is a broken fingerprint.
 //!

@@ -1,27 +1,12 @@
-//! # dck-bench — Criterion benchmark harness
+//! # dck-bench — perf-trajectory harness and report schemas
 //!
-//! The benches live in `benches/`, one target per paper artifact plus
-//! kernel microbenchmarks and design ablations:
-//!
-//! | Target | Regenerates / measures |
-//! |---|---|
-//! | `table1` | Table I |
-//! | `fig4_waste_base`, `fig7_waste_exa` | Figures 4 / 7 waste surfaces |
-//! | `fig5_ratio_base`, `fig8_ratio_exa` | Figures 5 / 8 waste ratios |
-//! | `fig6_risk_base`, `fig9_risk_exa` | Figures 6 / 9 risk surfaces |
-//! | `validate_model_vs_sim` | V1 Monte-Carlo validation throughput |
-//! | `period_check` | V2 closed-form vs golden-section optimizer |
-//! | `extensions` | E3 φ*-tuning, E4 hierarchical K*, E5 refined waste |
-//! | `kernel` | event queue vs sorted-Vec ablation, aggregated vs renewal failure sources, single-run throughput, Monte-Carlo worker scaling, parallel map |
-//!
-//! Each figure bench prints its headline series once, so `cargo bench`
-//! output doubles as a quick reproduction record.
-//!
-//! Besides the Criterion targets, the crate ships the `dck-bench`
-//! binary — the tracked perf-trajectory harness. It writes
-//! `BENCH_reps.json` / `BENCH_sweep.json` artifacts conforming to the
-//! schema in [`report`], validated by `dck validate --bench` and
-//! uploaded by the `bench-smoke` CI job.
+//! The `dck-bench` binary measures Monte-Carlo replication throughput
+//! (`BENCH_reps.json`) and sweep throughput (`BENCH_sweep.json`)
+//! across worker counts, writing artifacts that conform to the schema
+//! in [`report`], validated by `dck validate --bench` and uploaded by
+//! the `bench-smoke` CI job. The crate also defines the report schemas
+//! of `dck adapt` ([`adapt_report`]) and `dck loadgen`
+//! ([`serve_report`]).
 
 #![forbid(unsafe_code)]
 

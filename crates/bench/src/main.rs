@@ -4,8 +4,7 @@
 //! them as schema-validated artifacts (see [`dck_bench::report`]):
 //!
 //! * `BENCH_reps.json` — Monte-Carlo replication throughput of one
-//!   operating point, fast (monomorphized `ChunkRunner`) path vs the
-//!   boxed per-replication reference path, across worker counts.
+//!   operating point through `estimate_waste`, across worker counts.
 //! * `BENCH_sweep.json` — wall-clock and throughput of a small
 //!   parameter sweep across worker counts.
 //!
@@ -17,11 +16,8 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use dck_bench::{BenchConfig, BenchKind, BenchReport, BenchSeries, BenchSummary, SCHEMA};
-use dck_core::{PlatformParams, Protocol};
-use dck_sim::{
-    estimate_waste, estimate_waste_reference, run_sweep, MonteCarloConfig, RunConfig, SweepSpec,
-    WasteEstimate,
-};
+use dck_core::{ModelError, PlatformParams, Protocol};
+use dck_sim::{estimate_waste, run_sweep, MonteCarloConfig, RunConfig, SweepSpec};
 use dck_simcore::fsio;
 
 struct Options {
@@ -97,33 +93,28 @@ fn time_once<F: FnMut()>(mut f: F) -> f64 {
 }
 
 /// Best (minimum) wall-clock of `repeats` timed runs of `f` after one
-/// untimed warmup, in seconds. The minimum is the standard throughput
-/// estimator under one-sided scheduler/throttling noise: every
-/// disturbance only ever makes a run slower.
-fn time_best<F: FnMut()>(repeats: usize, mut f: F) -> f64 {
-    f(); // warmup: page in code and data before measuring
-    (0..repeats)
-        .map(|_| time_once(&mut f))
-        .fold(f64::INFINITY, f64::min)
+/// untimed warmup, in seconds; the first error `f` returns ends the
+/// measurement. The minimum is the standard throughput estimator under
+/// one-sided scheduler/throttling noise: every disturbance only ever
+/// makes a run slower.
+fn time_best<E>(repeats: usize, mut f: impl FnMut() -> Result<(), E>) -> Result<f64, E> {
+    f()?; // warmup: page in code and data before measuring
+    let mut best = f64::INFINITY;
+    for _ in 0..repeats {
+        let mut result = Ok(());
+        best = best.min(time_once(|| result = f()));
+        result?;
+    }
+    Ok(best)
 }
 
 fn platform(nodes: u64) -> PlatformParams {
     PlatformParams::new(0.0, 2.0, 4.0, 10.0, nodes).expect("benchmark platform params are valid")
 }
 
-fn estimates_bit_identical(a: &WasteEstimate, b: &WasteEstimate) -> bool {
-    a.completed == b.completed
-        && a.fatal == b.fatal
-        && a.truncated == b.truncated
-        && a.waste.mean().to_bits() == b.waste.mean().to_bits()
-        && a.waste.variance().to_bits() == b.waste.variance().to_bits()
-        && a.failures.mean().to_bits() == b.failures.mean().to_bits()
-}
-
 /// Replication-throughput report: the `dck simulate` workload shape
-/// (optimal period resolved from the model, so the reference path pays
-/// that resolution per replication while the fast path amortizes it
-/// per chunk).
+/// (optimal period resolved from the model, once per chunk of
+/// replications).
 fn bench_reps(opts: &Options) -> Result<BenchReport, String> {
     let nodes = 64;
     let mtbf = 1800.0;
@@ -144,58 +135,21 @@ fn bench_reps(opts: &Options) -> Result<BenchReport, String> {
         mc.workers = workers;
         mc
     };
-    // Parity check first: the two paths must agree bit-for-bit or the
-    // speedup below compares different computations.
-    let fast = estimate_waste(&run_cfg, t_base, &mc_at(1)).map_err(|e| e.to_string())?;
-    let reference =
-        estimate_waste_reference(&run_cfg, t_base, &mc_at(1)).map_err(|e| e.to_string())?;
-    let identical = estimates_bit_identical(&fast, &reference);
-
     let mut series = Vec::new();
     for &workers in &opts.workers {
         let mc = mc_at(workers);
-        for (label, use_fast) in [("fast", true), ("reference", false)] {
-            let elapsed = time_best(repeats, || {
-                let result = if use_fast {
-                    estimate_waste(&run_cfg, t_base, &mc)
-                } else {
-                    estimate_waste_reference(&run_cfg, t_base, &mc)
-                };
-                result.expect("benchmark configuration is valid");
-            });
-            let reps_per_sec = opts.reps as f64 / elapsed;
-            eprintln!("reps  {label:>9} workers={workers}: {reps_per_sec:>12.0} reps/s");
-            series.push(BenchSeries {
-                label: label.to_string(),
-                workers,
-                replications: opts.reps,
-                elapsed_s: elapsed,
-                reps_per_sec,
-            });
-        }
+        let elapsed = time_best(repeats, || estimate_waste(&run_cfg, t_base, &mc).map(drop))
+            .map_err(|e| e.to_string())?;
+        let reps_per_sec = opts.reps as f64 / elapsed;
+        eprintln!("reps  fast workers={workers}: {reps_per_sec:>12.0} reps/s");
+        series.push(BenchSeries {
+            label: "fast".to_string(),
+            workers,
+            replications: opts.reps,
+            elapsed_s: elapsed,
+            reps_per_sec,
+        });
     }
-
-    let max_workers = *opts.workers.iter().max().expect("workers is non-empty");
-    let throughput = |label: &str, workers: usize| {
-        series
-            .iter()
-            .find(|s| s.label == label && s.workers == workers)
-            .map(|s| s.reps_per_sec)
-    };
-    let speedup = match (
-        throughput("fast", max_workers),
-        throughput("reference", max_workers),
-    ) {
-        (Some(f), Some(r)) => Some(f / r),
-        _ => None,
-    };
-    let scaling = match (
-        throughput("fast", max_workers),
-        throughput("fast", *opts.workers.iter().min().expect("non-empty")),
-    ) {
-        (Some(hi), Some(lo)) => Some(hi / lo),
-        _ => None,
-    };
 
     Ok(BenchReport {
         schema: SCHEMA.to_string(),
@@ -210,13 +164,8 @@ fn bench_reps(opts: &Options) -> Result<BenchReport, String> {
             seed: opts.seed,
             quick: opts.quick,
         },
+        summary: summarize(&series, &opts.workers),
         series,
-        summary: BenchSummary {
-            max_workers,
-            speedup_fast_vs_reference_at_max_workers: speedup,
-            scaling_max_vs_one_worker: scaling,
-            estimates_bit_identical: Some(identical),
-        },
     })
 }
 
@@ -243,9 +192,10 @@ fn bench_sweep(opts: &Options) -> Result<BenchReport, String> {
         spec.workers = workers;
         let mut total_reps = 0usize;
         let elapsed = time_best(repeats, || {
-            let result = run_sweep(&spec).expect("benchmark sweep spec is valid");
-            total_reps = result.total_replications_run();
-        });
+            total_reps = run_sweep(&spec)?.total_replications_run();
+            Ok(())
+        })
+        .map_err(|e: ModelError| e.to_string())?;
         let reps_per_sec = total_reps as f64 / elapsed;
         eprintln!("sweep workers={workers}: {elapsed:>8.3} s wall, {reps_per_sec:>12.0} reps/s");
         series.push(BenchSeries {
@@ -256,19 +206,6 @@ fn bench_sweep(opts: &Options) -> Result<BenchReport, String> {
             reps_per_sec,
         });
     }
-
-    let max_workers = *opts.workers.iter().max().expect("workers is non-empty");
-    let min_workers = *opts.workers.iter().min().expect("workers is non-empty");
-    let tp = |workers: usize| {
-        series
-            .iter()
-            .find(|s| s.workers == workers)
-            .map(|s| s.reps_per_sec)
-    };
-    let scaling = match (tp(max_workers), tp(min_workers)) {
-        (Some(hi), Some(lo)) => Some(hi / lo),
-        _ => None,
-    };
 
     Ok(BenchReport {
         schema: SCHEMA.to_string(),
@@ -283,14 +220,26 @@ fn bench_sweep(opts: &Options) -> Result<BenchReport, String> {
             seed: opts.seed,
             quick: opts.quick,
         },
+        summary: summarize(&series, &opts.workers),
         series,
-        summary: BenchSummary {
-            max_workers,
-            speedup_fast_vs_reference_at_max_workers: None,
-            scaling_max_vs_one_worker: scaling,
-            estimates_bit_identical: None,
-        },
     })
+}
+
+/// Headline numbers of a one-series report: the largest worker count
+/// and the throughput there over the throughput at the smallest.
+fn summarize(series: &[BenchSeries], workers: &[usize]) -> BenchSummary {
+    let max_workers = *workers.iter().max().expect("workers is non-empty");
+    let min_workers = *workers.iter().min().expect("workers is non-empty");
+    let tp = |w: usize| {
+        series
+            .iter()
+            .find(|s| s.workers == w)
+            .map(|s| s.reps_per_sec)
+    };
+    BenchSummary {
+        max_workers,
+        scaling_max_vs_one_worker: tp(max_workers).zip(tp(min_workers)).map(|(hi, lo)| hi / lo),
+    }
 }
 
 fn write_report(dir: &Path, name: &str, report: &BenchReport) -> Result<(), String> {
@@ -308,12 +257,6 @@ fn run() -> Result<(), String> {
         .map_err(|e| format!("creating {}: {e}", opts.out.display()))?;
 
     let reps = bench_reps(&opts)?;
-    if let Some(speedup) = reps.summary.speedup_fast_vs_reference_at_max_workers {
-        println!(
-            "fast path speedup vs reference @ {} workers: {speedup:.2}x",
-            reps.summary.max_workers
-        );
-    }
     write_report(&opts.out, "BENCH_reps.json", &reps)?;
 
     let sweep = bench_sweep(&opts)?;

@@ -1,11 +1,10 @@
 //! `BENCH_*.json` report schema for the `dck-bench` harness.
 //!
 //! Every harness run writes two artifacts — `BENCH_reps.json`
-//! (replications/sec of the Monte-Carlo inner loop, fast path vs the
-//! boxed reference path, across worker counts) and `BENCH_sweep.json`
-//! (sweep wall-clock and throughput across worker counts) — so the
-//! perf trajectory of the hot path is tracked by CI rather than
-//! anecdote. `dck validate --bench` checks files against this schema.
+//! (replications/sec of the Monte-Carlo estimator across worker
+//! counts) and `BENCH_sweep.json` (sweep wall-clock and throughput
+//! across worker counts) — so the perf trajectory of the hot path is
+//! tracked by CI rather than anecdote. `dck validate --bench` checks files against this schema.
 
 use serde::{Deserialize, Serialize};
 
@@ -45,7 +44,7 @@ pub struct BenchConfig {
 /// One measured series: a labelled implementation at one worker count.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchSeries {
-    /// Implementation label (`"fast"`, `"reference"`, `"sweep"`).
+    /// Series label (`"fast"` for replications, `"sweep"`).
     pub label: String,
     /// Worker threads used.
     pub workers: usize,
@@ -62,14 +61,8 @@ pub struct BenchSeries {
 pub struct BenchSummary {
     /// Largest worker count measured.
     pub max_workers: usize,
-    /// `fast` throughput over `reference` throughput at `max_workers`
-    /// (replication reports only).
-    pub speedup_fast_vs_reference_at_max_workers: Option<f64>,
     /// `fast` (or sweep) throughput at `max_workers` over one worker.
     pub scaling_max_vs_one_worker: Option<f64>,
-    /// Whether the fast and reference paths produced bit-identical
-    /// estimates (replication reports only; must never be `false`).
-    pub estimates_bit_identical: Option<bool>,
 }
 
 /// A complete `BENCH_*.json` artifact.
@@ -109,9 +102,8 @@ impl BenchReport {
     }
 
     /// Checks the report for internal consistency: schema tag, at
-    /// least one series, positive finite timings and throughputs,
-    /// summary agreeing with the series, and — for replication
-    /// reports — fast/reference estimate parity.
+    /// least one series, positive finite timings and throughputs, and
+    /// a summary agreeing with the series.
     ///
     /// # Errors
     /// Returns a human-readable description of the first violation.
@@ -152,35 +144,11 @@ impl BenchReport {
                 self.summary.max_workers
             ));
         }
-        for (name, v) in [
-            (
-                "speedup_fast_vs_reference_at_max_workers",
-                self.summary.speedup_fast_vs_reference_at_max_workers,
-            ),
-            (
-                "scaling_max_vs_one_worker",
-                self.summary.scaling_max_vs_one_worker,
-            ),
-        ] {
-            if let Some(x) = v {
-                if !(x.is_finite() && x > 0.0) {
-                    return Err(format!("summary.{name} {x} not positive finite"));
-                }
-            }
-        }
-        if self.kind == BenchKind::Replications {
-            if self.summary.estimates_bit_identical == Some(false) {
-                return Err(
-                    "fast and reference estimator paths disagree (estimates_bit_identical = false)"
-                        .to_string(),
-                );
-            }
-            if self
-                .summary
-                .speedup_fast_vs_reference_at_max_workers
-                .is_none()
-            {
-                return Err("replication report is missing its fast-vs-reference speedup".into());
+        if let Some(x) = self.summary.scaling_max_vs_one_worker {
+            if !(x.is_finite() && x > 0.0) {
+                return Err(format!(
+                    "summary.scaling_max_vs_one_worker {x} not positive finite"
+                ));
             }
         }
         Ok(())
@@ -214,7 +182,7 @@ mod tests {
                     reps_per_sec: 2048.0,
                 },
                 BenchSeries {
-                    label: "reference".to_string(),
+                    label: "fast".to_string(),
                     workers: 8,
                     replications: 1024,
                     elapsed_s: 1.0,
@@ -223,9 +191,7 @@ mod tests {
             ],
             summary: BenchSummary {
                 max_workers: 8,
-                speedup_fast_vs_reference_at_max_workers: Some(2.0),
-                scaling_max_vs_one_worker: Some(1.5),
-                estimates_bit_identical: Some(true),
+                scaling_max_vs_one_worker: Some(0.5),
             },
         }
     }
@@ -263,18 +229,12 @@ mod tests {
         assert!(r.validate().is_err());
 
         let mut r = sample();
-        r.summary.estimates_bit_identical = Some(false);
+        r.summary.scaling_max_vs_one_worker = Some(f64::INFINITY);
         assert!(r.validate().is_err());
 
+        // The scaling entry is optional.
         let mut r = sample();
-        r.summary.speedup_fast_vs_reference_at_max_workers = None;
-        assert!(r.validate().is_err());
-
-        // Sweep reports need no speedup entry.
-        let mut r = sample();
-        r.kind = BenchKind::Sweep;
-        r.summary.speedup_fast_vs_reference_at_max_workers = None;
-        r.summary.estimates_bit_identical = None;
+        r.summary.scaling_max_vs_one_worker = None;
         r.validate().unwrap();
     }
 }

@@ -13,8 +13,8 @@ use dck_obs::{JsonlSink, MetricsSnapshot};
 use dck_sim::{
     estimate_waste, replication_source, run_regret, run_sweep_with_checkpoint,
     run_to_completion_sinked, validate_snapshot, EarlyStop, MonteCarloConfig, PeriodChoice,
-    RegretCase, RegretScenario, RegretSpec, RunConfig, SweepCheckpoint, SweepEngine, SweepResult,
-    SweepSpec, TimelineEvent,
+    RegretCase, RegretScenario, RegretSpec, RunConfig, SweepCheckpoint, SweepResult, SweepSpec,
+    TimelineEvent,
 };
 use dck_simcore::{fsio, RngFactory, SimTime};
 use std::fmt::Write as _;
@@ -77,10 +77,10 @@ pub fn usage() -> String {
      \x20          --trace FILE (timeline JSONL)  --golden FILE (diff against a golden)\n\
      \x20 sweep    --protocol P [opts]            simulated waste over a (phi/R, MTBF) grid\n\
      \x20          --phi-ratios A,B,..  --mtbfs D1,D2,..  --reps N  --work-mtbfs X\n\
-     \x20          --engine global|per-cell  --target-hw X [--min-reps N --batch N]\n\
+     \x20          --target-hw X [--min-reps N --batch N]\n\
      \x20          --format ascii|csv|json  --metrics FILE (counters + summary table)\n\
      \x20          --out FILE (rendered output, written atomically)\n\
-     \x20          --checkpoint DIR (snapshot between-rounds state; global engine)\n\
+     \x20          --checkpoint DIR (snapshot between-rounds state)\n\
      \x20          --checkpoint-every N (rounds per snapshot, default 1; on resume the\n\
      \x20              snapshot-recorded cadence wins unless this is passed explicitly)\n\
      \x20          --keep-snapshots K (retained generations, 2..=8, default 2)\n\
@@ -989,11 +989,6 @@ fn cmd_sweep(args: &Args) -> Result<String, String> {
     // --workers 0 is the documented "auto" value (size to the machine);
     // negatives are already rejected by the usize parse.
     spec.workers = args.get_parsed("workers", 0)?;
-    spec.engine = match args.get("engine") {
-        None | Some("global") => SweepEngine::GlobalPool,
-        Some("per-cell") => SweepEngine::PerCell,
-        Some(other) => return Err(format!("unknown --engine `{other}` (global|per-cell)")),
-    };
     if let Some(target) = args.get("target-hw") {
         let target_half_width: f64 = target
             .parse()
@@ -1115,12 +1110,8 @@ fn cmd_sweep(args: &Args) -> Result<String, String> {
             let mut out = String::new();
             let _ = writeln!(
                 out,
-                "Waste sweep, {} on scenario {scenario} ({} engine, {} cells, seed {})",
+                "Waste sweep, {} on scenario {scenario} ({} cells, seed {})",
                 protocol,
-                match result.spec.engine {
-                    SweepEngine::GlobalPool => "global-pool",
-                    SweepEngine::PerCell => "per-cell",
-                },
                 result.cells.len(),
                 result.spec.seed
             );
@@ -1721,9 +1712,7 @@ mod tests {
             }],
             summary: dck_bench::BenchSummary {
                 max_workers: 2,
-                speedup_fast_vs_reference_at_max_workers: None,
                 scaling_max_vs_one_worker: None,
-                estimates_bit_identical: None,
             },
         };
         let path = std::env::temp_dir().join(format!("dck-bench-{}.json", std::process::id()));
@@ -2141,6 +2130,21 @@ mod tests {
             run_err(&["waste", "--protocol", "triple", "--bogus", "1"]).contains("unknown flag")
         );
         assert!(run_err(&["waste"]).contains("--protocol is required"));
+        let sweep = [
+            "sweep",
+            "--protocol",
+            "double-nbl",
+            "--phi-ratios",
+            "0",
+            "--mtbfs",
+            "1h",
+            "--reps",
+            "8",
+        ];
+        let engine = run_err(&[&sweep[..], &["--engine", "global"]].concat());
+        assert!(engine.contains("unknown flag --engine"), "{engine}");
+        let work = run_err(&[&sweep[..], &["--work-mtbfs", "-5"]].concat());
+        assert!(work.contains("work_in_mtbfs"), "{work}");
     }
 
     #[test]

@@ -20,7 +20,6 @@
 //! | E4 | hierarchical two-level checkpointing (§VIII future work) | [`hierarchical_exp`] |
 //! | E5 | higher-order (Daly-style) model accuracy vs simulation | [`refined_exp`] |
 //! | V3 | Figure 5 regenerated from the simulator (not the model) | [`fig5_sim`] |
-//! | V4 | sweep engines head to head (per-cell vs global pool) | [`sweep_engine`] |
 //!
 //! Every experiment is a pure function from parameters to a typed,
 //! serializable result; [`output`] renders results to CSV (gnuplot
@@ -41,7 +40,6 @@ pub mod phi_choice;
 pub mod refined_exp;
 pub mod risk_surface;
 pub mod robustness;
-pub mod sweep_engine;
 pub mod table1;
 pub mod validate;
 pub mod waste_ratio;

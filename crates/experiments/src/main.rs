@@ -17,14 +17,12 @@
 //!   hierarchical  two-level buddy + stable-storage checkpointing (E4)
 //!   refined       higher-order model accuracy vs simulation (E5)
 //!   fig5-sim      Figure 5 from the simulator, overlaid on the model (V3)
-//!   sweep-engine  sweep engines head to head, per-cell vs global pool (V4)
 //! ```
 
 use dck_core::Scenario;
 use dck_experiments::{
     blocking_gain, fig5_sim, hierarchical_exp, output::OutputDir, period_check, phi_choice,
-    refined_exp, risk_surface, robustness, sweep_engine, table1, validate, waste_ratio,
-    waste_surface,
+    refined_exp, risk_surface, robustness, table1, validate, waste_ratio, waste_surface,
 };
 use std::process::ExitCode;
 
@@ -70,7 +68,7 @@ fn parse_args(args: &[String]) -> Result<(String, Options), String> {
 fn usage() -> String {
     "usage: dck-experiments \
      <all|table1|fig4|fig5|fig6|fig7|fig8|fig9|validate|period-check|robustness|phi-choice|\
-     blocking-gain|hierarchical|refined|fig5-sim|sweep-engine> [--out DIR] [--fast] [--seed N]"
+     blocking-gain|hierarchical|refined|fig5-sim> [--out DIR] [--fast] [--seed N]"
         .to_string()
 }
 
@@ -189,21 +187,6 @@ fn run_command(
                 fig.max_ratio_deviation()
             );
         }
-        "sweep-engine" => {
-            let mut cfg = if opts.fast {
-                sweep_engine::SweepEngineConfig::fast()
-            } else {
-                sweep_engine::SweepEngineConfig::default()
-            };
-            cfg.seed = opts.seed;
-            let report = sweep_engine::run(&cfg)?;
-            println!("{}", report.to_ascii());
-            report.write(out)?;
-            if !report.engines_identical {
-                eprintln!("sweep-engine: engines disagreed — reproducibility contract broken");
-                ok = false;
-            }
-        }
         "blocking-gain" => {
             let points = if opts.fast { 8 } else { 17 };
             let report = blocking_gain::run(points)?;
@@ -292,7 +275,6 @@ fn main() -> ExitCode {
             "phi-choice",
             "blocking-gain",
             "fig5-sim",
-            "sweep-engine",
             "hierarchical",
             "refined",
             "validate",

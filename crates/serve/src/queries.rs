@@ -289,7 +289,6 @@ pub fn sweep_cell_payload(q: &SweepCellQuery, cell: &dck_sim::SweepCell, cached:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dck_sim::SweepEngine;
 
     fn obj(pairs: &[(&str, Value)]) -> Value {
         let mut m = Map::new();
@@ -396,7 +395,6 @@ mod tests {
         let p = PlatformParams::new(0.0, 2.0, 4.0, 10.0, 48).unwrap();
         let mut spec = SweepSpec::new(Protocol::DoubleNbl, p, vec![0.0, 1.0], vec![1800.0, 3600.0]);
         spec.replications = 8;
-        spec.engine = SweepEngine::GlobalPool;
         let mut params = Map::new();
         params.insert("spec", spec.to_value());
         params.insert("mtbf_idx", Value::U64(1));
@@ -410,5 +408,48 @@ mod tests {
 
         let e = parse_sweep_cell(&obj(&[("spec", Value::Bool(true))])).unwrap_err();
         assert_eq!(e.code, codes::BAD_PARAMS);
+    }
+
+    fn cell_query(spec: Value) -> SweepCellQuery {
+        let mut params = Map::new();
+        params.insert("spec", spec);
+        params.insert("mtbf_idx", Value::U64(1));
+        params.insert("phi_idx", Value::U64(0));
+        parse_sweep_cell(&Value::Object(params)).unwrap()
+    }
+
+    /// Specs written before the sweep had a single engine carry an
+    /// `engine` key; it is ignored, so such a request gets the same
+    /// fingerprint and the same cell bits as one without it.
+    #[test]
+    fn sweep_cell_ignores_a_legacy_engine_key() {
+        let p = PlatformParams::new(0.0, 2.0, 4.0, 10.0, 48).unwrap();
+        let mut spec = SweepSpec::new(Protocol::DoubleNbl, p, vec![0.0, 1.0], vec![1800.0, 3600.0]);
+        spec.replications = 16;
+        let plain = cell_query(spec.to_value());
+        let Value::Object(mut legacy) = spec.to_value() else {
+            panic!("a spec serializes to an object");
+        };
+        legacy.insert("engine", Value::String("GlobalPool".into()));
+        let legacy = cell_query(Value::Object(legacy));
+        assert_eq!(legacy.fingerprint, plain.fingerprint);
+        // Debug prints every f64 in shortest round-trip form, so equal
+        // strings mean equal bits.
+        assert_eq!(
+            format!("{:?}", compute_sweep_cell(&legacy).unwrap()),
+            format!("{:?}", compute_sweep_cell(&plain).unwrap())
+        );
+    }
+
+    #[test]
+    fn sweep_cell_rejects_non_positive_or_non_finite_work() {
+        let p = PlatformParams::new(0.0, 2.0, 4.0, 10.0, 48).unwrap();
+        let mut spec = SweepSpec::new(Protocol::DoubleNbl, p, vec![0.0, 1.0], vec![1800.0, 3600.0]);
+        for bad in [-5.0, 0.0, f64::INFINITY] {
+            spec.work_in_mtbfs = bad;
+            let e = compute_sweep_cell(&cell_query(spec.to_value())).unwrap_err();
+            assert_eq!(e.code, codes::BAD_PARAMS, "{bad}: {e:?}");
+            assert!(e.message.contains("work_in_mtbfs"), "{bad}: {e:?}");
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! whichever worker answered, whoever asked first.
 
 use dck_serve::{serve, ServeConfig};
-use dck_sim::{run_sweep, sweep_spec_fingerprint, SweepCell, SweepEngine, SweepSpec};
+use dck_sim::{run_sweep, sweep_spec_fingerprint, SweepCell, SweepSpec};
 use serde::{Deserialize, Map, Serialize, Value};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -21,7 +21,6 @@ fn test_spec() -> SweepSpec {
     spec.replications = 48;
     spec.work_in_mtbfs = 10.0;
     spec.seed = 0x7E57;
-    spec.engine = SweepEngine::GlobalPool;
     spec
 }
 

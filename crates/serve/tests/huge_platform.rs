@@ -8,7 +8,7 @@
 use dck_failures::DistributionSpec;
 use dck_serve::{serve, ServeConfig};
 use dck_sim::montecarlo::SourceKind;
-use dck_sim::{SweepEngine, SweepSpec};
+use dck_sim::SweepSpec;
 use dck_simcore::SimTime;
 use serde::{Map, Serialize, Value};
 use std::io::{BufRead, BufReader, Write};
@@ -49,7 +49,6 @@ fn huge_platform_sweep_cell_is_answered_and_server_stays_up() {
     );
     spec.replications = 8;
     spec.work_in_mtbfs = 5.0;
-    spec.engine = SweepEngine::GlobalPool;
 
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".to_string(),

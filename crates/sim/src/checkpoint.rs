@@ -1,7 +1,7 @@
 //! Sweep checkpoint snapshots: versioned, checksummed, bit-exact.
 //!
-//! The `GlobalPool` sweep engine advances in deterministic rounds, so
-//! its complete execution state at a round boundary is tiny: per-cell
+//! The sweep pool advances in deterministic rounds, so its complete
+//! execution state at a round boundary is tiny: per-cell
 //! `WasteAccum`s, the `next[]` replication cursors, the `active[]`
 //! flags, and the round counter. This module persists that state so a
 //! killed sweep resumes **bit-identically** — the simulator practicing
@@ -167,7 +167,7 @@ impl RetentionPolicy {
     }
 }
 
-/// The `GlobalPool` engine's complete between-rounds execution state.
+/// The sweep pool's complete between-rounds execution state.
 #[derive(Debug, Clone)]
 pub(crate) struct PoolState {
     /// Per-cell merged accumulators.

@@ -54,8 +54,8 @@ pub use checkpoint::{
 pub use config::{PeriodChoice, RunConfig};
 pub use hierarchical::{run_hierarchical, HierarchicalOutcome, HierarchicalRunConfig};
 pub use montecarlo::{
-    estimate_success, estimate_waste, estimate_waste_reference, replication_source,
-    MonteCarloConfig, SuccessEstimate, WasteEstimate,
+    estimate_success, estimate_waste, replication_source, MonteCarloConfig, SuccessEstimate,
+    WasteEstimate,
 };
 pub use predict::{estimate_predicted_waste, run_predicted_to_completion, PredictedOutcome};
 pub use run::{
@@ -65,5 +65,5 @@ pub use run::{
 };
 pub use sweep::{
     run_sweep, run_sweep_cell, run_sweep_with_checkpoint, EarlyStop, SweepCell, SweepCheckpoint,
-    SweepEngine, SweepResult, SweepSpec,
+    SweepResult, SweepSpec,
 };

@@ -6,7 +6,7 @@
 //! across worker counts.
 
 use crate::config::RunConfig;
-use crate::run::{run_to_completion, RunMachine, RunOutcome, Static, Stop, StopReason};
+use crate::run::{RunMachine, RunOutcome, Static, Stop, StopReason};
 use dck_core::ModelError;
 use dck_failures::{AggregatedExponential, DistributionSpec, MtbfSpec, PerNodeRenewal};
 use dck_simcore::par::{default_workers, parallel_map_fold};
@@ -14,10 +14,10 @@ use dck_simcore::{ConfidenceInterval, OnlineStats, RngFactory, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Replications folded sequentially per work-stealing unit. Shared by
-/// [`estimate_waste`] and the sweep engines in [`crate::sweep`]: as
-/// long as every execution path cuts a cell's replication range into
+/// [`estimate_waste`] and the sweep pool in [`crate::sweep`]: as long
+/// as every execution path cuts a cell's replication range into
 /// `REP_CHUNK`-sized chunks and merges the chunk accumulators in
-/// ascending order, results are bit-identical across engines and
+/// ascending order, results are bit-identical across entry points and
 /// worker counts.
 pub(crate) const REP_CHUNK: usize = 8;
 
@@ -181,12 +181,6 @@ impl WasteAccum {
         self.truncated += other.truncated;
     }
 
-    /// By-value merge for fold-style reduction.
-    pub fn merge(mut self, other: WasteAccum) -> WasteAccum {
-        self.merge_in_place(&other);
-        self
-    }
-
     /// Finishes the accumulator into a public estimate.
     pub fn into_estimate(self) -> WasteEstimate {
         let ci95 = if self.completed > 0 {
@@ -205,27 +199,6 @@ impl WasteAccum {
     }
 }
 
-/// Runs one replication of `run_cfg` to completion of `t_base` work
-/// through the boxed [`replication_source`] path. Replication `i`
-/// derives its RNG stream from `(mc.seed, i)` only, so the outcome is
-/// independent of which thread executes it.
-///
-/// This is the *reference* path: it rebuilds the configuration and
-/// boxes the source per replication. The hot Monte-Carlo loops use
-/// [`ChunkRunner`] instead, which amortizes the build and monomorphizes
-/// the source; [`estimate_waste_reference`] and the parity tests keep
-/// the two pinned to identical streams.
-pub(crate) fn run_replication(
-    run_cfg: &RunConfig,
-    mc: &MonteCarloConfig,
-    t_base: f64,
-    replication: u64,
-) -> RunOutcome {
-    let mut source = replication_source(run_cfg, mc, replication);
-    run_to_completion(run_cfg, t_base, source.as_mut())
-        .expect("validated configuration cannot fail")
-}
-
 /// Reusable per-chunk replication driver: one [`RunMachine`] (the
 /// resolved schedule, failure response and risk tracker) plus the RNG
 /// factory, constructed once per work unit and driven for every
@@ -235,9 +208,10 @@ pub(crate) fn run_replication(
 /// per-event dyn dispatch.
 ///
 /// Stream identity: replication `i` consumes exactly the RNG stream of
-/// [`replication_source`]`(run_cfg, mc, i)`, so results are
-/// bit-identical to the boxed reference path (and `dck run --rep i`
-/// replays precisely what the estimator simulated).
+/// [`replication_source`]`(run_cfg, mc, i)`, so driving that boxed
+/// source through [`run_to_completion`](crate::run::run_to_completion)
+/// gives the same outcome (and `dck run --rep i` replays precisely what
+/// the estimator simulated).
 pub(crate) struct ChunkRunner {
     machine: RunMachine,
     factory: RngFactory,
@@ -412,13 +386,21 @@ pub struct SuccessEstimate {
 /// to completion across replications.
 ///
 /// # Errors
-/// Propagates configuration errors, and rejects renewal sources on
-/// platforms too large to hold their per-node state.
+/// Rejects a `t_base` that is not positive and finite, propagates
+/// configuration errors, and rejects renewal sources on platforms too
+/// large to hold their per-node state.
 pub fn estimate_waste(
     run_cfg: &RunConfig,
     t_base: f64,
     mc: &MonteCarloConfig,
 ) -> Result<WasteEstimate, ModelError> {
+    // NaN fails the comparison, so it is rejected too.
+    if !(t_base.is_finite() && t_base > 0.0) {
+        return Err(ModelError::invalid(
+            "t_base",
+            format!("work per run must be a positive finite time, got {t_base}"),
+        ));
+    }
     // Validate once up front so worker panics can't hide config errors.
     ChunkRunner::new(run_cfg, mc)?;
     // Each REP_CHUNK-sized work unit lazily builds one ChunkRunner —
@@ -427,8 +409,7 @@ pub fn estimate_waste(
     // replication — and stages outcomes
     // in structure-of-arrays form, folded into a per-chunk accumulator
     // at merge time. Merging in fixed ascending chunk order keeps the
-    // floats bit-identical across worker counts (and identical to the
-    // boxed per-replication reference path).
+    // floats bit-identical across worker counts.
     let state = parallel_map_fold(
         mc.replications,
         mc.resolved_workers(),
@@ -446,34 +427,6 @@ pub fn estimate_waste(
     let mut state = state;
     state.flush();
     Ok(state.acc.into_estimate())
-}
-
-/// Reference implementation of [`estimate_waste`] over the boxed
-/// per-replication path (`run_replication`): rebuilds the
-/// configuration and allocates a `Box<dyn FailureSource>` for every
-/// replication. Bit-identical to [`estimate_waste`] by construction —
-/// the parity tests enforce it — and kept as the baseline the
-/// `dck-bench` harness measures the monomorphized fast path against.
-///
-/// # Errors
-/// Propagates configuration errors, and rejects renewal sources on
-/// platforms too large to hold their per-node state.
-pub fn estimate_waste_reference(
-    run_cfg: &RunConfig,
-    t_base: f64,
-    mc: &MonteCarloConfig,
-) -> Result<WasteEstimate, ModelError> {
-    ChunkRunner::new(run_cfg, mc)?;
-    let acc = parallel_map_fold(
-        mc.replications,
-        mc.resolved_workers(),
-        REP_CHUNK,
-        WasteAccum::default,
-        |acc, i| acc.absorb(&run_replication(run_cfg, mc, t_base, i as u64)),
-        WasteAccum::merge,
-    )
-    .map_err(|e| ModelError::execution(e.to_string()))?;
-    Ok(acc.into_estimate())
 }
 
 /// Estimates the success probability over an exploitation horizon.
@@ -669,7 +622,6 @@ mod tests {
         let predictor = dck_core::PredictorSpec::new(0.8, 0.5, 30.0);
         let errors = [
             estimate_waste(&run_cfg, 10_000.0, &mc).unwrap_err(),
-            estimate_waste_reference(&run_cfg, 10_000.0, &mc).unwrap_err(),
             estimate_success(&run_cfg, 10_000.0, &mc).unwrap_err(),
             crate::estimate_predicted_waste(&run_cfg, &predictor, 10_000.0, &mc).unwrap_err(),
         ];
@@ -708,6 +660,25 @@ mod tests {
         assert_eq!(a.failures.mean().to_bits(), b.failures.mean().to_bits());
     }
 
+    /// Sequential reference for [`estimate_waste`]: every replication
+    /// through the boxed [`replication_source`] and
+    /// [`run_to_completion`](crate::run::run_to_completion), absorbed
+    /// per `REP_CHUNK` chunk and merged in ascending chunk order.
+    fn boxed_reference(run_cfg: &RunConfig, t_base: f64, mc: &MonteCarloConfig) -> WasteEstimate {
+        let mut acc = WasteAccum::default();
+        for start in (0..mc.replications).step_by(REP_CHUNK) {
+            let mut chunk = WasteAccum::default();
+            for i in start..(start + REP_CHUNK).min(mc.replications) {
+                let mut source = replication_source(run_cfg, mc, i as u64);
+                chunk.absorb(
+                    &crate::run::run_to_completion(run_cfg, t_base, source.as_mut()).unwrap(),
+                );
+            }
+            acc.merge_in_place(&chunk);
+        }
+        acc.into_estimate()
+    }
+
     #[test]
     fn fast_path_matches_boxed_reference_bitwise() {
         // The monomorphized ChunkRunner path must reproduce the boxed
@@ -719,7 +690,7 @@ mod tests {
         let t_base = 20.0 * 3600.0;
         assert_estimates_bit_identical(
             &estimate_waste(&exp_cfg, t_base, &mc).unwrap(),
-            &estimate_waste_reference(&exp_cfg, t_base, &mc).unwrap(),
+            &boxed_reference(&exp_cfg, t_base, &mc),
         );
 
         let ren_cfg = RunConfig::new(Protocol::DoubleNbl, params(8), 1.0, 1800.0);
@@ -732,7 +703,7 @@ mod tests {
             mc.source = source;
             assert_estimates_bit_identical(
                 &estimate_waste(&ren_cfg, 10_000.0, &mc).unwrap(),
-                &estimate_waste_reference(&ren_cfg, 10_000.0, &mc).unwrap(),
+                &boxed_reference(&ren_cfg, 10_000.0, &mc),
             );
         }
     }
@@ -755,6 +726,19 @@ mod tests {
             survived += usize::from(out.survived());
         }
         assert_eq!(est.survived, survived);
+    }
+
+    #[test]
+    fn rejects_non_positive_or_non_finite_work() {
+        let run_cfg = RunConfig::new(Protocol::DoubleNbl, params(8), 1.0, 3600.0);
+        let mc = MonteCarloConfig::new(4, 1);
+        for bad in [-5.0, 0.0, f64::NAN, f64::INFINITY] {
+            let err = estimate_waste(&run_cfg, bad, &mc).unwrap_err();
+            assert!(
+                matches!(err, ModelError::InvalidParameter { name: "t_base", .. }),
+                "{bad} gave {err:?}"
+            );
+        }
     }
 
     #[test]

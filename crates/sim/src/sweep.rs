@@ -6,28 +6,22 @@
 //! Carlo, and return a typed table of confidence intervals ready for
 //! CSV/plotting — the raw material for a *simulated* Figure 4/7.
 //!
-//! # Execution engines
+//! # Execution
 //!
-//! Two engines produce **bit-identical** results:
-//!
-//! - [`SweepEngine::PerCell`] (the historical behavior): cells run one
-//!   after another, each spawning its own worker fan-out with a
-//!   barrier before the next cell. Simple, but on grids with many
-//!   small cells the per-cell spawn/join overhead and the idle tail at
-//!   every barrier dominate.
-//! - [`SweepEngine::GlobalPool`] (default): every `(cell,
-//!   replication-chunk)` pair of the whole grid is flattened into one
-//!   index space and executed by a single work-stealing pool. Workers
-//!   are spawned once per round (once per sweep without early
-//!   stopping), and a slow cell's tail overlaps other cells' work.
+//! Every `(cell, replication-chunk)` pair of the whole grid is
+//! flattened into one index space and executed by a single
+//! work-stealing pool. Workers are spawned once per round (once per
+//! sweep without early stopping), and a slow cell's tail overlaps
+//! other cells' work.
 //!
 //! # Reproducibility
 //!
 //! Replication `i` of a cell derives its RNG stream from `(cell seed,
 //! i)` only. Outcomes fold into per-chunk accumulators of
 //! [`REP_CHUNK`](crate::montecarlo) consecutive replications, and
-//! chunk accumulators merge in ascending chunk order — so every
-//! `(engine, workers)` combination yields the same bits.
+//! chunk accumulators merge in ascending chunk order — so every worker
+//! count yields the same bits, and [`run_sweep_cell`] reproduces any
+//! one cell in isolation.
 //!
 //! # Early stopping
 //!
@@ -40,14 +34,14 @@
 //!
 //! # Checkpoint/resume
 //!
-//! The `GlobalPool` engine's entire between-rounds state is the
-//! per-cell accumulators plus the `next[]`/`active[]` vectors, so
-//! [`run_sweep_with_checkpoint`] can snapshot it at round boundaries
-//! (see [`crate::checkpoint`]) and a killed sweep resumes
-//! bit-identically from the newest valid snapshot. Worker panics are
-//! contained per chunk by `simcore::par`; one that persists past its
-//! retry checkpoints the last consistent state and surfaces as
-//! [`ModelError::Execution`] instead of aborting the process.
+//! The pool's entire between-rounds state is the per-cell accumulators
+//! plus the `next[]`/`active[]` vectors, so [`run_sweep_with_checkpoint`]
+//! can snapshot it at round boundaries (see [`crate::checkpoint`]) and
+//! a killed sweep resumes bit-identically from the newest valid
+//! snapshot. Worker panics are contained per chunk by `simcore::par`;
+//! one that persists past its retry checkpoints the last consistent
+//! state and surfaces as [`ModelError::Execution`] instead of aborting
+//! the process.
 
 use crate::checkpoint::{self, PoolState};
 use crate::config::{PeriodChoice, RunConfig};
@@ -62,19 +56,6 @@ use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// How the sweep distributes work across threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum SweepEngine {
-    /// One Monte-Carlo estimator per cell: a fresh worker fan-out and
-    /// barrier for every cell (the historical engine; kept for
-    /// comparison and benchmarking).
-    PerCell,
-    /// All `(cell, replication-chunk)` units of the grid flattened
-    /// into a single work-stealing pool.
-    #[default]
-    GlobalPool,
-}
 
 /// Per-cell adaptive early stopping.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -123,8 +104,6 @@ pub struct SweepSpec {
     pub workers: usize,
     /// Failure process.
     pub source: SourceKind,
-    /// Execution engine.
-    pub engine: SweepEngine,
     /// Optional per-cell adaptive early stopping.
     pub early_stop: Option<EarlyStop>,
 }
@@ -147,7 +126,6 @@ impl SweepSpec {
             seed: 0x5EE9,
             workers: 0,
             source: SourceKind::Exponential,
-            engine: SweepEngine::default(),
             early_stop: None,
         }
     }
@@ -237,9 +215,19 @@ struct CellPlan {
 }
 
 /// Validates the grid-level invariants shared by every entry point:
-/// platform parameters and the φ/R ratio range.
+/// platform parameters, the work size and the φ/R ratio range.
 fn validate_grid(spec: &SweepSpec) -> Result<(), ModelError> {
     spec.params.validate()?;
+    // NaN fails the comparison, so it is rejected too.
+    if !(spec.work_in_mtbfs.is_finite() && spec.work_in_mtbfs > 0.0) {
+        return Err(ModelError::invalid(
+            "work_in_mtbfs",
+            format!(
+                "work per run must be a positive finite number of MTBFs, got {}",
+                spec.work_in_mtbfs
+            ),
+        ));
+    }
     for &ratio in &spec.phi_ratios {
         // NaN fails the containment test, so it is rejected too.
         if !(0.0..=1.0).contains(&ratio) {
@@ -338,9 +326,9 @@ impl PanicInjection {
 }
 
 /// Folds replications `[start, end)` of cell `ci` sequentially — the
-/// shared work unit of both engines. Builds one [`ChunkRunner`] for
-/// the whole range (amortizing the config build) and stages outcomes
-/// in structure-of-arrays form; the fold into the returned accumulator
+/// pool's work unit. Builds one [`ChunkRunner`] for the whole range
+/// (amortizing the config build) and stages outcomes in
+/// structure-of-arrays form; the fold into the returned accumulator
 /// is in replication order, so the result is bit-identical to the old
 /// per-replication absorb loop.
 fn chunk_accum(
@@ -418,8 +406,8 @@ fn chunk_ranges(start: usize, round_end: usize) -> Vec<(usize, usize)> {
 }
 
 /// Sweep-progress counter handles, looked up once per sweep when
-/// observability is on so the round loops bump `Arc<Counter>`s instead
-/// of re-resolving names. `None` when disabled — the engines then do no
+/// observability is on so the round loop bumps `Arc<Counter>`s instead
+/// of re-resolving names. `None` when disabled — the pool then does no
 /// metric work at all. Counters never influence scheduling or float
 /// order, so results stay bit-identical either way.
 struct SweepCounters {
@@ -446,56 +434,7 @@ impl SweepCounters {
     }
 }
 
-fn run_per_cell(
-    spec: &SweepSpec,
-    plans: &[CellPlan],
-    injection: Option<&PanicInjection>,
-) -> Result<Vec<SweepCell>, ModelError> {
-    let workers = spec.resolved_workers();
-    let budget = spec.replications;
-    let round = spec.round_len();
-    let counters = SweepCounters::capture();
-    plans
-        .iter()
-        .enumerate()
-        .map(|(ci, plan)| {
-            let mut acc = WasteAccum::default();
-            let mut next = 0usize;
-            while next < budget {
-                let round_end = (next + round).min(budget);
-                let ranges = chunk_ranges(next, round_end);
-                if let Some(c) = &counters {
-                    c.rounds.incr();
-                    c.units.add(ranges.len() as u64);
-                    c.replications.add((round_end - next) as u64);
-                }
-                // Fresh fan-out per cell per round — the engine's
-                // defining (and costly) property.
-                let unit_accs = parallel_map_indexed(ranges.len(), workers, |u| {
-                    chunk_accum(plan, ci, ranges[u].0, ranges[u].1, injection)
-                })
-                .map_err(|e| {
-                    ModelError::execution(format!("sweep cell {ci} failed past containment: {e}"))
-                })?;
-                for ua in &unit_accs {
-                    acc.merge_in_place(ua);
-                }
-                next = round_end;
-                if let Some(es) = spec.early_stop {
-                    if cell_converged(&acc, &es, next) {
-                        if let Some(c) = &counters {
-                            c.early_stopped.incr();
-                        }
-                        break;
-                    }
-                }
-            }
-            Ok(finish_cell(plan, acc, next))
-        })
-        .collect()
-}
-
-fn run_global_pool(
+fn run_pool(
     spec: &SweepSpec,
     plans: &[CellPlan],
     ckpt: Option<&SweepCheckpoint>,
@@ -695,12 +634,12 @@ fn run_global_pool(
         .collect())
 }
 
-/// Checkpoint/resume policy for the [`SweepEngine::GlobalPool`]
-/// engine. The engine's complete between-rounds state (per-cell
-/// accumulators, cursors, active flags) is snapshotted into `dir`, and
-/// a resumed run continues from the newest valid snapshot with results
-/// **bit-identical** to an uninterrupted run — see
-/// [`crate::checkpoint`] for the format and the determinism argument.
+/// Checkpoint/resume policy for a sweep. The pool's complete
+/// between-rounds state (per-cell accumulators, cursors, active flags)
+/// is snapshotted into `dir`, and a resumed run continues from the
+/// newest valid snapshot with results **bit-identical** to an
+/// uninterrupted run — see [`crate::checkpoint`] for the format and
+/// the determinism argument.
 #[derive(Debug, Clone)]
 pub struct SweepCheckpoint {
     /// Directory holding snapshot generations (created on first write;
@@ -743,12 +682,13 @@ impl SweepCheckpoint {
     }
 }
 
-/// Runs the sweep with the engine selected in the spec. Cells where no
-/// replication completes are reported with `sim_waste: None`.
+/// Runs the sweep. Cells where no replication completes are reported
+/// with `sim_waste: None`.
 ///
 /// # Errors
-/// Rejects invalid platform parameters and out-of-range `phi_ratios`
-/// (each must lie in `[0, 1]`); propagates infeasible operating
+/// Rejects invalid platform parameters, a `work_in_mtbfs` that is not
+/// positive and finite, and out-of-range `phi_ratios` (each must lie
+/// in `[0, 1]`); propagates infeasible operating
 /// points. A worker panic that survives containment and its requeue
 /// retry surfaces as [`ModelError::Execution`] instead of aborting the
 /// process.
@@ -756,13 +696,11 @@ pub fn run_sweep(spec: &SweepSpec) -> Result<SweepResult, ModelError> {
     run_sweep_with_checkpoint(spec, None)
 }
 
-/// [`run_sweep`] with an optional checkpoint/resume policy (GlobalPool
-/// engine only — PerCell holds no resumable state between cells).
+/// [`run_sweep`] with an optional checkpoint/resume policy.
 ///
 /// # Errors
-/// Everything [`run_sweep`] rejects, plus: a checkpoint policy with
-/// the PerCell engine, snapshot I/O failures, resuming a snapshot from
-/// a different spec, and the deliberate pause when
+/// Everything [`run_sweep`] rejects, plus: snapshot I/O failures,
+/// resuming a snapshot from a different spec, and the deliberate pause when
 /// [`SweepCheckpoint::max_rounds`] is hit with work remaining.
 pub fn run_sweep_with_checkpoint(
     spec: &SweepSpec,
@@ -777,24 +715,13 @@ fn run_sweep_injected(
     ckpt: Option<&SweepCheckpoint>,
     injection: Option<&PanicInjection>,
 ) -> Result<SweepResult, ModelError> {
-    if ckpt.is_some() && spec.engine != SweepEngine::GlobalPool {
-        return Err(ModelError::invalid(
-            "engine",
-            "checkpoint/resume requires the GlobalPool engine \
-             (PerCell holds no resumable state)",
-        ));
-    }
     let plans = build_plans(spec)?;
     if dck_obs::enabled() {
         dck_obs::add("sweep.cells", plans.len() as u64);
     }
-    let cells = match spec.engine {
-        SweepEngine::PerCell => run_per_cell(spec, &plans, injection)?,
-        SweepEngine::GlobalPool => run_global_pool(spec, &plans, ckpt, injection)?,
-    };
     Ok(SweepResult {
         spec: spec.clone(),
-        cells,
+        cells: run_pool(spec, &plans, ckpt, injection)?,
     })
 }
 
@@ -807,7 +734,7 @@ fn run_sweep_injected(
 /// * the cell's RNG seed derives only from the master seed and the
 ///   `(mtbf_idx, phi_idx)` coordinates, never from the grid shape;
 /// * replications fold in ascending `REP_CHUNK`-aligned chunk order,
-///   exactly the order both sweep engines merge per-cell units;
+///   exactly the order the sweep pool merges per-cell units;
 /// * early stopping re-checks convergence at the same fixed round
 ///   boundaries, and the decision depends only on this cell's own
 ///   accumulated statistics.
@@ -926,28 +853,6 @@ mod tests {
     }
 
     #[test]
-    fn engines_are_bit_identical() {
-        let mut spec = SweepSpec::new(
-            Protocol::DoubleNbl,
-            params(),
-            vec![0.0, 0.3, 0.9],
-            vec![900.0, 3_600.0],
-        );
-        spec.replications = 20;
-        spec.work_in_mtbfs = 8.0;
-        spec.engine = SweepEngine::PerCell;
-        let per_cell = run_sweep(&spec).unwrap();
-        spec.engine = SweepEngine::GlobalPool;
-        let global = run_sweep(&spec).unwrap();
-        for (a, b) in per_cell.cells.iter().zip(&global.cells) {
-            assert_eq!(a.sim_waste, b.sim_waste);
-            assert_eq!(a.half_width, b.half_width);
-            assert_eq!(a.completed, b.completed);
-            assert_eq!(a.replications_run, b.replications_run);
-        }
-    }
-
-    #[test]
     fn rejects_out_of_range_phi_ratio() {
         for bad in [-0.1, 1.5, f64::NAN] {
             let spec = SweepSpec::new(Protocol::DoubleNbl, params(), vec![0.5, bad], vec![3_600.0]);
@@ -963,6 +868,39 @@ mod tests {
                 "{bad} gave {err:?}"
             );
         }
+    }
+
+    /// Runs `entry` on specs whose work size is not a positive finite
+    /// number of MTBFs; each must be a typed error naming the field,
+    /// not a grid of 0 ± 0 cells or of all-fatal runs.
+    fn assert_rejects_bad_work<T: std::fmt::Debug>(
+        entry: impl Fn(&SweepSpec) -> Result<T, ModelError>,
+    ) {
+        for bad in [-5.0, 0.0, f64::NAN, f64::INFINITY] {
+            let mut spec = SweepSpec::new(Protocol::DoubleNbl, params(), vec![0.5], vec![3_600.0]);
+            spec.work_in_mtbfs = bad;
+            let err = entry(&spec).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ModelError::InvalidParameter {
+                        name: "work_in_mtbfs",
+                        ..
+                    }
+                ),
+                "{bad} gave {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn sweep_rejects_non_positive_or_non_finite_work() {
+        assert_rejects_bad_work(run_sweep);
+    }
+
+    #[test]
+    fn single_cell_query_rejects_non_positive_or_non_finite_work() {
+        assert_rejects_bad_work(|spec| run_sweep_cell(spec, 0, 0));
     }
 
     #[test]
@@ -985,14 +923,10 @@ mod tests {
         );
         let hw = cell.half_width.expect("converged cell has an interval");
         assert!(hw <= 0.05, "half-width {hw}");
-        // Deterministic across engines and repeat runs.
+        // Deterministic across repeat runs.
         let b = run_sweep(&spec).unwrap();
         assert_eq!(cell.sim_waste, b.cells[0].sim_waste);
         assert_eq!(cell.replications_run, b.cells[0].replications_run);
-        spec.engine = SweepEngine::PerCell;
-        let c = run_sweep(&spec).unwrap();
-        assert_eq!(cell.sim_waste, c.cells[0].sim_waste);
-        assert_eq!(cell.replications_run, c.cells[0].replications_run);
     }
 
     fn ckpt_dir(name: &str) -> PathBuf {
@@ -1086,19 +1020,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpointing_rejects_per_cell_engine() {
-        let mut spec = multi_round_spec();
-        spec.engine = SweepEngine::PerCell;
-        let dir = ckpt_dir("percell");
-        let ck = SweepCheckpoint::new(&dir);
-        let err = run_sweep_with_checkpoint(&spec, Some(&ck)).unwrap_err();
-        assert!(matches!(
-            err,
-            ModelError::InvalidParameter { name: "engine", .. }
-        ));
-    }
-
-    #[test]
     fn resuming_a_different_spec_is_rejected() {
         let spec = multi_round_spec();
         let dir = ckpt_dir("wrongspec");
@@ -1168,7 +1089,7 @@ mod tests {
 
     /// A panic that persists past the requeue retry must checkpoint
     /// the pre-round state and surface as a typed error — the
-    /// acceptance criterion for worker-panic containment.
+    /// contract worker-panic containment must keep.
     #[test]
     fn persistent_panic_checkpoints_then_errors() {
         let spec = multi_round_spec();
@@ -1214,8 +1135,8 @@ mod tests {
     }
 
     /// The serving contract: a cell computed in isolation is
-    /// bit-identical to the same cell of the full grid, on both
-    /// engines, with and without early stopping.
+    /// bit-identical to the same cell of the full grid, with and
+    /// without early stopping.
     #[test]
     fn single_cell_query_matches_full_sweep_bit_exactly() {
         let mut spec = SweepSpec::new(
@@ -1235,31 +1156,28 @@ mod tests {
             }),
         ] {
             spec.early_stop = early_stop;
-            for engine in [SweepEngine::GlobalPool, SweepEngine::PerCell] {
-                spec.engine = engine;
-                let full = run_sweep(&spec).unwrap();
-                for (mi, _) in spec.mtbfs.iter().enumerate() {
-                    for (pi, _) in spec.phi_ratios.iter().enumerate() {
-                        let ci = mi * spec.phi_ratios.len() + pi;
-                        let grid = &full.cells[ci];
-                        let solo = run_sweep_cell(&spec, mi, pi).unwrap();
-                        assert_eq!(
-                            solo.sim_waste.map(f64::to_bits),
-                            grid.sim_waste.map(f64::to_bits),
-                            "cell ({mi},{pi}) on {engine:?} es={early_stop:?}"
-                        );
-                        assert_eq!(
-                            solo.half_width.map(f64::to_bits),
-                            grid.half_width.map(f64::to_bits),
-                            "cell ({mi},{pi}) on {engine:?}"
-                        );
-                        assert_eq!(solo.period.to_bits(), grid.period.to_bits());
-                        assert_eq!(solo.model_waste.to_bits(), grid.model_waste.to_bits());
-                        assert_eq!(solo.completed, grid.completed);
-                        assert_eq!(solo.fatal, grid.fatal);
-                        assert_eq!(solo.truncated, grid.truncated);
-                        assert_eq!(solo.replications_run, grid.replications_run);
-                    }
+            let full = run_sweep(&spec).unwrap();
+            for (mi, _) in spec.mtbfs.iter().enumerate() {
+                for (pi, _) in spec.phi_ratios.iter().enumerate() {
+                    let ci = mi * spec.phi_ratios.len() + pi;
+                    let grid = &full.cells[ci];
+                    let solo = run_sweep_cell(&spec, mi, pi).unwrap();
+                    assert_eq!(
+                        solo.sim_waste.map(f64::to_bits),
+                        grid.sim_waste.map(f64::to_bits),
+                        "cell ({mi},{pi}) es={early_stop:?}"
+                    );
+                    assert_eq!(
+                        solo.half_width.map(f64::to_bits),
+                        grid.half_width.map(f64::to_bits),
+                        "cell ({mi},{pi})"
+                    );
+                    assert_eq!(solo.period.to_bits(), grid.period.to_bits());
+                    assert_eq!(solo.model_waste.to_bits(), grid.model_waste.to_bits());
+                    assert_eq!(solo.completed, grid.completed);
+                    assert_eq!(solo.fatal, grid.fatal);
+                    assert_eq!(solo.truncated, grid.truncated);
+                    assert_eq!(solo.replications_run, grid.replications_run);
                 }
             }
         }

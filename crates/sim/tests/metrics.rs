@@ -67,14 +67,14 @@ fn metrics_count_work_without_perturbing_results() {
     let on = run_sweep(&spec).unwrap();
     dck_obs::set_enabled(was);
     let snap = dck_obs::snapshot();
-    // Bit-identical with observability on or off (acceptance
-    // criterion: counters never touch RNG streams or float order).
+    // Bit-identical with observability on or off: counters never
+    // touch RNG streams or float order.
     for (a, b) in off.cells.iter().zip(&on.cells) {
         assert_eq!(a.sim_waste, b.sim_waste);
         assert_eq!(a.half_width, b.half_width);
         assert_eq!(a.completed, b.completed);
     }
-    // GlobalPool without early stopping: one round, 2 cells ×
+    // Without early stopping: one round, 2 cells ×
     // 16 replications in chunks of 8 = 4 units.
     assert_eq!(snap.counter("sweep.cells"), 2);
     assert_eq!(snap.counter("sweep.rounds"), 1);

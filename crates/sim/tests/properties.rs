@@ -3,9 +3,9 @@
 use dck_core::{optimal_period, PlatformParams, Protocol};
 use dck_failures::{AggregatedExponential, MtbfSpec};
 use dck_sim::{
-    estimate_waste, run_sweep, run_to_completion, run_to_completion_traced, run_until,
-    run_until_traced, EarlyStop, MonteCarloConfig, PeriodChoice, RunConfig, StopReason,
-    SweepEngine, SweepSpec, TimelineEvent,
+    estimate_waste, run_sweep, run_sweep_cell, run_to_completion, run_to_completion_traced,
+    run_until, run_until_traced, EarlyStop, MonteCarloConfig, PeriodChoice, RunConfig, StopReason,
+    SweepSpec, TimelineEvent,
 };
 use dck_simcore::{RngFactory, SimTime};
 use proptest::prelude::*;
@@ -128,13 +128,12 @@ proptest! {
         }
     }
 
-    /// Sweep execution is one algorithm in six guises: both engines at
-    /// every worker count produce bit-identical cells, with and
+    /// Every worker count produces bit-identical cells, with and
     /// without early stopping. The invariant behind it: replication
     /// RNG streams derive from (cell seed, index) only, and per-chunk
     /// accumulators merge in fixed ascending order.
     #[test]
-    fn sweep_engines_bit_identical_across_workers(
+    fn sweep_bit_identical_across_workers(
         seed in 0u64..200,
         reps in 8usize..32,
         early in any::<bool>(),
@@ -156,12 +155,9 @@ proptest! {
             });
         }
         let mut results = Vec::new();
-        for engine in [SweepEngine::PerCell, SweepEngine::GlobalPool] {
-            for workers in [1usize, 2, 8] {
-                spec.engine = engine;
-                spec.workers = workers;
-                results.push(run_sweep(&spec).unwrap());
-            }
+        for workers in [1usize, 2, 8] {
+            spec.workers = workers;
+            results.push(run_sweep(&spec).unwrap());
         }
         let reference = results[0].clone();
         for other in &results[1..] {
@@ -182,7 +178,7 @@ proptest! {
         }
     }
 
-    /// The global pool reproduces the seed sequential path bit-for-bit:
+    /// The sweep pool reproduces the direct estimator bit-for-bit:
     /// a one-cell sweep equals a direct `estimate_waste` call at the
     /// same operating point and seed.
     #[test]
@@ -390,7 +386,7 @@ proptest! {
     /// relative to round boundaries, every executed replication is
     /// counted exactly once. Outcome counts sum to `replications_run`,
     /// which is a whole number of rounds (or the exact budget), and
-    /// both engines agree on every count and every bit.
+    /// each cell recomputed alone agrees on every count and every bit.
     #[test]
     fn sweep_accounting_is_exact(
         protocol in protocol_strategy(),
@@ -411,8 +407,8 @@ proptest! {
         });
         // Rounds are the batch rounded up to the REP_CHUNK (8) multiple.
         let round = batch.div_ceil(8) * 8;
-        let global = run_sweep(&spec).unwrap();
-        for c in &global.cells {
+        let sweep = run_sweep(&spec).unwrap();
+        for (mi, c) in sweep.cells.iter().enumerate() {
             prop_assert_eq!(c.completed + c.fatal + c.truncated, c.replications_run,
                 "outcome counts must partition the executed replications: {:?}", c);
             prop_assert!(c.replications_run <= replications);
@@ -420,16 +416,13 @@ proptest! {
                 c.replications_run == replications || c.replications_run % round == 0,
                 "ran {} (round {}, budget {})", c.replications_run, round, replications
             );
-        }
-        spec.engine = SweepEngine::PerCell;
-        let per_cell = run_sweep(&spec).unwrap();
-        for (a, b) in global.cells.iter().zip(&per_cell.cells) {
-            prop_assert_eq!(a.replications_run, b.replications_run);
-            prop_assert_eq!(a.completed, b.completed);
-            prop_assert_eq!(a.fatal, b.fatal);
-            prop_assert_eq!(a.truncated, b.truncated);
-            prop_assert_eq!(a.sim_waste.map(f64::to_bits), b.sim_waste.map(f64::to_bits));
-            prop_assert_eq!(a.half_width.map(f64::to_bits), b.half_width.map(f64::to_bits));
+            let solo = run_sweep_cell(&spec, mi, 0).unwrap();
+            prop_assert_eq!(solo.replications_run, c.replications_run);
+            prop_assert_eq!(solo.completed, c.completed);
+            prop_assert_eq!(solo.fatal, c.fatal);
+            prop_assert_eq!(solo.truncated, c.truncated);
+            prop_assert_eq!(solo.sim_waste.map(f64::to_bits), c.sim_waste.map(f64::to_bits));
+            prop_assert_eq!(solo.half_width.map(f64::to_bits), c.half_width.map(f64::to_bits));
         }
     }
 }

@@ -91,10 +91,6 @@ loadgen:
         --out BENCH_serve.json --metrics serve-metrics.json
     ./target/release/dck validate --bench BENCH_serve.json
 
-# Criterion benches: one per paper artifact + kernel ablations.
-bench-criterion:
-    cargo bench --workspace
-
 # Render the figures (requires gnuplot).
 figures:
     cd results && for f in fig*.gp; do gnuplot "$f"; done

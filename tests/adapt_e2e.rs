@@ -1,6 +1,7 @@
 //! Adaptive-controller end-to-end guarantees.
 //!
-//! Three pins that keep the adaptive executor honest:
+//! Pins that keep the adaptive executor, and the estimator and sweep
+//! beneath it, honest:
 //!
 //! 1. **Adaptation off is the static machine, bit for bit.** Every
 //!    script in the golden corpus replays identically — same outcome,
@@ -12,6 +13,9 @@
 //! 3. **Adaptive and predicted results keep their bits.** Digests of a
 //!    regret run (one case per scenario kind) and of a predicted-waste
 //!    estimate are recorded as exact `to_bits` hashes.
+//! 4. **Estimator and sweep results keep their bits.** Digests of
+//!    `estimate_waste` under every failure source, and of `run_sweep`
+//!    with a fixed budget and with early stopping at 1 and 8 workers.
 
 use dck::model::{ControllerConfig, EstimatorConfig, MtbfEstimator};
 use dck::sim::{run_adaptive_traced, run_to_completion_traced, AdaptiveRunConfig};
@@ -117,6 +121,37 @@ impl Bits {
         let (n, mean, m2, min, max) = s.to_parts();
         self.word(n).f64(mean).f64(m2).f64(min).f64(max)
     }
+
+    fn estimate(&mut self, est: &dck::sim::WasteEstimate) -> &mut Self {
+        self.stats(&est.waste)
+            .stats(&est.failures)
+            .word(est.completed as u64)
+            .word(est.fatal as u64)
+            .word(est.truncated as u64)
+    }
+
+    fn opt(&mut self, x: Option<f64>) -> &mut Self {
+        match x {
+            Some(v) => self.word(1).f64(v),
+            None => self.word(0),
+        }
+    }
+
+    fn sweep(&mut self, result: &dck::sim::SweepResult) -> &mut Self {
+        for c in &result.cells {
+            self.f64(c.phi_ratio)
+                .f64(c.mtbf)
+                .f64(c.period)
+                .f64(c.model_waste)
+                .opt(c.sim_waste)
+                .opt(c.half_width)
+                .word(c.completed as u64)
+                .word(c.fatal as u64)
+                .word(c.truncated as u64)
+                .word(c.replications_run as u64);
+        }
+        self
+    }
 }
 
 /// Bits of the adaptive, predicted and adaptive-predicted executors,
@@ -208,6 +243,86 @@ fn adaptive_and_predicted_results_keep_their_bits() {
         (
             "a3b2707ad7fc50e7".to_string(),
             "59766aa830089028".to_string()
+        )
+    );
+}
+
+/// Bits of the waste estimator (one digest per failure source) and of
+/// the sweep (fixed budget and early stopping), recorded while a
+/// second estimator and a second sweep engine still existed to check
+/// them against. Both sweep digests must hold at 1 and 8 workers.
+#[test]
+fn estimator_and_sweep_results_keep_their_bits() {
+    use dck::failures::DistributionSpec;
+    use dck::model::{PlatformParams, Protocol};
+    use dck::sim::montecarlo::SourceKind;
+    use dck::sim::{estimate_waste, run_sweep, EarlyStop, MonteCarloConfig, RunConfig, SweepSpec};
+    use dck::simcore::SimTime;
+
+    let params = |nodes| PlatformParams::new(0.0, 2.0, 4.0, 10.0, nodes).unwrap();
+    let weibull = DistributionSpec::Weibull {
+        mean: SimTime::seconds(1.0), // retargeted internally
+        shape: 0.7,
+    };
+    let mut estimates = Vec::new();
+    for source in [
+        SourceKind::Exponential,
+        SourceKind::Renewal(weibull),
+        SourceKind::RenewalWarmed(weibull),
+    ] {
+        let cfg = RunConfig::new(Protocol::DoubleNbl, params(16), 1.0, 1800.0);
+        let mut mc = MonteCarloConfig::new(20, 0xB175);
+        mc.source = source;
+        mc.workers = 2;
+        let est = estimate_waste(&cfg, 15.0 * 1800.0, &mc).unwrap();
+        estimates.push(format!("{:016x}", Bits::default().estimate(&est).0));
+    }
+
+    let mut spec = SweepSpec::new(
+        Protocol::DoubleNbl,
+        params(48),
+        vec![0.0, 0.5, 1.0],
+        vec![1_800.0, 3_600.0],
+    );
+    spec.replications = 40;
+    spec.work_in_mtbfs = 10.0;
+    spec.seed = 0x5EED;
+    let mut sweeps = Vec::new();
+    for early_stop in [
+        None,
+        Some(EarlyStop {
+            target_half_width: 0.005,
+            min_replications: 16,
+            batch: 16,
+        }),
+    ] {
+        spec.early_stop = early_stop;
+        let digests: Vec<String> = [1, 8]
+            .into_iter()
+            .map(|workers| {
+                spec.workers = workers;
+                format!(
+                    "{:016x}",
+                    Bits::default().sweep(&run_sweep(&spec).unwrap()).0
+                )
+            })
+            .collect();
+        assert_eq!(digests[0], digests[1], "early_stop={early_stop:?}");
+        sweeps.push(digests[0].clone());
+    }
+
+    assert_eq!(
+        (estimates, sweeps),
+        (
+            vec![
+                "e6415f513a001862".to_string(),
+                "d6d1e26d3e89b435".to_string(),
+                "973ece0111f5a7c3".to_string()
+            ],
+            vec![
+                "dbc935f1f6a56e72".to_string(),
+                "510fe4bb5ce8a0dd".to_string()
+            ]
         )
     );
 }

@@ -5,7 +5,7 @@
 
 use dck::model::{PlatformParams, Protocol};
 use dck::obs;
-use dck::sim::{run_sweep, SweepEngine, SweepSpec};
+use dck::sim::{run_sweep, SweepSpec};
 
 fn cli(raw: &[&str]) -> Result<String, String> {
     dck_cli::run(&raw.iter().map(|s| s.to_string()).collect::<Vec<_>>())
@@ -80,7 +80,6 @@ fn metrics_never_change_sweep_results() {
     spec.replications = 12;
     spec.work_in_mtbfs = 5.0;
     spec.seed = 0xB17;
-    spec.engine = SweepEngine::GlobalPool;
 
     let _guard = obs::exclusive_session();
     let was = obs::set_enabled(false);
