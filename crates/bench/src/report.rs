@@ -37,7 +37,7 @@ pub struct BenchConfig {
     pub replications: usize,
     /// Master seed.
     pub seed: u64,
-    /// True when the harness ran with `--quick` (CI smoke grid).
+    /// True when the harness ran with `--fast` (CI smoke grid).
     pub quick: bool,
 }
 
@@ -50,7 +50,7 @@ pub struct BenchSeries {
     pub workers: usize,
     /// Replications executed.
     pub replications: usize,
-    /// Median wall-clock of the measured repeats, seconds.
+    /// Best (minimum) wall-clock of the measured repeats, seconds.
     pub elapsed_s: f64,
     /// Throughput, replications per second.
     pub reps_per_sec: f64,

@@ -8,12 +8,12 @@ use dck_core::{
     PredictorSpec, Protocol, RiskModel, Scenario,
 };
 use dck_experiments::output::{ascii_table, fmt_f64};
-use dck_failures::{AggregatedExponential, FailureTrace, MtbfSpec};
+use dck_failures::{AggregatedExponential, FailureSource, FailureTrace, MtbfSpec};
 use dck_obs::{JsonlSink, MetricsSnapshot};
 use dck_sim::{
     estimate_waste, replication_source, run_regret, run_sweep_with_checkpoint,
-    run_to_completion_sinked, validate_snapshot, EarlyStop, MonteCarloConfig, PeriodChoice,
-    RegretCase, RegretScenario, RegretSpec, RunConfig, SweepCheckpoint, SweepResult, SweepSpec,
+    run_to_completion_sinked, validate_snapshot, EarlyStop, MonteCarloConfig, RegretCase,
+    RegretScenario, RegretSpec, RunConfig, RunOutcome, SweepCheckpoint, SweepResult, SweepSpec,
     TimelineEvent,
 };
 use dck_simcore::{fsio, RngFactory, SimTime};
@@ -40,7 +40,6 @@ pub fn run(raw: &[String]) -> Result<String, String> {
         "compare" => cmd_compare(&args)?,
         "optimize" => cmd_optimize(&args)?,
         "hierarchical" => cmd_hierarchical(&args)?,
-        "simulate" => cmd_simulate(&args)?,
         "run" => cmd_run(&args)?,
         "inject" => cmd_inject(&args)?,
         "sweep" => cmd_sweep(&args)?,
@@ -50,6 +49,8 @@ pub fn run(raw: &[String]) -> Result<String, String> {
         "trace" => cmd_trace(&args)?,
         "lint" => cmd_lint(&args)?,
         "validate" => cmd_validate(&args)?,
+        "experiments" => cmd_experiments(&args)?,
+        "bench" => cmd_bench(&args)?,
         "help" | "-h" | "--help" => usage(),
         other => return Err(format!("unknown command `{other}`\n{}", usage())),
     };
@@ -69,10 +70,10 @@ pub fn usage() -> String {
      \x20 compare  --life T [opts]                all protocols side by side\n\
      \x20 optimize [opts]                         best overhead phi* per protocol\n\
      \x20 hierarchical --write T --read T [opts]  two-level global-checkpoint tuning\n\
-     \x20 simulate --protocol P --work W [opts]   Monte-Carlo waste vs model\n\
      \x20 run      --protocol P [opts]            one simulated run, observable\n\
-     \x20          --rep N (replication index)  --trace FILE (JSONL timeline)\n\
-     \x20          --metrics FILE (counter snapshot as JSON)\n\
+     \x20          --mtbf DUR (default 1h)  --work DUR (default 40h)  --seed N\n\
+     \x20          --rep N  --trace FILE (JSONL timeline)  --metrics FILE (counters as JSON)\n\
+     \x20          --reps N (Monte-Carlo waste over replications 0..N vs the model)\n\
      \x20 inject   --script FILE                  replay a deterministic fault script\n\
      \x20          --trace FILE (timeline JSONL)  --golden FILE (diff against a golden)\n\
      \x20 sweep    --protocol P [opts]            simulated waste over a (phi/R, MTBF) grid\n\
@@ -108,6 +109,13 @@ pub fn usage() -> String {
      \x20          --explain LINT (what a lint matches, why, bad/good examples)\n\
      \x20 validate --trace F | --metrics F | --sweep F | --conformance F | --snapshot F | --bench F\n\
      \x20                                          schema-check emitted files\n\
+     \x20 experiments <all|NAME> [opts]          regenerate the paper's tables and figures\n\
+     \x20          NAME: table1 fig4..fig9 period-check phi-choice blocking-gain fig5-sim\n\
+     \x20                hierarchical refined validate robustness\n\
+     \x20          --out DIR (default results)  --fast (CI-sized grids)  --seed N\n\
+     \x20 bench    [opts]                         replication + sweep throughput (BENCH_*.json)\n\
+     \x20          --out DIR (default .)  --fast (CI-sized grid)  --seed N  --reps N\n\
+     \x20          --workers CSV (worker counts, default 1,2,4,8)\n\
      \n\
      common options:\n\
      \x20 --scenario base|exa      parameter preset (default base)\n\
@@ -394,158 +402,25 @@ fn cmd_hierarchical(args: &Args) -> Result<String, String> {
     ))
 }
 
-fn cmd_simulate(args: &Args) -> Result<String, String> {
-    let (params, scenario) = resolve_params(args)?;
-    let protocol = resolve_protocol(args, None)?;
-    let phi = resolve_phi(args, &params)?;
-    let mtbf = args.get_duration("mtbf", 3600.0)?;
-    let work = args.get_duration("work", 40.0 * 3600.0)?;
-    let reps: usize = args.get_parsed("reps", 100)?;
-    let seed: u64 = args.get_parsed("seed", 0xDC)?;
+/// Reads `path` whole, naming it in the error.
+fn read_file(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+}
 
-    let mut run_cfg = RunConfig::new(protocol, params, phi, mtbf);
-    run_cfg.period = PeriodChoice::Optimal;
-    let mc = MonteCarloConfig {
-        replications: reps,
-        seed,
-        workers: 0,
-        source: dck_sim::montecarlo::SourceKind::Exponential,
-    };
-    let est = estimate_waste(&run_cfg, work, &mc).map_err(|e| e.to_string())?;
-    let model = optimal_period(protocol, &params, phi, mtbf)
-        .map_err(|e| e.to_string())?
-        .waste
-        .total;
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Monte-Carlo waste, {} on scenario {scenario} ({} nodes simulated)",
-        protocol,
-        run_cfg.usable_nodes()
-    );
-    let _ = writeln!(
-        out,
-        "  M = {}, phi = {}, work per run = {}, {} replications (seed {seed})",
-        format_duration(mtbf),
-        fmt_f64(phi),
-        format_duration(work),
-        reps
-    );
-    let _ = match est.ci95 {
-        Some(ci) => writeln!(
-            out,
-            "  simulated waste: {:.5} ± {:.5} (95% CI over {} completed runs)",
-            ci.mean, ci.half_width, est.completed
-        ),
-        None => writeln!(
-            out,
-            "  simulated waste: n/a (no replication completed its work)"
-        ),
-    };
-    let _ = writeln!(out, "  model waste (Eqs. 5/7/8/14): {model:.5}");
-    let _ = writeln!(
-        out,
-        "  mean failures per run: {:.1}; fatal runs: {}; truncated: {}",
-        est.failures.mean(),
-        est.fatal,
-        est.truncated
-    );
-    let verdict = match est.ci95 {
-        Some(ci) if ci.contains_with_slack(model, 4.0) => "model within Monte-Carlo tolerance",
-        Some(_) => "MODEL OUTSIDE TOLERANCE",
-        None => "DEGENERATE ESTIMATE: every replication was fatal or truncated",
-    };
-    let _ = writeln!(out, "  -> {verdict}");
-    Ok(out)
+/// Writes `contents` to `path` atomically.
+fn write_file(path: &str, contents: &str) -> Result<(), String> {
+    fsio::atomic_write(Path::new(path), contents.as_bytes())
+        .map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 /// Writes a pretty-printed metrics snapshot to `path` atomically.
 fn write_metrics(path: &str, snapshot: &MetricsSnapshot) -> Result<(), String> {
     let json = serde_json::to_string_pretty(snapshot).map_err(|e| e.to_string())?;
-    fsio::atomic_write(Path::new(path), (json + "\n").as_bytes())
-        .map_err(|e| format!("cannot write {path}: {e}"))
+    write_file(path, &(json + "\n"))
 }
 
-fn cmd_run(args: &Args) -> Result<String, String> {
-    let (params, scenario) = resolve_params(args)?;
-    let protocol = resolve_protocol(args, None)?;
-    let phi = resolve_phi(args, &params)?;
-    let mtbf = args.get_duration("mtbf", 3600.0)?;
-    let work = args.get_duration("work", 40.0 * 3600.0)?;
-    let seed: u64 = args.get_parsed("seed", 0xDC)?;
-    let rep: u64 = args.get_parsed("rep", 0)?;
-    let trace_path = args.get("trace").map(str::to_string);
-    let metrics_path = args.get("metrics").map(str::to_string);
-
-    let run_cfg = RunConfig::new(protocol, params, phi, mtbf);
-    let mc = MonteCarloConfig {
-        replications: 1,
-        seed,
-        workers: 1,
-        source: dck_sim::montecarlo::SourceKind::Exponential,
-    };
-    let was_enabled = metrics_path.as_ref().map(|_| {
-        dck_obs::reset();
-        dck_obs::set_enabled(true)
-    });
-
-    // The exact stream replication `rep` of `dck simulate` (same seed)
-    // would consume — a traced run reproduces one Monte-Carlo sample.
-    let mut source = replication_source(&run_cfg, &mc, rep);
-    let result = match &trace_path {
-        Some(path) => {
-            // Stream into a temp sibling, fsync, then rename into
-            // place: a kill mid-run never leaves a truncated trace
-            // under the final name.
-            let dest = Path::new(path);
-            let tmp = fsio::temp_sibling(dest);
-            let file =
-                std::fs::File::create(&tmp).map_err(|e| format!("cannot create {path}: {e}"))?;
-            let mut sink = JsonlSink::new(BufWriter::new(file));
-            let outcome = run_to_completion_sinked(&run_cfg, work, source.as_mut(), &mut sink)
-                .map_err(|e| e.to_string());
-            let committed = outcome.and_then(|o| {
-                sink.finish_with_writer()
-                    .and_then(|(lines, writer)| {
-                        let file = writer
-                            .into_inner()
-                            .map_err(|e| std::io::Error::other(e.to_string()))?;
-                        file.sync_all()?;
-                        fsio::commit(&tmp, dest)?;
-                        Ok((o, Some(lines)))
-                    })
-                    .map_err(|e| format!("cannot write {path}: {e}"))
-            });
-            if committed.is_err() {
-                let _ = std::fs::remove_file(&tmp);
-            }
-            committed
-        }
-        None => dck_sim::run_to_completion(&run_cfg, work, source.as_mut())
-            .map(|o| (o, None))
-            .map_err(|e| e.to_string()),
-    };
-    let snapshot = was_enabled.map(|was| {
-        dck_obs::set_enabled(was);
-        dck_obs::snapshot()
-    });
-    let (outcome, trace_lines) = result?;
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Run: {} on scenario {scenario} ({} nodes), replication {rep} of seed {seed}",
-        protocol,
-        run_cfg.usable_nodes()
-    );
-    let _ = writeln!(
-        out,
-        "  M = {}, phi = {}, work = {}, period = optimal",
-        format_duration(mtbf),
-        fmt_f64(phi),
-        format_duration(work)
-    );
+/// The outcome lines shared by `dck run` and `dck inject`.
+fn write_outcome(out: &mut String, outcome: &RunOutcome) {
     let _ = writeln!(
         out,
         "  outcome: {:?} after {} ({} useful, {} in outages, {} failures)",
@@ -559,15 +434,180 @@ fn cmd_run(args: &Args) -> Result<String, String> {
     if let Some(at) = outcome.fatal_at {
         let _ = writeln!(out, "  fatal failure at {}", format_duration(at));
     }
-    if let (Some(path), Some(lines)) = (&trace_path, trace_lines) {
-        let _ = writeln!(out, "  timeline: {lines} events -> {path}");
+}
+
+/// Runs `f`, and when `on` is set runs it in a metrics session: the
+/// process-wide registry is reset and enabled for `f`, its counters are
+/// snapshotted, and the enable flag is restored as it was found.
+fn metered<T>(on: bool, f: impl FnOnce() -> T) -> (T, Option<MetricsSnapshot>) {
+    if !on {
+        return (f(), None);
     }
+    dck_obs::reset();
+    let was = dck_obs::set_enabled(true);
+    let out = f();
+    let snapshot = dck_obs::snapshot();
+    dck_obs::set_enabled(was);
+    (out, Some(snapshot))
+}
+
+/// `dck run`: one observable run of replication `--rep`, or with
+/// `--reps N` the Monte-Carlo estimate over replications `0..N` of the
+/// same seed, set against the model.
+fn cmd_run(args: &Args) -> Result<String, String> {
+    let (params, scenario) = resolve_params(args)?;
+    let protocol = resolve_protocol(args, None)?;
+    let phi = resolve_phi(args, &params)?;
+    let mtbf = args.get_duration("mtbf", 3600.0)?;
+    let work = args.get_positive_duration("work", 40.0 * 3600.0)?;
+    let seed: u64 = args.get_parsed("seed", 0xDC)?;
+    let reps: Option<usize> =
+        args.get_count_opt("reps", "a zero-replication run estimates nothing")?;
+    let metrics_path = args.get("metrics").map(str::to_string);
+    let run_cfg = RunConfig::new(protocol, params, phi, mtbf);
+    // Every check on the operating point (MTBF, group layout) lives in
+    // the run machinery: build it once so bad input fails typed before
+    // a failure source is drawn.
+    run_cfg.build().map_err(|e| e.to_string())?;
+    let mc = MonteCarloConfig::new(reps.unwrap_or(1), seed);
+
+    let mut out = String::new();
+    let snapshot = match reps {
+        Some(reps) => {
+            for single in ["rep", "trace"] {
+                if args.get(single).is_some() {
+                    return Err(format!(
+                        "--{single} belongs to a single run and cannot be combined with --reps"
+                    ));
+                }
+            }
+            let (est, snapshot) = metered(metrics_path.is_some(), || {
+                estimate_waste(&run_cfg, work, &mc)
+            });
+            let est = est.map_err(|e| e.to_string())?;
+            let model = optimal_period(protocol, &params, phi, mtbf)
+                .map_err(|e| e.to_string())?
+                .waste
+                .total;
+            let _ = writeln!(
+                out,
+                "Monte-Carlo waste, {} on scenario {scenario} ({} nodes simulated)",
+                protocol,
+                run_cfg.usable_nodes()
+            );
+            let _ = writeln!(
+                out,
+                "  M = {}, phi = {}, work per run = {}, {reps} replications (seed {seed})",
+                format_duration(mtbf),
+                fmt_f64(phi),
+                format_duration(work)
+            );
+            let _ = match est.ci95 {
+                Some(ci) => writeln!(
+                    out,
+                    "  simulated waste: {:.5} ± {:.5} (95% CI over {} completed runs)",
+                    ci.mean, ci.half_width, est.completed
+                ),
+                None => writeln!(
+                    out,
+                    "  simulated waste: n/a (no replication completed its work)"
+                ),
+            };
+            let _ = writeln!(out, "  model waste (Eqs. 5/7/8/14): {model:.5}");
+            let _ = writeln!(
+                out,
+                "  mean failures per run: {:.1}; fatal runs: {}; truncated: {}",
+                est.failures.mean(),
+                est.fatal,
+                est.truncated
+            );
+            let verdict = match est.ci95 {
+                Some(ci) if ci.contains_with_slack(model, 4.0) => {
+                    "model within Monte-Carlo tolerance"
+                }
+                Some(_) => "MODEL OUTSIDE TOLERANCE",
+                None => "DEGENERATE ESTIMATE: every replication was fatal or truncated",
+            };
+            let _ = writeln!(out, "  -> {verdict}");
+            snapshot
+        }
+        None => {
+            let rep: u64 = args.get_parsed("rep", 0)?;
+            let trace_path = args.get("trace").map(str::to_string);
+            let (result, snapshot) = metered(metrics_path.is_some(), || {
+                // The exact stream replication `rep` of `dck run --reps`
+                // (same seed) consumes — a traced run reproduces one
+                // Monte-Carlo sample.
+                let mut source = replication_source(&run_cfg, &mc, rep);
+                match &trace_path {
+                    Some(path) => run_traced(&run_cfg, work, source.as_mut(), path)
+                        .map(|(o, lines)| (o, Some(lines))),
+                    None => dck_sim::run_to_completion(&run_cfg, work, source.as_mut())
+                        .map(|o| (o, None))
+                        .map_err(|e| e.to_string()),
+                }
+            });
+            let (outcome, trace_lines) = result?;
+            let _ = writeln!(
+                out,
+                "Run: {} on scenario {scenario} ({} nodes), replication {rep} of seed {seed}",
+                protocol,
+                run_cfg.usable_nodes()
+            );
+            let _ = writeln!(
+                out,
+                "  M = {}, phi = {}, work = {}, period = optimal",
+                format_duration(mtbf),
+                fmt_f64(phi),
+                format_duration(work)
+            );
+            write_outcome(&mut out, &outcome);
+            if let (Some(path), Some(lines)) = (&trace_path, trace_lines) {
+                let _ = writeln!(out, "  timeline: {lines} events -> {path}");
+            }
+            snapshot
+        }
+    };
     if let (Some(path), Some(snapshot)) = (&metrics_path, &snapshot) {
         write_metrics(path, snapshot)?;
         let _ = writeln!(out, "  metrics -> {path}");
         out.push_str(&snapshot.to_table());
     }
     Ok(out)
+}
+
+/// One run streamed as a JSONL timeline into a temp sibling of `path`,
+/// fsynced, then renamed into place: a kill mid-run never leaves a
+/// truncated trace under the final name. Returns the outcome and the
+/// number of events written.
+fn run_traced(
+    run_cfg: &RunConfig,
+    work: f64,
+    source: &mut dyn FailureSource,
+    path: &str,
+) -> Result<(RunOutcome, u64), String> {
+    let dest = Path::new(path);
+    let tmp = fsio::temp_sibling(dest);
+    let file = std::fs::File::create(&tmp).map_err(|e| format!("cannot create {path}: {e}"))?;
+    let mut sink = JsonlSink::new(BufWriter::new(file));
+    let outcome =
+        run_to_completion_sinked(run_cfg, work, source, &mut sink).map_err(|e| e.to_string());
+    let committed = outcome.and_then(|o| {
+        sink.finish_with_writer()
+            .and_then(|(lines, writer)| {
+                let file = writer
+                    .into_inner()
+                    .map_err(|e| std::io::Error::other(e.to_string()))?;
+                file.sync_all()?;
+                fsio::commit(&tmp, dest)?;
+                Ok((o, lines))
+            })
+            .map_err(|e| format!("cannot write {path}: {e}"))
+    });
+    if committed.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    committed
 }
 
 fn cmd_inject(args: &Args) -> Result<String, String> {
@@ -580,8 +620,7 @@ fn cmd_inject(args: &Args) -> Result<String, String> {
     let trace_path = args.get("trace").map(str::to_string);
     let golden_path = args.get("golden").map(str::to_string);
 
-    let text = std::fs::read_to_string(&script_path)
-        .map_err(|e| format!("cannot read {script_path}: {e}"))?;
+    let text = read_file(&script_path)?;
     let script =
         dck_testkit::FaultScript::from_json(&text).map_err(|e| format!("{script_path}: {e}"))?;
     let compiled = script.compile()?;
@@ -609,19 +648,7 @@ fn cmd_inject(args: &Args) -> Result<String, String> {
         format_duration(compiled.risk_window),
         format_duration(compiled.work)
     );
-    let _ = writeln!(
-        out,
-        "  outcome: {:?} after {} ({} useful, {} in outages, {} failures)",
-        outcome.reason,
-        format_duration(outcome.total_time),
-        format_duration(outcome.useful_work),
-        format_duration(outcome.outage_time),
-        outcome.failures
-    );
-    let _ = writeln!(out, "  empirical waste: {:.5}", outcome.waste());
-    if let Some(at) = outcome.fatal_at {
-        let _ = writeln!(out, "  fatal failure at {}", format_duration(at));
-    }
+    write_outcome(&mut out, outcome);
     match script.expect.check(outcome) {
         Ok(()) => {
             let _ = writeln!(out, "  expectation: satisfied");
@@ -630,8 +657,7 @@ fn cmd_inject(args: &Args) -> Result<String, String> {
     }
     if let Some(path) = &trace_path {
         let jsonl = dck_testkit::golden::timeline_to_jsonl(&result.timeline)?;
-        fsio::atomic_write(Path::new(path), jsonl.as_bytes())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        write_file(path, &jsonl)?;
         let _ = writeln!(
             out,
             "  timeline: {} events -> {path}",
@@ -639,7 +665,7 @@ fn cmd_inject(args: &Args) -> Result<String, String> {
         );
     }
     if let Some(path) = &golden_path {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let text = read_file(path)?;
         let golden =
             dck_testkit::golden::timeline_from_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
         match dck_testkit::diff_timelines(
@@ -683,6 +709,11 @@ fn find_workspace_root() -> Result<std::path::PathBuf, String> {
 }
 
 fn cmd_lint(args: &Args) -> Result<String, String> {
+    let baseline = match args.positional(1) {
+        None => false,
+        Some("baseline") => true,
+        Some(other) => return Err(format!("unknown lint mode `{other}` (expected `baseline`)")),
+    };
     if let Some(name) = args.get("explain") {
         return explain_lint(name);
     }
@@ -712,7 +743,7 @@ fn cmd_lint(args: &Args) -> Result<String, String> {
     let out_path = args.get("out").map(str::to_string);
     let report = dck_analyze::scan(&root, &config)?;
 
-    if args.positional(1) == Some("baseline") {
+    if baseline {
         // Starting point for a new baseline: justifications are left
         // empty on purpose — the scan rejects them until written.
         let deny: Vec<_> = report
@@ -726,15 +757,10 @@ fn cmd_lint(args: &Args) -> Result<String, String> {
     // The JSON and SARIF artifacts are written even when the scan
     // fails, so CI can upload them from a failing job.
     if let Some(path) = &out_path {
-        fsio::atomic_write(Path::new(path), report.to_json()?.as_bytes())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        write_file(path, &report.to_json()?)?;
     }
     if let Some(path) = args.get("sarif").map(str::to_string) {
-        fsio::atomic_write(
-            Path::new(&path),
-            dck_analyze::sarif::render(&report)?.as_bytes(),
-        )
-        .map_err(|e| format!("cannot write {path}: {e}"))?;
+        write_file(&path, &dck_analyze::sarif::render(&report)?)?;
     }
     if report.is_clean() {
         match format.as_str() {
@@ -785,10 +811,10 @@ fn indent(block: &str) -> String {
 }
 
 fn cmd_validate(args: &Args) -> Result<String, String> {
+    // Every check that passes writes one line.
     let mut out = String::new();
-    let mut checked = 0u32;
     if let Some(path) = args.get("trace") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let text = read_file(path)?;
         let mut events = 0usize;
         let mut last_at = f64::NEG_INFINITY;
         for (i, line) in text.lines().enumerate() {
@@ -818,10 +844,9 @@ fn cmd_validate(args: &Args) -> Result<String, String> {
             out,
             "trace {path}: {events} valid events, timestamps ordered"
         );
-        checked += 1;
     }
     if let Some(path) = args.get("metrics") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let text = read_file(path)?;
         let snapshot: MetricsSnapshot = serde_json::from_str(&text)
             .map_err(|e| format!("{path}: invalid MetricsSnapshot: {e}"))?;
         let _ = writeln!(
@@ -830,10 +855,9 @@ fn cmd_validate(args: &Args) -> Result<String, String> {
             snapshot.counters.len(),
             snapshot.histograms.len()
         );
-        checked += 1;
     }
     if let Some(path) = args.get("sweep") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let text = read_file(path)?;
         let result: SweepResult =
             serde_json::from_str(&text).map_err(|e| format!("{path}: invalid SweepResult: {e}"))?;
         let expected = result.spec.phi_ratios.len() * result.spec.mtbfs.len();
@@ -848,10 +872,9 @@ fn cmd_validate(args: &Args) -> Result<String, String> {
             "sweep {path}: {} cells, grid consistent",
             result.cells.len()
         );
-        checked += 1;
     }
     if let Some(path) = args.get("conformance") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let text = read_file(path)?;
         let report =
             dck_testkit::ConformanceReport::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
         if report.failed > 0 {
@@ -871,10 +894,9 @@ fn cmd_validate(args: &Args) -> Result<String, String> {
             report.degenerate,
             report.max_abs_deviation
         );
-        checked += 1;
     }
     if let Some(path) = args.get("bench") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let text = read_file(path)?;
         // Two report families share the flag; the `schema` tag says
         // which one a file claims to be, and it is then held to that
         // claim (no silent fallback to the other parser).
@@ -918,7 +940,6 @@ fn cmd_validate(args: &Args) -> Result<String, String> {
                 report.summary.max_workers
             );
         }
-        checked += 1;
     }
     if let Some(path) = args.get("snapshot") {
         let info = validate_snapshot(Path::new(path)).map_err(|e| {
@@ -942,9 +963,8 @@ fn cmd_validate(args: &Args) -> Result<String, String> {
             info.checkpoint_every,
             info.spec_fingerprint
         );
-        checked += 1;
     }
-    if checked == 0 {
+    if out.is_empty() {
         return Err(
             "usage: dck validate --trace FILE | --metrics FILE | --sweep FILE \
              | --conformance FILE | --snapshot FILE | --bench FILE"
@@ -958,33 +978,22 @@ fn cmd_sweep(args: &Args) -> Result<String, String> {
     let (params, scenario) = resolve_params(args)?;
     let protocol = resolve_protocol(args, None)?;
 
-    let phi_ratios = match args.get("phi-ratios") {
-        None => vec![0.0, 0.5, 1.0],
-        Some(list) => list
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse::<f64>()
-                    .map_err(|e| format!("bad --phi-ratios entry `{s}`: {e}"))
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-    };
-    let mtbfs = match args.get("mtbfs") {
-        None => vec![1_800.0, 3_600.0, 7.0 * 3_600.0],
-        Some(list) => list
-            .split(',')
-            .map(|s| parse_duration(s.trim()))
-            .collect::<Result<Vec<_>, _>>()?,
-    };
+    let phi_ratios = args.get_list("phi-ratios", vec![0.0, 0.5, 1.0], |s| {
+        s.parse::<f64>().map_err(|e| e.to_string())
+    })?;
+    let mtbfs = args.get_list(
+        "mtbfs",
+        vec![1_800.0, 3_600.0, 7.0 * 3_600.0],
+        parse_duration,
+    )?;
 
     let mut spec = SweepSpec::new(protocol, params, phi_ratios, mtbfs);
     spec.work_in_mtbfs = args.get_parsed("work-mtbfs", spec.work_in_mtbfs)?;
-    spec.replications = args.get_parsed("reps", spec.replications)?;
-    if spec.replications == 0 {
-        return Err(
-            "--reps must be at least 1 (a zero-replication sweep estimates nothing)".into(),
-        );
-    }
+    spec.replications = args.get_count(
+        "reps",
+        spec.replications,
+        "a zero-replication sweep estimates nothing",
+    )?;
     spec.seed = args.get_parsed("seed", spec.seed)?;
     // --workers 0 is the documented "auto" value (size to the machine);
     // negatives are already rejected by the usize parse.
@@ -1005,30 +1014,17 @@ fn cmd_sweep(args: &Args) -> Result<String, String> {
             // cadence that disagrees with the one the snapshot records
             // is a typed error, a defaulted one honors the snapshot.
             ck.every_explicit = args.get("checkpoint-every").is_some();
-            ck.every_rounds = args.get_parsed("checkpoint-every", ck.every_rounds)?;
-            if ck.every_rounds == 0 {
-                return Err(
-                    "--checkpoint-every must be at least 1 (0 rounds per snapshot is \
-                     not a schedule)"
-                        .into(),
-                );
-            }
+            ck.every_rounds = args.get_count(
+                "checkpoint-every",
+                ck.every_rounds,
+                "0 rounds per snapshot is not a schedule",
+            )?;
             ck.keep_snapshots = args.get_parsed("keep-snapshots", ck.keep_snapshots)?;
             ck.resume = args.get_parsed("resume", false)?;
-            ck.max_rounds = match args.get("max-rounds") {
-                None => None,
-                Some(v) => Some(
-                    v.parse()
-                        .map_err(|_| format!("cannot parse --max-rounds value `{v}`"))?,
-                ),
-            };
-            if ck.max_rounds == Some(0) {
-                return Err(
-                    "--max-rounds must be at least 1 (a zero-round budget would pause \
-                     before doing any work)"
-                        .into(),
-                );
-            }
+            ck.max_rounds = args.get_count_opt(
+                "max-rounds",
+                "a zero-round budget would pause before doing any work",
+            )?;
             Some(ck)
         }
         None => {
@@ -1043,14 +1039,8 @@ fn cmd_sweep(args: &Args) -> Result<String, String> {
 
     let out_path = args.get("out").map(str::to_string);
     let metrics_path = args.get("metrics").map(str::to_string);
-    let was_enabled = metrics_path.as_ref().map(|_| {
-        dck_obs::reset();
-        dck_obs::set_enabled(true)
-    });
-    let result = run_sweep_with_checkpoint(&spec, checkpoint.as_ref());
-    let snapshot = was_enabled.map(|was| {
-        dck_obs::set_enabled(was);
-        dck_obs::snapshot()
+    let (result, snapshot) = metered(metrics_path.is_some(), || {
+        run_sweep_with_checkpoint(&spec, checkpoint.as_ref())
     });
     let result = result.map_err(|e| e.to_string())?;
     if let (Some(path), Some(snapshot)) = (&metrics_path, &snapshot) {
@@ -1148,8 +1138,7 @@ fn cmd_sweep(args: &Args) -> Result<String, String> {
     }
     match &out_path {
         Some(path) => {
-            fsio::atomic_write(Path::new(path), rendered.as_bytes())
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
+            write_file(path, &rendered)?;
             Ok(format!("sweep: {} cells -> {path}\n", result.cells.len()))
         }
         None => Ok(rendered),
@@ -1162,10 +1151,8 @@ fn cmd_adapt(args: &Args) -> Result<String, String> {
     let phi = resolve_phi(args, &params)?;
     let true_mtbf = args.get_duration("mtbf", 7.0 * 3600.0)?;
     let work_in_mtbfs: f64 = args.get_parsed("work-mtbfs", 80.0)?;
-    let replications: usize = args.get_parsed("reps", 24)?;
-    if replications == 0 {
-        return Err("--reps must be at least 1 (a zero-replication run measures nothing)".into());
-    }
+    let replications: usize =
+        args.get_count("reps", 24, "a zero-replication run measures nothing")?;
     let seed: u64 = args.get_parsed("seed", 0xADA7)?;
     let tolerance: f64 = args.get_parsed("tolerance", dck_bench::DEFAULT_STATIONARY_TOLERANCE)?;
     if !(tolerance.is_finite() && tolerance > 0.0) {
@@ -1282,11 +1269,7 @@ fn cmd_adapt(args: &Args) -> Result<String, String> {
     );
     // Write the artifact before judging it, so a failing run still
     // leaves the evidence on disk for inspection.
-    fsio::atomic_write(
-        Path::new(&out_path),
-        report.to_json().map_err(|e| e.to_string())?.as_bytes(),
-    )
-    .map_err(|e| format!("cannot write {out_path}: {e}"))?;
+    write_file(&out_path, &report.to_json().map_err(|e| e.to_string())?)?;
     let _ = writeln!(out, "report -> {out_path}");
     report
         .validate()
@@ -1328,21 +1311,13 @@ fn cmd_loadgen(args: &Args) -> Result<String, String> {
         .get("addr")
         .ok_or("--addr HOST:PORT is required (start `dck serve` first; it prints its address)")?
         .to_string();
-    let threads: usize = args.get_parsed("threads", 2)?;
-    if threads == 0 {
-        return Err("--threads must be at least 1 (zero threads generate no load)".to_string());
-    }
-    let concurrency: usize = args.get_parsed("concurrency", 2)?;
-    if concurrency == 0 {
-        return Err(
-            "--concurrency must be at least 1 (zero connections per thread generate no load)"
-                .to_string(),
-        );
-    }
-    let duration_s = args.get_duration("duration", 2.0)?;
-    if !(duration_s.is_finite() && duration_s > 0.0) {
-        return Err("--duration must be a positive duration".to_string());
-    }
+    let threads: usize = args.get_count("threads", 2, "zero threads generate no load")?;
+    let concurrency: usize = args.get_count(
+        "concurrency",
+        2,
+        "zero connections per thread generate no load",
+    )?;
+    let duration_s = args.get_positive_duration("duration", 2.0)?;
     let seed: u64 = args.get_parsed("seed", 0x10AD)?;
     let out_path = args.get("out").unwrap_or("BENCH_serve.json").to_string();
     let metrics_path = args.get("metrics").map(str::to_string);
@@ -1350,8 +1325,6 @@ fn cmd_loadgen(args: &Args) -> Result<String, String> {
     // The obs registry is process-global: serialize against other
     // metered commands and leave the enable flag as we found it.
     let _guard = dck_obs::exclusive_session();
-    dck_obs::reset();
-    let was = dck_obs::set_enabled(true);
     let cfg = dck_serve::LoadgenConfig {
         addr: addr.clone(),
         threads,
@@ -1359,19 +1332,13 @@ fn cmd_loadgen(args: &Args) -> Result<String, String> {
         duration: std::time::Duration::from_secs_f64(duration_s),
         seed,
     };
-    let outcome = dck_serve::run_loadgen(&cfg);
-    let snapshot = dck_obs::snapshot();
-    dck_obs::set_enabled(was);
+    let (outcome, snapshot) = metered(true, || dck_serve::run_loadgen(&cfg));
     let outcome = outcome?;
-    if let Some(path) = &metrics_path {
-        write_metrics(path, &snapshot)?;
+    if let (Some(path), Some(snapshot)) = (&metrics_path, &snapshot) {
+        write_metrics(path, snapshot)?;
     }
     let report = &outcome.report;
-    fsio::atomic_write(
-        Path::new(&out_path),
-        report.to_json().map_err(|e| e.to_string())?.as_bytes(),
-    )
-    .map_err(|e| format!("cannot write {out_path}: {e}"))?;
+    write_file(&out_path, &report.to_json().map_err(|e| e.to_string())?)?;
 
     let mut out = String::new();
     let _ = writeln!(
@@ -1402,8 +1369,8 @@ fn cmd_loadgen(args: &Args) -> Result<String, String> {
 fn cmd_trace(args: &Args) -> Result<String, String> {
     match args.positional(1) {
         Some("generate") => {
-            let nodes: u64 = args.get_parsed("nodes", 64)?;
-            let mtbf = args.get_duration("mtbf", 600.0)?;
+            let nodes: u64 = args.get_count("nodes", 64, "failures need a node to strike")?;
+            let mtbf = args.get_positive_duration("mtbf", 600.0)?;
             let horizon = args.get_duration("horizon", 86_400.0)?;
             let seed: u64 = args.get_parsed("seed", 1)?;
             let out_path = args
@@ -1416,8 +1383,7 @@ fn cmd_trace(args: &Args) -> Result<String, String> {
             };
             let mut source = AggregatedExponential::new(spec, RngFactory::new(seed).stream(0));
             let trace = FailureTrace::record(&mut source, SimTime::seconds(horizon));
-            fsio::atomic_write(Path::new(&out_path), trace.to_json()?.as_bytes())
-                .map_err(|e| format!("cannot write {out_path}: {e}"))?;
+            write_file(&out_path, &trace.to_json()?)?;
             Ok(format!(
                 "wrote {} failures over {} ({} nodes) to {out_path}\n",
                 trace.len(),
@@ -1429,11 +1395,17 @@ fn cmd_trace(args: &Args) -> Result<String, String> {
             let path = args
                 .positional(2)
                 .ok_or_else(|| "trace stats needs a file".to_string())?;
-            let json =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            let json = read_file(path)?;
             let trace = FailureTrace::from_json(&json)?;
-            let counts = trace.per_node_counts();
-            let max = counts.iter().max().copied().unwrap_or(0);
+            // Count over the events, not a slot per node: memory then
+            // follows the trace, whatever node count it declares.
+            let mut nodes: Vec<u64> = trace.events().iter().map(|e| e.node).collect();
+            nodes.sort_unstable();
+            let max = nodes
+                .chunk_by(|a, b| a == b)
+                .map(<[u64]>::len)
+                .max()
+                .unwrap_or(0);
             let mtbf = trace
                 .empirical_platform_mtbf()
                 .map(|m| format_duration(m.as_secs()))
@@ -1453,9 +1425,32 @@ fn cmd_trace(args: &Args) -> Result<String, String> {
     }
 }
 
-/// Parses a duration or returns a domain error (re-exported for main).
-pub fn duration_arg(s: &str) -> Result<f64, String> {
-    parse_duration(s)
+/// `dck experiments <all|NAME>`: regenerates the paper's evaluation.
+/// Progress lines reach stdout as each experiment finishes.
+fn cmd_experiments(args: &Args) -> Result<String, String> {
+    let name = args.positional(1).ok_or_else(|| {
+        "usage: dck experiments <all|NAME> [--out DIR] [--fast] [--seed N] (see dck help)"
+            .to_string()
+    })?;
+    let out = args.get("out").unwrap_or("results");
+    let fast = args.get_parsed("fast", false)?;
+    let seed = args.get_parsed("seed", 0x0D0C_5EED)?;
+    args.ensure_all_consumed()?;
+    dck_experiments::run_experiments(name, Path::new(out), fast, seed)?;
+    Ok(String::new())
+}
+
+/// `dck bench`: the replication and sweep throughput harness.
+fn cmd_bench(args: &Args) -> Result<String, String> {
+    let out = args.get("out").unwrap_or(".");
+    let fast = args.get_parsed("fast", false)?;
+    let seed = args.get_parsed("seed", 0xBE9C)?;
+    let reps = args.get_count_opt("reps", "a zero-replication bench measures nothing")?;
+    let workers = args.get_list("workers", vec![1, 2, 4, 8], |w| {
+        w.parse::<usize>().map_err(|e| e.to_string())
+    })?;
+    args.ensure_all_consumed()?;
+    dck_bench::run_bench(Path::new(out), fast, seed, reps, &workers)
 }
 
 #[cfg(test)]
@@ -1569,9 +1564,9 @@ mod tests {
     }
 
     #[test]
-    fn simulate_small_run() {
+    fn run_reps_small_run() {
         let out = run_ok(&[
-            "simulate",
+            "run",
             "--protocol",
             "double-nbl",
             "--phi-ratio",
@@ -1589,6 +1584,90 @@ mod tests {
         ]);
         assert!(out.contains("simulated waste"));
         assert!(out.contains("model waste"));
+    }
+
+    #[test]
+    fn run_rejects_inputs_that_used_to_panic_or_mislead() {
+        let run_with =
+            |extra: &[&str]| run_err(&[&["run", "--protocol", "triple"][..], extra].concat());
+        for reps in [&[][..], &["--reps", "3"]] {
+            let err = run_with(&[&["--mtbf", "0"][..], reps].concat());
+            assert!(err.contains("invalid parameter `mtbf`"), "{reps:?}: {err}");
+        }
+        let err = run_with(&["--work", "0"]);
+        assert!(err.contains("--work must be a positive duration"), "{err}");
+        // Two nodes hold no TRIPLE group: no node is left to fail.
+        let err = run_with(&["--nodes", "2"]);
+        assert!(err.contains("invalid parameter `nodes`"), "{err}");
+        let err = run_with(&["--reps", "0"]);
+        assert!(err.contains("--reps must be at least 1"), "{err}");
+        let err = run_with(&["--reps", "3", "--rep", "1"]);
+        assert!(err.contains("--rep belongs to a single run"), "{err}");
+        let err = run_with(&["--reps", "3", "--trace", "unused.jsonl"]);
+        assert!(err.contains("--trace belongs to a single run"), "{err}");
+        assert!(!Path::new("unused.jsonl").exists());
+    }
+
+    #[test]
+    fn trace_commands_reject_degenerate_input() {
+        let out = std::env::temp_dir().join(format!("dck-trace-bad-{}.json", std::process::id()));
+        let o = out.to_str().unwrap();
+        let err = run_err(&["trace", "generate", "--nodes", "0", "--out", o]);
+        assert!(err.contains("--nodes must be at least 1"), "{err}");
+        let err = run_err(&["trace", "generate", "--mtbf", "0", "--out", o]);
+        assert!(err.contains("--mtbf must be a positive duration"), "{err}");
+        assert!(!out.exists());
+
+        // A huge platform with few events: memory follows the events.
+        let huge = r#"{"nodes": 100000000000000, "events": [
+            {"at": 1.0, "node": 99999999999999}, {"at": 2.0, "node": 7},
+            {"at": 3.0, "node": 99999999999999}]}"#;
+        std::fs::write(&out, huge).unwrap();
+        let stats = run_ok(&["trace", "stats", o]);
+        assert!(stats.contains("max failures on one node: 2"), "{stats}");
+        std::fs::remove_file(&out).ok();
+    }
+
+    #[test]
+    fn experiments_run_by_name() {
+        let dir = std::env::temp_dir().join(format!("dck-cli-exp-{}", std::process::id()));
+        let d = dir.to_str().unwrap();
+        assert_eq!(run_ok(&["experiments", "table1", "--out", d, "--fast"]), "");
+        assert!(dir.join("table1.csv").is_file());
+        let err = run_err(&["experiments", "fig10", "--out", d]);
+        assert!(err.contains("unknown experiment `fig10`"), "{err}");
+        assert!(run_err(&["experiments"]).contains("usage"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn bench_writes_valid_reports_and_rejects_bad_workers() {
+        let dir = std::env::temp_dir().join(format!("dck-cli-bench-{}", std::process::id()));
+        let d = dir.to_str().unwrap();
+        for workers in ["1,0", "0", ""] {
+            let err = run_err(&["bench", "--fast", "--workers", workers, "--out", d]);
+            assert!(err.contains("--workers"), "{workers:?}: {err}");
+        }
+        assert!(run_err(&["bench", "--reps", "0", "--out", d]).contains("--reps"));
+        assert!(!dir.exists(), "rejected options must not write anything");
+
+        let out = run_ok(&[
+            "bench",
+            "--fast",
+            "--reps",
+            "64",
+            "--workers",
+            "1,2",
+            "--out",
+            d,
+        ]);
+        for name in ["BENCH_reps.json", "BENCH_sweep.json"] {
+            let path = dir.join(name);
+            assert!(out.contains(&path.display().to_string()), "{out}");
+            let report = run_ok(&["validate", "--bench", path.to_str().unwrap()]);
+            assert!(report.contains("2 series, max workers 2"), "{report}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2145,6 +2224,19 @@ mod tests {
         assert!(engine.contains("unknown flag --engine"), "{engine}");
         let work = run_err(&[&sweep[..], &["--work-mtbfs", "-5"]].concat());
         assert!(work.contains("work_in_mtbfs"), "{work}");
+        // Stray positionals are rejected like unknown flags.
+        let lint = run_err(&["lint", "baselin"]);
+        assert!(lint.contains("unknown lint mode `baselin`"), "{lint}");
+        let extra = run_err(&["scenarios", "foo"]);
+        assert!(extra.contains("unexpected argument `foo`"), "{extra}");
+        let trace = std::env::temp_dir().join(format!("dck-stray-{}.json", std::process::id()));
+        std::fs::write(&trace, r#"{"nodes": 2, "events": []}"#).unwrap();
+        let t = trace.to_str().unwrap();
+        let extra = run_err(&["trace", "stats", t, "b.json"]);
+        assert!(extra.contains("unexpected argument `b.json`"), "{extra}");
+        std::fs::remove_file(&trace).ok();
+        // `simulate` became `run --reps`.
+        assert!(run_err(&["simulate", "--protocol", "triple"]).contains("unknown command"));
     }
 
     #[test]

@@ -59,6 +59,8 @@ pub struct Args {
     flags: BTreeMap<String, String>,
     positional: Vec<String>,
     consumed: std::cell::RefCell<Vec<String>>,
+    /// How many leading positionals some command has read.
+    positionals_read: std::cell::Cell<usize>,
 }
 
 impl Args {
@@ -86,12 +88,15 @@ impl Args {
         Ok(Args {
             flags,
             positional,
-            consumed: std::cell::RefCell::new(Vec::new()),
+            ..Args::default()
         })
     }
 
-    /// A positional argument by index.
+    /// A positional argument by index (marks it and every earlier one
+    /// as consumed).
     pub fn positional(&self, i: usize) -> Option<&str> {
+        self.positionals_read
+            .set(self.positionals_read.get().max(i + 1));
         self.positional.get(i).map(String::as_str)
     }
 
@@ -114,6 +119,47 @@ impl Args {
         }
     }
 
+    /// Optional count flag that must be at least 1 when given; `zero`
+    /// says why 0 is refused.
+    pub(crate) fn get_count_opt<T>(&self, key: &str, zero: &str) -> Result<Option<T>, String>
+    where
+        T: std::str::FromStr + PartialEq + From<u8>,
+    {
+        let Some(v) = self.get(key) else {
+            return Ok(None);
+        };
+        match v.parse() {
+            Err(_) => Err(format!("cannot parse --{key} value `{v}`")),
+            Ok(n) if n == T::from(0) => Err(format!("--{key} must be at least 1 ({zero})")),
+            Ok(n) => Ok(Some(n)),
+        }
+    }
+
+    /// Count flag with default that must be at least 1.
+    pub(crate) fn get_count<T>(&self, key: &str, default: T, zero: &str) -> Result<T, String>
+    where
+        T: std::str::FromStr + PartialEq + From<u8>,
+    {
+        Ok(self.get_count_opt(key, zero)?.unwrap_or(default))
+    }
+
+    /// Comma-separated list flag, each entry read by `parse`, with
+    /// default.
+    pub(crate) fn get_list<T>(
+        &self,
+        key: &str,
+        default: Vec<T>,
+        parse: impl Fn(&str) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        match self.get(key) {
+            None => Ok(default),
+            Some(list) => list
+                .split(',')
+                .map(|s| parse(s.trim()).map_err(|e| format!("bad --{key} entry `{s}`: {e}")))
+                .collect(),
+        }
+    }
+
     /// Duration flag lookup with default (seconds).
     pub fn get_duration(&self, key: &str, default: f64) -> Result<f64, String> {
         match self.get(key) {
@@ -122,8 +168,22 @@ impl Args {
         }
     }
 
-    /// Errors on any flag that no command consumed (catches typos).
+    /// Duration flag lookup with default that must be positive.
+    pub(crate) fn get_positive_duration(&self, key: &str, default: f64) -> Result<f64, String> {
+        let v = self.get_duration(key, default)?;
+        if v > 0.0 {
+            Ok(v)
+        } else {
+            Err(format!("--{key} must be a positive duration, got {v}"))
+        }
+    }
+
+    /// Errors on any flag or positional argument that no command
+    /// consumed (catches typos).
     pub fn ensure_all_consumed(&self) -> Result<(), String> {
+        if let Some(extra) = self.positional.get(self.positionals_read.get()) {
+            return Err(format!("unexpected argument `{extra}`"));
+        }
         let consumed = self.consumed.borrow();
         for key in self.flags.keys() {
             if !consumed.iter().any(|c| c == key) {
@@ -242,6 +302,18 @@ mod tests {
     fn unconsumed_flags_detected() {
         let a = args(&["waste", "--bogus", "1"]);
         assert!(a.ensure_all_consumed().is_err());
+    }
+
+    #[test]
+    fn unconsumed_positionals_detected() {
+        let a = args(&["trace", "stats", "a.json", "b.json"]);
+        assert_eq!(a.positional(2), Some("a.json"));
+        assert_eq!(
+            a.ensure_all_consumed(),
+            Err("unexpected argument `b.json`".to_string())
+        );
+        assert_eq!(a.positional(3), Some("b.json"));
+        assert!(a.ensure_all_consumed().is_ok());
     }
 
     #[test]

@@ -48,6 +48,32 @@ fn run_traces_to_jsonl_and_validates() {
 }
 
 #[test]
+fn run_reps_writes_metrics() {
+    let _guard = dck_obs::exclusive_session();
+    let metrics =
+        std::env::temp_dir().join(format!("dck-reps-{}.metrics.json", std::process::id()));
+    let mp = metrics.to_str().unwrap();
+    let out = run_ok(&[
+        "run",
+        "--protocol",
+        "triple",
+        "--nodes",
+        "9",
+        "--work",
+        "2h",
+        "--reps",
+        "8",
+        "--metrics",
+        mp,
+    ]);
+    assert!(out.contains("-> model"), "{out}");
+    assert!(out.contains(&format!("metrics -> {mp}")), "{out}");
+    let out = run_ok(&["validate", "--metrics", mp]);
+    assert!(out.contains("counters"), "{out}");
+    std::fs::remove_file(&metrics).ok();
+}
+
+#[test]
 fn sweep_metrics_prints_table_and_writes_snapshot() {
     let _guard = dck_obs::exclusive_session();
     let metrics =

@@ -23,9 +23,9 @@
 //!
 //! Every experiment is a pure function from parameters to a typed,
 //! serializable result; [`output`] renders results to CSV (gnuplot
-//! ready), JSON and ASCII previews under a results directory. The
-//! `dck-experiments` binary wires them to a tiny CLI
-//! (`dck-experiments all --out results`).
+//! ready), JSON and ASCII previews under a results directory.
+//! [`run_experiments`] runs them by name for the `dck experiments`
+//! command (`dck experiments all --out results`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,3 +46,204 @@ pub mod waste_ratio;
 pub mod waste_surface;
 
 pub use output::OutputDir;
+
+use dck_core::Scenario;
+use std::error::Error;
+use std::path::Path;
+
+/// Every experiment, in the order `all` runs them.
+const ALL: &str = "table1 fig4 fig5 fig6 fig7 fig8 fig9 period-check phi-choice blocking-gain \
+                   fig5-sim hierarchical refined validate robustness";
+
+/// Runs experiment `name`, or every experiment for `all`, writing the
+/// artifacts under `out`. `fast` shrinks every grid to CI size and
+/// `seed` drives the simulated experiments. Each experiment prints its
+/// summary to stdout as it finishes; `all` keeps going past a failing
+/// experiment and reports it on stderr.
+///
+/// # Errors
+/// An unknown name, an output directory that cannot be created, or the
+/// names of the experiments that failed.
+pub fn run_experiments(name: &str, out: &Path, fast: bool, seed: u64) -> Result<(), String> {
+    let names: Vec<&str> = match name {
+        "all" => ALL.split_whitespace().collect(),
+        one if ALL.split_whitespace().any(|n| n == one) => vec![one],
+        other => {
+            let known = ALL.split_whitespace().collect::<Vec<_>>().join(", ");
+            return Err(format!(
+                "unknown experiment `{other}` (expected all, {known})"
+            ));
+        }
+    };
+    let dir = OutputDir::create(out)
+        .map_err(|e| format!("cannot create output directory {}: {e}", out.display()))?;
+    let failed: Vec<&str> = names
+        .into_iter()
+        .filter(|&n| match run_one(n, fast, seed, &dir) {
+            Ok(()) => false,
+            Err(e) => {
+                eprintln!("{n}: error: {e}");
+                true
+            }
+        })
+        .collect();
+    if failed.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("experiments failed: {}", failed.join(", ")))
+    }
+}
+
+fn run_one(name: &str, fast: bool, seed: u64, out: &OutputDir) -> Result<(), Box<dyn Error>> {
+    let (base, exa) = (Scenario::base(), Scenario::exa());
+    match name {
+        "table1" => {
+            let t = table1::run();
+            println!("{}", t.to_ascii());
+            t.write(out)?;
+        }
+        "fig4" | "fig7" => {
+            let scenario = if name == "fig4" { &base } else { &exa };
+            let resolution = if fast {
+                waste_surface::Resolution {
+                    mtbf_points: 9,
+                    phi_points: 9,
+                }
+            } else {
+                waste_surface::Resolution::default()
+            };
+            let fig = waste_surface::run(scenario, resolution)?;
+            fig.write(out)?;
+            println!(
+                "fig{}: {} surfaces over {}×{} grid written to {}",
+                fig.figure_number(),
+                fig.surfaces.len(),
+                fig.mtbf_grid.len(),
+                fig.phi_grid.len(),
+                out.path().display()
+            );
+        }
+        "fig5" | "fig8" => {
+            let scenario = if name == "fig5" { &base } else { &exa };
+            let fig = waste_ratio::run(scenario, if fast { 11 } else { 41 })?;
+            fig.write(out)?;
+            if let Some(last) = fig.points.last() {
+                println!(
+                    "fig{}: {} points; at phi/R=1: BoF/NBL={:.4}, Triple/NBL={:.4}",
+                    fig.figure_number(),
+                    fig.points.len(),
+                    last.bof_over_nbl,
+                    last.triple_over_nbl
+                );
+            }
+        }
+        "fig6" | "fig9" => {
+            let scenario = if name == "fig6" { &base } else { &exa };
+            let resolution = if fast {
+                risk_surface::Resolution {
+                    mtbf_points: 10,
+                    exploitation_points: 10,
+                }
+            } else {
+                risk_surface::Resolution::default()
+            };
+            let fig = risk_surface::run(scenario, resolution)?;
+            fig.write(out)?;
+            println!(
+                "fig{}: {} grid points written to {}",
+                fig.figure_number(),
+                fig.points.len(),
+                out.path().display()
+            );
+        }
+        "validate" => {
+            let mut cfg = if fast {
+                validate::ValidateConfig::fast()
+            } else {
+                validate::ValidateConfig::default()
+            };
+            cfg.seed = seed;
+            let report = validate::run(&cfg)?;
+            println!("{}", report.to_ascii());
+            report.write(out)?;
+            if !report.all_within() {
+                return Err("some points fell outside tolerance".into());
+            }
+        }
+        "robustness" => {
+            let cfg = if fast {
+                robustness::RobustnessConfig::fast()
+            } else {
+                robustness::RobustnessConfig::default()
+            };
+            let report = robustness::run(&cfg)?;
+            println!("{}", report.to_ascii());
+            report.write(out)?;
+        }
+        "fig5-sim" => {
+            let mut cfg = if fast {
+                fig5_sim::Fig5SimConfig::fast()
+            } else {
+                fig5_sim::Fig5SimConfig::default()
+            };
+            cfg.seed = seed;
+            let fig = fig5_sim::run(&cfg)?;
+            fig.write(out)?;
+            println!(
+                "fig5-sim: {} points; max |sim − model| ratio deviation: {:.4}",
+                fig.points.len(),
+                fig.max_ratio_deviation()
+            );
+        }
+        "blocking-gain" => {
+            let report = blocking_gain::run(if fast { 8 } else { 17 })?;
+            println!("{}", report.to_ascii());
+            println!(
+                "max gain of full overlap over the blocking protocol: {:.1}%",
+                100.0 * report.max_gain()
+            );
+            report.write(out)?;
+        }
+        "hierarchical" => {
+            let mut cfg = hierarchical_exp::HierarchicalConfig::default();
+            if fast {
+                cfg.replications = 12;
+            }
+            cfg.seed = seed;
+            let report = hierarchical_exp::run(&cfg)?;
+            println!("{}", report.to_ascii());
+            report.write(out)?;
+        }
+        "refined" => {
+            let mut cfg = if fast {
+                refined_exp::RefinedConfig::fast()
+            } else {
+                refined_exp::RefinedConfig::default()
+            };
+            cfg.seed = seed;
+            let report = refined_exp::run(&cfg)?;
+            println!("{}", report.to_ascii());
+            report.write(out)?;
+        }
+        "phi-choice" => {
+            let report = phi_choice::run(if fast { 8 } else { 17 })?;
+            println!("{}", report.to_ascii());
+            println!(
+                "max gain of tuning phi over the better fixed policy: {:.1}%",
+                100.0 * report.max_gain_over_fixed()
+            );
+            report.write(out)?;
+        }
+        "period-check" => {
+            let report = period_check::run()?;
+            println!("{}", report.to_ascii());
+            println!(
+                "max interior closed-form vs numeric rel. err: {:.2e}",
+                report.max_interior_rel_err()
+            );
+            report.write(out)?;
+        }
+        other => return Err(format!("unknown experiment `{other}`").into()),
+    }
+    Ok(())
+}

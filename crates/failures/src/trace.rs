@@ -96,15 +96,6 @@ impl FailureTrace {
         Some(SimTime::seconds(stats.mean()))
     }
 
-    /// Failure count per node.
-    pub fn per_node_counts(&self) -> Vec<u64> {
-        let mut counts = vec![0u64; self.nodes as usize];
-        for ev in &self.events {
-            counts[ev.node as usize] += 1;
-        }
-        counts
-    }
-
     /// Keeps only events on nodes satisfying `keep`, renumbering nothing.
     pub fn filter_nodes(&self, keep: impl Fn(NodeId) -> bool) -> FailureTrace {
         FailureTrace {
@@ -389,9 +380,8 @@ mod tests {
     }
 
     #[test]
-    fn per_node_counts_and_filter() {
+    fn filter_keeps_matching_nodes() {
         let trace = small_trace();
-        assert_eq!(trace.per_node_counts(), vec![1, 2, 0, 1]);
         let only1 = trace.filter_nodes(|n| n == 1);
         assert_eq!(only1.len(), 2);
         assert!(only1.events().iter().all(|e| e.node == 1));
@@ -505,6 +495,5 @@ mod tests {
         assert!(t.is_empty());
         assert!(t.span().is_none());
         assert!(t.empirical_platform_mtbf().is_none());
-        assert_eq!(t.per_node_counts(), vec![0, 0, 0]);
     }
 }

@@ -41,11 +41,11 @@ lint-graph:
 
 # Regenerate every table/figure + validations + extensions into results/.
 experiments:
-    cargo run -p dck-experiments --release -- all --out results
+    cargo run -p dck-cli --release -- experiments all --out results
 
 # Quick (CI-sized) experiment pass.
 experiments-fast:
-    cargo run -p dck-experiments --release -- all --fast --out results
+    cargo run -p dck-cli --release -- experiments all --fast --out results
 
 # Kill-and-resume crash-safety e2e against the release binary.
 resume-kill:
@@ -54,8 +54,8 @@ resume-kill:
 # Perf-trajectory harness: writes BENCH_reps.json / BENCH_sweep.json
 # at the repo root and validates them against the report schema.
 bench:
-    cargo build --release -p dck-bench -p dck-cli
-    ./target/release/dck-bench --out .
+    cargo build --release -p dck-cli
+    ./target/release/dck bench --out .
     ./target/release/dck validate --bench BENCH_reps.json
     ./target/release/dck validate --bench BENCH_sweep.json
 
