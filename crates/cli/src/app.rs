@@ -1671,6 +1671,30 @@ mod tests {
     }
 
     #[test]
+    fn adapt_survives_a_half_life_that_forgets_every_failure() {
+        // A 10 s half-life against a 7 h MTBF forgets every failure
+        // between consults. The controller keeps its belief, the report
+        // is written, and the acceptance gates judge the (poor) result;
+        // no solver error may end the run.
+        let path = std::env::temp_dir().join(format!("dck-adapt-hl-{}.json", std::process::id()));
+        let err = run_err(&[
+            "adapt",
+            "--reps",
+            "2",
+            "--work-mtbfs",
+            "10",
+            "--half-life",
+            "10s",
+            "--out",
+            path.to_str().unwrap(),
+        ]);
+        assert!(!err.contains("invalid parameter"), "{err}");
+        assert!(err.contains("adaptive acceptance gate failed"), "{err}");
+        assert!(std::fs::metadata(&path).unwrap().len() > 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn trace_generate_and_stats_roundtrip() {
         let path = std::env::temp_dir().join(format!("dck-cli-{}.json", std::process::id()));
         let p = path.to_str().unwrap();

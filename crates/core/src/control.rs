@@ -7,9 +7,13 @@
 //! it feeds every observed failure into the censored-MLE estimator of
 //! [`crate::estimate`] and, when consulted, re-solves the operating
 //! point for the current estimate through the golden-section
-//! optimizers — [`numeric_optimal_period`] for the period alone, or
+//! optimizers — [`crate::numeric_optimal_period`] for the period alone
+//! (or [`crate::predicted_optimal_period`] under a predictor), or
 //! the full [`optimal_operating_point`] `φ`-scan when `rescan_phi` is
-//! set.
+//! set. The period solver for the configured `φ` — its validated model
+//! and every period-independent term of its objective — is built once,
+//! in [`PeriodController::new`], so a retune pays only for the search;
+//! the `φ`-scan builds its models at every retune because `φ` moves.
 //!
 //! The controller is deliberately *mechanism-free*: it never touches a
 //! schedule. It hands back a [`Retune`] decision and the executor
@@ -28,9 +32,10 @@ use crate::error::ModelError;
 use crate::estimate::{EstimatorConfig, FitKind, MtbfEstimator};
 use crate::opt::optimal_operating_point;
 use crate::params::PlatformParams;
-use crate::period::numeric_optimal_period;
-use crate::predict::{predicted_optimal_period, PredictorSpec};
+use crate::period::numeric_period;
+use crate::predict::{PredictedSearch, PredictorSpec};
 use crate::protocol::Protocol;
+use crate::waste::{check_mtbf, Objective, WasteModel};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the adaptive period controller.
@@ -133,6 +138,18 @@ pub struct Retune {
     pub shape: Option<f64>,
 }
 
+/// How a retune solves for the new operating point.
+#[derive(Debug, Clone)]
+enum Solver {
+    /// The period alone at the configured `φ`, over the base waste.
+    Period(Objective),
+    /// The period alone at the configured `φ`, over the predicted waste.
+    Predicted(PredictedSearch),
+    /// The full `φ`-scan, which builds its own models at every retune
+    /// because `φ` moves.
+    PhiScan,
+}
+
 /// The closed-loop controller: estimator + retuning policy.
 #[derive(Debug, Clone)]
 pub struct PeriodController {
@@ -140,6 +157,10 @@ pub struct PeriodController {
     params: PlatformParams,
     cfg: ControllerConfig,
     estimator: MtbfEstimator,
+    /// Built once in [`Self::new`]. A model that fails validation is
+    /// kept as its error and reported at the first solve, so that a
+    /// retune's errors keep the precedence of the stand-alone solvers.
+    solver: Result<Solver, ModelError>,
     phi: f64,
     believed_mtbf: f64,
     period: f64,
@@ -168,11 +189,19 @@ impl PeriodController {
         if !(prior_mtbf.is_finite() && prior_mtbf > 0.0) {
             return Err(ModelError::invalid("prior_mtbf", "must be finite and > 0"));
         }
+        let solver = if cfg.rescan_phi {
+            Ok(Solver::PhiScan)
+        } else if let Some(p) = &cfg.predictor {
+            PredictedSearch::new(protocol, params, phi, p).map(Solver::Predicted)
+        } else {
+            WasteModel::new(protocol, params, phi).map(|m| Solver::Period(Objective::new(&m)))
+        };
         let mut ctl = PeriodController {
             protocol,
             params: *params,
             cfg,
             estimator: MtbfEstimator::new(cfg.estimator())?,
+            solver,
             phi,
             believed_mtbf: prior_mtbf,
             period: 0.0,
@@ -219,19 +248,26 @@ impl PeriodController {
         self.estimator.record_failure(at)
     }
 
-    /// Solves the operating point for MTBF `m`: `(φ, P)`.
+    /// Solves the operating point for MTBF `m`: `(φ, P)`, with the
+    /// errors and precedence of [`crate::numeric_optimal_period`] and
+    /// [`crate::predicted_optimal_period`].
     fn solve(&self, m: f64) -> Result<(f64, f64), ModelError> {
-        if let Some(p) = &self.cfg.predictor {
-            let opt = predicted_optimal_period(self.protocol, &self.params, self.phi, p, m)?;
-            return Ok((self.phi, opt.period));
-        }
-        if self.cfg.rescan_phi {
-            let op = optimal_operating_point(self.protocol, &self.params, m)?;
-            Ok((op.phi, op.period))
-        } else {
-            let opt = numeric_optimal_period(self.protocol, &self.params, self.phi, m)?;
-            Ok((self.phi, opt.period))
-        }
+        let period = match &self.solver {
+            Ok(Solver::Period(objective)) => numeric_period(objective, m)?,
+            Ok(Solver::Predicted(search)) => search.period(m)?,
+            Ok(Solver::PhiScan) => {
+                let op = optimal_operating_point(self.protocol, &self.params, m)?;
+                return Ok((op.phi, op.period));
+            }
+            Err(e) => {
+                // The unpredicted solver checks the MTBF before the model.
+                if self.cfg.predictor.is_none() {
+                    check_mtbf(m)?;
+                }
+                return Err(e.clone());
+            }
+        };
+        Ok((self.phi, period))
     }
 
     /// Consults the controller at observation time `now` (the executor
@@ -286,6 +322,8 @@ impl PeriodController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::period::numeric_optimal_period;
+    use crate::predict::predicted_optimal_period;
 
     fn base() -> PlatformParams {
         PlatformParams::new(0.0, 2.0, 4.0, 10.0, 324 * 32).unwrap()
@@ -403,6 +441,48 @@ mod tests {
         .unwrap()
         .period;
         assert!((r.new_period - expect).abs() < 1e-9 * expect);
+    }
+
+    #[test]
+    fn forgotten_failures_keep_the_belief() {
+        // A 10 s half-life forgets everything over a quiet spell of
+        // ~1075 half-lives: no estimate, so no retune and no solve.
+        let cfg = ControllerConfig {
+            half_life: Some(10.0),
+            min_failures: 1,
+            ..ControllerConfig::default()
+        };
+        let mut ctl = controller(3_600.0, cfg);
+        ctl.record_failure(100.0).unwrap();
+        assert!(ctl.maybe_retune(100.0).unwrap().is_some());
+        let (belief, period) = (ctl.believed_mtbf(), ctl.current_period());
+        assert!(ctl.maybe_retune(100.0 + 2e4).unwrap().is_none());
+        assert_eq!(ctl.believed_mtbf(), belief);
+        assert_eq!(ctl.current_period(), period);
+        assert_eq!(ctl.retunes(), 1);
+    }
+
+    #[test]
+    fn model_errors_surface_at_the_first_solve() {
+        // With an explicit initial period, an invalid φ is reported by
+        // the first retune, after the MTBF check, as the stand-alone
+        // solver reports it.
+        let phi = 2.0 * base().theta_min;
+        let phi_err = WasteModel::new(Protocol::DoubleNbl, &base(), phi).unwrap_err();
+        let mut ctl = PeriodController::new(
+            Protocol::DoubleNbl,
+            &base(),
+            phi,
+            3_600.0,
+            Some(777.0),
+            ControllerConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(ctl.solve(0.0).unwrap_err(), check_mtbf(0.0).unwrap_err());
+        for i in 1..=10 {
+            ctl.record_failure(i as f64 * 10.0).unwrap();
+        }
+        assert_eq!(ctl.maybe_retune(100.0).unwrap_err(), phi_err);
     }
 
     #[test]

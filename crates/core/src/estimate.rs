@@ -190,7 +190,11 @@ impl MtbfEstimator {
     /// The estimate at observation time `now`, or `None` before the
     /// first failure (the censored MLE is unbounded on an empty event
     /// set — a platform that has not failed yet carries no finite MTBF
-    /// information, only a lower bound).
+    /// information, only a lower bound). A windowed estimator also
+    /// returns `None` once a quiet spell has decayed the event mass so
+    /// far (to 0.0 after ~1075 half-lives) that the MLE is no longer
+    /// finite: the events are forgotten, and an empty event set is what
+    /// remains. Every `Some` estimate carries a finite MTBF.
     ///
     /// # Errors
     /// Rejects a non-finite `now` or one earlier than the last recorded
@@ -219,6 +223,9 @@ impl MtbfEstimator {
         let exposure = self.w_exposure * f + tail;
         let events = self.w_events * f;
         let mtbf = exposure / events;
+        if !mtbf.is_finite() {
+            return Ok(None);
+        }
         Ok(Some(MtbfEstimate {
             mtbf,
             failures: self.n,
@@ -251,7 +258,8 @@ impl MtbfEstimator {
 /// [`MtbfEstimator`] and `batch_mtbf` agree to floating-point noise
 /// (truncation invariance).
 ///
-/// Returns `None` on an empty event set.
+/// Returns `None` on an empty event set, and where the decayed event
+/// mass is too small for a finite estimate, like the streaming API.
 ///
 /// # Errors
 /// Rejects non-finite or decreasing times, or `now` before the last
@@ -285,11 +293,9 @@ pub fn batch_mtbf(
     if now < last {
         return Err(ModelError::invalid("now", "precedes the last failure"));
     }
-    if events <= 0.0 {
-        return Ok(None);
-    }
     exposure += now - last; // censored tail, weight 1
-    Ok(Some(exposure / events))
+    let mtbf = exposure / events;
+    Ok(mtbf.is_finite().then_some(mtbf))
 }
 
 /// Solves `Γ(1 + 2/k) / Γ(1 + 1/k)² − 1 = cv2` for the Weibull shape
@@ -393,6 +399,28 @@ mod tests {
     fn no_failures_yields_no_estimate() {
         let est = MtbfEstimator::new(EstimatorConfig::default()).unwrap();
         assert!(est.estimate(1e6).unwrap().is_none());
+    }
+
+    #[test]
+    fn fully_decayed_event_mass_yields_no_estimate() {
+        let cfg = EstimatorConfig {
+            half_life: Some(10.0),
+            ..EstimatorConfig::default()
+        };
+        let est = feed(&[5.0, 20.0, 30.0], cfg);
+        // 1e4 s = 1000 half-lives: tiny but finite.
+        let near = est.estimate(30.0 + 1e4).unwrap().expect("mass left");
+        assert!(near.mtbf.is_finite() && near.mtbf > 1e200, "{near:?}");
+        // 2e4 s: the mass underflows to 0.0 and the MLE would be +∞.
+        for now in [30.0 + 2e4, 30.0 + 1e9] {
+            assert!(est.estimate(now).unwrap().is_none(), "now = {now}");
+            assert_eq!(batch_mtbf(&[5.0, 20.0, 30.0], now, &cfg).unwrap(), None);
+        }
+        // A fresh failure restores a finite estimate.
+        let mut est = est;
+        est.record_failure(30.0 + 2e4).unwrap();
+        let fresh = est.estimate(30.0 + 2e4).unwrap().expect("one live event");
+        assert!(fresh.mtbf.is_finite());
     }
 
     #[test]

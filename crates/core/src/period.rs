@@ -29,11 +29,19 @@
 //! * if `M ≤ A + Pmin/2` the failure term already exceeds the MTBF at
 //!   the smallest feasible period — the platform makes no progress and
 //!   the optimum is reported at `Pmin` with waste 1.
+//!
+//! The golden-section search probes the waste about a hundred times per
+//! solve. Everything that depends on neither the period nor the MTBF —
+//! validation, `Cff`, `A`, `Pmin` — is computed once per solve, and
+//! each probe evaluates the one copy of the waste formula that
+//! [`WasteModel::waste`] and the predicted model use too. The adaptive
+//! controller keeps its solver across retunes, so a retune pays only
+//! for the search.
 
 use crate::error::ModelError;
 use crate::params::PlatformParams;
 use crate::protocol::Protocol;
-use crate::waste::{WasteBreakdown, WasteModel};
+use crate::waste::{check_mtbf, Objective, WasteBreakdown, WasteModel};
 use serde::{Deserialize, Serialize};
 
 /// How the reported optimal period was obtained.
@@ -82,9 +90,7 @@ pub fn optimal_period(
     phi: f64,
     m: f64,
 ) -> Result<OptimalPeriod, ModelError> {
-    if !(m.is_finite() && m > 0.0) {
-        return Err(ModelError::invalid("mtbf", "must be finite and > 0"));
-    }
+    check_mtbf(m)?;
     let model = WasteModel::new(protocol, params, phi)?;
     let p_min = model.min_period();
 
@@ -108,38 +114,21 @@ pub fn optimal_period(
 /// optimize extensions for which no closed form was derived.
 ///
 /// # Errors
-/// Propagates model construction errors; requires `m > 0`.
+/// Propagates model construction errors; requires `m > 0`, and `m`
+/// small enough that the search bracket stays finite.
 pub fn numeric_optimal_period(
     protocol: Protocol,
     params: &PlatformParams,
     phi: f64,
     m: f64,
 ) -> Result<OptimalPeriod, ModelError> {
-    if !(m.is_finite() && m > 0.0) {
-        return Err(ModelError::invalid("mtbf", "must be finite and > 0"));
-    }
-    let model = WasteModel::new(protocol, params, phi)?;
-    let lo = model.min_period();
-    // The interior optimum satisfies P*² = 2·Cff·(M − A) ≤ 2·Cff·M, so
-    // √(2·Cff·M) bounds it; double it for safety and keep at least a
-    // non-degenerate bracket above Pmin.
-    let hi = (2.0 * model.fault_free_overhead().max(1.0) * m)
-        .sqrt()
-        .max(lo * 2.0)
-        * 2.0;
-    let probes = std::cell::Cell::new(0u64);
-    let f = |p: f64| {
-        probes.set(probes.get() + 1);
-        model.waste(p, m).map(|w| w.total).unwrap_or(f64::INFINITY)
-    };
-    let period = golden_section_min(f, lo, hi, 1e-10);
-    if dck_obs::enabled() {
-        dck_obs::add("opt.period_probes", probes.get());
-    }
-    let waste = model.waste(period, m)?;
+    check_mtbf(m)?;
+    let objective = Objective::new(&WasteModel::new(protocol, params, phi)?);
+    let period = numeric_period(&objective, m)?;
+    let waste = objective.breakdown(period, m)?;
     let source = if waste.total >= 1.0 {
         PeriodSource::Saturated
-    } else if (period - lo).abs() < 1e-6 {
+    } else if (period - objective.p_min).abs() < 1e-6 {
         PeriodSource::ClampedToMin
     } else {
         PeriodSource::ClosedForm
@@ -149,6 +138,51 @@ pub fn numeric_optimal_period(
         waste,
         source,
     })
+}
+
+/// The period of [`numeric_optimal_period`] at MTBF `m`, counting the
+/// probes under `opt.period_probes`.
+///
+/// # Errors
+/// An invalid `m`, then see [`search_period`].
+pub(crate) fn numeric_period(objective: &Objective, m: f64) -> Result<f64, ModelError> {
+    check_mtbf(m)?;
+    let (period, probes) = search_period(objective, m, 1e-10)?;
+    if dck_obs::enabled() {
+        dck_obs::add("opt.period_probes", probes);
+    }
+    Ok(period)
+}
+
+/// Golden-section minimization of `objective` at a valid MTBF `m` over
+/// `[Pmin, p_hi]`, to relative tolerance `rel_tol`: the period and the
+/// probes it took.
+///
+/// # Errors
+/// An `m` so large that `p_hi` overflows to `+∞`.
+pub(crate) fn search_period(
+    objective: &Objective,
+    m: f64,
+    rel_tol: f64,
+) -> Result<(f64, u64), ModelError> {
+    let lo = objective.p_min;
+    // The interior optimum satisfies P*² = 2·Cff·(M − A) ≤ 2·Cff·M, so
+    // √(2·Cff·M) bounds it; double it for safety and keep at least a
+    // non-degenerate bracket above Pmin.
+    let hi = (2.0 * objective.cff.max(1.0) * m).sqrt().max(lo * 2.0) * 2.0;
+    if !hi.is_finite() {
+        return Err(ModelError::invalid(
+            "mtbf",
+            format!("{m} is too large: the period search bracket overflows"),
+        ));
+    }
+    let probes = std::cell::Cell::new(0u64);
+    let f = |p: f64| {
+        probes.set(probes.get() + 1);
+        objective.probe(p, m)
+    };
+    let period = golden_section_min(f, lo, hi, rel_tol);
+    Ok((period, probes.get()))
 }
 
 /// Golden-section search for the minimum of a unimodal `f` on `[lo, hi]`
@@ -318,6 +352,21 @@ mod tests {
     fn golden_section_handles_boundary_min() {
         let x = golden_section_min(|x| x, 2.0, 5.0, 1e-12);
         assert!((x - 2.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn rejects_an_mtbf_whose_bracket_overflows() {
+        // √(2·Cff·M) overflows for M ≳ 4.5e307 here: there is no
+        // bracket to search, so no optimum to report.
+        for m in [1e308, f64::MAX] {
+            match numeric_optimal_period(Protocol::DoubleNbl, &base_params(), 0.0, m) {
+                Err(ModelError::InvalidParameter { name: "mtbf", .. }) => {}
+                other => panic!("m = {m}: {other:?}"),
+            }
+        }
+        // The largest MTBFs with a finite bracket still solve.
+        let opt = numeric_optimal_period(Protocol::DoubleNbl, &base_params(), 0.0, 1e300).unwrap();
+        assert_eq!(opt.source, PeriodSource::ClosedForm);
     }
 
     #[test]

@@ -30,13 +30,16 @@
 //! `p`-fraction of all alarms). At `r = 0` the formula collapses
 //! exactly to the paper's unpredicted model — pinned by a test below —
 //! and the fault-free term `Cff/P` is unchanged. The total composes
-//! multiplicatively like [`WasteModel::waste`].
+//! multiplicatively like [`WasteModel::waste`], through the same
+//! formula: the three predictor terms are fixed per predictor, so a
+//! solve computes them once and each golden-section probe evaluates
+//! only the part that depends on the period.
 
 use crate::error::ModelError;
 use crate::params::PlatformParams;
-use crate::period::golden_section_min;
+use crate::period::search_period;
 use crate::protocol::Protocol;
-use crate::waste::WasteModel;
+use crate::waste::{check_mtbf, Objective, Prediction, WasteModel};
 use serde::{Deserialize, Serialize};
 
 /// An imperfect fault predictor.
@@ -120,36 +123,7 @@ pub fn predicted_waste(
     period: f64,
     mtbf: f64,
 ) -> Result<PredictedWaste, ModelError> {
-    predictor.validate()?;
-    let model = WasteModel::new(protocol, params, phi)?;
-    let base = model.waste(period, mtbf)?;
-    let cp = proactive_cost(params);
-    if predictor.recall > 0.0 && predictor.window < cp {
-        return Err(ModelError::invalid(
-            "window",
-            format!(
-                "lead window {} shorter than the proactive checkpoint {cp}",
-                predictor.window
-            ),
-        ));
-    }
-    let r = predictor.recall;
-    let p = predictor.precision;
-    let d = params.downtime;
-    let rec = params.recovery();
-    // Expected loss per failure under prediction.
-    let unpredicted = model.failure_loss(period); // A + P/2
-    let predicted = d + rec + (predictor.window - cp);
-    let loss = (1.0 - r) * unpredicted + r * predicted + (r / p) * cp;
-    let failure_induced = (loss / mtbf).clamp(0.0, 1.0);
-    let total = 1.0 - (1.0 - failure_induced) * (1.0 - base.fault_free);
-    Ok(PredictedWaste {
-        fault_free: base.fault_free,
-        failure_induced,
-        total,
-        period,
-        proactive_cost: cp,
-    })
+    PredictedSearch::new(protocol, params, phi, predictor)?.waste(period, mtbf)
 }
 
 /// Numerically waste-optimal period for the predicted scenario (the
@@ -157,7 +131,8 @@ pub fn predicted_waste(
 /// `(1 − r)` failure share still pays the `P/2` re-execution term).
 ///
 /// # Errors
-/// Propagates validation from [`predicted_waste`].
+/// Propagates validation from [`predicted_waste`]; `mtbf` must also be
+/// small enough that the search bracket stays finite.
 pub fn predicted_optimal_period(
     protocol: Protocol,
     params: &PlatformParams,
@@ -165,20 +140,92 @@ pub fn predicted_optimal_period(
     predictor: &PredictorSpec,
     mtbf: f64,
 ) -> Result<PredictedWaste, ModelError> {
-    predictor.validate()?;
-    let model = WasteModel::new(protocol, params, phi)?;
-    let lo = model.min_period();
-    let hi = (2.0 * model.fault_free_overhead().max(1.0) * mtbf)
-        .sqrt()
-        .max(lo * 2.0)
-        * 2.0;
-    let f = |p: f64| {
-        predicted_waste(protocol, params, phi, predictor, p, mtbf)
-            .map(|w| w.total)
-            .unwrap_or(f64::INFINITY)
-    };
-    let period = golden_section_min(f, lo, hi, 1e-9);
-    predicted_waste(protocol, params, phi, predictor, period, mtbf)
+    let search = PredictedSearch::new(protocol, params, phi, predictor)?;
+    let period = search.period(mtbf)?;
+    search.waste(period, mtbf)
+}
+
+/// The period search over the predicted waste of one validated
+/// `(protocol, platform, φ, predictor)`, built once per solve (or once
+/// per controller).
+#[derive(Debug, Clone)]
+pub(crate) struct PredictedSearch {
+    objective: Objective,
+    window: f64,
+    cp: f64,
+    fires: bool,
+}
+
+impl PredictedSearch {
+    /// Validates the predictor, then the model.
+    ///
+    /// # Errors
+    /// The first invalid predictor field, then model validation.
+    pub(crate) fn new(
+        protocol: Protocol,
+        params: &PlatformParams,
+        phi: f64,
+        predictor: &PredictorSpec,
+    ) -> Result<Self, ModelError> {
+        predictor.validate()?;
+        let model = WasteModel::new(protocol, params, phi)?;
+        let cp = proactive_cost(params);
+        let r = predictor.recall;
+        let p = predictor.precision;
+        let predicted = params.downtime + params.recovery() + (predictor.window - cp);
+        Ok(PredictedSearch {
+            objective: Objective {
+                prediction: Some(Prediction {
+                    unpredicted_share: 1.0 - r,
+                    predicted_loss: r * predicted,
+                    alarm_loss: (r / p) * cp,
+                }),
+                ..Objective::new(&model)
+            },
+            window: predictor.window,
+            cp,
+            fires: r > 0.0,
+        })
+    }
+
+    /// A predictor that fires must announce failures at least `C_p`
+    /// ahead.
+    fn check_window(&self) -> Result<(), ModelError> {
+        if self.fires && self.window < self.cp {
+            return Err(ModelError::invalid(
+                "window",
+                format!(
+                    "lead window {} shorter than the proactive checkpoint {}",
+                    self.window, self.cp
+                ),
+            ));
+        }
+        Ok(())
+    }
+
+    /// The waste-optimal period at MTBF `mtbf`.
+    ///
+    /// # Errors
+    /// An invalid `mtbf`, then a short lead window, then an `mtbf` too
+    /// large for the search bracket.
+    pub(crate) fn period(&self, mtbf: f64) -> Result<f64, ModelError> {
+        check_mtbf(mtbf)?;
+        self.check_window()?;
+        Ok(search_period(&self.objective, mtbf, 1e-9)?.0)
+    }
+
+    /// The predicted waste at `(period, mtbf)`.
+    fn waste(&self, period: f64, mtbf: f64) -> Result<PredictedWaste, ModelError> {
+        let w = self.objective.breakdown(period, mtbf)?;
+        self.check_window()?;
+        Ok(PredictedWaste {
+            fault_free: w.fault_free,
+            failure_induced: w.failure_induced,
+            total: w.total,
+            period,
+            proactive_cost: self.cp,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -289,6 +336,20 @@ mod tests {
                 .unwrap();
             assert!(opt.total <= w.total + 1e-9, "beaten at P = {period}");
         }
+    }
+
+    #[test]
+    fn optimal_period_rejects_an_mtbf_whose_bracket_overflows() {
+        let predictor = PredictorSpec::new(0.8, 0.6, 120.0);
+        let err = predicted_optimal_period(Protocol::DoubleNbl, &base(), 0.0, &predictor, 1e308)
+            .unwrap_err();
+        assert!(
+            matches!(err, ModelError::InvalidParameter { name: "mtbf", .. }),
+            "{err}"
+        );
+        assert!(
+            predicted_optimal_period(Protocol::DoubleNbl, &base(), 0.0, &predictor, 1e300).is_ok()
+        );
     }
 
     #[test]

@@ -186,13 +186,7 @@ impl WasteModel {
     /// # Errors
     /// `period` must be at least [`Self::min_period`].
     pub fn structure(&self, period: f64) -> Result<PeriodStructure, ModelError> {
-        let min = self.min_period();
-        if !(period.is_finite() && period >= min - 1e-9) {
-            return Err(ModelError::invalid(
-                "period",
-                format!("must be >= min period {min}, got {period}"),
-            ));
-        }
+        check_period(period, self.min_period())?;
         // k ≥ 3: the first exchange phase, then the remaining k − 2
         // phases folded into the `exchange` slot (all run at the same
         // overlapped speed, so the 3-part structure stays exact).
@@ -217,22 +211,116 @@ impl WasteModel {
     /// # Errors
     /// `period` must be feasible and `mtbf` positive.
     pub fn waste(&self, period: f64, mtbf: f64) -> Result<WasteBreakdown, ModelError> {
-        if !(mtbf.is_finite() && mtbf > 0.0) {
-            return Err(ModelError::invalid("mtbf", "must be finite and > 0"));
+        Objective::new(self).breakdown(period, mtbf)
+    }
+}
+
+/// Rejects an MTBF that is not finite and positive.
+pub(crate) fn check_mtbf(mtbf: f64) -> Result<(), ModelError> {
+    if mtbf.is_finite() && mtbf > 0.0 {
+        Ok(())
+    } else {
+        Err(ModelError::invalid("mtbf", "must be finite and > 0"))
+    }
+}
+
+/// Whether `period` is a finite period no shorter than `p_min` (up to
+/// a 1e-9 s slack for rounding).
+fn feasible(period: f64, p_min: f64) -> bool {
+    period.is_finite() && period >= p_min - 1e-9
+}
+
+fn check_period(period: f64, p_min: f64) -> Result<(), ModelError> {
+    if feasible(period, p_min) {
+        Ok(())
+    } else {
+        Err(ModelError::invalid(
+            "period",
+            format!("must be >= min period {p_min}, got {period}"),
+        ))
+    }
+}
+
+/// How a fault predictor reshapes the per-failure loss (see
+/// [`crate::predict`]): `F = (1 − r)·(A + P/2) + r·(D + R + w − C_p) +
+/// (r/p)·C_p`, with everything but `A + P/2` fixed per predictor.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Prediction {
+    /// `1 − r`: the share of failures that strike unannounced.
+    pub(crate) unpredicted_share: f64,
+    /// `r·(D + R + w − C_p)`: the loss of the predicted failures.
+    pub(crate) predicted_loss: f64,
+    /// `(r/p)·C_p`: the proactive checkpoints of all alarms.
+    pub(crate) alarm_loss: f64,
+}
+
+/// The waste as a function of the period, with every term that
+/// depends on neither the period nor the MTBF computed once: `Cff`,
+/// `A`, `Pmin` and the prediction terms. This is the one copy of the
+/// waste formula; [`WasteModel::waste`], the predicted waste and every
+/// probe of the period solvers evaluate it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Objective {
+    /// `Cff`, the fault-free overhead per period.
+    pub(crate) cff: f64,
+    /// `A`, the constant part of the per-failure loss.
+    pub(crate) a: f64,
+    /// `Pmin`, the shortest feasible period.
+    pub(crate) p_min: f64,
+    /// The predictor's terms, if one is deployed.
+    pub(crate) prediction: Option<Prediction>,
+}
+
+impl Objective {
+    /// The paper's unpredicted objective for `model`.
+    pub(crate) fn new(model: &WasteModel) -> Self {
+        Objective {
+            cff: model.fault_free_overhead(),
+            a: model.failure_loss_constant(),
+            p_min: model.min_period(),
+            prediction: None,
         }
-        // Validates feasibility as a side effect.
-        let _ = self.structure(period)?;
-        let fault_free = (self.fault_free_overhead() / period).clamp(0.0, 1.0);
-        let failure_loss = self.failure_loss(period);
+    }
+
+    /// Eq. 5 at a feasible `period` and platform MTBF `mtbf`.
+    #[inline]
+    pub(crate) fn terms(&self, period: f64, mtbf: f64) -> WasteBreakdown {
+        let fault_free = (self.cff / period).clamp(0.0, 1.0);
+        let unpredicted = self.a + period / 2.0;
+        let failure_loss = match &self.prediction {
+            None => unpredicted,
+            Some(p) => p.unpredicted_share * unpredicted + p.predicted_loss + p.alarm_loss,
+        };
         let failure_induced = (failure_loss / mtbf).clamp(0.0, 1.0);
         let total = 1.0 - (1.0 - failure_induced) * (1.0 - fault_free);
-        Ok(WasteBreakdown {
+        WasteBreakdown {
             fault_free,
             failure_induced,
             total,
             failure_loss,
             period,
-        })
+        }
+    }
+
+    /// The full decomposition at `(period, mtbf)`.
+    ///
+    /// # Errors
+    /// An invalid `mtbf`, then an infeasible `period`.
+    pub(crate) fn breakdown(&self, period: f64, mtbf: f64) -> Result<WasteBreakdown, ModelError> {
+        check_mtbf(mtbf)?;
+        check_period(period, self.p_min)?;
+        Ok(self.terms(period, mtbf))
+    }
+
+    /// One solver probe: the total waste at `period`, or `+∞` where the
+    /// period is infeasible.
+    #[inline]
+    pub(crate) fn probe(&self, period: f64, mtbf: f64) -> f64 {
+        if feasible(period, self.p_min) {
+            self.terms(period, mtbf).total
+        } else {
+            f64::INFINITY
+        }
     }
 }
 

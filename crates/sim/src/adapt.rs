@@ -31,6 +31,13 @@
 //! source-determined wall-clock times independent of the schedule, so
 //! a fatal stream is fatal in every unpredicted arm and the pairing is
 //! exact.
+//!
+//! The arms of a replication therefore consume one failure stream, and
+//! it is drawn once: the first arm's draws are recorded into a bounded
+//! buffer (reused across replications) that the other arms replay
+//! before continuing from the same live source. An arm that outruns a
+//! full buffer continues on a fresh copy of the stream, advanced past
+//! the recorded prefix, so the cap bounds memory without changing a bit.
 
 use crate::config::RunConfig;
 use crate::montecarlo::WasteAccum;
@@ -40,7 +47,7 @@ use dck_core::{
     optimal_period, predicted_optimal_period, ControllerConfig, ModelError, PeriodController,
     PlatformParams, PredictorSpec, Protocol, Retune,
 };
-use dck_failures::{DriftingExponential, FailureSource, MtbfSpec};
+use dck_failures::{DriftingExponential, FailureEvent, FailureSource, MtbfSpec};
 use dck_simcore::{ConfidenceInterval, OnlineStats, RngFactory, SimTime};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -349,11 +356,25 @@ fn case_seed(master: u64, index: usize) -> u64 {
         .wrapping_add(0xD1B5_4A32_D192_ED03)
 }
 
+/// Most failure events of one replication that the arms replay from
+/// memory (16 B each, so 64 KB). A typical replication draws about a
+/// hundred; the failure cap allows 50 M, which an unbounded buffer would
+/// hold in 800 MB.
+const REPLAY_CAP: usize = 4096;
+
 /// Runs the full regret measurement.
 ///
 /// # Errors
 /// Propagates configuration validation and optimizer failures.
 pub fn run_regret(spec: &RegretSpec) -> Result<Vec<RegretResult>, ModelError> {
+    run_regret_with_replay(spec, REPLAY_CAP)
+}
+
+/// [`run_regret`] with the replay buffer capped at `replay_cap` events.
+fn run_regret_with_replay(
+    spec: &RegretSpec,
+    replay_cap: usize,
+) -> Result<Vec<RegretResult>, ModelError> {
     spec.params.validate()?;
     spec.controller.validate()?;
     if !(spec.true_mtbf.is_finite() && spec.true_mtbf > 0.0) {
@@ -369,11 +390,94 @@ pub fn run_regret(spec: &RegretSpec) -> Result<Vec<RegretResult>, ModelError> {
         ));
     }
     let t_base = spec.work_in_mtbfs * spec.true_mtbf;
+    let mut replay = Vec::new();
     let mut results = Vec::with_capacity(spec.cases.len());
     for (ci, case) in spec.cases.iter().enumerate() {
-        results.push(run_case(spec, case, t_base, case_seed(spec.seed, ci))?);
+        let seed = case_seed(spec.seed, ci);
+        results.push(run_case(spec, case, t_base, seed, &mut replay, replay_cap)?);
     }
     Ok(results)
+}
+
+/// One replication's failure stream, shared by its arms: the live
+/// source and the events it has produced so far, recorded up to the
+/// cap.
+struct SharedStream<'a, F> {
+    /// Builds a fresh copy of the replication's stream.
+    fresh: F,
+    live: Box<dyn FailureSource>,
+    recorded: &'a mut Vec<FailureEvent>,
+    cap: usize,
+    /// Events the live source has produced.
+    drawn: usize,
+}
+
+impl<'a, F: Fn() -> Box<dyn FailureSource>> SharedStream<'a, F> {
+    fn new(fresh: F, recorded: &'a mut Vec<FailureEvent>, cap: usize) -> Self {
+        recorded.clear();
+        SharedStream {
+            live: fresh(),
+            fresh,
+            recorded,
+            cap,
+            drawn: 0,
+        }
+    }
+
+    /// A view that reads the stream from its first event.
+    fn view(&mut self) -> StreamView<'_, 'a, F> {
+        StreamView {
+            shared: self,
+            next: 0,
+            own: None,
+        }
+    }
+}
+
+/// One arm's cursor into a [`SharedStream`]. It reports the live
+/// source's node count and MTBF.
+struct StreamView<'s, 'a, F> {
+    shared: &'s mut SharedStream<'a, F>,
+    /// Index of the next event this arm reads.
+    next: usize,
+    /// The arm's own copy, once it has read past a full buffer that the
+    /// live source has already moved beyond.
+    own: Option<Box<dyn FailureSource>>,
+}
+
+impl<F: Fn() -> Box<dyn FailureSource>> FailureSource for StreamView<'_, '_, F> {
+    fn next_failure(&mut self) -> FailureEvent {
+        if let Some(own) = &mut self.own {
+            return own.next_failure();
+        }
+        let shared = &mut *self.shared;
+        let event = if let Some(&event) = shared.recorded.get(self.next) {
+            event
+        } else if shared.drawn == self.next {
+            let event = shared.live.next_failure();
+            shared.drawn += 1;
+            if shared.recorded.len() < shared.cap {
+                shared.recorded.push(event);
+            }
+            event
+        } else {
+            let mut own = (shared.fresh)();
+            for _ in 0..self.next {
+                own.next_failure();
+            }
+            self.own.insert(own).next_failure()
+        };
+        self.next += 1;
+        event
+    }
+
+    fn nodes(&self) -> u64 {
+        self.shared.live.nodes()
+    }
+
+    fn platform_mtbf(&self) -> SimTime {
+        self.shared.live.platform_mtbf()
+    }
 }
 
 fn run_case(
@@ -381,6 +485,8 @@ fn run_case(
     case: &RegretCase,
     t_base: f64,
     seed: u64,
+    replay: &mut Vec<FailureEvent>,
+    replay_cap: usize,
 ) -> Result<RegretResult, ModelError> {
     let m_true = spec.true_mtbf;
     let (believed, oracle_mtbf, predictor) = match case.scenario {
@@ -456,38 +562,28 @@ fn run_case(
     let mut arms: [WasteAccum; 3] = Default::default();
     let mut retunes = OnlineStats::default();
     for rep in 0..spec.replications as u64 {
-        // Paired arms: identical failure stream; identical predictor
-        // stream where applicable.
-        let run_static = |cfg: &RunConfig| -> Result<RunOutcome, ModelError> {
-            let mut src = source(rep);
-            match &predictor {
-                Some(p) => {
-                    let mut rng = factory.component_stream("predictor", rep);
-                    crate::predict::run_predicted_to_completion(
-                        cfg,
-                        p,
-                        t_base,
-                        src.as_mut(),
-                        &mut rng,
-                    )
-                    .map(|o| o.run)
-                }
-                None => crate::run::run_to_completion(cfg, t_base, src.as_mut()),
-            }
-        };
+        // Paired arms: identical failure stream, drawn once; identical
+        // predictor stream where applicable.
+        let mut stream = SharedStream::new(|| source(rep), replay, replay_cap);
         let adaptive_out = {
-            let mut src = source(rep);
+            let mut src = stream.view();
             match &predictor {
                 Some(_) => {
                     let mut rng = factory.component_stream("predictor", rep);
-                    run_adaptive_predicted_to_completion(
-                        &adaptive_cfg,
-                        t_base,
-                        src.as_mut(),
-                        &mut rng,
-                    )?
+                    run_adaptive_predicted_to_completion(&adaptive_cfg, t_base, &mut src, &mut rng)?
                 }
-                None => run_adaptive_to_completion(&adaptive_cfg, t_base, src.as_mut())?,
+                None => run_adaptive_to_completion(&adaptive_cfg, t_base, &mut src)?,
+            }
+        };
+        let mut run_static = |cfg: &RunConfig| -> Result<RunOutcome, ModelError> {
+            let mut src = stream.view();
+            match &predictor {
+                Some(p) => {
+                    let mut rng = factory.component_stream("predictor", rep);
+                    crate::predict::run_predicted_to_completion(cfg, p, t_base, &mut src, &mut rng)
+                        .map(|o| o.run)
+                }
+                None => crate::run::run_to_completion(cfg, t_base, &mut src),
             }
         };
         retunes.push(adaptive_out.retunes as f64);
@@ -698,7 +794,7 @@ mod tests {
         let trace = dck_failures::FailureTrace::new(
             12,
             [(500.0, 2), (520.0, 3)]
-                .map(|(at, node)| dck_failures::FailureEvent {
+                .map(|(at, node)| FailureEvent {
                     at: SimTime::seconds(at),
                     node,
                 })
@@ -814,5 +910,75 @@ mod tests {
         // Oracle belief for the ramp is the log-mean of the endpoints.
         let expect = (0.25_f64 * 3600.0 - 3600.0) / 0.25_f64.ln();
         assert!((r.oracle_mtbf - expect).abs() < 1e-6);
+    }
+
+    /// Every arm reads the stream a fresh source would give it, whatever
+    /// the cap, in whichever order the arms run and however far each
+    /// one reads.
+    #[test]
+    fn stream_views_replay_the_source() {
+        let fresh = || -> Box<dyn FailureSource> { Box::new(platform_source(600.0, 8, 5)) };
+        let mut direct = fresh();
+        let expect: Vec<FailureEvent> = (0..40).map(|_| direct.next_failure()).collect();
+        for cap in [0, 1, 3, 7, 4096] {
+            let mut recorded = vec![expect[0]; 99]; // stale: cleared per stream
+            let mut stream = SharedStream::new(fresh, &mut recorded, cap);
+            // Reads ending before, at and past the cap and each other.
+            for reads in [5, 12, 3, 40, 20] {
+                let mut view = stream.view();
+                let got: Vec<FailureEvent> = (0..reads).map(|_| view.next_failure()).collect();
+                assert_eq!(got, expect[..reads], "cap {cap}, {reads} reads");
+                assert_eq!(view.nodes(), 8);
+                assert_eq!(view.platform_mtbf(), SimTime::seconds(600.0));
+            }
+            assert_eq!(stream.recorded.len(), cap.min(stream.drawn), "cap {cap}");
+            if cap >= 40 {
+                assert_eq!(stream.drawn, 40, "one live draw per event");
+            }
+        }
+    }
+
+    /// The replay buffer is invisible in the results: every cap gives
+    /// bit-identical results for all three scenario kinds, including
+    /// caps every arm runs past.
+    #[test]
+    fn replay_cap_never_changes_regret_results() {
+        let spec = RegretSpec {
+            protocol: Protocol::DoubleNbl,
+            params: base_params(16),
+            phi: 1.0,
+            true_mtbf: 3600.0,
+            work_in_mtbfs: 20.0,
+            replications: 4,
+            seed: 7,
+            controller: ControllerConfig::default(),
+            cases: vec![
+                RegretCase {
+                    name: "over".into(),
+                    scenario: RegretScenario::Misspecified { factor: 4.0 },
+                },
+                RegretCase {
+                    name: "drift".into(),
+                    scenario: RegretScenario::Drift { end_factor: 0.25 },
+                },
+                RegretCase {
+                    name: "predicted".into(),
+                    scenario: RegretScenario::Predicted {
+                        factor: 2.0,
+                        predictor: PredictorSpec::new(0.8, 0.7, 30.0),
+                    },
+                },
+            ],
+        };
+        let reference = run_regret(&spec).unwrap();
+        for r in &reference {
+            assert!(r.adaptive.completed > 0, "{}", r.name);
+            assert!(r.retunes_mean >= 1.0, "{}: arms must diverge", r.name);
+        }
+        let bits = |results: &[RegretResult]| format!("{results:?}");
+        for cap in [0, 1, 7] {
+            let capped = run_regret_with_replay(&spec, cap).unwrap();
+            assert_eq!(bits(&capped), bits(&reference), "cap {cap}");
+        }
     }
 }
