@@ -69,8 +69,10 @@ pub struct AdaptScenarioReport {
     pub static_waste: f64,
     /// Mean waste of the oracle arm.
     pub oracle_waste: f64,
-    /// 95% CI half-width on the adaptive mean waste.
-    pub adaptive_ci95: f64,
+    /// 95% CI half-width on the adaptive mean waste; `None` (`null`)
+    /// when the adaptive arm completed fewer than two replications, so
+    /// no interval exists.
+    pub adaptive_ci95: Option<f64>,
     /// Completed replications (adaptive arm).
     pub completed: usize,
     /// Fatal replications (adaptive arm).
@@ -134,7 +136,7 @@ fn scenario_row(r: &RegretResult) -> AdaptScenarioReport {
         adaptive_waste: r.adaptive.mean_waste,
         static_waste: r.static_arm.mean_waste,
         oracle_waste: r.oracle.mean_waste,
-        adaptive_ci95: r.adaptive.ci95_half_width,
+        adaptive_ci95: Some(r.adaptive.ci95_half_width).filter(|ci| ci.is_finite()),
         completed: r.adaptive.completed,
         fatal: r.adaptive.fatal,
         truncated: r.adaptive.truncated,
@@ -308,7 +310,7 @@ mod tests {
             adaptive_waste: adaptive,
             static_waste: stat,
             oracle_waste: oracle,
-            adaptive_ci95: 0.002,
+            adaptive_ci95: Some(0.002),
             completed: 24,
             fatal: 0,
             truncated: 0,
@@ -373,6 +375,21 @@ mod tests {
         let mut r = report();
         r.summary.max_stationary_regret_ratio = 0.0;
         assert!(r.validate().unwrap_err().contains("summary disagrees"));
+    }
+
+    #[test]
+    fn arm_without_an_interval_reads_back_and_names_its_gate() {
+        // An arm that completed no replication has no CI: the report
+        // must still decode, so `validate` can name the failed gate.
+        let mut r = report();
+        r.scenarios[0].completed = 0;
+        r.scenarios[0].adaptive_ci95 = None;
+        let json = r.to_json().unwrap();
+        assert!(json.contains("\"adaptive_ci95\": null"), "{json}");
+        let back = AdaptReport::from_json(&json).unwrap();
+        assert_eq!(back, r);
+        let err = back.validate().unwrap_err();
+        assert!(err.contains("no completed replications"), "{err}");
     }
 
     #[test]

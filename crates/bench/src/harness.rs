@@ -13,10 +13,12 @@ use dck_simcore::fsio;
 
 /// Measures both workloads and writes `BENCH_reps.json` and
 /// `BENCH_sweep.json` into `out` (created if missing), each validated
-/// against the report schema first. `fast` shrinks the grid for CI
-/// smoke runs; `reps` defaults to 4096 replications when `fast`, else
-/// 65536. Progress goes to stderr; the returned text names the files
-/// written.
+/// against the report schema first. `fast` shrinks both workloads for
+/// CI smoke runs; otherwise every timed run lasts at least a second
+/// (about 2 s on a 2-vCPU Xeon), long enough to rise above timer and
+/// scheduler noise. `reps` overrides the replication workload's count
+/// (4 096 when `fast`, else 2²²). Progress goes to stderr; the
+/// returned text names the files written.
 ///
 /// # Errors
 /// An empty `workers` list or one holding 0, zero `reps`, a failed
@@ -31,7 +33,7 @@ pub fn run_bench(
     if workers.is_empty() || workers.contains(&0) {
         return Err("--workers needs a non-empty list of positive counts".to_string());
     }
-    let reps = reps.unwrap_or(if fast { 4096 } else { 65536 });
+    let reps = reps.unwrap_or(if fast { FAST_REPS } else { REPS });
     if reps == 0 {
         return Err("--reps must be positive".to_string());
     }
@@ -42,17 +44,27 @@ pub fn run_bench(
     Ok(written)
 }
 
-/// Best (minimum) wall-clock of `repeats` timed runs of `f` after one
+/// Replications of the replication workload, `--fast` and full.
+const FAST_REPS: usize = 4096;
+const REPS: usize = 1 << 22;
+/// Replications per cell of the 9-cell sweep workload, `--fast` and
+/// full.
+const FAST_SWEEP_REPS: usize = 32;
+const SWEEP_REPS: usize = 1 << 19;
+/// Timed runs per series, after one untimed warmup.
+const REPEATS: usize = 3;
+
+/// Best (minimum) wall-clock of [`REPEATS`] timed runs of `f` after one
 /// untimed warmup, in seconds; the first error `f` returns ends the
 /// measurement. The minimum is the standard throughput estimator under
 /// one-sided scheduler/throttling noise: every disturbance only ever
 /// makes a run slower. Wall-clock is inherently nondeterministic, which
 /// is the point of a benchmark; everything the timer wraps stays seeded
 /// and bit-stable.
-fn time_best<E>(repeats: usize, mut f: impl FnMut() -> Result<(), E>) -> Result<f64, E> {
+fn time_best<E>(mut f: impl FnMut() -> Result<(), E>) -> Result<f64, E> {
     f()?; // warmup: page in code and data before measuring
     let mut best = f64::INFINITY;
-    for _ in 0..repeats {
+    for _ in 0..REPEATS {
         let start = Instant::now();
         f()?;
         best = best.min(start.elapsed().as_secs_f64());
@@ -84,7 +96,8 @@ fn bench_reps(
         phi_ratio * params.theta_min,
         mtbf,
     );
-    let series = measure(fast, workers, "fast", |workers| {
+    let parallelism = parallelism();
+    let series = measure(workers, parallelism, "fast", |workers| {
         let mut mc = MonteCarloConfig::new(reps, seed);
         mc.workers = workers;
         estimate_waste(&run_cfg, work_in_mtbfs * mtbf, &mc).map(|_| reps)
@@ -101,6 +114,7 @@ fn bench_reps(
             replications: reps,
             seed,
             quick: fast,
+            available_parallelism: parallelism,
         },
         summary: summarize(&series),
         series,
@@ -111,9 +125,10 @@ fn bench_reps(
 fn bench_sweep(fast: bool, seed: u64, workers: &[usize]) -> Result<BenchReport, String> {
     let phi_ratios = vec![0.0, 0.5, 1.0];
     let mtbfs = vec![900.0, 1800.0, 3600.0];
-    let per_cell = if fast { 32 } else { 256 };
+    let per_cell = if fast { FAST_SWEEP_REPS } else { SWEEP_REPS };
     let work_in_mtbfs = 4.0;
-    let series = measure(fast, workers, "sweep", |workers| {
+    let parallelism = parallelism();
+    let series = measure(workers, parallelism, "sweep", |workers| {
         let mut spec = SweepSpec::new(
             Protocol::DoubleNbl,
             platform(),
@@ -138,32 +153,44 @@ fn bench_sweep(fast: bool, seed: u64, workers: &[usize]) -> Result<BenchReport, 
             replications: per_cell,
             seed,
             quick: fast,
+            available_parallelism: parallelism,
         },
         summary: summarize(&series),
         series,
     })
 }
 
+/// The host's `available_parallelism()`, if it can tell.
+fn parallelism() -> Option<usize> {
+    std::thread::available_parallelism().ok().map(|n| n.get())
+}
+
 /// One series point per worker count: the best wall-clock of
-/// `workload`, which returns the number of replications it ran.
+/// `workload`, which returns the number of replications it ran. A
+/// worker count above `parallelism` is marked oversubscribed.
 fn measure(
-    fast: bool,
     workers: &[usize],
+    parallelism: Option<usize>,
     label: &str,
     mut workload: impl FnMut(usize) -> Result<usize, ModelError>,
 ) -> Result<Vec<BenchSeries>, String> {
-    let repeats = if fast { 3 } else { 5 };
     let mut series = Vec::new();
     for &workers in workers {
         let mut replications = 0;
-        let elapsed = time_best(repeats, || {
+        let elapsed = time_best(|| {
             replications = workload(workers)?;
             Ok(())
         })
         .map_err(|e: ModelError| e.to_string())?;
         let reps_per_sec = replications as f64 / elapsed;
+        let oversubscribed = parallelism.map(|n| workers > n);
         eprintln!(
-            "{label:5} workers={workers}: {elapsed:>8.3} s wall, {reps_per_sec:>12.0} reps/s"
+            "{label:5} workers={workers}: {elapsed:>8.3} s wall, {reps_per_sec:>12.0} reps/s{}",
+            if oversubscribed == Some(true) {
+                " (oversubscribed)"
+            } else {
+                ""
+            }
         );
         series.push(BenchSeries {
             label: label.to_string(),
@@ -171,6 +198,7 @@ fn measure(
             replications,
             elapsed_s: elapsed,
             reps_per_sec,
+            oversubscribed,
         });
     }
     Ok(series)

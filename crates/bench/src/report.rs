@@ -39,6 +39,11 @@ pub struct BenchConfig {
     pub seed: u64,
     /// True when the harness ran with `--fast` (CI smoke grid).
     pub quick: bool,
+    /// `std::thread::available_parallelism()` of the measuring host;
+    /// `None` in reports written before it was recorded, or when the
+    /// host could not tell.
+    #[serde(default)]
+    pub available_parallelism: Option<usize>,
 }
 
 /// One measured series: a labelled implementation at one worker count.
@@ -54,6 +59,11 @@ pub struct BenchSeries {
     pub elapsed_s: f64,
     /// Throughput, replications per second.
     pub reps_per_sec: f64,
+    /// `workers > config.available_parallelism`: the workers share
+    /// cores, so the series measures fan-out overhead, not scaling.
+    /// `None` exactly when the parallelism is unknown.
+    #[serde(default)]
+    pub oversubscribed: Option<bool>,
 }
 
 /// Headline numbers derived from the series.
@@ -102,8 +112,9 @@ impl BenchReport {
     }
 
     /// Checks the report for internal consistency: schema tag, at
-    /// least one series, positive finite timings and throughputs, and
-    /// a summary agreeing with the series.
+    /// least one series, positive finite timings and throughputs,
+    /// oversubscription marks agreeing with the recorded parallelism,
+    /// and a summary agreeing with the series.
     ///
     /// # Errors
     /// Returns a human-readable description of the first violation.
@@ -117,7 +128,18 @@ impl BenchReport {
         if self.series.is_empty() {
             return Err("report contains no series".to_string());
         }
+        if self.config.available_parallelism == Some(0) {
+            return Err("config.available_parallelism is zero".to_string());
+        }
         for s in &self.series {
+            let oversubscribed = self.config.available_parallelism.map(|n| s.workers > n);
+            if s.oversubscribed != oversubscribed {
+                return Err(format!(
+                    "series {:?} @ {} workers: oversubscribed {:?} disagrees with \
+                     available_parallelism {:?}",
+                    s.label, s.workers, s.oversubscribed, self.config.available_parallelism
+                ));
+            }
             if s.workers == 0 {
                 return Err(format!("series {:?}: zero workers", s.label));
             }
@@ -172,6 +194,7 @@ mod tests {
                 replications: 1024,
                 seed: 7,
                 quick: true,
+                available_parallelism: Some(2),
             },
             series: vec![
                 BenchSeries {
@@ -180,6 +203,7 @@ mod tests {
                     replications: 1024,
                     elapsed_s: 0.5,
                     reps_per_sec: 2048.0,
+                    oversubscribed: Some(false),
                 },
                 BenchSeries {
                     label: "fast".to_string(),
@@ -187,6 +211,7 @@ mod tests {
                     replications: 1024,
                     elapsed_s: 1.0,
                     reps_per_sec: 1024.0,
+                    oversubscribed: Some(true),
                 },
             ],
             summary: BenchSummary {
@@ -204,6 +229,30 @@ mod tests {
         let back = BenchReport::from_json(&json).unwrap();
         assert_eq!(back, r);
         back.validate().unwrap();
+    }
+
+    #[test]
+    fn reports_without_parallelism_still_validate() {
+        // A file written before the parallelism was recorded: both
+        // fields decode as unknown and the report stays valid.
+        let old = r#"{
+          "schema": "dck-bench/v1",
+          "kind": "Sweep",
+          "config": {
+            "protocol": "DOUBLENBL", "nodes": 64, "mtbf_s": [900.0],
+            "phi_ratio": [0.5], "work_in_mtbfs": 4.0, "replications": 256,
+            "seed": 48796, "quick": false
+          },
+          "series": [
+            {"label": "sweep", "workers": 8, "replications": 2304,
+             "elapsed_s": 0.001049262, "reps_per_sec": 2195829.068430954}
+          ],
+          "summary": {"max_workers": 8, "scaling_max_vs_one_worker": null}
+        }"#;
+        let r = BenchReport::from_json(old).unwrap();
+        assert_eq!(r.config.available_parallelism, None);
+        assert_eq!(r.series[0].oversubscribed, None);
+        r.validate().unwrap();
     }
 
     #[test]
@@ -230,6 +279,15 @@ mod tests {
 
         let mut r = sample();
         r.summary.scaling_max_vs_one_worker = Some(f64::INFINITY);
+        assert!(r.validate().is_err());
+
+        // Oversubscription marks must follow the recorded parallelism.
+        let mut r = sample();
+        r.series[1].oversubscribed = Some(false);
+        assert!(r.validate().unwrap_err().contains("oversubscribed"));
+
+        let mut r = sample();
+        r.config.available_parallelism = Some(0);
         assert!(r.validate().is_err());
 
         // The scaling entry is optional.

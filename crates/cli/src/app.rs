@@ -1805,6 +1805,7 @@ mod tests {
                 replications: 64,
                 seed: 1,
                 quick: true,
+                available_parallelism: Some(2),
             },
             series: vec![dck_bench::BenchSeries {
                 label: "sweep".to_string(),
@@ -1812,6 +1813,7 @@ mod tests {
                 replications: 64,
                 elapsed_s: 0.25,
                 reps_per_sec: 256.0,
+                oversubscribed: Some(false),
             }],
             summary: dck_bench::BenchSummary {
                 max_workers: 2,

@@ -114,6 +114,40 @@ impl PeriodSchedule {
         self.first_work + self.exchange_work + self.sigma
     }
 
+    /// Offset of schedule position `v` into its period: `v % P`, bit
+    /// for bit, for every `v`.
+    ///
+    /// The remainder is taken as `v − n·P` with `n = trunc(v / P)`
+    /// and one fused multiply-add, instead of `%`: glibc before 2.38
+    /// implements `fmod` as a shift-subtract loop over the exponent
+    /// difference, which the run kernel would pay at every failure.
+    ///
+    /// The result is exact. `fmod`'s result `rem = v − m·P`
+    /// (`m = ⌊v/P⌋`) is always representable, and below 2⁵² the
+    /// rounded quotient truncates to `m` or `m + 1`. For `n = m` the
+    /// fused `v − n·P` is exactly `rem`. The quotient can only round up
+    /// to `m + 1` when `rem ≥ P/2`, and then Sterbenz's lemma makes
+    /// `rem − P` representable: the fused result is exact, negative,
+    /// and adding `P` back gives `rem` exactly. Quotients at or above
+    /// 2⁵², non-positive or not finite (`v` negative, zero, `+∞` or
+    /// NaN) go through `%` unchanged.
+    #[inline]
+    pub fn offset(&self, v: f64) -> f64 {
+        /// 2⁵²: below it every integer is a float and `trunc` is exact.
+        const QUOTIENT_LIMIT: f64 = 4_503_599_627_370_496.0;
+        let p = self.period;
+        let q = v / p;
+        if !(q > 0.0 && q < QUOTIENT_LIMIT) {
+            return v % p;
+        }
+        let r = (-q.trunc()).mul_add(p, v);
+        if r < 0.0 {
+            r + p
+        } else {
+            r
+        }
+    }
+
     /// Classifies an offset `0 ≤ off < P` into its phase.
     pub fn phase_at(&self, off: f64) -> Phase {
         debug_assert!((0.0..self.period + 1e-9).contains(&off));
@@ -308,5 +342,102 @@ mod tests {
     #[test]
     fn rejects_infeasible_period() {
         assert!(PeriodSchedule::new(Protocol::DoubleNbl, &base_params(), 0.0, 10.0).is_err());
+    }
+
+    /// A schedule whose period is exactly `p` (the other parts do not
+    /// enter [`PeriodSchedule::offset`]).
+    fn with_period(p: f64) -> PeriodSchedule {
+        PeriodSchedule {
+            period: p,
+            ..double(0.0, 100.0)
+        }
+    }
+
+    /// `x` moved by `ulps` units in the last place.
+    fn ulps_away(x: f64, ulps: i64) -> f64 {
+        f64::from_bits(x.to_bits().wrapping_add_signed(ulps))
+    }
+
+    fn assert_offset_is_fmod(p: f64, v: f64) {
+        let (got, want) = (with_period(p).offset(v), v % p);
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "offset({v:e}) = {got:e} but {v:e} % {p:e} = {want:e}"
+        );
+    }
+
+    #[test]
+    fn offset_is_fmod_on_adversarial_inputs() {
+        let periods = [
+            1e-3,
+            0.1,
+            0.1 + 0.2,
+            6.0,
+            100.0,
+            std::f64::consts::PI * 3600.0,
+            73_123.456_789,
+            ulps_away(1e6, 1),
+            1e8 / 3.0,
+        ];
+        let mut ks: Vec<u64> = (0..=20).collect();
+        ks.extend((1..=6).map(|e| 10u64.pow(e)));
+        ks.extend((1..=6).map(|e| 10u64.pow(e) - 1));
+        ks.extend((0..2000u64).map(|i| i * 7919 % 1_000_000));
+        for p in periods {
+            // Exact and near multiples `k·P ± 1..3` ulps, k ≤ 10⁶.
+            for &k in &ks {
+                let kp = k as f64 * p;
+                for d in -3..=3 {
+                    let v = ulps_away(kp, d);
+                    if v >= 0.0 {
+                        assert_offset_is_fmod(p, v);
+                    }
+                }
+            }
+            // Below one period, and zero.
+            for v in [0.0, -0.0, f64::MIN_POSITIVE, p * 0.5, ulps_away(p, -1), p] {
+                assert_offset_is_fmod(p, v);
+            }
+            // Quotients at or above 2⁵² take the `%` path.
+            for v in [p * 4_503_599_627_370_496.0, p * 1e18, f64::MAX] {
+                assert_offset_is_fmod(p, v);
+            }
+            // Non-finite and negative positions pass through `%`.
+            for v in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -p * 2.5] {
+                assert_offset_is_fmod(p, v);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(50_000))]
+
+        /// Random positions over the kernel's ranges: periods from
+        /// 1 ms to 10⁸ s, positions up to 10¹² s.
+        #[test]
+        fn offset_is_fmod_on_random_positions(
+            p_exp in -3.0f64..8.0,
+            v_exp in -3.0f64..12.0,
+            p_frac in 1.0f64..10.0,
+            v_frac in 1.0f64..10.0,
+        ) {
+            let (p, v) = (p_frac * 10f64.powf(p_exp), v_frac * 10f64.powf(v_exp));
+            proptest::prop_assert_eq!(with_period(p).offset(v).to_bits(), (v % p).to_bits());
+        }
+
+        /// Positions within a few ulps of a multiple of the period,
+        /// where the rounded quotient can land on the next integer.
+        #[test]
+        fn offset_is_fmod_near_multiples(
+            p_exp in -3.0f64..8.0,
+            p_frac in 1.0f64..10.0,
+            k in 0u64..1_000_001,
+            d in -3i64..4,
+        ) {
+            let p = p_frac * 10f64.powf(p_exp);
+            let v = ulps_away(k as f64 * p, d).max(0.0);
+            proptest::prop_assert_eq!(with_period(p).offset(v).to_bits(), (v % p).to_bits());
+        }
     }
 }

@@ -38,6 +38,11 @@
 //! * `Predicted<P>` ([`crate::predict`]) — alarms with their proactive
 //!   checkpoint `C_p`, wrapped around `Static` or `Adaptive`.
 //!
+//! Under every policy the kernel takes a failure's offset into the
+//! period from [`PeriodSchedule::offset`], never from `%`: glibc
+//! before 2.38 implements `fmod` as a shift-subtract loop, which cost
+//! about a third of a replication. `offset` returns the same bits.
+//!
 //! Two known approximations are kept as documented behaviour of the
 //! policies that use them (quantifying them is ROADMAP item 5(c)):
 //!
@@ -565,7 +570,7 @@ impl RunMachine {
                 // Risk windows key on the failure's true arrival time,
                 // even when a serialised outage delayed its handling.
                 let fatal = tracker.record_failure(next.node, next_at).fatal;
-                let off = st.v % sched.period();
+                let off = sched.offset(st.v);
                 let o = replaced.unwrap_or_else(|| resp.outage(off).total());
                 observe(TimelineEvent::Failure {
                     at: st.t,
