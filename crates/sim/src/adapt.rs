@@ -134,7 +134,7 @@ fn run_adaptive(
     let mut policy = Adaptive::new(cfg)?;
     let mut machine = RunMachine::new(&cfg.base)?;
     let stop = Stop::Work(t_base);
-    let (run, _) = if cfg.controller.enabled {
+    let run = if cfg.controller.enabled {
         machine.drive(stop, source, &mut policy, observe)?
     } else {
         machine.drive(stop, source, &mut Static, observe)?
@@ -166,8 +166,7 @@ pub fn run_adaptive_predicted_to_completion(
         ));
     };
     let mut policy = Predicted::new(Adaptive::new(cfg)?, &predictor, &cfg.base, rng)?;
-    let (run, _) =
-        RunMachine::new(&cfg.base)?.drive(Stop::Work(t_base), source, &mut policy, |_| {})?;
+    let run = RunMachine::new(&cfg.base)?.drive(Stop::Work(t_base), source, &mut policy, |_| {})?;
     Ok(policy.inner.outcome(run))
 }
 

@@ -1,31 +1,38 @@
 //! Two-level (hierarchical) simulation: buddy checkpointing plus
 //! periodic global checkpoints to stable storage (§VIII future work).
 //!
-//! The run is a sequence of *segments* of `K` buddy periods. Each
-//! segment executes under the ordinary level-1 simulator; a **fatal**
-//! buddy failure no longer ends the run — the application reloads the
-//! last global checkpoint (blocking `D + Rg`) and re-runs the segment.
-//! A completed segment is sealed by a blocking global write `Cg`. The
-//! write is **resumable**: each node writes its own file, so a failure
-//! during the write costs a normal `D + R` buddy recovery (the segment
-//! boundary's buddy snapshots are intact) plus re-sending only the
-//! failed node's share — already-written data persists. A full-restart
-//! write would be unusable in exactly the regimes that need global
-//! checkpoints (`Cg ≳ M` ⇒ `e^{Cg/M}` expected restarts).
+//! The run is a sequence of *segments* of `K` buddy periods, driven as
+//! one policy on the run kernel ([`crate::run`]). A segment executes
+//! the ordinary level-1 schedule from `t = 0` of its own clock, whose
+//! origin on the wall clock the policy owns: it shifts every arrival
+//! into the segment's time. A **fatal** buddy failure no longer ends
+//! the run — the application reloads the last global checkpoint
+//! (blocking `D + Rg`) and re-runs the segment. A completed segment is
+//! sealed by a blocking global write `Cg`, a transfer the kernel runs.
+//! The write is **resumable**: each node writes its own file, so a
+//! failure during the write costs a normal `D + R` buddy recovery (the
+//! segment boundary's buddy snapshots are intact) plus re-sending only
+//! the failed node's share — already-written data persists. A
+//! full-restart write would be unusable in exactly the regimes that
+//! need global checkpoints (`Cg ≳ M` ⇒ `e^{Cg/M}` expected restarts).
+//!
+//! The kernel draws, counts and timelines every failure, with stamps on
+//! the wall clock. Its failure cap `max_failures` applies to each
+//! segment attempt and to each write separately.
 //!
 //! Known first-order seams (all conservative or negligible, and shared
 //! with the analytical `HierarchicalModel`): risk windows do not
 //! persist across segment boundaries (window ≪ segment), and a failure
-//! during the global write is treated as non-fatal (the write window is
-//! short relative to the segment).
+//! during the global write is never fatal and opens no risk window (the
+//! write window is short relative to the segment). A failure that
+//! arrives during the reload strikes at `t = 0` of the next attempt.
 
 use crate::config::RunConfig;
-use crate::run::{run_to_completion_with_pending, StopReason};
+use crate::run::{Policy, Resume, RunMachine, RunOutcome, RunState, Stop, StopReason};
 use dck_core::{GlobalStore, ModelError};
 use dck_failures::{FailureEvent, FailureSource};
 use dck_simcore::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Configuration of a two-level run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -68,30 +75,6 @@ impl HierarchicalOutcome {
     }
 }
 
-/// A failure source with a push-back buffer, letting the wrapper peek
-/// at events around global-write windows without losing them for the
-/// next segment.
-struct BufferedSource<'a> {
-    pending: VecDeque<FailureEvent>,
-    inner: &'a mut dyn FailureSource,
-}
-
-impl FailureSource for BufferedSource<'_> {
-    fn next_failure(&mut self) -> FailureEvent {
-        self.pending
-            .pop_front()
-            .unwrap_or_else(|| self.inner.next_failure())
-    }
-
-    fn nodes(&self) -> u64 {
-        self.inner.nodes()
-    }
-
-    fn platform_mtbf(&self) -> SimTime {
-        self.inner.platform_mtbf()
-    }
-}
-
 /// Runs `t_base` units of work under the two-level scheme.
 ///
 /// # Errors
@@ -104,140 +87,120 @@ pub fn run_hierarchical(
     if cfg.periods_per_global == 0 {
         return Err(ModelError::invalid("periods_per_global", "must be >= 1"));
     }
-    let (schedule, _response, _) = cfg.inner.build()?;
-    if schedule.work_per_period() <= 0.0 {
-        return Ok(HierarchicalOutcome {
-            total_time: f64::INFINITY,
-            useful_work: 0.0,
-            failures: 0,
-            fatal_rollbacks: 0,
-            global_writes: 0,
-            completed: false,
-        });
+    let mut machine = RunMachine::new(&cfg.inner)?;
+    let mut policy = Hierarchical::new(cfg, t_base, machine.sched.work_per_period());
+    let run = machine.drive(Stop::Work(policy.target), source, &mut policy, |_| {})?;
+    Ok(policy.outcome(run))
+}
+
+/// The two-level policy. The kernel's clock starts at `origin` on the
+/// wall clock; during a global write the origin is 0, so the write's
+/// arithmetic runs in absolute seconds.
+pub(crate) struct Hierarchical {
+    cfg: HierarchicalRunConfig,
+    t_base: f64,
+    segment_work: f64,
+    origin: SimTime,
+    /// Work of the current segment.
+    pub(crate) target: f64,
+    /// Work sealed on stable storage.
+    committed: f64,
+    rollbacks: u64,
+    writes: u64,
+    /// The global write in progress: where its `remaining` seconds
+    /// start counting, and those seconds.
+    write: Option<(f64, f64)>,
+}
+
+impl Hierarchical {
+    pub(crate) fn new(cfg: &HierarchicalRunConfig, t_base: f64, work_per_period: f64) -> Self {
+        let segment_work = cfg.periods_per_global as f64 * work_per_period;
+        Hierarchical {
+            cfg: *cfg,
+            t_base,
+            segment_work,
+            origin: SimTime::ZERO,
+            target: t_base.min(segment_work),
+            committed: 0.0,
+            rollbacks: 0,
+            writes: 0,
+            write: None,
+        }
     }
-    let segment_work = cfg.periods_per_global as f64 * schedule.work_per_period();
-    let recovery_blocked = cfg.inner.params.downtime + cfg.inner.params.recovery();
 
-    let mut buffered = BufferedSource {
-        pending: VecDeque::new(),
-        inner: source,
-    };
+    /// The two-level outcome of the kernel's `run`.
+    pub(crate) fn outcome(&self, run: RunOutcome) -> HierarchicalOutcome {
+        let completed = run.reason == StopReason::WorkComplete;
+        HierarchicalOutcome {
+            total_time: run.total_time,
+            useful_work: match run.reason {
+                StopReason::WorkComplete => self.t_base,
+                StopReason::Fatal => self.committed,
+                _ => self.committed + run.useful_work,
+            },
+            failures: run.failures,
+            fatal_rollbacks: self.rollbacks,
+            global_writes: self.writes,
+            completed,
+        }
+    }
+}
 
-    let mut wall = 0.0_f64;
-    let mut committed = 0.0_f64; // work safely on stable storage
-    let mut failures = 0u64;
-    let mut rollbacks = 0u64;
-    let mut writes = 0u64;
+impl Policy for Hierarchical {
+    fn next_failure<S: FailureSource + ?Sized>(&mut self, source: &mut S) -> FailureEvent {
+        let mut ev = source.next_failure();
+        ev.at = (ev.at - self.origin).max(SimTime::ZERO);
+        ev
+    }
 
-    while committed < t_base {
-        let target = (t_base - committed).min(segment_work);
-        // Run the segment on a time-shifted view: inner simulation time
-        // starts at 0, so offset the source events.
-        // (Exponential sources are memoryless; for renewal sources the
-        // shift is the standard stationary approximation.)
-        let offset = wall;
-        let mut shifted = ShiftedSource {
-            inner: &mut buffered,
-            offset,
+    fn origin(&self) -> f64 {
+        self.origin.as_secs()
+    }
+
+    fn resume(&mut self, fatal: bool, run: &mut RunState, next: &mut FailureEvent) -> Resume {
+        if self.write.take().is_some() {
+            // The write is done: the segment is sealed.
+            self.writes += 1;
+            self.committed += self.target;
+            if self.committed >= self.t_base {
+                return Resume::Stop;
+            }
+            self.target = (self.t_base - self.committed).min(self.segment_work);
+            self.origin = SimTime::seconds(run.t);
+            next.at = (next.at - self.origin).max(SimTime::ZERO);
+            Resume::Segment(self.target)
+        } else if fatal {
+            self.rollbacks += 1;
+            if self.rollbacks >= self.cfg.max_rollbacks {
+                return Resume::Stop;
+            }
+            // Reload from stable storage and re-run the segment.
+            let params = &self.cfg.inner.params;
+            self.origin += SimTime::seconds(run.t + params.downtime + self.cfg.store.read_time);
+            Resume::Segment(self.target)
+        } else if self.committed >= self.t_base {
+            // No work was asked for: there is nothing to seal.
+            Resume::Stop
+        } else {
+            // Seal the segment with a global write, on the wall clock.
+            run.t += self.origin.as_secs();
+            next.at += self.origin;
+            self.origin = SimTime::ZERO;
+            self.write = Some((run.t, self.cfg.store.write_time));
+            Resume::Transfer(run.t + self.cfg.store.write_time)
+        }
+    }
+
+    fn pause(&mut self, at: f64, end: f64) -> f64 {
+        let Some((pos, remaining)) = &mut self.write else {
+            return end;
         };
-        let (out, pending) = run_to_completion_with_pending(&cfg.inner, target, &mut shifted)?;
-        if let Some(ev) = pending {
-            // Re-inject the unconsumed event (back in absolute time) so
-            // the failure stream is not thinned at segment boundaries.
-            buffered.pending.push_front(FailureEvent {
-                at: SimTime::seconds(ev.at.as_secs() + offset),
-                node: ev.node,
-            });
-        }
-        failures += out.failures;
-        match out.reason {
-            StopReason::WorkComplete => {
-                wall += out.total_time;
-                // Seal with a resumable global write; a failure during
-                // the write pauses it for a buddy recovery and the
-                // already-written portion persists.
-                let mut remaining = cfg.store.write_time;
-                let mut pos = wall;
-                loop {
-                    let ev = buffered.next_failure();
-                    if ev.at.as_secs() >= pos + remaining {
-                        buffered.pending.push_front(ev);
-                        wall = pos + remaining;
-                        break;
-                    }
-                    failures += 1;
-                    remaining -= ev.at.as_secs() - pos;
-                    pos = ev.at.as_secs() + recovery_blocked;
-                }
-                writes += 1;
-                committed += target;
-            }
-            StopReason::Fatal => {
-                rollbacks += 1;
-                if rollbacks >= cfg.max_rollbacks {
-                    return Ok(HierarchicalOutcome {
-                        total_time: wall + out.fatal_at.unwrap_or(out.total_time),
-                        useful_work: committed,
-                        failures,
-                        fatal_rollbacks: rollbacks,
-                        global_writes: writes,
-                        completed: false,
-                    });
-                }
-                // Reload from stable storage and re-run the segment.
-                // (Fatal runs carry a time; fall back to the full run
-                // time rather than panicking a sweep worker.)
-                wall += out.fatal_at.unwrap_or(out.total_time)
-                    + cfg.inner.params.downtime
-                    + cfg.store.read_time;
-            }
-            // HorizonReached cannot occur in completion mode; treat it
-            // like any other truncated run instead of panicking.
-            StopReason::FailureCapReached | StopReason::NoProgress | StopReason::HorizonReached => {
-                return Ok(HierarchicalOutcome {
-                    total_time: wall + out.total_time,
-                    useful_work: committed + out.useful_work,
-                    failures,
-                    fatal_rollbacks: rollbacks,
-                    global_writes: writes,
-                    completed: false,
-                });
-            }
-        }
-    }
-
-    Ok(HierarchicalOutcome {
-        total_time: wall,
-        useful_work: t_base,
-        failures,
-        fatal_rollbacks: rollbacks,
-        global_writes: writes,
-        completed: true,
-    })
-}
-
-/// Presents the tail of a failure stream with times shifted so the next
-/// segment's inner simulation can start at t = 0.
-struct ShiftedSource<'a, 'b> {
-    inner: &'a mut BufferedSource<'b>,
-    offset: f64,
-}
-
-impl FailureSource for ShiftedSource<'_, '_> {
-    fn next_failure(&mut self) -> FailureEvent {
-        let ev = self.inner.next_failure();
-        FailureEvent {
-            at: SimTime::seconds((ev.at.as_secs() - self.offset).max(0.0)),
-            node: ev.node,
-        }
-    }
-
-    fn nodes(&self) -> u64 {
-        self.inner.nodes()
-    }
-
-    fn platform_mtbf(&self) -> SimTime {
-        self.inner.platform_mtbf()
+        // The written part persists; the write resumes after a buddy
+        // recovery `D + R`.
+        let params = &self.cfg.inner.params;
+        *remaining -= at - *pos;
+        *pos = at + (params.downtime + params.recovery());
+        *pos + *remaining
     }
 }
 

@@ -59,9 +59,8 @@ pub use montecarlo::{
 };
 pub use predict::{estimate_predicted_waste, run_predicted_to_completion, PredictedOutcome};
 pub use run::{
-    run_to_completion, run_to_completion_sinked, run_to_completion_traced,
-    run_to_completion_with_pending, run_until, run_until_sinked, run_until_traced, RunOutcome,
-    StopReason, TimelineEvent,
+    run_to_completion, run_to_completion_sinked, run_to_completion_traced, run_until,
+    run_until_sinked, run_until_traced, RunOutcome, StopReason, TimelineEvent,
 };
 pub use sweep::{
     run_sweep, run_sweep_cell, run_sweep_with_checkpoint, EarlyStop, SweepCell, SweepCheckpoint,

@@ -275,7 +275,7 @@ impl ChunkRunner {
                 self.machine.drive(stop, &mut src, &mut Static, |_| {})
             }
         };
-        result.expect("validated configuration cannot fail").0
+        result.expect("validated configuration cannot fail")
     }
 
     /// Runs replication `replication` to completion of `t_base` work.

@@ -56,7 +56,7 @@ pub fn run_predicted_to_completion(
     rng: &mut StdRng,
 ) -> Result<PredictedOutcome, ModelError> {
     let mut policy = Predicted::new(Static, predictor, cfg, rng)?;
-    let (run, _) = RunMachine::new(cfg)?.drive(Stop::Work(t_base), source, &mut policy, |_| {})?;
+    let run = RunMachine::new(cfg)?.drive(Stop::Work(t_base), source, &mut policy, |_| {})?;
     Ok(PredictedOutcome {
         run,
         alarms: policy.alarms,

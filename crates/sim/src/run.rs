@@ -203,22 +203,6 @@ pub fn run_to_completion(
     t_base: f64,
     source: &mut dyn FailureSource,
 ) -> Result<RunOutcome, ModelError> {
-    run_to_completion_with_pending(cfg, t_base, source).map(|(out, _)| out)
-}
-
-/// Like [`run_to_completion`], but also returns the failure event the
-/// simulator had drawn from the source without handling (its timestamp
-/// lies beyond the run's end). Drivers that continue the same failure
-/// stream across multiple runs (e.g. the hierarchical wrapper) must
-/// re-inject it, or the stream would be thinned at every boundary.
-///
-/// # Errors
-/// Propagates configuration errors.
-pub fn run_to_completion_with_pending(
-    cfg: &RunConfig,
-    t_base: f64,
-    source: &mut dyn FailureSource,
-) -> Result<(RunOutcome, Option<FailureEvent>), ModelError> {
     RunMachine::new(cfg)?.drive(Stop::Work(t_base), source, &mut Static, |_| {})
 }
 
@@ -233,9 +217,7 @@ pub fn run_until(
     horizon: f64,
     source: &mut dyn FailureSource,
 ) -> Result<RunOutcome, ModelError> {
-    let (out, _) =
-        RunMachine::new(cfg)?.drive(Stop::Horizon(horizon), source, &mut Static, |_| {})?;
-    Ok(out)
+    RunMachine::new(cfg)?.drive(Stop::Horizon(horizon), source, &mut Static, |_| {})
 }
 
 /// Like [`run_to_completion`], but records every failure, outage end
@@ -267,7 +249,7 @@ pub fn run_to_completion_sinked(
     source: &mut dyn FailureSource,
     sink: &mut dyn dck_obs::EventSink<TimelineEvent>,
 ) -> Result<RunOutcome, ModelError> {
-    let (out, _) =
+    let out =
         RunMachine::new(cfg)?.drive(Stop::Work(t_base), source, &mut Static, |e| sink.emit(&e))?;
     sink.flush();
     Ok(out)
@@ -300,10 +282,9 @@ pub fn run_until_sinked(
     source: &mut dyn FailureSource,
     sink: &mut dyn dck_obs::EventSink<TimelineEvent>,
 ) -> Result<RunOutcome, ModelError> {
-    let (out, _) =
-        RunMachine::new(cfg)?.drive(Stop::Horizon(horizon), source, &mut Static, |e| {
-            sink.emit(&e)
-        })?;
+    let out = RunMachine::new(cfg)?.drive(Stop::Horizon(horizon), source, &mut Static, |e| {
+        sink.emit(&e)
+    })?;
     sink.flush();
     Ok(out)
 }
@@ -381,6 +362,38 @@ pub(crate) trait Policy {
     fn consult(&mut self, _t: f64) -> Result<Option<Retune>, ModelError> {
         Ok(None)
     }
+
+    /// Where `t = 0` of the kernel's clock lies on the wall clock:
+    /// timeline stamps and the outcome's times are `origin() + t`.
+    fn origin(&self) -> f64 {
+        0.0
+    }
+
+    /// The run completed its work, struck a `fatal` failure or ended a
+    /// transfer at `run.t`, with `next` drawn but not handled: returns
+    /// what follows. The policy may move `run` and `next`.
+    fn resume(&mut self, _fatal: bool, _run: &mut RunState, _next: &mut FailureEvent) -> Resume {
+        Resume::Stop
+    }
+
+    /// A failure at `at` struck during the transfer that ends at `end`:
+    /// returns when the transfer now ends.
+    fn pause(&mut self, _at: f64, end: f64) -> f64 {
+        end
+    }
+}
+
+/// What follows a point where a run would stop ([`Policy::resume`]).
+pub(crate) enum Resume {
+    /// The run stops.
+    Stop,
+    /// The schedule stays frozen until the given time. A failure before
+    /// then is counted and timelined, billed by [`Policy::pause`], and
+    /// is never fatal and opens no risk window.
+    Transfer(f64),
+    /// A segment of the given work starts from `t = 0` of the policy's
+    /// origin, with no outage and an empty risk tracker.
+    Segment(f64),
 }
 
 /// The static machine: one schedule for the whole run, no alarms.
@@ -397,7 +410,7 @@ impl Policy for Static {}
 /// entry points keep their `&mut dyn FailureSource` signatures.
 pub(crate) struct RunMachine {
     cfg: RunConfig,
-    sched: PeriodSchedule,
+    pub(crate) sched: PeriodSchedule,
     resp: FailureResponse,
     tracker: dck_protocols::RiskTracker,
     usable: u64,
@@ -422,8 +435,7 @@ impl RunMachine {
     /// Drives one run to its stop condition under `policy`. Every stop
     /// path leaves the loop through one exit that emits the terminal
     /// [`TimelineEvent::Finished`], so traced timelines are never
-    /// missing their end marker. Alongside the outcome it returns the
-    /// failure drawn but not handled (it lies beyond the run's end).
+    /// missing their end marker.
     ///
     /// # Errors
     /// Fails when the failure source does not cover exactly the
@@ -434,7 +446,7 @@ impl RunMachine {
         source: &mut S,
         policy: &mut P,
         mut observe: O,
-    ) -> Result<(RunOutcome, Option<FailureEvent>), ModelError>
+    ) -> Result<RunOutcome, ModelError>
     where
         S: FailureSource + ?Sized,
         P: Policy,
@@ -467,136 +479,183 @@ impl RunMachine {
         };
         let mut done = 0.0_f64; // work banked by schedules retired at a retune
         let mut outage: Option<(f64, f64)> = None; // (end time, period offset)
+        let mut transfer: Option<f64> = None; // end of a blocking transfer
         let mut failures = 0u64;
+        let mut capped_from = 0u64; // failures before this segment or transfer
         let mut pending: Option<Retune> = None;
 
         // Every stop path breaks out with (reason, stop time, schedule
-        // position, failure drawn but not handled).
-        let (reason, at, pos, unhandled) = 'run: {
+        // position).
+        let (reason, at, pos) = 'run: {
             if sched.work_per_period() <= 0.0 {
-                break 'run (StopReason::NoProgress, st.t, st.v, None);
+                break 'run (StopReason::NoProgress, st.t, st.v);
             }
             let mut v_end = work.map(|w| sched.time_to_reach_work(w - done));
             let mut next = policy.first_failure(source);
-            loop {
-                let next_at = next.at.as_secs();
-                let in_outage_at_event = outage.is_some();
-                match outage {
-                    None => {
-                        let event_at = policy.next_event(next_at, st.t);
-                        let t_complete = v_end.map(|ve| st.t + (ve - st.v));
-                        // A committed retune takes effect at the next
-                        // period boundary, if the run gets there before
-                        // it stops and before the next event.
-                        if let Some(r) = pending {
-                            let p = sched.period();
-                            let vb = (st.v / p).ceil() * p;
-                            let ts = st.t + (vb - st.v);
-                            if ts < t_complete.unwrap_or(horizon) && event_at >= ts {
-                                pending = None;
-                                done += sched.work_at(vb);
-                                sched = PeriodSchedule::new(
-                                    self.cfg.protocol,
-                                    &self.cfg.params,
-                                    r.phi,
-                                    r.new_period,
-                                )?;
-                                resp = FailureResponse::for_schedule(&self.cfg.params, &sched)?;
-                                st.t = ts;
-                                st.v = 0.0;
-                                observe(TimelineEvent::Retune {
-                                    at: ts,
-                                    old_period: r.old_period,
-                                    new_period: r.new_period,
-                                    mtbf_estimate: r.mtbf_estimate,
+            'events: loop {
+                // Where the run would stop, at `st.t` and `st.v`.
+                let reason = 'step: {
+                    let next_at = next.at.as_secs();
+                    let in_outage_at_event = outage.is_some();
+                    match (transfer, outage) {
+                        (Some(end), _) => {
+                            if next_at >= end {
+                                st.t = end;
+                                transfer = None;
+                                break 'step StopReason::WorkComplete;
+                            }
+                            st.t = next_at;
+                        }
+                        (None, None) => {
+                            let event_at = policy.next_event(next_at, st.t);
+                            let t_complete = v_end.map(|ve| st.t + (ve - st.v));
+                            // A committed retune takes effect at the next
+                            // period boundary, if the run gets there before
+                            // it stops and before the next event.
+                            if let Some(r) = pending {
+                                let p = sched.period();
+                                let vb = (st.v / p).ceil() * p;
+                                let ts = st.t + (vb - st.v);
+                                if ts < t_complete.unwrap_or(horizon) && event_at >= ts {
+                                    pending = None;
+                                    done += sched.work_at(vb);
+                                    sched = PeriodSchedule::new(
+                                        self.cfg.protocol,
+                                        &self.cfg.params,
+                                        r.phi,
+                                        r.new_period,
+                                    )?;
+                                    resp = FailureResponse::for_schedule(&self.cfg.params, &sched)?;
+                                    st.t = ts;
+                                    st.v = 0.0;
+                                    observe(TimelineEvent::Retune {
+                                        at: policy.origin() + ts,
+                                        old_period: r.old_period,
+                                        new_period: r.new_period,
+                                        mtbf_estimate: r.mtbf_estimate,
+                                    });
+                                    if dck_obs::enabled() {
+                                        dck_obs::incr("adapt.retunes_applied");
+                                    }
+                                    if sched.work_per_period() <= 0.0 {
+                                        // A saturated retune target: no
+                                        // further progress is possible.
+                                        break 'run (StopReason::NoProgress, st.t, st.v);
+                                    }
+                                    v_end = work.map(|w| sched.time_to_reach_work(w - done));
+                                    continue 'events;
+                                }
+                            }
+                            if let (Some(tc), Some(ve)) = (t_complete, v_end) {
+                                if event_at >= tc && tc <= horizon {
+                                    st.t = tc;
+                                    st.v = ve;
+                                    break 'step StopReason::WorkComplete;
+                                }
+                            }
+                            if event_at >= horizon {
+                                let pos = st.v + (horizon - st.t);
+                                break 'run (StopReason::HorizonReached, horizon, pos);
+                            }
+                            if policy.disrupt(&mut st) {
+                                continue 'events;
+                            }
+                            // The failure strikes while the schedule runs
+                            // (at once, if a serialised outage overran it).
+                            let at = next_at.max(st.t);
+                            st.v += at - st.t;
+                            st.t = at;
+                        }
+                        (None, Some((end, _))) => {
+                            if next_at >= end && end <= horizon {
+                                // Outage completes; schedule resumes.
+                                observe(TimelineEvent::OutageEnd {
+                                    at: policy.origin() + end,
                                 });
-                                if dck_obs::enabled() {
-                                    dck_obs::incr("adapt.retunes_applied");
+                                st.t = end;
+                                outage = None;
+                                if P::RETUNES && pending.is_none() {
+                                    pending = policy.consult(end)?;
                                 }
-                                if sched.work_per_period() <= 0.0 {
-                                    // A saturated retune target: no
-                                    // further progress is possible.
-                                    break 'run (StopReason::NoProgress, st.t, st.v, None);
-                                }
-                                v_end = work.map(|w| sched.time_to_reach_work(w - done));
-                                continue;
+                                continue 'events;
                             }
-                        }
-                        if let (Some(tc), Some(ve)) = (t_complete, v_end) {
-                            if event_at >= tc && tc <= horizon {
-                                break 'run (StopReason::WorkComplete, tc, ve, Some(next));
+                            if next_at >= horizon {
+                                // Horizon falls inside the outage.
+                                break 'run (StopReason::HorizonReached, horizon, st.v);
                             }
+                            // A failure strikes during the outage: the
+                            // platform rolls back again. The remaining
+                            // planned outage is discarded (its elapsed part
+                            // already counted via t) and `outage` is re-armed
+                            // below with the new recovery.
+                            st.outage_time -= end - next_at; // un-count the unspent tail
+                            st.t = next_at;
                         }
-                        if event_at >= horizon {
-                            let pos = st.v + (horizon - st.t);
-                            break 'run (StopReason::HorizonReached, horizon, pos, Some(next));
-                        }
-                        if policy.disrupt(&mut st) {
-                            continue;
-                        }
-                        // The failure strikes while the schedule runs
-                        // (at once, if a serialised outage overran it).
-                        let at = next_at.max(st.t);
-                        st.v += at - st.t;
-                        st.t = at;
                     }
-                    Some((end, _)) => {
-                        if next_at >= end && end <= horizon {
-                            // Outage completes; schedule resumes.
-                            observe(TimelineEvent::OutageEnd { at: end });
-                            st.t = end;
-                            outage = None;
-                            if P::RETUNES && pending.is_none() {
-                                pending = policy.consult(end)?;
-                            }
-                            continue;
-                        }
-                        if next_at >= horizon {
-                            // Horizon falls inside the outage.
-                            break 'run (StopReason::HorizonReached, horizon, st.v, Some(next));
-                        }
-                        // A failure strikes during the outage: the
-                        // platform rolls back again. The remaining
-                        // planned outage is discarded (its elapsed part
-                        // already counted via t) and `outage` is re-armed
-                        // below with the new recovery.
-                        st.outage_time -= end - next_at; // un-count the unspent tail
-                        st.t = next_at;
-                    }
-                }
 
-                failures += 1;
-                let replaced = policy.on_failure(next_at, st.v)?;
-                // Risk windows key on the failure's true arrival time,
-                // even when a serialised outage delayed its handling.
-                let fatal = tracker.record_failure(next.node, next_at).fatal;
-                let off = sched.offset(st.v);
-                let o = replaced.unwrap_or_else(|| resp.outage(off).total());
-                observe(TimelineEvent::Failure {
-                    at: st.t,
-                    node: next.node,
-                    offset: off,
-                    outage: o,
-                    fatal,
-                    during_outage: in_outage_at_event,
-                });
-                if fatal {
-                    break 'run (StopReason::Fatal, st.t, st.v, None);
-                }
-                st.outage_time += o;
-                if P::SERIALIZES {
-                    st.t += o;
-                    observe(TimelineEvent::OutageEnd { at: st.t });
-                    if P::RETUNES && pending.is_none() {
-                        pending = policy.consult(st.t)?;
+                    failures += 1;
+                    let off = sched.offset(st.v);
+                    let (o, fatal) = match transfer {
+                        // The policy bills a failure during a transfer.
+                        Some(end) => {
+                            let resumed = policy.pause(next_at, end);
+                            transfer = Some(resumed);
+                            (resumed - end, false)
+                        }
+                        None => {
+                            let replaced = policy.on_failure(next_at, st.v)?;
+                            // Risk windows key on the failure's true arrival
+                            // time, even when a serialised outage delayed
+                            // its handling.
+                            let fatal = tracker.record_failure(next.node, next_at).fatal;
+                            (replaced.unwrap_or_else(|| resp.outage(off).total()), fatal)
+                        }
+                    };
+                    observe(TimelineEvent::Failure {
+                        at: policy.origin() + st.t,
+                        node: next.node,
+                        offset: off,
+                        outage: o,
+                        fatal,
+                        during_outage: in_outage_at_event,
+                    });
+                    if fatal {
+                        break 'step StopReason::Fatal;
                     }
-                } else {
-                    outage = Some((st.t + o, off));
+                    st.outage_time += o;
+                    if transfer.is_some() {
+                        // The transfer goes on to its new end.
+                    } else if P::SERIALIZES {
+                        st.t += o;
+                        observe(TimelineEvent::OutageEnd {
+                            at: policy.origin() + st.t,
+                        });
+                        if P::RETUNES && pending.is_none() {
+                            pending = policy.consult(st.t)?;
+                        }
+                    } else {
+                        outage = Some((st.t + o, off));
+                    }
+                    if failures - capped_from >= self.cfg.max_failures {
+                        break 'run (StopReason::FailureCapReached, st.t, st.v);
+                    }
+                    next = policy.next_failure(source);
+                    continue 'events;
+                };
+                match policy.resume(reason == StopReason::Fatal, &mut st, &mut next) {
+                    Resume::Stop => break 'run (reason, st.t, st.v),
+                    Resume::Transfer(end) => (transfer, outage) = (Some(end), None),
+                    Resume::Segment(w) => {
+                        (st.t, st.v, outage) = (0.0, 0.0, None);
+                        tracker.reset();
+                        v_end = Some(sched.time_to_reach_work(w - done));
+                    }
                 }
-                if failures >= self.cfg.max_failures {
-                    break 'run (StopReason::FailureCapReached, st.t, st.v, None);
+                capped_from = failures;
+                if reason == StopReason::Fatal {
+                    // The fatal failure was handled: draw past it.
+                    next = policy.next_failure(source);
                 }
-                next = policy.next_failure(source);
             }
         };
 
@@ -611,6 +670,7 @@ impl RunMachine {
             (StopReason::NoProgress, Stop::Horizon(h)) => (h, h),
             _ => (at, at),
         };
+        let (at, total_time) = (policy.origin() + at, policy.origin() + total_time);
         observe(TimelineEvent::Finished { at, reason });
         let useful_work = match (reason, work) {
             (StopReason::NoProgress, _) => done,
@@ -618,15 +678,14 @@ impl RunMachine {
             _ => done + sched.work_at(pos),
         };
         let fatal_at = (reason == StopReason::Fatal).then_some(at);
-        let outcome = RunOutcome {
+        Ok(RunOutcome {
             reason,
             total_time,
             useful_work,
             failures,
             outage_time: st.outage_time,
             fatal_at,
-        };
-        Ok((outcome, unhandled))
+        })
     }
 }
 
@@ -1042,11 +1101,14 @@ mod tests {
     /// policy the kernel runs: exactly one terminal `Finished` naming
     /// the outcome's reason, non-decreasing stamps, one `Failure` event
     /// per counted failure and one `Retune` event per applied retune.
+    /// Two-level runs stamp on the wall clock across segments, and
+    /// count the failures during their writes and reloads.
     mod every_policy {
         use super::*;
         use crate::adapt::{Adaptive, AdaptiveRunConfig};
+        use crate::hierarchical::{Hierarchical, HierarchicalRunConfig};
         use crate::predict::Predicted;
-        use dck_core::{predict::proactive_cost, ControllerConfig, PredictorSpec};
+        use dck_core::{predict::proactive_cost, ControllerConfig, GlobalStore, PredictorSpec};
         use dck_failures::{AggregatedExponential, MtbfSpec};
         use dck_simcore::RngFactory;
         use proptest::prelude::*;
@@ -1128,7 +1190,7 @@ mod tests {
                 mtbf in 120.0f64..3600.0,
                 seed in 0u64..1000,
                 cap in prop::sample::select(vec![3u64, 50_000_000]),
-                policy in 0usize..5,
+                policy in 0usize..6,
             ) {
                 let params = base_params(24);
                 let mut c = RunConfig::new(protocol, params, ratio * params.theta_min, mtbf);
@@ -1153,29 +1215,54 @@ mod tests {
                 let work = Stop::Work(30.0 * mtbf);
                 let observe = |e| tl.push(e);
                 let (out, retunes) = match policy {
-                    0 => (machine.drive(work, &mut src, &mut Static, observe).unwrap().0, 0),
+                    0 => (machine.drive(work, &mut src, &mut Static, observe).unwrap(), 0),
                     1 => {
                         let horizon = Stop::Horizon(20.0 * mtbf);
-                        (machine.drive(horizon, &mut src, &mut Static, observe).unwrap().0, 0)
+                        (machine.drive(horizon, &mut src, &mut Static, observe).unwrap(), 0)
                     }
                     2 => {
                         let mut p = Adaptive::new(&adaptive(None)).unwrap();
-                        let out = machine.drive(work, &mut src, &mut p, observe).unwrap().0;
+                        let out = machine.drive(work, &mut src, &mut p, observe).unwrap();
                         (out, p.outcome(out).retunes)
                     }
                     3 => {
                         let mut p = Predicted::new(Static, &predictor, &c, &mut rng).unwrap();
-                        (machine.drive(work, &mut src, &mut p, observe).unwrap().0, 0)
+                        (machine.drive(work, &mut src, &mut p, observe).unwrap(), 0)
+                    }
+                    4 => {
+                        // A harsher stream, and writes and reloads as
+                        // long as its MTBF, so that failures strike
+                        // during both and some segments roll back.
+                        let mut src = AggregatedExponential::new(
+                            MtbfSpec::Platform {
+                                mtbf: SimTime::seconds(mtbf / 8.0),
+                                nodes: c.usable_nodes(),
+                            },
+                            RngFactory::new(seed).component_stream("failures", 0),
+                        );
+                        let cfg = HierarchicalRunConfig {
+                            inner: c,
+                            store: GlobalStore::new(mtbf / 8.0, mtbf / 8.0).unwrap(),
+                            periods_per_global: 40,
+                            max_rollbacks: 3,
+                        };
+                        let wpp = machine.sched.work_per_period();
+                        let mut p = Hierarchical::new(&cfg, 30.0 * mtbf, wpp);
+                        let first = Stop::Work(p.target);
+                        (machine.drive(first, &mut src, &mut p, observe).unwrap(), 0)
                     }
                     _ => {
                         let cfg = adaptive(Some(predictor));
                         let inner = Adaptive::new(&cfg).unwrap();
                         let mut p = Predicted::new(inner, &predictor, &c, &mut rng).unwrap();
-                        let out = machine.drive(work, &mut src, &mut p, observe).unwrap().0;
+                        let out = machine.drive(work, &mut src, &mut p, observe).unwrap();
                         (out, p.inner.outcome(out).retunes)
                     }
                 };
-                let early = if policy >= 3 { predictor.window - proactive_cost(&params) } else { 0.0 };
+                let early = match policy {
+                    3 | 5 => predictor.window - proactive_cost(&params),
+                    _ => 0.0,
+                };
                 check(&out, &tl, retunes, early)?;
             }
         }
