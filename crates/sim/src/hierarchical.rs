@@ -196,9 +196,11 @@ impl Policy for Hierarchical {
             return end;
         };
         // The written part persists; the write resumes after a buddy
-        // recovery `D + R`.
+        // recovery `D + R`, which a failure during it restarts.
         let params = &self.cfg.inner.params;
-        *remaining -= at - *pos;
+        if at >= *pos {
+            *remaining -= at - *pos;
+        }
         *pos = at + (params.downtime + params.recovery());
         *pos + *remaining
     }
@@ -310,6 +312,26 @@ mod tests {
         assert!(out.completed);
         assert_eq!(out.global_writes, 1);
         assert!((out.total_time - 1604.0).abs() < 1e-6, "{}", out.total_time);
+        // A second failure at 1302, inside that recovery, restarts it:
+        // the recovery ends at 1306 and the 300 s still to write finish
+        // at 1606. Nothing is written during a recovery.
+        let trace = FailureTrace::new(
+            8,
+            vec![
+                FailureEvent {
+                    at: SimTime::seconds(1300.0),
+                    node: 2,
+                },
+                FailureEvent {
+                    at: SimTime::seconds(1302.0),
+                    node: 4,
+                },
+            ],
+        );
+        let out = run_hierarchical(&c, 970.0, &mut trace.replay()).unwrap();
+        assert!(out.completed);
+        assert_eq!(out.failures, 2);
+        assert!((out.total_time - 1606.0).abs() < 1e-6, "{}", out.total_time);
     }
 
     #[test]
