@@ -1,31 +1,30 @@
 //! Two-level (hierarchical) simulation: buddy checkpointing plus
 //! periodic global checkpoints to stable storage (§VIII future work).
 //!
-//! The run is a sequence of *segments* of `K` buddy periods, driven as
-//! one policy on the run kernel ([`crate::run`]). A segment executes
-//! the ordinary level-1 schedule from `t = 0` of its own clock, whose
-//! origin on the wall clock the policy owns: it shifts every arrival
-//! into the segment's time. A **fatal** buddy failure no longer ends
-//! the run — the application reloads the last global checkpoint
-//! (blocking `D + Rg`) and re-runs the segment. A completed segment is
-//! sealed by a blocking global write `Cg`, a transfer the kernel runs.
-//! The write is **resumable**: each node writes its own file, so a
-//! failure during the write costs a normal `D + R` buddy recovery (the
-//! segment boundary's buddy snapshots are intact) plus re-sending only
-//! the failed node's share — already-written data persists. A
-//! full-restart write would be unusable in exactly the regimes that
-//! need global checkpoints (`Cg ≳ M` ⇒ `e^{Cg/M}` expected restarts).
+//! The run is a sequence of *segments* of `K` buddy periods, run as one
+//! policy on the kernel ([`crate::run`]). Each segment attempt runs the
+//! level-1 schedule from `t = 0` of its own clock; the policy owns that
+//! clock's origin on the wall clock and shifts every arrival into it.
+//! A **fatal** buddy failure no longer ends the run: the application
+//! reloads the last global checkpoint (blocking `D + Rg`) and re-runs
+//! the segment. A completed segment is sealed by a blocking global
+//! write `Cg`. Both are kernel transfers: the kernel draws, counts and
+//! timelines the failures during them (stamped on the wall clock), and
+//! such a failure is never fatal and opens no risk window.
 //!
-//! The kernel draws, counts and timelines every failure, with stamps on
-//! the wall clock. Its failure cap `max_failures` applies to each
-//! segment attempt and to each write separately.
+//! Transfers are **resumable**: each node writes or reads its own file,
+//! so what was moved persists and a failure only pauses the transfer.
+//! A write pauses for a `D + R` buddy recovery (the segment boundary's
+//! buddy snapshots are intact), a reload for the struck node's downtime
+//! `D`; a failure during a pause restarts the pause. A full-restart
+//! write would be unusable in exactly the regimes that need global
+//! checkpoints (`Cg ≳ M` ⇒ `e^{Cg/M}` expected restarts). The failure
+//! cap `max_failures` applies to each segment attempt and to each
+//! transfer separately.
 //!
-//! Known first-order seams (all conservative or negligible, and shared
-//! with the analytical `HierarchicalModel`): risk windows do not
-//! persist across segment boundaries (window ≪ segment), and a failure
-//! during the global write is never fatal and opens no risk window (the
-//! write window is short relative to the segment). A failure that
-//! arrives during the reload strikes at `t = 0` of the next attempt.
+//! Known first-order seam, shared with the analytical
+//! `HierarchicalModel`: risk windows do not persist across segment
+//! boundaries (window ≪ segment).
 
 use crate::config::RunConfig;
 use crate::run::{Policy, Resume, RunMachine, RunOutcome, RunState, Stop, StopReason};
@@ -94,7 +93,7 @@ pub fn run_hierarchical(
 }
 
 /// The two-level policy. The kernel's clock starts at `origin` on the
-/// wall clock; during a global write the origin is 0, so the write's
+/// wall clock; during a transfer the origin is 0, so the transfer's
 /// arithmetic runs in absolute seconds.
 pub(crate) struct Hierarchical {
     cfg: HierarchicalRunConfig,
@@ -107,9 +106,9 @@ pub(crate) struct Hierarchical {
     committed: f64,
     rollbacks: u64,
     writes: u64,
-    /// The global write in progress: where its `remaining` seconds
-    /// start counting, and those seconds.
-    write: Option<(f64, f64)>,
+    /// The global write or reload in progress: where its `remaining`
+    /// seconds count from, those seconds, and whether it is a write.
+    transfer: Option<(f64, f64, bool)>,
 }
 
 impl Hierarchical {
@@ -124,13 +123,12 @@ impl Hierarchical {
             committed: 0.0,
             rollbacks: 0,
             writes: 0,
-            write: None,
+            transfer: None,
         }
     }
 
     /// The two-level outcome of the kernel's `run`.
     pub(crate) fn outcome(&self, run: RunOutcome) -> HierarchicalOutcome {
-        let completed = run.reason == StopReason::WorkComplete;
         HierarchicalOutcome {
             total_time: run.total_time,
             useful_work: match run.reason {
@@ -141,7 +139,7 @@ impl Hierarchical {
             failures: run.failures,
             fatal_rollbacks: self.rollbacks,
             global_writes: self.writes,
-            completed,
+            completed: run.reason == StopReason::WorkComplete,
         }
     }
 }
@@ -149,7 +147,7 @@ impl Hierarchical {
 impl Policy for Hierarchical {
     fn next_failure<S: FailureSource + ?Sized>(&mut self, source: &mut S) -> FailureEvent {
         let mut ev = source.next_failure();
-        ev.at = (ev.at - self.origin).max(SimTime::ZERO);
+        ev.at -= self.origin;
         ev
     }
 
@@ -158,50 +156,57 @@ impl Policy for Hierarchical {
     }
 
     fn resume(&mut self, fatal: bool, run: &mut RunState, next: &mut FailureEvent) -> Resume {
-        if self.write.take().is_some() {
-            // The write is done: the segment is sealed.
-            self.writes += 1;
-            self.committed += self.target;
-            if self.committed >= self.t_base {
-                return Resume::Stop;
+        if let Some((_, _, write)) = self.transfer.take() {
+            if write {
+                self.writes += 1;
+                self.committed += self.target;
+                if self.committed >= self.t_base {
+                    return Resume::Stop;
+                }
+                self.target = (self.t_base - self.committed).min(self.segment_work);
             }
-            self.target = (self.t_base - self.committed).min(self.segment_work);
+            // The next segment, or the same one again after a reload.
             self.origin = SimTime::seconds(run.t);
-            next.at = (next.at - self.origin).max(SimTime::ZERO);
-            Resume::Segment(self.target)
-        } else if fatal {
+            next.at -= self.origin;
+            return Resume::Segment(self.target);
+        }
+        let origin = self.origin.as_secs();
+        let (pos, remaining) = if fatal {
             self.rollbacks += 1;
             if self.rollbacks >= self.cfg.max_rollbacks {
                 return Resume::Stop;
             }
-            // Reload from stable storage and re-run the segment.
-            let params = &self.cfg.inner.params;
-            self.origin += SimTime::seconds(run.t + params.downtime + self.cfg.store.read_time);
-            Resume::Segment(self.target)
+            // Reload: `D + Rg` from the failure, counted from the
+            // attempt's origin. The attempt's work is lost.
+            run.v = 0.0;
+            let reload = self.cfg.inner.params.downtime + self.cfg.store.read_time;
+            (origin, run.t + reload)
         } else if self.committed >= self.t_base {
             // No work was asked for: there is nothing to seal.
-            Resume::Stop
+            return Resume::Stop;
         } else {
-            // Seal the segment with a global write, on the wall clock.
-            run.t += self.origin.as_secs();
-            next.at += self.origin;
-            self.origin = SimTime::ZERO;
-            self.write = Some((run.t, self.cfg.store.write_time));
-            Resume::Transfer(run.t + self.cfg.store.write_time)
-        }
+            (origin + run.t, self.cfg.store.write_time)
+        };
+        // The transfer runs on the wall clock.
+        run.t += origin;
+        next.at += self.origin;
+        self.origin = SimTime::ZERO;
+        self.transfer = Some((pos, remaining, !fatal));
+        Resume::Transfer(pos + remaining)
     }
 
     fn pause(&mut self, at: f64, end: f64) -> f64 {
-        let Some((pos, remaining)) = &mut self.write else {
+        let Some((pos, remaining, write)) = &mut self.transfer else {
             return end;
         };
-        // The written part persists; the write resumes after a buddy
-        // recovery `D + R`, which a failure during it restarts.
+        // What was moved persists; the transfer resumes after a pause,
+        // which a failure during it restarts: a buddy recovery `D + R`
+        // for a write, the struck node's downtime `D` for a reload.
         let params = &self.cfg.inner.params;
         if at >= *pos {
             *remaining -= at - *pos;
         }
-        *pos = at + (params.downtime + params.recovery());
+        *pos = at + (params.downtime + if *write { params.recovery() } else { 0.0 });
         *pos + *remaining
     }
 }
@@ -291,6 +296,35 @@ mod tests {
         // Lost the 260 s of the first attempt + D + Rg, then a clean
         // segment: 260 + 600 + 1000 + 600(write).
         assert!((out.total_time - 2460.0).abs() < 1e-6, "{}", out.total_time);
+    }
+
+    #[test]
+    fn failures_during_a_reload_are_never_fatal() {
+        // D = 1: the fatal pair (0,1) at 250/260 starts the reload
+        // D + Rg = 601 s, (260, 861). Buddy pair (2,3) then fails at 400
+        // and 410, inside the reload: counted, never fatal, and each
+        // pauses the reload for the downtime D.
+        let mut c = cfg(Protocol::DoubleNbl, 8, 1.0, 1e9, 10);
+        c.inner.params = PlatformParams::new(1.0, 2.0, 4.0, 10.0, 8).unwrap();
+        c.inner.period = PeriodChoice::Explicit(100.0);
+        let events = [(250.0, 0), (260.0, 1), (400.0, 2), (410.0, 3)];
+        let trace = FailureTrace::new(
+            8,
+            events
+                .iter()
+                .map(|&(at, node)| FailureEvent {
+                    at: SimTime::seconds(at),
+                    node,
+                })
+                .collect(),
+        );
+        let out = run_hierarchical(&c, 970.0, &mut trace.replay()).unwrap();
+        assert!(out.completed);
+        assert_eq!(out.fatal_rollbacks, 1);
+        assert_eq!(out.failures, 4);
+        // Reload ends at 861 + 2·D = 863; then a clean segment and its
+        // write: 863 + 1000 + 600.
+        assert!((out.total_time - 2463.0).abs() < 1e-6, "{}", out.total_time);
     }
 
     #[test]
