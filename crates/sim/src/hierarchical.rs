@@ -3,31 +3,31 @@
 //!
 //! The run is a sequence of *segments* of `K` buddy periods, run as one
 //! policy on the kernel ([`crate::run`]). Each segment attempt runs the
-//! level-1 schedule from `t = 0` of its own clock; the policy owns that
-//! clock's origin on the wall clock and shifts every arrival into it.
-//! A **fatal** buddy failure no longer ends the run: the application
-//! reloads the last global checkpoint (blocking `D + Rg`) and re-runs
-//! the segment. A completed segment is sealed by a blocking global
-//! write `Cg`. Both are kernel transfers: the kernel draws, counts and
-//! timelines the failures during them (stamped on the wall clock), and
-//! such a failure is never fatal and opens no risk window.
+//! level-1 schedule from `t = 0` of a clock whose origin the policy
+//! owns. A **fatal** buddy failure no longer ends the run: the
+//! application reloads the last global checkpoint (blocking `D + Rg`)
+//! and re-runs the segment. A completed segment is sealed by a blocking
+//! global write `Cg`. Both are kernel transfers: the kernel counts and
+//! timelines the failures during them, which are never fatal and open
+//! no risk window. The failure cap applies to each segment attempt and
+//! each transfer separately.
 //!
 //! Transfers are **resumable**: each node writes or reads its own file,
-//! so what was moved persists and a failure only pauses the transfer.
-//! A write pauses for a `D + R` buddy recovery (the segment boundary's
-//! buddy snapshots are intact), a reload for the struck node's downtime
-//! `D`; a failure during a pause restarts the pause. A full-restart
-//! write would be unusable in exactly the regimes that need global
-//! checkpoints (`Cg ≳ M` ⇒ `e^{Cg/M}` expected restarts). The failure
-//! cap `max_failures` applies to each segment attempt and to each
-//! transfer separately.
+//! so what was moved persists and a failure only pauses the transfer —
+//! for a `D + R` buddy recovery during a write (the segment boundary's
+//! buddy snapshots are intact), for the struck node's downtime `D`
+//! during a reload. A failure during a pause restarts the pause. A
+//! full-restart write would be unusable in exactly the regimes that
+//! need global checkpoints (`Cg ≳ M` ⇒ `e^{Cg/M}` expected restarts).
 //!
 //! Known first-order seam, shared with the analytical
 //! `HierarchicalModel`: risk windows do not persist across segment
 //! boundaries (window ≪ segment).
 
 use crate::config::RunConfig;
-use crate::run::{Policy, Resume, RunMachine, RunOutcome, RunState, Stop, StopReason};
+use crate::run::{
+    Policy, Resume, RunMachine, RunOutcome, RunState, Stop, StopReason, TimelineEvent,
+};
 use dck_core::{GlobalStore, ModelError};
 use dck_failures::{FailureEvent, FailureSource};
 use dck_simcore::SimTime;
@@ -83,65 +83,65 @@ pub fn run_hierarchical(
     t_base: f64,
     source: &mut dyn FailureSource,
 ) -> Result<HierarchicalOutcome, ModelError> {
+    drive(cfg, t_base, source, |_| {}).map(|(_, out)| out)
+}
+
+/// [`run_hierarchical`], with the kernel's outcome and its timeline.
+pub(crate) fn drive<S: FailureSource + ?Sized>(
+    cfg: &HierarchicalRunConfig,
+    t_base: f64,
+    source: &mut S,
+    observe: impl FnMut(TimelineEvent),
+) -> Result<(RunOutcome, HierarchicalOutcome), ModelError> {
     if cfg.periods_per_global == 0 {
         return Err(ModelError::invalid("periods_per_global", "must be >= 1"));
     }
     let mut machine = RunMachine::new(&cfg.inner)?;
-    let mut policy = Hierarchical::new(cfg, t_base, machine.sched.work_per_period());
-    let run = machine.drive(Stop::Work(policy.target), source, &mut policy, |_| {})?;
-    Ok(policy.outcome(run))
+    let segment_work = cfg.periods_per_global as f64 * machine.sched.work_per_period();
+    let mut h = Hierarchical {
+        cfg: *cfg,
+        t_base,
+        segment_work,
+        origin: SimTime::ZERO,
+        target: t_base.min(segment_work),
+        committed: 0.0,
+        rollbacks: 0,
+        writes: 0,
+        transfer: None,
+    };
+    let run = machine.drive(Stop::Work(h.target), source, &mut h, observe)?;
+    let out = HierarchicalOutcome {
+        total_time: run.total_time,
+        useful_work: match run.reason {
+            StopReason::WorkComplete => t_base,
+            StopReason::Fatal => h.committed,
+            _ => h.committed + run.useful_work,
+        },
+        failures: run.failures,
+        fatal_rollbacks: h.rollbacks,
+        global_writes: h.writes,
+        completed: run.reason == StopReason::WorkComplete,
+    };
+    Ok((run, out))
 }
 
 /// The two-level policy. The kernel's clock starts at `origin` on the
 /// wall clock; during a transfer the origin is 0, so the transfer's
 /// arithmetic runs in absolute seconds.
-pub(crate) struct Hierarchical {
+struct Hierarchical {
     cfg: HierarchicalRunConfig,
     t_base: f64,
     segment_work: f64,
     origin: SimTime,
     /// Work of the current segment.
-    pub(crate) target: f64,
+    target: f64,
     /// Work sealed on stable storage.
     committed: f64,
     rollbacks: u64,
     writes: u64,
-    /// The global write or reload in progress: where its `remaining`
-    /// seconds count from, those seconds, and whether it is a write.
-    transfer: Option<(f64, f64, bool)>,
-}
-
-impl Hierarchical {
-    pub(crate) fn new(cfg: &HierarchicalRunConfig, t_base: f64, work_per_period: f64) -> Self {
-        let segment_work = cfg.periods_per_global as f64 * work_per_period;
-        Hierarchical {
-            cfg: *cfg,
-            t_base,
-            segment_work,
-            origin: SimTime::ZERO,
-            target: t_base.min(segment_work),
-            committed: 0.0,
-            rollbacks: 0,
-            writes: 0,
-            transfer: None,
-        }
-    }
-
-    /// The two-level outcome of the kernel's `run`.
-    pub(crate) fn outcome(&self, run: RunOutcome) -> HierarchicalOutcome {
-        HierarchicalOutcome {
-            total_time: run.total_time,
-            useful_work: match run.reason {
-                StopReason::WorkComplete => self.t_base,
-                StopReason::Fatal => self.committed,
-                _ => self.committed + run.useful_work,
-            },
-            failures: run.failures,
-            fatal_rollbacks: self.rollbacks,
-            global_writes: self.writes,
-            completed: run.reason == StopReason::WorkComplete,
-        }
-    }
+    /// The transfer in progress: `Some(true)` for a global write,
+    /// `Some(false)` for a reload.
+    transfer: Option<bool>,
 }
 
 impl Policy for Hierarchical {
@@ -151,12 +151,8 @@ impl Policy for Hierarchical {
         ev
     }
 
-    fn origin(&self) -> f64 {
-        self.origin.as_secs()
-    }
-
     fn resume(&mut self, fatal: bool, run: &mut RunState, next: &mut FailureEvent) -> Resume {
-        if let Some((_, _, write)) = self.transfer.take() {
+        if let Some(write) = self.transfer.take() {
             if write {
                 self.writes += 1;
                 self.committed += self.target;
@@ -168,10 +164,12 @@ impl Policy for Hierarchical {
             // The next segment, or the same one again after a reload.
             self.origin = SimTime::seconds(run.t);
             next.at -= self.origin;
-            return Resume::Segment(self.target);
+            return Resume::Segment(self.target, run.t);
         }
-        let origin = self.origin.as_secs();
-        let (pos, remaining) = if fatal {
+        let (origin, params) = (self.origin.as_secs(), self.cfg.inner.params);
+        // Transfers are resumable; a failure pauses a write for a buddy
+        // recovery `D + R`, a reload for the struck node's downtime `D`.
+        let (from, left, pause) = if fatal {
             self.rollbacks += 1;
             if self.rollbacks >= self.cfg.max_rollbacks {
                 return Resume::Stop;
@@ -179,35 +177,21 @@ impl Policy for Hierarchical {
             // Reload: `D + Rg` from the failure, counted from the
             // attempt's origin. The attempt's work is lost.
             run.v = 0.0;
-            let reload = self.cfg.inner.params.downtime + self.cfg.store.read_time;
-            (origin, run.t + reload)
+            let left = run.t + params.downtime + self.cfg.store.read_time;
+            (origin, left, params.downtime)
         } else if self.committed >= self.t_base {
             // No work was asked for: there is nothing to seal.
             return Resume::Stop;
         } else {
-            (origin + run.t, self.cfg.store.write_time)
+            let recovery = params.downtime + params.recovery();
+            (origin + run.t, self.cfg.store.write_time, recovery)
         };
         // The transfer runs on the wall clock.
         run.t += origin;
         next.at += self.origin;
         self.origin = SimTime::ZERO;
-        self.transfer = Some((pos, remaining, !fatal));
-        Resume::Transfer(pos + remaining)
-    }
-
-    fn pause(&mut self, at: f64, end: f64) -> f64 {
-        let Some((pos, remaining, write)) = &mut self.transfer else {
-            return end;
-        };
-        // What was moved persists; the transfer resumes after a pause,
-        // which a failure during it restarts: a buddy recovery `D + R`
-        // for a write, the struck node's downtime `D` for a reload.
-        let params = &self.cfg.inner.params;
-        if at >= *pos {
-            *remaining -= at - *pos;
-        }
-        *pos = at + (params.downtime + if *write { params.recovery() } else { 0.0 });
-        *pos + *remaining
+        self.transfer = Some(!fatal);
+        Resume::Transfer { from, left, pause }
     }
 }
 

@@ -18,17 +18,8 @@
 //!
 //! ## Simulation semantics
 //!
-//! The application is coordinated: *any* failure rolls every node back
-//! to the last committed snapshot. Between failures the platform
-//! follows the deterministic period schedule, so the simulator advances
-//! in O(1) per failure event regardless of how many periods elapse —
-//! this is what makes million-node, million-failure runs cheap. A
-//! failure at period offset `off` freezes application progress for the
-//! outage `D + blocking + RE(off)` (the paper's case analysis,
-//! implemented in `dck_protocols::response`); failures striking during
-//! an outage roll the platform back again and restart the outage from
-//! the same schedule position. Risk windows are wall-clock intervals of
-//! the first-order model's fixed length, tracked per group.
+//! Every run mode is a policy on the one event loop of [`run`], whose
+//! module docs state the failure, outage and risk-window semantics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

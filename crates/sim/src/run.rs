@@ -28,8 +28,9 @@
 //! `Policy`: a set of hooks the kernel calls at a failure, at an
 //! outage end (where a retune may be committed), at a period boundary
 //! (where a committed retune is applied and the finished schedule's
-//! work is banked) and for an extra disruption stream that preempts
-//! the next failure (the predictor's alarms).
+//! work is banked), for an extra disruption stream that preempts the
+//! next failure (the predictor's alarms), and where the run would stop
+//! (where it may go on through a blocking transfer or a fresh segment).
 //!
 //! * `Static` — zero-sized, every hook a no-op: the Monte-Carlo and
 //!   sweep hot path monomorphises to the plain loop.
@@ -37,6 +38,9 @@
 //!   the controller at outage ends, retunes at period boundaries.
 //! * `Predicted<P>` ([`crate::predict`]) — alarms with their proactive
 //!   checkpoint `C_p`, wrapped around `Static` or `Adaptive`.
+//! * `Hierarchical` ([`crate::hierarchical`]) — two-level checkpointing:
+//!   seals each segment with a global write and answers a fatal failure
+//!   with a reload, both transfers, each segment on a clock of its own.
 //!
 //! Under every policy the kernel takes a failure's offset into the
 //! period from [`PeriodSchedule::offset`], never from `%`: glibc
@@ -363,23 +367,11 @@ pub(crate) trait Policy {
         Ok(None)
     }
 
-    /// Where `t = 0` of the kernel's clock lies on the wall clock:
-    /// timeline stamps and the outcome's times are `origin() + t`.
-    fn origin(&self) -> f64 {
-        0.0
-    }
-
     /// The run completed its work, struck a `fatal` failure or ended a
     /// transfer at `run.t`, with `next` drawn but not handled: returns
     /// what follows. The policy may move `run` and `next`.
     fn resume(&mut self, _fatal: bool, _run: &mut RunState, _next: &mut FailureEvent) -> Resume {
         Resume::Stop
-    }
-
-    /// A failure at `at` struck during the transfer that ends at `end`:
-    /// returns when the transfer now ends.
-    fn pause(&mut self, _at: f64, end: f64) -> f64 {
-        end
     }
 }
 
@@ -387,13 +379,15 @@ pub(crate) trait Policy {
 pub(crate) enum Resume {
     /// The run stops.
     Stop,
-    /// The schedule stays frozen until the given time. A failure before
-    /// then is counted and timelined, billed by [`Policy::pause`], and
-    /// is never fatal and opens no risk window.
-    Transfer(f64),
-    /// A segment of the given work starts from `t = 0` of the policy's
-    /// origin, with no outage and an empty risk tracker.
-    Segment(f64),
+    /// A resumable blocking transfer: the schedule stays frozen while
+    /// `left` seconds of it, counted from `from`, remain. A failure
+    /// pauses it for `pause` seconds (restarting a pause in progress)
+    /// and keeps what was moved; it is never fatal and not at risk. The
+    /// kernel's clock reads wall-clock time until a segment starts.
+    Transfer { from: f64, left: f64, pause: f64 },
+    /// A segment of the given work starts, with no outage and an empty
+    /// risk tracker; `t = 0` of its clock is the given wall-clock time.
+    Segment(f64, f64),
 }
 
 /// The static machine: one schedule for the whole run, no alarms.
@@ -479,9 +473,10 @@ impl RunMachine {
         };
         let mut done = 0.0_f64; // work banked by schedules retired at a retune
         let mut outage: Option<(f64, f64)> = None; // (end time, period offset)
-        let mut transfer: Option<f64> = None; // end of a blocking transfer
+        let mut transfer: Option<(f64, f64, f64)> = None; // (from, left, pause)
         let mut failures = 0u64;
         let mut capped_from = 0u64; // failures before this segment or transfer
+        let mut origin = 0.0; // wall-clock time of the clock's t = 0
         let mut pending: Option<Retune> = None;
 
         // Every stop path breaks out with (reason, stop time, schedule
@@ -498,9 +493,9 @@ impl RunMachine {
                     let next_at = next.at.as_secs();
                     let in_outage_at_event = outage.is_some();
                     match (transfer, outage) {
-                        (Some(end), _) => {
-                            if next_at >= end {
-                                st.t = end;
+                        (Some((from, left, _)), _) => {
+                            if next_at >= from + left {
+                                st.t = from + left;
                                 transfer = None;
                                 break 'step StopReason::WorkComplete;
                             }
@@ -529,7 +524,7 @@ impl RunMachine {
                                     st.t = ts;
                                     st.v = 0.0;
                                     observe(TimelineEvent::Retune {
-                                        at: policy.origin() + ts,
+                                        at: origin + ts,
                                         old_period: r.old_period,
                                         new_period: r.new_period,
                                         mtbf_estimate: r.mtbf_estimate,
@@ -569,9 +564,7 @@ impl RunMachine {
                         (None, Some((end, _))) => {
                             if next_at >= end && end <= horizon {
                                 // Outage completes; schedule resumes.
-                                observe(TimelineEvent::OutageEnd {
-                                    at: policy.origin() + end,
-                                });
+                                observe(TimelineEvent::OutageEnd { at: origin + end });
                                 st.t = end;
                                 outage = None;
                                 if P::RETUNES && pending.is_none() {
@@ -595,12 +588,14 @@ impl RunMachine {
 
                     failures += 1;
                     let off = sched.offset(st.v);
-                    let (o, fatal) = match transfer {
-                        // The policy bills a failure during a transfer.
-                        Some(end) => {
-                            let resumed = policy.pause(next_at, end);
-                            transfer = Some(resumed);
-                            (resumed - end, false)
+                    let (o, fatal) = match &mut transfer {
+                        Some((from, left, pause)) => {
+                            let end = *from + *left;
+                            if next_at >= *from {
+                                *left -= next_at - *from;
+                            }
+                            *from = next_at + *pause;
+                            (*from + *left - end, false)
                         }
                         None => {
                             let replaced = policy.on_failure(next_at, st.v)?;
@@ -612,7 +607,7 @@ impl RunMachine {
                         }
                     };
                     observe(TimelineEvent::Failure {
-                        at: policy.origin() + st.t,
+                        at: origin + st.t,
                         node: next.node,
                         offset: off,
                         outage: o,
@@ -624,12 +619,10 @@ impl RunMachine {
                     }
                     st.outage_time += o;
                     if transfer.is_some() {
-                        // The transfer goes on to its new end.
+                        // The transfer goes on, paused.
                     } else if P::SERIALIZES {
                         st.t += o;
-                        observe(TimelineEvent::OutageEnd {
-                            at: policy.origin() + st.t,
-                        });
+                        observe(TimelineEvent::OutageEnd { at: origin + st.t });
                         if P::RETUNES && pending.is_none() {
                             pending = policy.consult(st.t)?;
                         }
@@ -644,9 +637,11 @@ impl RunMachine {
                 };
                 match policy.resume(reason == StopReason::Fatal, &mut st, &mut next) {
                     Resume::Stop => break 'run (reason, st.t, st.v),
-                    Resume::Transfer(end) => (transfer, outage) = (Some(end), None),
-                    Resume::Segment(w) => {
-                        (st.t, st.v, outage) = (0.0, 0.0, None);
+                    Resume::Transfer { from, left, pause } => {
+                        (transfer, outage, origin) = (Some((from, left, pause)), None, 0.0);
+                    }
+                    Resume::Segment(w, start) => {
+                        (st.t, st.v, outage, origin) = (0.0, 0.0, None, start);
                         tracker.reset();
                         v_end = Some(sched.time_to_reach_work(w - done));
                     }
@@ -670,7 +665,7 @@ impl RunMachine {
             (StopReason::NoProgress, Stop::Horizon(h)) => (h, h),
             _ => (at, at),
         };
-        let (at, total_time) = (policy.origin() + at, policy.origin() + total_time);
+        let (at, total_time) = (origin + at, origin + total_time);
         observe(TimelineEvent::Finished { at, reason });
         let useful_work = match (reason, work) {
             (StopReason::NoProgress, _) => done,
@@ -1106,7 +1101,7 @@ mod tests {
     mod every_policy {
         use super::*;
         use crate::adapt::{Adaptive, AdaptiveRunConfig};
-        use crate::hierarchical::{Hierarchical, HierarchicalRunConfig};
+        use crate::hierarchical::{self, HierarchicalRunConfig};
         use crate::predict::Predicted;
         use dck_core::{predict::proactive_cost, ControllerConfig, GlobalStore, PredictorSpec};
         use dck_failures::{AggregatedExponential, MtbfSpec};
@@ -1246,10 +1241,7 @@ mod tests {
                             periods_per_global: 40,
                             max_rollbacks: 3,
                         };
-                        let wpp = machine.sched.work_per_period();
-                        let mut p = Hierarchical::new(&cfg, 30.0 * mtbf, wpp);
-                        let first = Stop::Work(p.target);
-                        (machine.drive(first, &mut src, &mut p, observe).unwrap(), 0)
+                        (hierarchical::drive(&cfg, 30.0 * mtbf, &mut src, observe).unwrap().0, 0)
                     }
                     _ => {
                         let cfg = adaptive(Some(predictor));
