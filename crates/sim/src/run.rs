@@ -587,15 +587,14 @@ impl RunMachine {
                     }
 
                     failures += 1;
-                    let off = sched.offset(st.v);
-                    let (o, fatal) = match &mut transfer {
+                    let (o, fatal, off) = match &mut transfer {
                         Some((from, left, pause)) => {
                             let end = *from + *left;
                             if next_at >= *from {
                                 *left -= next_at - *from;
                             }
                             *from = next_at + *pause;
-                            (*from + *left - end, false)
+                            (*from + *left - end, false, sched.offset(st.v))
                         }
                         None => {
                             let replaced = policy.on_failure(next_at, st.v)?;
@@ -603,7 +602,9 @@ impl RunMachine {
                             // time, even when a serialised outage delayed
                             // its handling.
                             let fatal = tracker.record_failure(next.node, next_at).fatal;
-                            (replaced.unwrap_or_else(|| resp.outage(off).total()), fatal)
+                            let off = sched.offset(st.v);
+                            let o = replaced.unwrap_or_else(|| resp.outage(off).total());
+                            (o, fatal, off)
                         }
                     };
                     observe(TimelineEvent::Failure {
