@@ -296,7 +296,8 @@ pub fn run_until_sinked(
 /// Where a run stands; the part of the kernel's state that policy
 /// hooks may move.
 pub(crate) struct RunState {
-    /// Wall clock (seconds).
+    /// The kernel's clock (seconds): the wall clock, less the origin of
+    /// a segment ([`Resume::Segment`]).
     pub(crate) t: f64,
     /// Position in the current schedule (frozen during outages).
     pub(crate) v: f64,
