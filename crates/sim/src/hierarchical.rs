@@ -7,10 +7,9 @@
 //! owns. A **fatal** buddy failure no longer ends the run: the
 //! application reloads the last global checkpoint (blocking `D + Rg`)
 //! and re-runs the segment. A completed segment is sealed by a blocking
-//! global write `Cg`. Both are kernel transfers: the kernel counts and
-//! timelines the failures during them, which are never fatal and open
-//! no risk window. The failure cap applies to each segment attempt and
-//! each transfer separately.
+//! global write `Cg`. Both are kernel transfers, and the kernel counts
+//! and timelines the failures during them. The failure cap applies to
+//! each segment attempt and each transfer separately.
 //!
 //! Transfers are **resumable**: each node writes or reads its own file,
 //! so what was moved persists and a failure only pauses the transfer —
@@ -20,9 +19,10 @@
 //! full-restart write would be unusable in exactly the regimes that
 //! need global checkpoints (`Cg ≳ M` ⇒ `e^{Cg/M}` expected restarts).
 //!
-//! Known first-order seam, shared with the analytical
+//! Known first-order seams, shared with the analytical
 //! `HierarchicalModel`: risk windows do not persist across segment
-//! boundaries (window ≪ segment).
+//! boundaries (window ≪ segment), and a failure during a transfer is
+//! never fatal and opens no risk window (a transfer ≪ a segment).
 
 use crate::config::RunConfig;
 use crate::run::{

@@ -369,8 +369,9 @@ pub(crate) trait Policy {
     }
 
     /// The run completed its work, struck a `fatal` failure or ended a
-    /// transfer at `run.t`, with `next` drawn but not handled: returns
-    /// what follows. The policy may move `run` and `next`.
+    /// transfer at `run.t`. `next` is the failure drawn last: not yet
+    /// handled, unless it was the fatal one, which the kernel then draws
+    /// past. Returns what follows; the policy may move `run` and `next`.
     fn resume(&mut self, _fatal: bool, _run: &mut RunState, _next: &mut FailureEvent) -> Resume {
         Resume::Stop
     }
@@ -650,7 +651,6 @@ impl RunMachine {
                 }
                 capped_from = failures;
                 if reason == StopReason::Fatal {
-                    // The fatal failure was handled: draw past it.
                     next = policy.next_failure(source);
                 }
             }
