@@ -7,18 +7,19 @@
 
 use crate::config::RunConfig;
 use crate::run::{RunMachine, RunOutcome, Static, Stop, StopReason};
+use crate::sweep::{run_pool, RoundBudget, WastePlan};
 use dck_core::ModelError;
 use dck_failures::{AggregatedExponential, DistributionSpec, MtbfSpec, PerNodeRenewal};
-use dck_simcore::par::{default_workers, parallel_map_fold};
+use dck_simcore::par::{default_workers, parallel_map_indexed};
 use dck_simcore::{ConfidenceInterval, OnlineStats, RngFactory, SimTime};
 use serde::{Deserialize, Serialize};
 
-/// Replications folded sequentially per work-stealing unit. Shared by
-/// [`estimate_waste`] and the sweep pool in [`crate::sweep`]: as long
-/// as every execution path cuts a cell's replication range into
-/// `REP_CHUNK`-sized chunks and merges the chunk accumulators in
-/// ascending order, results are bit-identical across entry points and
-/// worker counts.
+/// Replications per work unit of the sweep pool in [`crate::sweep`],
+/// the one engine every waste estimate runs on: it cuts a cell's
+/// replication range into `REP_CHUNK`-sized chunks and merges their
+/// accumulators in ascending order, so results are bit-identical across
+/// entry points and worker counts. [`estimate_success`] counts
+/// survivors over the same chunks.
 pub(crate) const REP_CHUNK: usize = 8;
 
 /// Which failure process drives the replications.
@@ -337,38 +338,6 @@ impl ChunkOutcomes {
     }
 }
 
-/// Per-work-unit state for the waste estimator: the lazily built chunk
-/// machinery, the SoA staging area and the running accumulator for
-/// already-flushed chunks.
-struct WasteChunkState {
-    runner: Option<ChunkRunner>,
-    staged: ChunkOutcomes,
-    acc: WasteAccum,
-}
-
-impl WasteChunkState {
-    fn empty() -> Self {
-        WasteChunkState {
-            runner: None,
-            staged: ChunkOutcomes::default(),
-            acc: WasteAccum::default(),
-        }
-    }
-
-    fn flush(&mut self) {
-        let staged = std::mem::take(&mut self.staged);
-        staged.fold_into(&mut self.acc);
-    }
-
-    fn merge(mut self, mut other: WasteChunkState) -> WasteChunkState {
-        self.flush();
-        other.flush();
-        self.acc.merge_in_place(&other.acc);
-        self.runner = None;
-        self
-    }
-}
-
 /// Aggregated success-probability estimate across replications.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct SuccessEstimate {
@@ -403,30 +372,22 @@ pub fn estimate_waste(
     }
     // Validate once up front so worker panics can't hide config errors.
     ChunkRunner::new(run_cfg, mc)?;
-    // Each REP_CHUNK-sized work unit lazily builds one ChunkRunner —
-    // the schedule resolution (a period solve under
-    // PeriodChoice::Optimal) is paid once per chunk instead of once per
-    // replication — and stages outcomes
-    // in structure-of-arrays form, folded into a per-chunk accumulator
-    // at merge time. Merging in fixed ascending chunk order keeps the
-    // floats bit-identical across worker counts.
-    let state = parallel_map_fold(
-        mc.replications,
-        mc.resolved_workers(),
-        REP_CHUNK,
-        WasteChunkState::empty,
-        |state, i| {
-            let runner = state.runner.get_or_insert_with(|| {
-                ChunkRunner::new(run_cfg, mc).expect("validated configuration cannot fail")
-            });
-            state.staged.record(&runner.run_waste(t_base, i as u64));
-        },
-        WasteChunkState::merge,
-    )
-    .map_err(|e| ModelError::execution(e.to_string()))?;
-    let mut state = state;
-    state.flush();
-    Ok(state.acc.into_estimate())
+    // One plan, one round: the sweep pool without early stopping.
+    let plan = WastePlan {
+        run_cfg: *run_cfg,
+        mc: *mc,
+        t_base,
+    };
+    let rounds = RoundBudget {
+        budget: mc.replications,
+        round: mc.replications.max(1),
+        early_stop: None,
+        workers: mc.workers,
+    };
+    let (acc, _) = run_pool(&[plan], rounds, None, None, None)?
+        .pop()
+        .unwrap_or_default();
+    Ok(acc.into_estimate())
 }
 
 /// Estimates the success probability over an exploitation horizon.
@@ -440,22 +401,20 @@ pub fn estimate_success(
     mc: &MonteCarloConfig,
 ) -> Result<SuccessEstimate, ModelError> {
     ChunkRunner::new(run_cfg, mc)?;
-    let survived = parallel_map_fold(
-        mc.replications,
-        mc.resolved_workers(),
-        REP_CHUNK,
-        || (None::<ChunkRunner>, 0usize),
-        |state, i| {
-            let runner = state.0.get_or_insert_with(|| {
-                ChunkRunner::new(run_cfg, mc).expect("validated configuration cannot fail")
-            });
-            state.1 += usize::from(runner.run_success(horizon, i as u64));
-        },
-        |a, b| (None, a.1 + b.1),
-    )
-    .map_err(|e| ModelError::execution(e.to_string()))?
-    .1;
     let runs = mc.replications;
+    // Each REP_CHUNK-sized chunk builds its runner and returns only its
+    // survivor count, so no runner outlives its chunk.
+    let chunks = runs.div_ceil(REP_CHUNK);
+    let survived = parallel_map_indexed(chunks, mc.resolved_workers(), |c| {
+        let mut runner = ChunkRunner::new(run_cfg, mc)?;
+        let end = ((c + 1) * REP_CHUNK).min(runs);
+        Ok((c * REP_CHUNK..end)
+            .filter(|&i| runner.run_success(horizon, i as u64))
+            .count())
+    })
+    .map_err(|e| ModelError::execution(e.to_string()))?
+    .into_iter()
+    .sum::<Result<usize, ModelError>>()?;
     let p_hat = if runs == 0 {
         0.0
     } else {

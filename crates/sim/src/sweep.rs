@@ -8,11 +8,13 @@
 //!
 //! # Execution
 //!
-//! Every `(cell, replication-chunk)` pair of the whole grid is
-//! flattened into one index space and executed by a single
-//! work-stealing pool. Workers are spawned once per round (once per
-//! sweep without early stopping), and a slow cell's tail overlaps
-//! other cells' work.
+//! `run_pool` is the crate's one Monte-Carlo waste engine: the grid,
+//! [`run_sweep_cell`] and [`estimate_waste`](crate::estimate_waste) all
+//! hand it per-cell plans and a round budget. Each round flattens every
+//! `(cell, replication-chunk)` pair into one index space for a single
+//! work-stealing pool, so workers are spawned once per round and a slow
+//! cell's tail overlaps other cells' work; one worker runs the round
+//! inline on the caller's thread.
 //!
 //! # Reproducibility
 //!
@@ -130,21 +132,18 @@ impl SweepSpec {
         }
     }
 
-    fn resolved_workers(&self) -> usize {
-        if self.workers == 0 {
-            default_workers(0)
-        } else {
-            self.workers
-        }
-    }
-
-    /// Replications per round: the whole budget without early
-    /// stopping, else the batch rounded up to a chunk multiple so
-    /// chunk boundaries stay aligned across configurations.
-    fn round_len(&self) -> usize {
-        match self.early_stop {
-            None => self.replications.max(1),
-            Some(es) => es.batch.max(1).div_ceil(REP_CHUNK) * REP_CHUNK,
+    /// The pool's rounds: the whole budget in one round without early
+    /// stopping, else the batch rounded up to a chunk multiple so chunk
+    /// boundaries stay aligned across configurations.
+    fn rounds(&self) -> RoundBudget {
+        RoundBudget {
+            budget: self.replications,
+            round: match self.early_stop {
+                None => self.replications.max(1),
+                Some(es) => es.batch.max(1).div_ceil(REP_CHUNK) * REP_CHUNK,
+            },
+            early_stop: self.early_stop,
+            workers: self.workers,
         }
     }
 }
@@ -202,16 +201,12 @@ impl SweepResult {
     }
 }
 
-/// A fully resolved cell: everything a worker needs to run one
-/// replication, precomputed before any thread spawns.
+/// What a finished cell reports besides its Monte-Carlo estimate.
 struct CellPlan {
     phi_ratio: f64,
     mtbf: f64,
     period: f64,
     model_waste: f64,
-    run_cfg: RunConfig,
-    mc: MonteCarloConfig,
-    t_base: f64,
 }
 
 /// Validates the grid-level invariants shared by every entry point:
@@ -244,7 +239,7 @@ fn validate_grid(spec: &SweepSpec) -> Result<(), ModelError> {
 /// plan. The cell seed depends only on the master seed and the
 /// coordinates, never on the rest of the grid — the property that lets
 /// a single cell be recomputed in isolation bit-identically.
-fn build_plan(spec: &SweepSpec, mi: usize, pi: usize) -> Result<CellPlan, ModelError> {
+fn build_plan(spec: &SweepSpec, mi: usize, pi: usize) -> Result<(CellPlan, WastePlan), ModelError> {
     let mtbf = spec.mtbfs[mi];
     let ratio = spec.phi_ratios[pi];
     let phi = ratio * spec.params.theta_min;
@@ -262,18 +257,21 @@ fn build_plan(spec: &SweepSpec, mi: usize, pi: usize) -> Result<CellPlan, ModelE
         source: spec.source,
     };
     ChunkRunner::new(&run_cfg, &mc)?;
-    Ok(CellPlan {
+    let cell = CellPlan {
         phi_ratio: ratio,
         mtbf,
         period: opt.period,
         model_waste: opt.waste.total,
+    };
+    let work = WastePlan {
         run_cfg,
         mc,
         t_base: spec.work_in_mtbfs * mtbf,
-    })
+    };
+    Ok((cell, work))
 }
 
-fn build_plans(spec: &SweepSpec) -> Result<Vec<CellPlan>, ModelError> {
+fn build_plans(spec: &SweepSpec) -> Result<(Vec<CellPlan>, Vec<WastePlan>), ModelError> {
     validate_grid(spec)?;
     let mut plans = Vec::with_capacity(spec.mtbfs.len() * spec.phi_ratios.len());
     for mi in 0..spec.mtbfs.len() {
@@ -281,7 +279,7 @@ fn build_plans(spec: &SweepSpec) -> Result<Vec<CellPlan>, ModelError> {
             plans.push(build_plan(spec, mi, pi)?);
         }
     }
-    Ok(plans)
+    Ok(plans.into_iter().unzip())
 }
 
 /// Fault injection: the matching `(cell, replication)` panics inside
@@ -292,7 +290,7 @@ fn build_plans(spec: &SweepSpec) -> Result<Vec<CellPlan>, ModelError> {
 /// binary with `DCK_SWEEP_PANIC_UNIT="ci:rep[:once]"` in the
 /// environment, parsed once per sweep (absent, the normal case, it
 /// costs one env lookup per sweep).
-struct PanicInjection {
+pub(crate) struct PanicInjection {
     cell: usize,
     rep: usize,
     once: bool,
@@ -325,14 +323,14 @@ impl PanicInjection {
     }
 }
 
-/// Folds replications `[start, end)` of cell `ci` sequentially — the
+/// Folds replications `[start, end)` of plan `ci` sequentially — the
 /// pool's work unit. Builds one [`ChunkRunner`] for the whole range
 /// (amortizing the config build) and stages outcomes in
 /// structure-of-arrays form; the fold into the returned accumulator
 /// is in replication order, so the result is bit-identical to the old
 /// per-replication absorb loop.
 fn chunk_accum(
-    plan: &CellPlan,
+    plan: &WastePlan,
     ci: usize,
     start: usize,
     end: usize,
@@ -340,28 +338,12 @@ fn chunk_accum(
 ) -> WasteAccum {
     let mut runner =
         ChunkRunner::new(&plan.run_cfg, &plan.mc).expect("validated configuration cannot fail");
-    chunk_accum_with(&mut runner, plan.t_base, ci, start, end, injection)
-}
-
-/// [`chunk_accum`] with a caller-owned runner: replication `i`'s RNG
-/// stream derives from `(seed, i)` alone, so reusing one runner across
-/// chunks is bit-identical to building a fresh one per chunk — the
-/// serving path leans on this to answer a whole cell without
-/// re-building a `RunMachine` per chunk.
-fn chunk_accum_with(
-    runner: &mut ChunkRunner,
-    t_base: f64,
-    ci: usize,
-    start: usize,
-    end: usize,
-    injection: Option<&PanicInjection>,
-) -> WasteAccum {
     let mut staged = ChunkOutcomes::default();
     for i in start..end {
         if let Some(inj) = injection {
             inj.trip(ci, i);
         }
-        staged.record(&runner.run_waste(t_base, i as u64));
+        staged.record(&runner.run_waste(plan.t_base, i as u64));
     }
     let mut acc = WasteAccum::default();
     staged.fold_into(&mut acc);
@@ -410,7 +392,7 @@ fn chunk_ranges(start: usize, round_end: usize) -> Vec<(usize, usize)> {
 /// of re-resolving names. `None` when disabled — the pool then does no
 /// metric work at all. Counters never influence scheduling or float
 /// order, so results stay bit-identical either way.
-struct SweepCounters {
+pub(crate) struct SweepCounters {
     rounds: Arc<Counter>,
     units: Arc<Counter>,
     replications: Arc<Counter>,
@@ -434,17 +416,58 @@ impl SweepCounters {
     }
 }
 
-fn run_pool(
-    spec: &SweepSpec,
-    plans: &[CellPlan],
-    ckpt: Option<&SweepCheckpoint>,
+/// One cell's Monte-Carlo work: everything a pool worker needs to run
+/// one of its replications, resolved before any thread spawns.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WastePlan {
+    pub(crate) run_cfg: RunConfig,
+    pub(crate) mc: MonteCarloConfig,
+    /// Useful work per replication (seconds).
+    pub(crate) t_base: f64,
+}
+
+/// How [`run_pool`] spends every plan's replication budget.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RoundBudget {
+    /// Replications per plan.
+    pub(crate) budget: usize,
+    /// Replications per plan per round; a [`REP_CHUNK`] multiple
+    /// whenever another round can follow, so chunks stay aligned.
+    pub(crate) round: usize,
+    /// Retires a plan at a round boundary once its estimate converged.
+    pub(crate) early_stop: Option<EarlyStop>,
+    /// Worker threads (0 = auto); 1 runs every round inline on the
+    /// caller's thread.
+    pub(crate) workers: usize,
+}
+
+/// The crate's one Monte-Carlo waste engine: returns each plan's
+/// accumulator and the replications it ran. Each round cuts every
+/// active plan's next `round` replications into `REP_CHUNK`-aligned
+/// units, runs the units of all plans on one work-stealing pool, and
+/// merges each plan's units in ascending order, so a plan's bits depend
+/// neither on the worker count nor on the other plans. `ckpt` (a policy
+/// and the spec fingerprint its snapshots carry) and `counters` are the
+/// grid's: only [`run_sweep`] passes them.
+pub(crate) fn run_pool(
+    plans: &[WastePlan],
+    rounds: RoundBudget,
+    ckpt: Option<(&SweepCheckpoint, u64)>,
+    counters: Option<&SweepCounters>,
     injection: Option<&PanicInjection>,
-) -> Result<Vec<SweepCell>, ModelError> {
-    let workers = spec.resolved_workers();
-    let budget = spec.replications;
-    let round = spec.round_len();
-    let counters = SweepCounters::capture();
-    let fingerprint = checkpoint::spec_fingerprint(spec);
+) -> Result<Vec<(WasteAccum, usize)>, ModelError> {
+    let RoundBudget {
+        budget,
+        round,
+        early_stop,
+        workers,
+    } = rounds;
+    let workers = if workers == 0 {
+        default_workers(0)
+    } else {
+        workers
+    };
+    let (ckpt, fingerprint) = ckpt.map_or((None, 0), |(ck, fp)| (Some(ck), fp));
     let retention = match ckpt {
         Some(ck) => checkpoint::RetentionPolicy::keep(ck.keep_snapshots)?,
         None => checkpoint::RetentionPolicy::default(),
@@ -479,7 +502,7 @@ fn run_pool(
                 }
                 every_rounds = recorded;
             }
-            if let Some(c) = &counters {
+            if let Some(c) = counters {
                 c.resumes.incr();
                 c.rounds_restored.add(restored.state.rounds_done);
             }
@@ -520,7 +543,7 @@ fn run_pool(
                     &retention,
                 )
                 .map_err(|e| ModelError::execution(format!("cannot write pause snapshot: {e}")))?;
-                if let Some(c) = &counters {
+                if let Some(c) = counters {
                     c.checkpoints.incr();
                 }
                 return Err(ModelError::execution(format!(
@@ -530,7 +553,7 @@ fn run_pool(
                 )));
             }
         }
-        if let Some(c) = &counters {
+        if let Some(c) = counters {
             c.rounds.incr();
             c.units.add(units.len() as u64);
             c.replications
@@ -562,7 +585,7 @@ fn run_pool(
                     )
                 }) {
                     Some(Ok(path)) => {
-                        if let Some(c) = &counters {
+                        if let Some(c) = counters {
                             c.checkpoints.incr();
                         }
                         reason.push_str(&format!("; state checkpointed to {}", path.display()));
@@ -587,10 +610,10 @@ fn run_pool(
             }
             if state.next[ci] >= budget {
                 state.active[ci] = false;
-            } else if let Some(es) = spec.early_stop {
+            } else if let Some(es) = early_stop {
                 if cell_converged(&state.accs[ci], &es, state.next[ci]) {
                     state.active[ci] = false;
-                    if let Some(c) = &counters {
+                    if let Some(c) = counters {
                         c.early_stopped.incr();
                     }
                 }
@@ -604,7 +627,7 @@ fn run_pool(
                         ModelError::execution(format!("cannot write sweep snapshot: {e}"))
                     })?;
                 last_written = Some(state.rounds_done);
-                if let Some(c) = &counters {
+                if let Some(c) = counters {
                     c.checkpoints.incr();
                 }
             }
@@ -620,18 +643,13 @@ fn run_pool(
                 .map_err(|e| {
                     ModelError::execution(format!("cannot write final sweep snapshot: {e}"))
                 })?;
-            if let Some(c) = &counters {
+            if let Some(c) = counters {
                 c.checkpoints.incr();
             }
         }
     }
 
-    Ok(plans
-        .iter()
-        .zip(state.accs)
-        .zip(state.next)
-        .map(|((plan, acc), executed)| finish_cell(plan, acc, executed))
-        .collect())
+    Ok(state.accs.into_iter().zip(state.next).collect())
 }
 
 /// Checkpoint/resume policy for a sweep. The pool's complete
@@ -715,13 +733,20 @@ fn run_sweep_injected(
     ckpt: Option<&SweepCheckpoint>,
     injection: Option<&PanicInjection>,
 ) -> Result<SweepResult, ModelError> {
-    let plans = build_plans(spec)?;
+    let (cells, plans) = build_plans(spec)?;
     if dck_obs::enabled() {
         dck_obs::add("sweep.cells", plans.len() as u64);
     }
+    let ckpt = ckpt.map(|ck| (ck, checkpoint::spec_fingerprint(spec)));
+    let counters = SweepCounters::capture();
+    let runs = run_pool(&plans, spec.rounds(), ckpt, counters.as_ref(), injection)?;
     Ok(SweepResult {
         spec: spec.clone(),
-        cells: run_pool(spec, &plans, ckpt, injection)?,
+        cells: cells
+            .iter()
+            .zip(runs)
+            .map(|(cell, (acc, executed))| finish_cell(cell, acc, executed))
+            .collect(),
     })
 }
 
@@ -729,19 +754,14 @@ fn run_sweep_injected(
 /// same cell of [`run_sweep`] over the full grid — without touching
 /// any other cell.
 ///
-/// Three properties make the isolation exact:
+/// The cell runs on the grid's own pool with one worker, inline on the
+/// caller's thread, so a serving worker answers it without spawning
+/// threads per request. Two properties make the isolation exact:
 ///
 /// * the cell's RNG seed derives only from the master seed and the
 ///   `(mtbf_idx, phi_idx)` coordinates, never from the grid shape;
-/// * replications fold in ascending `REP_CHUNK`-aligned chunk order,
-///   exactly the order the sweep pool merges per-cell units;
-/// * early stopping re-checks convergence at the same fixed round
-///   boundaries, and the decision depends only on this cell's own
-///   accumulated statistics.
-///
-/// One `ChunkRunner` is built per call and reused across every
-/// chunk, so a serving layer answers repeated point lookups without
-/// re-building a `RunMachine` per replication.
+/// * the pool's merge order and early-stop decisions for a plan depend
+///   only on that plan's own replications and round boundaries.
 ///
 /// # Errors
 /// Out-of-range coordinates, plus everything [`run_sweep`] rejects for
@@ -767,27 +787,15 @@ pub fn run_sweep_cell(
             ),
         });
     }
-    let plan = build_plan(spec, mtbf_idx, phi_idx)?;
-    let ci = mtbf_idx * spec.phi_ratios.len() + phi_idx;
-    let budget = spec.replications;
-    let round = spec.round_len();
-    let mut runner = ChunkRunner::new(&plan.run_cfg, &plan.mc)?;
-    let mut acc = WasteAccum::default();
-    let mut next = 0usize;
-    while next < budget {
-        let round_end = (next + round).min(budget);
-        for (s, e) in chunk_ranges(next, round_end) {
-            let ua = chunk_accum_with(&mut runner, plan.t_base, ci, s, e, None);
-            acc.merge_in_place(&ua);
-        }
-        next = round_end;
-        if let Some(es) = spec.early_stop {
-            if cell_converged(&acc, &es, next) {
-                break;
-            }
-        }
-    }
-    Ok(finish_cell(&plan, acc, next))
+    let (cell, plan) = build_plan(spec, mtbf_idx, phi_idx)?;
+    let inline = RoundBudget {
+        workers: 1,
+        ..spec.rounds()
+    };
+    let (acc, executed) = run_pool(&[plan], inline, None, None, None)?
+        .pop()
+        .unwrap_or_default();
+    Ok(finish_cell(&cell, acc, executed))
 }
 
 #[cfg(test)]

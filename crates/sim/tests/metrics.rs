@@ -8,7 +8,8 @@ use std::path::PathBuf;
 
 use dck_core::{PlatformParams, Protocol};
 use dck_sim::{
-    run_sweep, run_sweep_with_checkpoint, EarlyStop, SweepCheckpoint, SweepResult, SweepSpec,
+    estimate_waste, run_sweep, run_sweep_cell, run_sweep_with_checkpoint, EarlyStop,
+    MonteCarloConfig, RunConfig, SweepCheckpoint, SweepResult, SweepSpec,
 };
 
 fn params() -> PlatformParams {
@@ -137,4 +138,45 @@ fn checkpoint_counters_track_writes_and_resumes() {
     // round's cadence write doubles as the final snapshot.
     assert_eq!(snap.counter("sweep.checkpoints_written"), 4);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A serving worker computes a cell inline: `run_sweep_cell` must not
+/// start a pool per request, even on a spec asking for auto workers.
+#[test]
+fn single_cell_query_spawns_no_pool() {
+    let _guard = dck_obs::exclusive_session();
+    let mut spec = SweepSpec::new(Protocol::DoubleNbl, params(), vec![0.0, 0.5], vec![1_800.0]);
+    spec.replications = 64;
+    spec.work_in_mtbfs = 8.0;
+    spec.workers = 0;
+    dck_obs::reset();
+    let was = dck_obs::set_enabled(true);
+    let cell = run_sweep_cell(&spec, 0, 1);
+    dck_obs::set_enabled(was);
+    assert_eq!(cell.unwrap().replications_run, 64);
+    assert_eq!(dck_obs::snapshot().counter("par.pool_spawns"), 0);
+}
+
+/// `estimate_waste` is not a sweep: it records none of the `sweep.*`
+/// progress counters, while its pool still shows up under `par.*`.
+#[test]
+fn estimator_records_no_sweep_counters() {
+    let _guard = dck_obs::exclusive_session();
+    let run_cfg = RunConfig::new(Protocol::DoubleNbl, params(), 1.0, 1_800.0);
+    let mut mc = MonteCarloConfig::new(64, 7);
+    mc.workers = 2;
+    dck_obs::reset();
+    let was = dck_obs::set_enabled(true);
+    let est = estimate_waste(&run_cfg, 8.0 * 1_800.0, &mc);
+    dck_obs::set_enabled(was);
+    let est = est.unwrap();
+    assert_eq!(est.completed + est.fatal + est.truncated, 64);
+    let snap = dck_obs::snapshot();
+    let sweep: Vec<_> = snap
+        .counters
+        .iter()
+        .filter(|(name, &v)| name.starts_with("sweep.") && v > 0)
+        .collect();
+    assert!(sweep.is_empty(), "estimate_waste recorded {sweep:?}");
+    assert_eq!(snap.counter("par.pool_spawns"), 1);
 }
