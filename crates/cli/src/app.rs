@@ -714,6 +714,10 @@ fn cmd_lint(args: &Args) -> Result<String, String> {
         Some("baseline") => true,
         Some(other) => return Err(format!("unknown lint mode `{other}` (expected `baseline`)")),
     };
+    let format = args.get("format").unwrap_or("human");
+    if !matches!(format, "human" | "json" | "sarif") {
+        return Err(format!("unknown --format `{format}` (human|json|sarif)"));
+    }
     if let Some(name) = args.get("explain") {
         return explain_lint(name);
     }
@@ -739,7 +743,6 @@ fn cmd_lint(args: &Args) -> Result<String, String> {
     } else {
         dck_analyze::AnalyzeConfig::default()
     };
-    let format = args.get("format").unwrap_or("human").to_string();
     let out_path = args.get("out").map(str::to_string);
     let report = dck_analyze::scan(&root, &config)?;
 
@@ -763,11 +766,10 @@ fn cmd_lint(args: &Args) -> Result<String, String> {
         write_file(&path, &dck_analyze::sarif::render(&report)?)?;
     }
     if report.is_clean() {
-        match format.as_str() {
+        match format {
             "json" => report.to_json(),
             "sarif" => dck_analyze::sarif::render(&report),
-            "human" => Ok(report.to_human()),
-            other => Err(format!("unknown --format `{other}` (human|json|sarif)")),
+            _ => Ok(report.to_human()),
         }
     } else {
         Err(report.to_human())
@@ -975,6 +977,10 @@ fn cmd_validate(args: &Args) -> Result<String, String> {
 }
 
 fn cmd_sweep(args: &Args) -> Result<String, String> {
+    let format = args.get("format").unwrap_or("ascii");
+    if !matches!(format, "ascii" | "csv" | "json") {
+        return Err(format!("unknown --format `{format}` (ascii|csv|json)"));
+    }
     let (params, scenario) = resolve_params(args)?;
     let protocol = resolve_protocol(args, None)?;
 
@@ -1047,14 +1053,14 @@ fn cmd_sweep(args: &Args) -> Result<String, String> {
         write_metrics(path, snapshot)?;
     }
 
-    let rendered = match args.get("format") {
-        Some("json") => serde_json::to_string_pretty(&result)
+    let rendered = match format {
+        "json" => serde_json::to_string_pretty(&result)
             .map(|mut s| {
                 s.push('\n');
                 s
             })
             .map_err(|e| e.to_string()),
-        Some("csv") => {
+        "csv" => {
             let mut out = String::from(
                 "phi_ratio,mtbf_s,period_s,model_waste,sim_waste,half_width,\
                  completed,fatal,truncated,replications_run\n",
@@ -1078,7 +1084,7 @@ fn cmd_sweep(args: &Args) -> Result<String, String> {
             }
             Ok(out)
         }
-        None | Some("ascii") => {
+        _ => {
             let rows: Vec<Vec<String>> = result
                 .cells
                 .iter()
@@ -1125,12 +1131,11 @@ fn cmd_sweep(args: &Args) -> Result<String, String> {
             );
             Ok(out)
         }
-        Some(other) => Err(format!("unknown --format `{other}` (ascii|csv|json)")),
     };
     let mut rendered = rendered?;
     // Append the counter table to human-readable output only; csv/json
     // stay machine-parseable (the snapshot lives in the --metrics file).
-    if matches!(args.get("format"), None | Some("ascii")) {
+    if format == "ascii" {
         if let Some(snapshot) = &snapshot {
             rendered.push_str("\nobservability metrics:\n");
             rendered.push_str(&snapshot.to_table());
@@ -2061,6 +2066,41 @@ mod tests {
             let err = run_err(&ckpt_sweep_args(&[flag, "2"]));
             assert!(err.contains("requires --checkpoint"), "{flag}: {err}");
         }
+    }
+
+    #[test]
+    fn bad_format_is_rejected_before_any_work() {
+        let dir = std::env::temp_dir().join(format!("dck-cli-badformat-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let d = dir.to_str().unwrap();
+        let err = run_err(&[
+            "sweep",
+            "--protocol",
+            "double-nbl",
+            "--phi-ratios",
+            "0.5",
+            "--mtbfs",
+            "1h",
+            "--reps",
+            "8",
+            "--checkpoint",
+            d,
+            "--format",
+            "yaml",
+        ]);
+        assert!(err.contains("unknown --format `yaml`"), "{err}");
+        assert!(
+            !dir.exists() || std::fs::read_dir(&dir).unwrap().next().is_none(),
+            "a rejected format must not have run the sweep into a snapshot"
+        );
+        // A tree with deny findings: the scan's report must not hide
+        // the bad format.
+        let fixture = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../analyze/tests/fixtures/mini"
+        );
+        let err = run_err(&["lint", "--root", fixture, "--format", "yaml"]);
+        assert!(err.contains("unknown --format `yaml`"), "{err}");
     }
 
     #[test]
