@@ -87,11 +87,7 @@ pub struct CallGraph {
     out: Vec<Vec<usize>>,
 }
 
-const POOL_ENTRY_POINTS: [&str; 3] = [
-    "parallel_map_indexed",
-    "parallel_map_reduce",
-    "parallel_map_fold",
-];
+const POOL_ENTRY_POINTS: [&str; 2] = ["parallel_map_indexed", "parallel_map_fold"];
 
 /// Idents that look like calls when followed by `(` but are keywords.
 const KEYWORDS: [&str; 18] = [

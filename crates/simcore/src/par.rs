@@ -5,10 +5,11 @@
 //!
 //! - [`parallel_map_indexed`]: map a function over an index range on a
 //!   fixed number of worker threads and collect the results *in index
-//!   order*.
+//!   order* — the pool behind the sweep engine, and so behind every
+//!   Monte-Carlo waste estimate.
 //! - [`parallel_map_fold`]: stream items into per-chunk accumulators
 //!   and merge them in fixed chunk order, never materializing the full
-//!   result vector — the engine primitive behind sweep execution.
+//!   result vector.
 //!
 //! Work is handed out through an atomic cursor (work-stealing by
 //! chunk), so uneven per-item cost — common in failure simulations,
@@ -335,30 +336,6 @@ where
     Ok(chunks.into_iter().flatten().collect())
 }
 
-/// Maps `f` over `0..n` in parallel and reduces the results with a
-/// mergeable accumulator (e.g. [`crate::OnlineStats`]). The reduction
-/// order is fixed (index order), so floating-point results are
-/// reproducible run-to-run.
-///
-/// # Errors
-/// Propagates [`PoolError`] from the underlying map.
-pub fn parallel_map_reduce<T, A, F, M>(
-    n: usize,
-    workers: usize,
-    f: F,
-    init: A,
-    merge: M,
-) -> Result<A, PoolError>
-where
-    T: Send,
-    A: Send,
-    F: Fn(usize) -> T + Sync,
-    M: Fn(A, T) -> A,
-{
-    let items = parallel_map_indexed(n, workers, f)?;
-    Ok(items.into_iter().fold(init, merge))
-}
-
 /// Streams `0..n` into per-chunk accumulators and merges them in
 /// fixed chunk order, without materializing a `Vec` of per-item
 /// results.
@@ -486,12 +463,6 @@ mod tests {
         assert!(empty.is_empty());
         let one = parallel_map_indexed(1, 4, |i| i + 10).unwrap();
         assert_eq!(one, vec![10]);
-    }
-
-    #[test]
-    fn map_reduce_matches_fold() {
-        let total = parallel_map_reduce(100, 4, |i| i as u64, 0u64, |a, b| a + b).unwrap();
-        assert_eq!(total, 4950);
     }
 
     #[test]
