@@ -418,7 +418,7 @@ impl SweepCounters {
 
 /// One cell's Monte-Carlo work: everything a pool worker needs to run
 /// one of its replications, resolved before any thread spawns.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub(crate) struct WastePlan {
     pub(crate) run_cfg: RunConfig,
     pub(crate) mc: MonteCarloConfig,
@@ -427,7 +427,7 @@ pub(crate) struct WastePlan {
 }
 
 /// How [`run_pool`] spends every plan's replication budget.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub(crate) struct RoundBudget {
     /// Replications per plan.
     pub(crate) budget: usize,
