@@ -1,0 +1,156 @@
+//! The exact bytes `dck serve` puts on the wire, pinned as constants.
+//!
+//! Every other serve test compares answers with lines built by the same
+//! encoder the server uses, so a change to that encoder (float
+//! formatting, key order, escaping, integer ids) would pass them all.
+//! These constants were captured from the server once and never
+//! regenerated: an answer that moves by one byte fails here.
+
+use dck_serve::{serve, ServeConfig, ServeSummary};
+use dck_sim::{sweep_spec_fingerprint, SweepSpec};
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc;
+use std::thread::JoinHandle;
+
+/// A small sweep spec; its cells take milliseconds to compute.
+const SPEC: &str = r#"{"protocol":"DoubleNbl","params":{"downtime":0.0,"delta":2.0,"theta_min":4.0,"alpha":10.0,"nodes":48},"phi_ratios":[0.0,1.0],"mtbfs":[1800.0,3600.0],"work_in_mtbfs":10.0,"replications":16,"seed":32343,"workers":0,"source":"Exponential","early_stop":null}"#;
+
+/// `sweep_spec_fingerprint` of [`SPEC`]: the key of the serve cache and
+/// of checkpoint snapshot files.
+const SPEC_FINGERPRINT: u64 = 0x6136_49a9_6201_7982;
+
+const PING: (&str, &str) = (
+    r#"{"v":1,"id":"p","method":"ping"}"#,
+    r#"{"v":1,"id":"p","ok":{"pong":true}}"#,
+);
+
+const WASTE: (&str, &str) = (
+    r#"{"v":1,"id":"w","method":"waste","params":{"protocol":"double-nbl","phi_ratio":0.5,"mtbf_s":25200}}"#,
+    r#"{"v":1,"id":"w","ok":{"protocol":"double-nbl","phi_ratio":0.5,"phi_s":2.0,"theta_s":24.0,"mtbf_s":25200.0,"period_s":448.74937325861526,"period_source":"closed_form","waste":{"fault_free":0.008913661474229605,"failure_induced":0.010014868517036018,"total":0.018839260843595773,"failure_loss_s":252.37468662930763},"efficiency":0.9811607391564042,"risk_window_s":28.0}}"#,
+);
+
+/// Tiny probabilities print as long plain decimals, never with an
+/// exponent.
+const RISK: (&str, &str) = (
+    r#"{"v":1,"id":"r","method":"risk","params":{"protocol":"triple","mtbf_s":3600,"life_s":1209600,"phi_ratio":0.25}}"#,
+    r#"{"v":1,"id":"r","ok":{"protocol":"triple","mtbf_s":3600.0,"life_s":1209600.0,"theta_s":34.0,"risk_window_s":72.0,"lambda_per_s":0.000000026791838134430727,"probability":0.9999999974994722,"base_probability":0.00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000004573013321965393,"fatal_rate_per_group":0.0000000000007235450113465089}}"#,
+);
+
+const PSTAR: (&str, &str) = (
+    r#"{"v":1,"id":"s","method":"pstar","params":{"protocol":"double-bof","phi_ratio":1,"mtbf_s":1800,"scenario":"exa"}}"#,
+    r#"{"v":1,"id":"s","ok":{"protocol":"double-bof","phi_ratio":1.0,"mtbf_s":1800.0,"period_s":540.0,"period_source":"closed_form","waste_total":0.375}}"#,
+);
+
+/// The `sweep_cell` answer body for [`SPEC`] at `(mtbf_idx 1, phi_idx
+/// 0)`, up to its `cached` flag.
+const CELL_BODY: &str = r#""ok":{"cell":{"phi_ratio":0.0,"mtbf":3600.0,"period":119.19731540601072,"model_waste":0.04616592094611416,"sim_waste":0.04750999523345271,"half_width":0.00556211463360554,"completed":16,"fatal":0,"truncated":0,"replications_run":16},"fingerprint":"613649a962017982","mtbf_idx":1,"phi_idx":0,"cached":"#;
+
+/// A negative integer id is echoed as written.
+const UNKNOWN_METHOD: (&str, &str) = (
+    r#"{"v":1,"id":-7,"method":"frobnicate"}"#,
+    r#"{"v":1,"id":-7,"err":{"code":"unknown_method","message":"unknown method `frobnicate` (known: ping, waste, risk, pstar, sweep_cell, shutdown)"}}"#,
+);
+
+/// The parser's message carries a quote, so this also pins escaping.
+const MALFORMED: (&str, &str) = (
+    r#"{"v":1,"id":"x","#,
+    r#"{"v":1,"id":null,"err":{"code":"bad_request","message":"request is not JSON: expected `\"` at byte 16"}}"#,
+);
+
+const BAD_PARAMS: (&str, &str) = (
+    r#"{"v":1,"id":"b","method":"waste","params":{"protocol":"double-nbl","phi_ratio":1.5,"mtbf_s":3600}}"#,
+    r#"{"v":1,"id":"b","err":{"code":"bad_params","message":"param `phi_ratio` must lie in [0, 1], got 1.5"}}"#,
+);
+
+fn sweep_cell_request(id: &str) -> String {
+    format!(
+        r#"{{"v":1,"id":"{id}","method":"sweep_cell","params":{{"spec":{SPEC},"mtbf_idx":1,"phi_idx":0}}}}"#
+    )
+}
+
+fn sweep_cell_answer(id: &str, cached: bool) -> String {
+    format!(r#"{{"v":1,"id":"{id}",{CELL_BODY}{cached}}}}}"#)
+}
+
+fn start() -> (SocketAddr, JoinHandle<ServeSummary>) {
+    let cfg = ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        cache_cells: 4,
+    };
+    let (addr_tx, addr_rx) = mpsc::channel::<SocketAddr>();
+    let server = std::thread::spawn(move || {
+        serve(&cfg, |addr| {
+            addr_tx.send(addr).unwrap();
+        })
+        .expect("serve")
+    });
+    (addr_rx.recv().expect("bound address"), server)
+}
+
+struct Conn {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl Conn {
+    fn open(addr: SocketAddr) -> Conn {
+        let stream = TcpStream::connect(addr).unwrap();
+        Conn {
+            reader: BufReader::new(stream.try_clone().unwrap()),
+            writer: stream,
+        }
+    }
+
+    /// Sends one request line and returns the answer line, newline
+    /// included.
+    fn exchange(&mut self, request: &str) -> String {
+        self.writer.write_all(request.as_bytes()).unwrap();
+        self.writer.write_all(b"\n").unwrap();
+        self.writer.flush().unwrap();
+        let mut answer = String::new();
+        self.reader.read_line(&mut answer).unwrap();
+        answer
+    }
+}
+
+#[test]
+fn every_method_answers_with_pinned_bytes() {
+    let (addr, server) = start();
+    let mut conn = Conn::open(addr);
+    for (request, want) in [
+        PING,
+        WASTE,
+        RISK,
+        PSTAR,
+        UNKNOWN_METHOD,
+        MALFORMED,
+        BAD_PARAMS,
+    ] {
+        assert_eq!(conn.exchange(request), format!("{want}\n"), "{request}");
+    }
+    // The same cell twice on a fresh cache: computed, then served from
+    // the cache with the same bytes but for the flag.
+    for (id, cached) in [("c1", false), ("c2", true)] {
+        assert_eq!(
+            conn.exchange(&sweep_cell_request(id)),
+            format!("{}\n", sweep_cell_answer(id, cached)),
+            "sweep_cell {id}"
+        );
+    }
+    assert_eq!(
+        conn.exchange(r#"{"v":1,"id":"q","method":"shutdown"}"#),
+        "{\"v\":1,\"id\":\"q\",\"ok\":{\"draining\":true}}\n"
+    );
+    let summary = server.join().expect("server thread");
+    assert_eq!((summary.cache_misses, summary.cache_hits), (1, 1));
+}
+
+#[test]
+fn sweep_spec_fingerprint_is_pinned() {
+    let spec: SweepSpec = serde_json::from_str(SPEC).unwrap();
+    assert_eq!(serde_json::to_string(&spec).unwrap(), SPEC);
+    assert_eq!(sweep_spec_fingerprint(&spec), SPEC_FINGERPRINT);
+    assert!(CELL_BODY.contains(&format!("\"{SPEC_FINGERPRINT:016x}\"")));
+}
