@@ -36,6 +36,8 @@ pub struct DriftingExponential {
     rng: StdRng,
     /// Cumulative hazard consumed so far (monotone).
     hazard: f64,
+    /// `hazard_at(horizon)`: the hazard the ramp segment ends at.
+    ramp_hazard: f64,
     now: SimTime,
 }
 
@@ -57,15 +59,18 @@ impl DriftingExponential {
             "drift horizon must be positive"
         );
         assert!(nodes > 0, "platform must have nodes");
-        DriftingExponential {
+        let mut source = DriftingExponential {
             m0,
             m1,
             horizon,
             nodes,
             rng,
             hazard: 0.0,
+            ramp_hazard: 0.0,
             now: SimTime::ZERO,
-        }
+        };
+        source.ramp_hazard = source.hazard_at(horizon);
+        source
     }
 
     /// Cumulative hazard at absolute time `t`.
@@ -90,7 +95,7 @@ impl DriftingExponential {
     fn time_at_hazard(&self, l: f64) -> f64 {
         let h = self.horizon;
         let d = self.m1 - self.m0;
-        let l_ramp = self.hazard_at(h);
+        let l_ramp = self.ramp_hazard;
         if l <= l_ramp {
             if d == 0.0 {
                 self.m0 * l
@@ -108,7 +113,7 @@ impl DriftingExponential {
     /// expected failure count over the horizon, i.e. the best possible
     /// *static* belief for a run spanning it.
     pub fn effective_mtbf(&self) -> f64 {
-        self.horizon / self.hazard_at(self.horizon)
+        self.horizon / self.ramp_hazard
     }
 }
 

@@ -79,17 +79,21 @@ pub struct Request {
 }
 
 /// Parses one request line into a [`Request`], validating the envelope
-/// (object shape, protocol version, string method).
+/// (object shape, protocol version, string method). `id`, `method` and
+/// `params` are moved out of the parsed tree, not copied.
 pub fn parse_request(line: &str) -> Result<Request, WireError> {
     let value: Value = serde_json::from_str(line)
         .map_err(|e| WireError::new(codes::BAD_REQUEST, format!("request is not JSON: {e}")))?;
-    if value.get("v").is_none() && value.get("method").is_none() {
-        return Err(WireError::new(
-            codes::BAD_REQUEST,
-            "request must be an object with `v` and `method` fields",
-        ));
-    }
-    match value.get("v") {
+    let mut map = match value {
+        Value::Object(map) if map.get("v").is_some() || map.get("method").is_some() => map,
+        _ => {
+            return Err(WireError::new(
+                codes::BAD_REQUEST,
+                "request must be an object with `v` and `method` fields",
+            ));
+        }
+    };
+    match map.get("v") {
         Some(n) if n.as_u64() == Some(PROTOCOL_VERSION) => {}
         Some(_) => {
             return Err(WireError::new(
@@ -106,8 +110,8 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
             ));
         }
     }
-    let method = match value.get("method") {
-        Some(Value::String(m)) => m.clone(),
+    let method = match map.remove("method") {
+        Some(Value::String(m)) => m,
         Some(_) => {
             return Err(WireError::new(
                 codes::BAD_REQUEST,
@@ -121,8 +125,8 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
             ));
         }
     };
-    let id = value.get("id").cloned().unwrap_or(Value::Null);
-    let params = value.get("params").cloned().unwrap_or(Value::Null);
+    let id = map.remove("id").unwrap_or(Value::Null);
+    let params = map.remove("params").unwrap_or(Value::Null);
     Ok(Request { id, method, params })
 }
 

@@ -39,9 +39,9 @@ pub fn model_err(e: &ModelError) -> WireError {
     }
 }
 
-fn require(params: &Value, key: &str) -> Result<Value, WireError> {
+fn require<'a>(params: &'a Value, key: &str) -> Result<&'a Value, WireError> {
     match params.get(key) {
-        Some(v) if !v.is_null() => Ok(v.clone()),
+        Some(v) if !v.is_null() => Ok(v),
         _ => Err(WireError::bad_params(format!(
             "missing required param `{key}`"
         ))),
@@ -74,12 +74,10 @@ fn optional_f64(params: &Value, key: &str) -> Result<Option<f64>, WireError> {
 }
 
 fn require_protocol(params: &Value) -> Result<Protocol, WireError> {
-    let name = require(params, "protocol")?;
-    let name = name
+    let name = require(params, "protocol")?
         .as_str()
-        .ok_or_else(|| WireError::bad_params("param `protocol` must be a string"))?
-        .to_string();
-    Protocol::parse(&name).ok_or_else(|| {
+        .ok_or_else(|| WireError::bad_params("param `protocol` must be a string"))?;
+    Protocol::parse(name).ok_or_else(|| {
         let known: Vec<String> = Protocol::registry().iter().map(|p| p.id()).collect();
         WireError::bad_params(format!(
             "unknown protocol `{name}` (known: {})",
@@ -251,8 +249,7 @@ pub struct SweepCellQuery {
 /// Parses `sweep_cell` params: `{"spec": <SweepSpec>, "mtbf_idx": i,
 /// "phi_idx": j}`.
 pub fn parse_sweep_cell(params: &Value) -> Result<SweepCellQuery, WireError> {
-    let spec_v = require(params, "spec")?;
-    let spec = SweepSpec::from_value(&spec_v)
+    let spec = SweepSpec::from_value(require(params, "spec")?)
         .map_err(|e| WireError::bad_params(format!("param `spec` is not a sweep spec: {e}")))?;
     let mtbf_idx = require_usize(params, "mtbf_idx")?;
     let phi_idx = require_usize(params, "phi_idx")?;

@@ -10,6 +10,19 @@
 //! per-connection responses are sequential even though the pool is
 //! concurrent.
 //!
+//! ## Pipelining and the flush rule
+//!
+//! A client may send many request lines in one write. The worker
+//! answers them in order into a `BufWriter` and sends what it has
+//! gathered in one `write` when the `BufReader` holds no complete
+//! request line, which is before any read that could block. An answer
+//! therefore waits at most for the requests already in the same read
+//! buffer, and a lone request still goes out in exactly one write. The
+//! writer is also flushed before the `oversized` error closes the
+//! connection, on drain and shutdown, and before a `sweep_cell` cache
+//! miss is computed, so a slow cell never holds answers that are
+//! already finished.
+//!
 //! ## Why concurrency cannot perturb results
 //!
 //! Workers share exactly one piece of mutable state: the
@@ -38,7 +51,7 @@ use crate::cache::{CellCache, CellKey};
 use crate::protocol::{self, codes, Request, WireError, MAX_LINE_BYTES};
 use crate::queries;
 use serde::{Map, Value};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -94,6 +107,8 @@ pub struct ServeSummary {
 struct ServerCtx {
     shutdown: AtomicBool,
     addr: SocketAddr,
+    /// `DCK_SERVE_PANIC_ID`, read once at start-up (see [`dispatch`]).
+    panic_id: Option<String>,
     cache: Mutex<CellCache>,
     connections: AtomicU64,
     requests: AtomicU64,
@@ -108,6 +123,7 @@ impl ServerCtx {
         ServerCtx {
             shutdown: AtomicBool::new(false),
             addr,
+            panic_id: std::env::var("DCK_SERVE_PANIC_ID").ok(),
             cache: Mutex::new(CellCache::new(cache_cells)),
             connections: AtomicU64::new(0),
             requests: AtomicU64::new(0),
@@ -270,11 +286,17 @@ fn handle_connection(stream: TcpStream, ctx: &ServerCtx) -> io::Result<()> {
     // ACK fires and every request-response turn eats a ~40ms stall.
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?).take(MAX_LINE_BYTES as u64 + 1);
-    let mut writer = stream;
+    let mut writer = BufWriter::new(stream);
     let mut line = String::new();
     loop {
+        // The flush rule (module docs): send the gathered answers
+        // before a read that could block, that is whenever the reader
+        // holds no complete request line.
+        if !reader.get_ref().buffer().contains(&b'\n') {
+            writer.flush()?;
+        }
         match read_request_line(&mut reader, &mut line, ctx)? {
-            LineRead::Eof | LineRead::Drain => return Ok(()),
+            LineRead::Eof | LineRead::Drain => return writer.flush(),
             LineRead::Oversized => {
                 // The stream can no longer be framed: answer and close.
                 ctx.requests.fetch_add(1, Ordering::Relaxed);
@@ -283,7 +305,8 @@ fn handle_connection(stream: TcpStream, ctx: &ServerCtx) -> io::Result<()> {
                     codes::OVERSIZED,
                     format!("request line exceeds {MAX_LINE_BYTES} bytes"),
                 );
-                send_line(&mut writer, &protocol::err_line(None, &err))?;
+                send_line(&mut writer, protocol::err_line(None, &err))?;
+                writer.flush()?;
                 // Drain the rest of the offending line before closing:
                 // closing with unread receive data can RST the
                 // connection and destroy the error response in flight.
@@ -295,17 +318,18 @@ fn handle_connection(stream: TcpStream, ctx: &ServerCtx) -> io::Result<()> {
                 if trimmed.is_empty() {
                     continue;
                 }
-                let (response, control) = answer_line(trimmed, ctx);
-                send_line(&mut writer, &response)?;
+                let (response, control) = answer_line(trimmed, ctx, &mut writer);
+                send_line(&mut writer, response)?;
                 match control {
                     Control::Continue => {
                         // Drain semantics: finish the in-flight request
                         // (just done), then stop taking new ones.
                         if ctx.shutdown.load(Ordering::Relaxed) {
-                            return Ok(());
+                            return writer.flush();
                         }
                     }
                     Control::Shutdown => {
+                        writer.flush()?;
                         ctx.shutdown.store(true, Ordering::Relaxed);
                         wake_acceptor(ctx.addr);
                         return Ok(());
@@ -360,14 +384,14 @@ fn discard_rest_of_line(reader: &mut io::Take<BufReader<TcpStream>>) {
     }
 }
 
-fn send_line(writer: &mut TcpStream, line: &str) -> io::Result<()> {
-    // One write_all, one segment: splitting the newline into a second
-    // write re-opens the Nagle/delayed-ACK stall set_nodelay avoids.
-    let mut framed = Vec::with_capacity(line.len() + 1);
-    framed.extend_from_slice(line.as_bytes());
-    framed.push(b'\n');
-    writer.write_all(&framed)?;
-    writer.flush()
+/// Appends one answer line and its newline to the connection's write
+/// buffer in one `write_all`, so an answer longer than the buffer is
+/// still one write. It does not flush: `handle_connection` sends the
+/// buffer by the flush rule in the module docs, so an answer waits at
+/// most for the requests already in the same read buffer.
+fn send_line(writer: &mut BufWriter<TcpStream>, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    writer.write_all(line.as_bytes())
 }
 
 /// Unblocks `listener.incoming()` after the shutdown flag flips; the
@@ -381,7 +405,9 @@ enum Control {
     Shutdown,
 }
 
-fn answer_line(line: &str, ctx: &ServerCtx) -> (String, Control) {
+/// Answers one request line. `pending` holds the connection's answers
+/// not yet sent; a `sweep_cell` miss flushes it before computing.
+fn answer_line(line: &str, ctx: &ServerCtx, pending: &mut dyn Write) -> (String, Control) {
     ctx.requests.fetch_add(1, Ordering::Relaxed);
     if dck_obs::enabled() {
         dck_obs::incr("serve.requests");
@@ -393,7 +419,7 @@ fn answer_line(line: &str, ctx: &ServerCtx) -> (String, Control) {
             return (protocol::err_line(None, &e), Control::Continue);
         }
     };
-    let (result, control) = dispatch(&req, ctx);
+    let (result, control) = dispatch(&req, ctx, pending);
     match result {
         Ok(payload) => (protocol::ok_line(&req.id, payload), control),
         Err(e) => {
@@ -406,13 +432,21 @@ fn answer_line(line: &str, ctx: &ServerCtx) -> (String, Control) {
     }
 }
 
-fn dispatch(req: &Request, ctx: &ServerCtx) -> (Result<Value, WireError>, Control) {
+fn dispatch(
+    req: &Request,
+    ctx: &ServerCtx,
+    pending: &mut dyn Write,
+) -> (Result<Value, WireError>, Control) {
     // Fault injection for the containment e2e, mirroring the sweep
     // engine's DCK_SWEEP_PANIC_UNIT: a request whose id matches
     // DCK_SERVE_PANIC_ID panics inside the worker, exercising the
     // catch_unwind in `worker_loop` and the `worker_panics` counter.
-    // Absent (the normal case) this costs one env lookup per request.
-    if std::env::var("DCK_SERVE_PANIC_ID").is_ok_and(|id| Some(id.as_str()) == req.id.as_str()) {
+    // The variable is read once, when the server starts.
+    if ctx
+        .panic_id
+        .as_deref()
+        .is_some_and(|id| req.id.as_str() == Some(id))
+    {
         panic!("injected serve panic (DCK_SERVE_PANIC_ID matched the request id)");
     }
     match req.method.as_str() {
@@ -429,7 +463,7 @@ fn dispatch(req: &Request, ctx: &ServerCtx) -> (Result<Value, WireError>, Contro
         "waste" => (queries::waste(&req.params), Control::Continue),
         "risk" => (queries::risk(&req.params), Control::Continue),
         "pstar" => (queries::pstar(&req.params), Control::Continue),
-        "sweep_cell" => (sweep_cell(&req.params, ctx), Control::Continue),
+        "sweep_cell" => (sweep_cell(&req.params, ctx, pending), Control::Continue),
         other => (
             Err(WireError::new(
                 codes::UNKNOWN_METHOD,
@@ -442,7 +476,11 @@ fn dispatch(req: &Request, ctx: &ServerCtx) -> (Result<Value, WireError>, Contro
     }
 }
 
-fn sweep_cell(params: &Value, ctx: &ServerCtx) -> Result<Value, WireError> {
+fn sweep_cell(
+    params: &Value,
+    ctx: &ServerCtx,
+    pending: &mut dyn Write,
+) -> Result<Value, WireError> {
     let q = queries::parse_sweep_cell(params)?;
     let key = CellKey {
         fingerprint: q.fingerprint,
@@ -464,6 +502,10 @@ fn sweep_cell(params: &Value, ctx: &ServerCtx) -> Result<Value, WireError> {
     if dck_obs::enabled() {
         dck_obs::incr("serve.cache_misses");
     }
+    // A cell can take a while: send the answers already finished
+    // first. A failed flush keeps them buffered, and the next flush
+    // reports the broken connection.
+    let _ = pending.flush();
     // Computed outside the lock: concurrent misses of the same key do
     // redundant work but produce identical bits, so last-write-wins
     // insertion is harmless.
