@@ -74,10 +74,11 @@ fn sweep_cell(id: &str, mtbf_idx: u64) -> String {
 }
 
 /// The mixed burst: every method, an empty and a blank line (no
-/// answer), malformed JSON, an unknown method, bad params, and a
-/// `sweep_cell` miss between other requests, then its hit.
+/// answer), malformed JSON, an unknown method, bad params, a wrong
+/// version, a `sweep_cell` miss between other requests, its hit, and a
+/// second miss last.
 fn burst() -> Vec<String> {
-    [
+    let mut lines: Vec<String> = [
         r#"{"v":1,"id":1,"method":"ping"}"#,
         r#"{"v":1,"id":2,"method":"waste","params":{"protocol":"triple","phi_ratio":0.25,"mtbf_s":3600}}"#,
         "",
@@ -86,20 +87,19 @@ fn burst() -> Vec<String> {
         "   ",
         r#"{"v":1,"id":5,"method":"no_such_method"}"#,
     ]
-    .iter()
-    .map(|s| s.to_string())
-    .chain([sweep_cell("6", 0)])
-    .chain(
+    .map(String::from)
+    .to_vec();
+    lines.push(sweep_cell("6", 0));
+    lines.extend(
         [
             r#"{"v":1,"id":7,"method":"pstar","params":{"protocol":"double-bof","phi_ratio":0.5,"mtbf_s":1800}}"#,
             r#"{"v":1,"id":8,"method":"waste","params":{"protocol":"double-nbl","phi_ratio":2,"mtbf_s":3600}}"#,
             r#"{"v":2,"id":9,"method":"ping"}"#,
         ]
-        .iter()
-        .map(|s| s.to_string()),
-    )
-    .chain([sweep_cell("10", 0), sweep_cell("11", 1)])
-    .collect()
+        .map(String::from),
+    );
+    lines.extend([sweep_cell("10", 0), sweep_cell("11", 1)]);
+    lines
 }
 
 #[test]
