@@ -87,7 +87,7 @@ pub struct CallGraph {
     out: Vec<Vec<usize>>,
 }
 
-const POOL_ENTRY_POINTS: [&str; 2] = ["parallel_map_indexed", "parallel_map_fold"];
+const POOL_ENTRY_POINTS: [&str; 2] = ["parallel_for_ordered", "parallel_map_fold"];
 
 /// Idents that look like calls when followed by `(` but are keywords.
 const KEYWORDS: [&str; 18] = [
@@ -553,7 +553,7 @@ mod tests {
     #[test]
     fn spawn_and_pool_sites_become_roots() {
         let src = "fn work() {}\n\
-                   fn pooled() { parallel_map_indexed(0, 1, |i| work()); }\n\
+                   fn pooled() { parallel_for_ordered(0, 1, |i| work(), |_, _| {}); }\n\
                    fn threaded(s: &S) { s.spawn(|| work()); }";
         let (_, _, graph) = graph_for(src);
         assert_eq!(graph.roots.len(), 2);

@@ -83,7 +83,7 @@ impl WorkspaceLint for PanicReachability {
     fn explanation(&self) -> Explanation {
         Explanation {
             rationale: "PR-5's containment contract is that a panicking work unit is caught \
-                        by catch_unwind inside simcore::par, requeued once, and surfaces as \
+                        by catch_unwind inside simcore::par, retried once in place, and surfaces as \
                         a typed PoolError — but that only holds for panics raised *inside* \
                         the work-unit closure. A panic site reachable from a spawned thread \
                         with no catch_unwind on the path tears the worker down and, under \
@@ -282,7 +282,7 @@ fn emit_panic_findings(
             (_, Reach::Escaping) => (Severity::Deny, "no catch_unwind on the path"),
             (_, Reach::Contained) if desc.starts_with("work unit") => (
                 Severity::Warn,
-                "contained by catch_unwind (requeued once, then a typed PoolError)",
+                "contained by catch_unwind (retried once in place, then a typed PoolError)",
             ),
             (_, Reach::Contained) => (
                 Severity::Warn,
@@ -737,7 +737,7 @@ mod tests {
     fn escaping_thread_panic_denies_contained_pool_panic_warns() {
         let src = "fn risky(x: Option<u8>) -> u8 { x.unwrap() }\n\
                    fn threaded(s: &S) { s.spawn(|| risky(None)); }\n\
-                   fn pooled() { parallel_map_indexed(0, 1, |i| risky(None)); }";
+                   fn pooled() { parallel_for_ordered(0, 1, |i| risky(None), |_, _| {}); }";
         let hits = run_reach(src);
         assert_eq!(hits.len(), 1, "one site, strongest reach wins: {hits:?}");
         assert_eq!(hits[0].severity, Severity::Deny);

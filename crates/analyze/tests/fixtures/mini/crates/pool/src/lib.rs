@@ -21,7 +21,7 @@ pub fn fragile_pooled(x: u64) -> u64 {
 /// Work units are contained by construction: the pool wraps each one
 /// in `catch_unwind`.
 pub fn pooled(xs: &[u64]) -> u64 {
-    parallel_map_indexed(xs.len(), |i| fragile_pooled(xs[i]))
+    parallel_for_ordered(xs.len(), |i| fragile_pooled(xs[i]))
 }
 
 /// A bare spawn: a panic here tears the thread down.
@@ -36,6 +36,6 @@ pub fn spawned_guarded() -> std::thread::JoinHandle<u64> {
 
 /// Stand-in for the simcore pool entry point; only the *name* matters
 /// to the analyzer's closure-root scan.
-pub fn parallel_map_indexed(n: usize, f: impl Fn(usize) -> u64) -> u64 {
+pub fn parallel_for_ordered(n: usize, f: impl Fn(usize) -> u64) -> u64 {
     (0..n).map(f).sum()
 }

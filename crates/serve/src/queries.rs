@@ -230,6 +230,15 @@ pub fn risk(params: &Value) -> Result<Value, WireError> {
     Ok(Value::Object(out))
 }
 
+/// Most Monte-Carlo work one `sweep_cell` request may ask for, counted
+/// as `replications × work_in_mtbfs`, with each replication counted as
+/// at least one MTBF because a run has a fixed cost however little work
+/// it does. A cell of 10⁶ such units takes about 0.1 s of one worker on
+/// a 2-vCPU x86 host, so this cap keeps any single request near a
+/// second; larger specs get a typed `bad_params` instead of holding a
+/// worker for minutes.
+pub const MAX_SWEEP_CELL_WORK: f64 = 1e7;
+
 /// A parsed `sweep_cell` request: the spec plus grid coordinates,
 /// with the cache key's fingerprint already computed.
 #[derive(Debug, Clone)]
@@ -251,6 +260,16 @@ pub struct SweepCellQuery {
 pub fn parse_sweep_cell(params: &Value) -> Result<SweepCellQuery, WireError> {
     let spec = SweepSpec::from_value(require(params, "spec")?)
         .map_err(|e| WireError::bad_params(format!("param `spec` is not a sweep spec: {e}")))?;
+    // A non-finite work size is left to the spec's own typed validation.
+    let work = spec.replications as f64 * spec.work_in_mtbfs.max(1.0);
+    if spec.work_in_mtbfs.is_finite() && work > MAX_SWEEP_CELL_WORK {
+        return Err(WireError::bad_params(format!(
+            "param `spec` asks for {} replications x {} MTBFs of work; this server computes \
+             at most {MAX_SWEEP_CELL_WORK} replication-MTBFs per sweep_cell, counting each \
+             replication as at least 1 MTBF",
+            spec.replications, spec.work_in_mtbfs
+        )));
+    }
     let mtbf_idx = require_usize(params, "mtbf_idx")?;
     let phi_idx = require_usize(params, "phi_idx")?;
     let fingerprint = sweep_spec_fingerprint(&spec);
@@ -436,6 +455,33 @@ mod tests {
             format!("{:?}", compute_sweep_cell(&legacy).unwrap()),
             format!("{:?}", compute_sweep_cell(&plain).unwrap())
         );
+    }
+
+    #[test]
+    fn sweep_cell_work_is_budgeted() {
+        let p = PlatformParams::new(0.0, 2.0, 4.0, 10.0, 48).unwrap();
+        let mut spec = SweepSpec::new(Protocol::DoubleNbl, p, vec![0.0], vec![3600.0]);
+        let parse = |spec: &SweepSpec| {
+            parse_sweep_cell(&obj(&[
+                ("spec", spec.to_value()),
+                ("mtbf_idx", Value::U64(0)),
+                ("phi_idx", Value::U64(0)),
+            ]))
+        };
+        spec.work_in_mtbfs = 10.0;
+        spec.replications = 1_000_000;
+        assert!(parse(&spec).is_ok());
+        spec.replications += 1;
+        let e = parse(&spec).unwrap_err();
+        assert_eq!(e.code, codes::BAD_PARAMS, "{e:?}");
+        assert!(
+            e.message.contains("at most 10000000 replication-MTBFs"),
+            "{e:?}"
+        );
+        // A tiny work size does not buy more replications.
+        spec.work_in_mtbfs = 1e-6;
+        spec.replications = 10_000_001;
+        assert!(parse(&spec).is_err());
     }
 
     #[test]

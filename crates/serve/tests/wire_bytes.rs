@@ -63,6 +63,13 @@ const BAD_PARAMS: (&str, &str) = (
     r#"{"v":1,"id":"b","err":{"code":"bad_params","message":"param `phi_ratio` must lie in [0, 1], got 1.5"}}"#,
 );
 
+/// One line of 10 000 `[` bytes: far under the line cap, far over the
+/// parser's nesting cap.
+const DEEP_ANSWER: &str = r#"{"v":1,"id":null,"err":{"code":"bad_request","message":"request is not JSON: nesting deeper than 128 levels at byte 128"}}"#;
+
+/// [`SPEC`] with `"replications": 1e15`, over the per-request budget.
+const HUGE_ANSWER: &str = r#"{"v":1,"id":"h","err":{"code":"bad_params","message":"param `spec` asks for 1000000000000000 replications x 10 MTBFs of work; this server computes at most 10000000 replication-MTBFs per sweep_cell, counting each replication as at least 1 MTBF"}}"#;
+
 fn sweep_cell_request(id: &str) -> String {
     format!(
         r#"{{"v":1,"id":"{id}","method":"sweep_cell","params":{{"spec":{SPEC},"mtbf_idx":1,"phi_idx":0}}}}"#
@@ -145,6 +152,26 @@ fn every_method_answers_with_pinned_bytes() {
     );
     let summary = server.join().expect("server thread");
     assert_eq!((summary.cache_misses, summary.cache_hits), (1, 1));
+}
+
+/// Each of these requests once ended the whole server: the recursive
+/// parser overflowed its stack on the deep line, and the sweep pool
+/// sized an allocation by the huge spec's replication count. Both now
+/// get a typed error, and the same connection still gets a `pong`.
+#[test]
+fn hostile_requests_get_typed_errors_and_the_server_lives() {
+    let (addr, server) = start();
+    let mut conn = Conn::open(addr);
+    assert_eq!(
+        conn.exchange(&"[".repeat(10_000)),
+        format!("{DEEP_ANSWER}\n")
+    );
+    let huge = sweep_cell_request("h").replace(r#""replications":16"#, r#""replications":1e15"#);
+    assert_eq!(conn.exchange(&huge), format!("{HUGE_ANSWER}\n"));
+    assert_eq!(conn.exchange(PING.0), format!("{}\n", PING.1));
+    conn.exchange(r#"{"v":1,"id":"q","method":"shutdown"}"#);
+    let summary = server.join().expect("server thread");
+    assert_eq!((summary.cache_misses, summary.cache_hits), (0, 0));
 }
 
 #[test]

@@ -10,7 +10,7 @@ use crate::run::{RunMachine, RunOutcome, Static, Stop, StopReason};
 use crate::sweep::{run_pool, RoundBudget, WastePlan};
 use dck_core::ModelError;
 use dck_failures::{AggregatedExponential, DistributionSpec, MtbfSpec, PerNodeRenewal};
-use dck_simcore::par::{default_workers, parallel_map_indexed};
+use dck_simcore::par::{default_workers, parallel_for_ordered};
 use dck_simcore::{ConfidenceInterval, OnlineStats, RngFactory, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -403,18 +403,24 @@ pub fn estimate_success(
     ChunkRunner::new(run_cfg, mc)?;
     let runs = mc.replications;
     // Each REP_CHUNK-sized chunk builds its runner and returns only its
-    // survivor count, so no runner outlives its chunk.
-    let chunks = runs.div_ceil(REP_CHUNK);
-    let survived = parallel_map_indexed(chunks, mc.resolved_workers(), |c| {
-        let mut runner = ChunkRunner::new(run_cfg, mc)?;
-        let end = ((c + 1) * REP_CHUNK).min(runs);
-        Ok((c * REP_CHUNK..end)
-            .filter(|&i| runner.run_success(horizon, i as u64))
-            .count())
-    })
-    .map_err(|e| ModelError::execution(e.to_string()))?
-    .into_iter()
-    .sum::<Result<usize, ModelError>>()?;
+    // survivor count; the sink adds them, and the first error wins.
+    let mut survived = Ok(0);
+    parallel_for_ordered(
+        runs.div_ceil(REP_CHUNK),
+        mc.resolved_workers(),
+        |c| {
+            let mut runner = ChunkRunner::new(run_cfg, mc)?;
+            let end = ((c + 1) * REP_CHUNK).min(runs);
+            Ok((c * REP_CHUNK..end)
+                .filter(|&i| runner.run_success(horizon, i as u64))
+                .count())
+        },
+        |_, chunk: Result<usize, ModelError>| {
+            survived = std::mem::replace(&mut survived, Ok(0)).and_then(|n| Ok(n + chunk?));
+        },
+    )
+    .map_err(|e| ModelError::execution(e.to_string()))?;
+    let survived = survived?;
     let p_hat = if runs == 0 {
         0.0
     } else {

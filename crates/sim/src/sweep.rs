@@ -10,11 +10,12 @@
 //!
 //! `run_pool` is the crate's one Monte-Carlo waste engine: the grid,
 //! [`run_sweep_cell`] and [`estimate_waste`](crate::estimate_waste) all
-//! hand it per-cell plans and a round budget. Each round flattens every
-//! `(cell, replication-chunk)` pair into one index space for a single
+//! hand it per-cell plans and a round budget. Each round numbers every
+//! `(cell, replication-chunk)` pair in one index space for a single
 //! work-stealing pool, so workers are spawned once per round and a slow
 //! cell's tail overlaps other cells' work; one worker runs the round
-//! inline on the caller's thread.
+//! inline on the caller's thread. Each unit merges into its cell as it
+//! lands, so a round holds only the out-of-order tail of units.
 //!
 //! # Reproducibility
 //!
@@ -52,7 +53,7 @@ use crate::montecarlo::{
 };
 use dck_core::{optimal_period, ModelError, PlatformParams, Protocol};
 use dck_obs::Counter;
-use dck_simcore::par::{default_workers, parallel_map_indexed};
+use dck_simcore::par::{default_workers, parallel_for_ordered};
 use dck_simcore::ConfidenceInterval;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -283,9 +284,9 @@ fn build_plans(spec: &SweepSpec) -> Result<(Vec<CellPlan>, Vec<WastePlan>), Mode
 }
 
 /// Fault injection: the matching `(cell, replication)` panics inside
-/// the worker pool, exercising the containment/requeue/checkpoint-on-
+/// the worker pool, exercising the containment/retry/checkpoint-on-
 /// error path end to end. With `once` it panics only on the first
-/// execution, so the requeue retry succeeds. Unit tests pass one to
+/// execution, so the retry in place succeeds. Unit tests pass one to
 /// [`run_sweep_injected`] directly; the kill-and-resume e2e drives the
 /// binary with `DCK_SWEEP_PANIC_UNIT="ci:rep[:once]"` in the
 /// environment, parsed once per sweep (absent, the normal case, it
@@ -375,16 +376,14 @@ fn finish_cell(plan: &CellPlan, acc: WasteAccum, executed: usize) -> SweepCell {
     }
 }
 
-/// Cuts `[start, round_end)` into `REP_CHUNK`-aligned ranges.
-fn chunk_ranges(start: usize, round_end: usize) -> Vec<(usize, usize)> {
-    let mut ranges = Vec::with_capacity((round_end - start).div_ceil(REP_CHUNK));
-    let mut s = start;
-    while s < round_end {
-        let e = (s + REP_CHUNK).min(round_end);
-        ranges.push((s, e));
-        s = e;
-    }
-    ranges
+/// One active plan's share of a round: replications `[start, end)` of
+/// plan `ci`, cut into `REP_CHUNK`-aligned units numbered from
+/// `first_unit` in the round's unit space.
+struct Span {
+    ci: usize,
+    start: usize,
+    end: usize,
+    first_unit: usize,
 }
 
 /// Sweep-progress counter handles, looked up once per sweep when
@@ -442,13 +441,14 @@ pub(crate) struct RoundBudget {
 }
 
 /// The crate's one Monte-Carlo waste engine: returns each plan's
-/// accumulator and the replications it ran. Each round cuts every
-/// active plan's next `round` replications into `REP_CHUNK`-aligned
-/// units, runs the units of all plans on one work-stealing pool, and
-/// merges each plan's units in ascending order, so a plan's bits depend
-/// neither on the worker count nor on the other plans. `ckpt` (a policy
-/// and the spec fingerprint its snapshots carry) and `counters` are the
-/// grid's: only [`run_sweep`] passes them.
+/// accumulator and the replications it ran. Each round numbers every
+/// active plan's next `round` replications as `REP_CHUNK`-aligned
+/// units, runs them on one work-stealing pool, and merges each unit in
+/// ascending order into a working copy of its plan's accumulator,
+/// committed when the round completes. A plan's bits depend neither on
+/// the worker count nor on the other plans. `ckpt` (a policy and the
+/// spec fingerprint its snapshots carry) and `counters` are the grid's:
+/// only [`run_sweep`] passes them.
 pub(crate) fn run_pool(
     plans: &[WastePlan],
     rounds: RoundBudget,
@@ -512,22 +512,24 @@ pub(crate) fn run_pool(
     let mut last_written: Option<u64> = None;
 
     loop {
-        // Flatten this round's work: cell-major, chunk-ascending, so
-        // the later merge reproduces each cell's fixed fold order.
-        // Built purely from (next, active, budget, round) — the state a
-        // snapshot captures — so a resumed run schedules exactly the
-        // rounds an uninterrupted run would have.
-        let mut units: Vec<(usize, usize, usize)> = Vec::new();
-        for ci in 0..plans.len() {
-            if !state.active[ci] {
-                continue;
-            }
-            let round_end = (state.next[ci] + round).min(budget);
-            for (s, e) in chunk_ranges(state.next[ci], round_end) {
-                units.push((ci, s, e));
-            }
+        // This round's active plans, cell-major: unit order is cell-major
+        // and chunk-ascending, so merging units as they land reproduces
+        // each cell's fixed fold order. Built purely from (next, active,
+        // budget, round) — the state a snapshot captures — so a resumed
+        // run schedules exactly the rounds an uninterrupted run would.
+        let mut spans: Vec<Span> = Vec::new();
+        let mut units = 0;
+        for ci in (0..plans.len()).filter(|&ci| state.active[ci] && state.next[ci] < budget) {
+            let (start, end) = (state.next[ci], (state.next[ci] + round).min(budget));
+            spans.push(Span {
+                ci,
+                start,
+                end,
+                first_unit: units,
+            });
+            units += (end - start).div_ceil(REP_CHUNK);
         }
-        if units.is_empty() {
+        if units == 0 {
             break;
         }
         if let Some(ck) = ckpt {
@@ -555,54 +557,54 @@ pub(crate) fn run_pool(
         }
         if let Some(c) = counters {
             c.rounds.incr();
-            c.units.add(units.len() as u64);
+            c.units.add(units as u64);
             c.replications
-                .add(units.iter().map(|&(_, s, e)| (e - s) as u64).sum());
+                .add(spans.iter().map(|sp| (sp.end - sp.start) as u64).sum());
         }
         // One pool over every unit of every cell: workers are spawned
         // once for the whole round, and work-stealing overlaps slow
         // cells with fast ones.
-        let pool_result = parallel_map_indexed(units.len(), workers, |u| {
-            let (ci, s, e) = units[u];
-            chunk_accum(&plans[ci], ci, s, e, injection)
-        });
-        let unit_accs = match pool_result {
-            Ok(accs) => accs,
-            Err(pool_err) => {
-                // Checkpoint the last consistent (pre-round) state
-                // before surfacing the failure: the budget already
-                // spent survives, and a later --resume re-runs only
-                // the failed round.
-                let mut reason =
-                    format!("sweep round {} failed: {pool_err}", state.rounds_done + 1);
-                match ckpt.map(|ck| {
-                    checkpoint::write_snapshot(
-                        &ck.dir,
-                        &state,
-                        fingerprint,
-                        every_rounds,
-                        &retention,
-                    )
-                }) {
-                    Some(Ok(path)) => {
-                        if let Some(c) = counters {
-                            c.checkpoints.incr();
-                        }
-                        reason.push_str(&format!("; state checkpointed to {}", path.display()));
+        let mut merged: Vec<WasteAccum> =
+            spans.iter().map(|sp| state.accs[sp.ci].clone()).collect();
+        let pool_result = parallel_for_ordered(
+            units,
+            workers,
+            |u| {
+                // Unit to (plan, replication range) by arithmetic.
+                let k = spans.partition_point(|sp| sp.first_unit <= u) - 1;
+                let sp = &spans[k];
+                let s = sp.start + (u - sp.first_unit) * REP_CHUNK;
+                let e = (s + REP_CHUNK).min(sp.end);
+                (k, chunk_accum(&plans[sp.ci], sp.ci, s, e, injection))
+            },
+            |_, (k, acc)| merged[k].merge_in_place(&acc),
+        );
+        if let Err(pool_err) = pool_result {
+            // Checkpoint the last consistent (pre-round) state before
+            // surfacing the failure: the budget already spent survives,
+            // and a later --resume re-runs only the failed round.
+            let mut reason = format!("sweep round {} failed: {pool_err}", state.rounds_done + 1);
+            match ckpt.map(|ck| {
+                checkpoint::write_snapshot(&ck.dir, &state, fingerprint, every_rounds, &retention)
+            }) {
+                Some(Ok(path)) => {
+                    if let Some(c) = counters {
+                        c.checkpoints.incr();
                     }
-                    Some(Err(e)) => {
-                        reason.push_str(&format!(
-                            "; checkpointing the partial state also failed: {e}"
-                        ));
-                    }
-                    None => {}
+                    reason.push_str(&format!("; state checkpointed to {}", path.display()));
                 }
-                return Err(ModelError::execution(reason));
+                Some(Err(e)) => {
+                    reason.push_str(&format!(
+                        "; checkpointing the partial state also failed: {e}"
+                    ));
+                }
+                None => {}
             }
-        };
-        for (&(ci, _, e), ua) in units.iter().zip(&unit_accs) {
-            state.accs[ci].merge_in_place(ua);
-            state.next[ci] = state.next[ci].max(e);
+            return Err(ModelError::execution(reason));
+        }
+        for (sp, acc) in spans.iter().zip(merged) {
+            state.accs[sp.ci] = acc;
+            state.next[sp.ci] = sp.end;
         }
         for ci in 0..plans.len() {
             if !state.active[ci] {
@@ -707,7 +709,7 @@ impl SweepCheckpoint {
 /// Rejects invalid platform parameters, a `work_in_mtbfs` that is not
 /// positive and finite, and out-of-range `phi_ratios` (each must lie
 /// in `[0, 1]`); propagates infeasible operating
-/// points. A worker panic that survives containment and its requeue
+/// points. A worker panic that survives containment and its in-place
 /// retry surfaces as [`ModelError::Execution`] instead of aborting the
 /// process.
 pub fn run_sweep(spec: &SweepSpec) -> Result<SweepResult, ModelError> {
@@ -1085,7 +1087,7 @@ mod tests {
     }
 
     /// End-to-end containment: replication (3, 7) panics once inside
-    /// the pool; the requeue retry recovers it and the result is
+    /// the pool; the retry in place recovers it and the result is
     /// bit-identical to an injection-free run.
     #[test]
     fn contained_panic_preserves_bit_identical_results() {
@@ -1095,7 +1097,7 @@ mod tests {
         assert_cells_bit_identical(&baseline, &injected);
     }
 
-    /// A panic that persists past the requeue retry must checkpoint
+    /// A panic that persists past the retry in place must checkpoint
     /// the pre-round state and surface as a typed error — the
     /// contract worker-panic containment must keep.
     #[test]

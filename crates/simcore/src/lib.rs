@@ -14,18 +14,18 @@
 //! * [`stats`] — online statistics: Welford mean/variance, fixed and
 //!   logarithmic histograms, time-weighted accumulators, Student-t
 //!   confidence intervals.
-//! * [`par`] — small scoped-thread fork/join utilities (built on
-//!   `std::thread::scope`) used to run Monte-Carlo replications in
-//!   parallel, including a streaming chunked map-fold whose results
+//! * [`par`] — one scoped-thread work pool (built on
+//!   `std::thread::scope`) that runs Monte-Carlo units in parallel and
+//!   hands their results to a sink in ascending unit order, so merges
 //!   are bit-identical across worker counts. Worker panics are
-//!   contained per chunk, retried once, and surfaced as a typed
-//!   [`par::PoolError`].
+//!   contained per unit, retried once in place, and surfaced as a
+//!   typed [`par::PoolError`].
 //! * [`fsio`] — crash-safe artifact writes (write-temp → fsync →
 //!   rename) so a kill mid-write never leaves a truncated file.
 //!
 //! The kernel is deliberately allocation-light: event queues reserve
 //! capacity up front, statistics are O(1) per observation, and the
-//! parallel map splits indices rather than cloning inputs.
+//! pool splits indices rather than cloning inputs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,82 +1,71 @@
-//! Scoped-thread fork/join utilities for Monte-Carlo replication.
+//! The scoped-thread work pool behind every Monte-Carlo estimate.
 //!
 //! The workspace's dependency policy does not include `rayon`, so this
-//! module provides the two parallel patterns the simulators need:
+//! module provides one engine, [`parallel_for_ordered`]: run `f` over
+//! units `0..n` on a fixed number of worker threads and hand each
+//! result to a sink *in ascending unit order*, as soon as every lower
+//! unit is in. The sink only merges, so the pool holds just the
+//! out-of-order tail of finished units. [`parallel_map_fold`] is a thin
+//! wrapper that folds chunks of an index range and merges them in the
+//! sink. Units are claimed through an atomic cursor (work stealing), so
+//! uneven per-unit cost — unlucky replications run much longer — still
+//! balances well.
 //!
-//! - [`parallel_map_indexed`]: map a function over an index range on a
-//!   fixed number of worker threads and collect the results *in index
-//!   order* — the pool behind the sweep engine, and so behind every
-//!   Monte-Carlo waste estimate.
-//! - [`parallel_map_fold`]: stream items into per-chunk accumulators
-//!   and merge them in fixed chunk order, never materializing the full
-//!   result vector.
-//!
-//! Work is handed out through an atomic cursor (work-stealing by
-//! chunk), so uneven per-item cost — common in failure simulations,
-//! where unlucky replications run much longer — still balances well.
-//!
-//! Determinism: results depend only on `(index, f)` and the fixed
-//! chunk geometry, never on thread scheduling, because each item
-//! derives everything (including RNG seeds) from its index and
-//! accumulators merge in chunk order. [`parallel_map_fold`] is
-//! bit-identical across worker counts, including the inline
-//! `workers <= 1` path.
+//! Determinism: each unit derives everything (including RNG seeds) from
+//! its index and the sink sees units in ascending order, so results
+//! never depend on thread scheduling or the worker count, including the
+//! inline `workers <= 1` path.
 //!
 //! # Failure containment
 //!
-//! A panic inside the mapped closure no longer tears down the whole
-//! pool (and with it every other worker's finished chunks, as the old
-//! `join().expect(..)` design did). Each chunk runs under
-//! [`std::panic::catch_unwind`]; a panicking chunk is requeued and
-//! retried exactly once on the caller's thread after the pool joins,
-//! and a chunk that fails both attempts surfaces as a typed
-//! [`PoolError`] carrying the panic message. Because chunk values are
-//! keyed by chunk index and the mapped function is deterministic, a
-//! retried chunk produces bit-identical results — containment never
-//! perturbs the reduction order.
+//! Each unit runs under [`std::panic::catch_unwind`]; a panicking unit
+//! is retried once, in place, by the worker that claimed it. A unit that
+//! fails both attempts stops further claims and surfaces as a typed
+//! [`PoolError`]; every lower unit was claimed before it, so the lowest
+//! failing unit is always the one reported. A retried unit produces
+//! bit-identical results, so containment never perturbs the merge
+//! order. A panic in the sink ends its worker and surfaces as
+//! [`PoolError::WorkerLost`].
 
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::thread;
-
-/// Default chunk size for [`parallel_map_indexed`]: small enough to
-/// balance skewed workloads, large enough to keep cursor contention
-/// negligible.
-const DEFAULT_CHUNK: usize = 4;
 
 /// A failure of the work pool itself, as opposed to a domain error of
 /// the mapped function (which cannot fail — panics are the only escape
 /// hatch, and this type is how they surface).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PoolError {
-    /// A chunk's closure panicked on every attempt (initial run plus
-    /// one requeue). The message is the panic payload when it was a
-    /// string.
+    /// A unit's closure panicked on every attempt (initial run plus
+    /// one retry in place). The message is the panic payload when it
+    /// was a string.
     UnitPanicked {
-        /// Index of the failing chunk in the unit space.
+        /// Index of the lowest failing unit.
         unit: usize,
-        /// How many times the chunk was attempted before giving up.
+        /// How many times the unit was attempted before giving up.
         attempts: u32,
         /// The panic payload, if it was a `&str`/`String`.
         message: String,
     },
-    /// A worker thread died outside the per-chunk containment — a bug
-    /// in the pool's own bookkeeping, not in the mapped closure.
+    /// A worker died outside the per-unit containment — a panic in the
+    /// sink or in the pool's own bookkeeping, not in the mapped closure.
     WorkerLost {
         /// The panic payload, if recoverable.
         message: String,
     },
-    /// Two workers reported results for the same chunk. This is a
+    /// Two workers reported results for the same unit. This is a
     /// scheduling bug that would silently corrupt an accumulator if
-    /// ignored, so it is a hard error in every build profile (it was
-    /// previously only a `debug_assert!`).
+    /// ignored, so it is a hard error in every build profile.
     DuplicateUnit {
-        /// The doubly-claimed chunk index.
+        /// The doubly-claimed unit index.
         unit: usize,
     },
-    /// A chunk was never executed — the dual of [`PoolError::DuplicateUnit`].
+    /// A unit never reached the sink — the dual of
+    /// [`PoolError::DuplicateUnit`].
     MissingUnit {
-        /// The unexecuted chunk index.
+        /// The lowest unit the sink never saw.
         unit: usize,
     },
 }
@@ -93,7 +82,7 @@ impl std::fmt::Display for PoolError {
                 "work unit {unit} panicked on all {attempts} attempts: {message}"
             ),
             PoolError::WorkerLost { message } => {
-                write!(f, "worker thread lost outside chunk containment: {message}")
+                write!(f, "worker thread lost outside unit containment: {message}")
             }
             PoolError::DuplicateUnit { unit } => {
                 write!(f, "work unit {unit} was executed twice (scheduler bug)")
@@ -131,232 +120,235 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs one unit under panic containment.
-fn run_contained<U>(exec: &(impl Fn(usize) -> U + Sync), unit: usize) -> Result<U, String> {
+/// Runs one unit under panic containment, retrying it once in place if
+/// it panics. `f` is deterministic in its index, so a retry that
+/// succeeds yields exactly the value the first attempt would have.
+fn run_unit<U>(f: &impl Fn(usize) -> U, unit: usize) -> Result<U, PoolError> {
     // `AssertUnwindSafe` is sound here: on Err every value computed by
-    // this call is discarded, and `exec` only reads shared state (it is
+    // the attempt is discarded, and `f` only reads shared state (it is
     // `Fn`, not `FnMut`), so no observer can see torn intermediate
     // state from the unwound attempt.
-    catch_unwind(AssertUnwindSafe(|| exec(unit))).map_err(panic_message)
+    let attempt = || catch_unwind(AssertUnwindSafe(|| f(unit))).map_err(panic_message);
+    let first = match attempt() {
+        Ok(v) => return Ok(v),
+        Err(message) => message,
+    };
+    if dck_obs::enabled() {
+        dck_obs::incr("par.panics_contained");
+        dck_obs::incr("par.units_requeued");
+    }
+    attempt().map_err(|message| {
+        if dck_obs::enabled() {
+            dck_obs::incr("par.panics_contained");
+        }
+        let message = if message == first {
+            message
+        } else {
+            format!("{message} (first attempt: {first})")
+        };
+        PoolError::UnitPanicked {
+            unit,
+            attempts: 2,
+            message,
+        }
+    })
 }
 
-/// Places `value` into `slots[unit]`, rejecting double execution as a
-/// hard error in every profile.
-fn place<U>(slots: &mut [Option<U>], unit: usize, value: U) -> Result<(), PoolError> {
-    match slots.get_mut(unit) {
-        Some(slot @ None) => {
-            *slot = Some(value);
-            Ok(())
+/// The pool's shared state, behind its one mutex: the sink, the next
+/// unit it expects, the units that finished ahead of it, and the first
+/// failure.
+struct Ordered<U, S> {
+    next: usize,
+    tail: BTreeMap<usize, U>,
+    sink: S,
+    failed: Option<PoolError>,
+}
+
+impl<U, S: FnMut(usize, U)> Ordered<U, S> {
+    fn new(sink: S) -> Self {
+        Ordered {
+            next: 0,
+            tail: BTreeMap::new(),
+            sink,
+            failed: None,
         }
-        Some(_) => Err(PoolError::DuplicateUnit { unit }),
-        None => Err(PoolError::MissingUnit { unit }),
+    }
+
+    /// Hands `value` to the sink if `unit` is the next one due, then
+    /// every parked unit that now follows in sequence; parks it in the
+    /// tail otherwise. A unit that lands twice is a hard error in every
+    /// profile, and never overwrites the first value.
+    fn land(&mut self, unit: usize, value: U) {
+        if unit < self.next || self.tail.contains_key(&unit) {
+            self.fail(PoolError::DuplicateUnit { unit });
+        } else if unit > self.next {
+            self.tail.insert(unit, value);
+        } else {
+            (self.sink)(unit, value);
+            self.next += 1;
+            while let Some(v) = self.tail.remove(&self.next) {
+                (self.sink)(self.next, v);
+                self.next += 1;
+            }
+        }
+    }
+
+    /// Records a failure; a panicked unit replaces a higher one, so the
+    /// lowest failing unit is the one reported.
+    fn fail(&mut self, err: PoolError) {
+        let replace = match (&self.failed, &err) {
+            (
+                Some(PoolError::UnitPanicked { unit: old, .. }),
+                PoolError::UnitPanicked { unit, .. },
+            ) => unit < old,
+            (old, _) => old.is_none(),
+        };
+        if replace {
+            self.failed = Some(err);
+        }
+    }
+
+    /// The pool's verdict once every worker has stopped.
+    fn finish(self, n: usize) -> Result<(), PoolError> {
+        match self.failed {
+            Some(err) => Err(err),
+            None if self.next < n => Err(PoolError::MissingUnit { unit: self.next }),
+            None => Ok(()),
+        }
     }
 }
 
-/// What one pool worker brings back from its claim loop: completed
-/// `(unit, value)` pairs and `(unit, panic message)` failures awaiting
-/// the retry pass.
-type WorkerHarvest<U> = (Vec<(usize, U)>, Vec<(usize, String)>);
-
-/// Executes units `0..num_units` on `workers` threads and returns their
-/// results in unit order. The engine behind both public maps:
-///
-/// * units are claimed through an atomic cursor (work stealing);
-/// * each unit runs under [`catch_unwind`]; panicked units are
-///   collected and retried exactly once, sequentially, after the pool
-///   joins (rare by construction, so the retry pass is not worth its
-///   own fan-out);
-/// * `occupancy`, when observability is on, receives the per-worker
-///   claimed weights after the join (never during, so recording cannot
-///   perturb the work-stealing race).
-fn run_units<U, F>(
-    num_units: usize,
+/// The engine behind both public entry points: runs units `0..n` on
+/// `workers` threads (inline on the caller's thread for one worker or
+/// one unit). After a real pool joins — never during, so recording
+/// cannot perturb the work-stealing race — the units each worker
+/// claimed go to the `occupancy_metric` histogram, the load-balance
+/// signal for `dck sweep --metrics`.
+fn run_ordered<U, F, S>(
+    n: usize,
     workers: usize,
-    exec: F,
+    f: F,
+    sink: S,
     occupancy_metric: &str,
-    weigh: impl Fn(&U) -> u64,
-) -> Result<Vec<U>, PoolError>
+) -> Result<(), PoolError>
 where
     U: Send,
     F: Fn(usize) -> U + Sync,
+    S: FnMut(usize, U) + Send,
 {
-    let mut slots: Vec<Option<U>> = Vec::with_capacity(num_units);
-    slots.resize_with(num_units, || None);
-    // (unit, first-attempt panic message) pairs awaiting their retry.
-    let mut requeued: Vec<(usize, String)> = Vec::new();
-
-    if workers <= 1 || num_units <= 1 {
-        for unit in 0..num_units {
-            match run_contained(&exec, unit) {
-                Ok(v) => place(&mut slots, unit, v)?,
-                Err(message) => requeued.push((unit, message)),
+    let shared = Mutex::new(Ordered::new(sink));
+    let cursor = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let worker = || {
+        let mut claimed = 0u64;
+        while !stop.load(Ordering::Relaxed) {
+            let unit = cursor.fetch_add(1, Ordering::Relaxed);
+            if unit >= n {
+                break;
             }
-        }
-    } else {
-        let workers = workers.min(num_units);
-        let cursor = AtomicUsize::new(0);
-        let joined: Vec<thread::Result<WorkerHarvest<U>>> = thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let cursor = &cursor;
-                let exec = &exec;
-                handles.push(scope.spawn(move || {
-                    let mut done: Vec<(usize, U)> = Vec::new();
-                    let mut failed: Vec<(usize, String)> = Vec::new();
-                    loop {
-                        let unit = cursor.fetch_add(1, Ordering::Relaxed);
-                        if unit >= num_units {
-                            break;
-                        }
-                        match run_contained(exec, unit) {
-                            Ok(v) => done.push((unit, v)),
-                            Err(message) => failed.push((unit, message)),
-                        }
-                    }
-                    (done, failed)
-                }));
-            }
-            handles.into_iter().map(|h| h.join()).collect()
-        });
-
-        let mut per_worker: Vec<Vec<(usize, U)>> = Vec::with_capacity(workers);
-        for outcome in joined {
+            claimed += 1;
+            let outcome = run_unit(&f, unit);
+            // A poisoned lock means the sink panicked on another
+            // worker, which reports the loss itself.
+            let Ok(mut ordered) = shared.lock() else {
+                break;
+            };
             match outcome {
-                Ok((done, failed)) => {
-                    per_worker.push(done);
-                    requeued.extend(failed);
-                }
-                // A worker died outside the per-unit containment: the
-                // pool's own bookkeeping panicked. Don't retry — this
-                // is a bug, not a workload failure.
-                Err(payload) => {
-                    return Err(PoolError::WorkerLost {
-                        message: panic_message(payload),
-                    })
-                }
+                Ok(v) => ordered.land(unit, v),
+                Err(err) => ordered.fail(err),
+            }
+            if ordered.failed.is_some() {
+                stop.store(true, Ordering::Relaxed);
             }
         }
-        record_pool_occupancy(
-            occupancy_metric,
-            per_worker
-                .iter()
-                .map(|bucket| bucket.iter().map(|(_, v)| weigh(v)).sum()),
-        );
-        for bucket in per_worker {
-            for (unit, v) in bucket {
-                place(&mut slots, unit, v)?;
-            }
-        }
+        claimed
+    };
+    let workers = workers.min(n);
+    let joined: Vec<thread::Result<u64>> = if workers <= 1 {
+        vec![catch_unwind(AssertUnwindSafe(worker))]
+    } else {
+        thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        })
+    };
+    // A worker that died outside the per-unit containment means the
+    // sink or the pool's own bookkeeping panicked: a bug, not a
+    // workload failure, so it is not retried.
+    let claimed = joined
+        .into_iter()
+        .map(|outcome| {
+            outcome.map_err(|payload| PoolError::WorkerLost {
+                message: panic_message(payload),
+            })
+        })
+        .collect::<Result<Vec<u64>, _>>()?;
+    if workers > 1 && dck_obs::enabled() {
+        dck_obs::incr("par.pool_spawns");
+        let hist = dck_obs::histogram(occupancy_metric);
+        claimed.into_iter().for_each(|c| hist.observe(c));
     }
-
-    // Requeue pass: retry each panicked unit once, in unit order so
-    // failure reporting is deterministic. The mapped function is
-    // deterministic in its index, so a retried unit that succeeds
-    // yields exactly the value the first attempt would have.
-    if !requeued.is_empty() {
-        requeued.sort_by_key(|&(unit, _)| unit);
-        if dck_obs::enabled() {
-            dck_obs::add("par.panics_contained", requeued.len() as u64);
-            dck_obs::add("par.units_requeued", requeued.len() as u64);
-        }
-        for (unit, first_message) in requeued {
-            match run_contained(&exec, unit) {
-                Ok(v) => place(&mut slots, unit, v)?,
-                Err(message) => {
-                    if dck_obs::enabled() {
-                        dck_obs::incr("par.panics_contained");
-                    }
-                    let message = if message == first_message {
-                        message
-                    } else {
-                        format!("{message} (first attempt: {first_message})")
-                    };
-                    return Err(PoolError::UnitPanicked {
-                        unit,
-                        attempts: 2,
-                        message,
-                    });
-                }
-            }
-        }
-    }
-
-    let mut out = Vec::with_capacity(num_units);
-    for (unit, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(v) => out.push(v),
-            None => return Err(PoolError::MissingUnit { unit }),
-        }
-    }
-    Ok(out)
+    // Every worker that could have poisoned the lock was reported above.
+    shared
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .finish(n)
 }
 
-/// Maps `f` over `0..n` using `workers` threads and returns the results
-/// in index order.
+/// Runs `f` over units `0..n` on `workers` threads and hands each
+/// result to `sink` in ascending unit order.
 ///
-/// `f` must be `Sync` (shared by reference across workers) and the
-/// result type `Send`. With `workers <= 1` the map runs inline on the
-/// caller's thread, which keeps small jobs cheap and makes the parallel
-/// path easy to A/B-test. Either way a panic in `f` is contained: the
-/// covering chunk is retried once, and a persistent panic returns
-/// [`PoolError::UnitPanicked`] instead of aborting the process.
+/// `f` must be `Sync` (shared by reference across workers). `sink` runs
+/// under the pool's mutex on whichever worker completes the lowest
+/// missing unit, so it should only merge; units that finish early wait
+/// in a tail until every lower unit is in. With `workers <= 1` the pool
+/// runs inline on the caller's thread, which keeps small jobs cheap.
+/// Either way a panic in `f` is contained: the unit is retried once in
+/// place, and a persistent panic returns [`PoolError::UnitPanicked`]
+/// for the lowest failing unit instead of aborting the process. The
+/// sink has then seen every unit below that one and none above it.
 ///
 /// # Errors
-/// [`PoolError`] when a chunk panics twice or the pool's bookkeeping
-/// breaks (duplicate/missing/lost units).
+/// [`PoolError`] when a unit panics twice, the sink panics, or the
+/// pool's bookkeeping breaks (duplicate or missing units).
 ///
 /// # Example
 /// ```
-/// use dck_simcore::par::parallel_map_indexed;
-/// let squares = parallel_map_indexed(8, 4, |i| (i * i) as u64).unwrap();
+/// use dck_simcore::par::parallel_for_ordered;
+/// let mut squares = Vec::new();
+/// parallel_for_ordered(8, 4, |i| (i * i) as u64, |_, sq| squares.push(sq)).unwrap();
 /// assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 /// ```
-pub fn parallel_map_indexed<T, F>(n: usize, workers: usize, f: F) -> Result<Vec<T>, PoolError>
+pub fn parallel_for_ordered<U, F, S>(
+    n: usize,
+    workers: usize,
+    f: F,
+    sink: S,
+) -> Result<(), PoolError>
 where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
+    U: Send,
+    F: Fn(usize) -> U + Sync,
+    S: FnMut(usize, U) + Send,
 {
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    let num_chunks = n.div_ceil(DEFAULT_CHUNK);
-    let chunks = run_units(
-        num_chunks,
-        workers,
-        |c| {
-            let start = c * DEFAULT_CHUNK;
-            let end = (start + DEFAULT_CHUNK).min(n);
-            (start..end).map(&f).collect::<Vec<T>>()
-        },
-        "par.items_per_worker",
-        |chunk: &Vec<T>| chunk.len() as u64,
-    )?;
-    // Chunks come back in ascending chunk order and each chunk is in
-    // index order internally, so concatenation restores index order.
-    Ok(chunks.into_iter().flatten().collect())
+    run_ordered(n, workers, f, sink, "par.items_per_worker")
 }
 
 /// Streams `0..n` into per-chunk accumulators and merges them in
-/// fixed chunk order, without materializing a `Vec` of per-item
-/// results.
+/// fixed chunk order.
 ///
 /// The index space is cut into chunks of `chunk` consecutive indices
 /// (the last chunk may be short). Each chunk gets a fresh accumulator
 /// from `new_acc`, items fold into it **sequentially in index order**
 /// via `fold`, and the finished chunk accumulators merge via `merge`
-/// **in ascending chunk order**. Because both the chunk geometry and
-/// the merge order are fixed, the result is bit-identical for every
-/// `workers` value — the inline `workers <= 1` path runs the exact
-/// same chunked fold.
-///
-/// Workers claim chunks through an atomic cursor, so skewed per-item
-/// cost still load-balances. Memory is `O(n / chunk)` accumulators
-/// instead of `O(n)` items.
+/// **in ascending chunk order**, starting from one more `new_acc()`, as
+/// the sink of [`parallel_for_ordered`]. Because both the chunk geometry
+/// and the merge order are fixed, the result is bit-identical for every
+/// `workers` value, including the inline `workers <= 1` path.
 ///
 /// # Errors
-/// [`PoolError`] when a chunk panics on both its attempts, or the
-/// chunk bookkeeping detects a duplicate/missing chunk (hard errors in
-/// every profile).
+/// [`PoolError`] when a chunk panics on both its attempts, `merge`
+/// panics, or the chunk bookkeeping detects a duplicate/missing chunk
+/// (hard errors in every profile).
 ///
 /// # Example
 /// ```
@@ -384,12 +376,14 @@ where
     A: Send,
     New: Fn() -> A + Sync,
     Fold: Fn(&mut A, usize) + Sync,
-    Merge: Fn(A, A) -> A,
+    Merge: Fn(A, A) -> A + Send,
 {
     let chunk = chunk.max(1);
-    let num_chunks = n.div_ceil(chunk);
-    let accs = run_units(
-        num_chunks,
+    // `None` only if `merge` panicked, which the pool reports itself.
+    let mut total = Some(new_acc());
+    let slot = &mut total;
+    run_ordered(
+        n.div_ceil(chunk),
         workers,
         |c| {
             let start = c * chunk;
@@ -400,69 +394,92 @@ where
             }
             acc
         },
+        move |_, acc| *slot = slot.take().map(|t| merge(t, acc)),
         "par.chunks_per_worker",
-        |_| 1,
     )?;
-    Ok(accs.into_iter().fold(new_acc(), merge))
-}
-
-/// Records how much work each worker of a just-joined pool claimed —
-/// the load-balance signal for `dck sweep --metrics`. Runs *after* the
-/// scope joins, so recording can never perturb the work-stealing race;
-/// a no-op unless observability is enabled.
-fn record_pool_occupancy(name: &str, per_worker: impl Iterator<Item = u64>) {
-    if !dck_obs::enabled() {
-        return;
-    }
-    dck_obs::incr("par.pool_spawns");
-    let hist = dck_obs::histogram(name);
-    for claimed in per_worker {
-        hist.observe(claimed);
-    }
+    total.ok_or_else(|| PoolError::WorkerLost {
+        message: "chunk merge panicked".to_string(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stats::OnlineStats;
-    use std::collections::HashSet;
     use std::sync::atomic::AtomicU64;
+
+    /// Runs `f` over `0..n` and returns what the sink saw, as
+    /// `(unit, value)` pairs in arrival order.
+    fn collect<T: Send>(
+        n: usize,
+        workers: usize,
+        f: impl Fn(usize) -> T + Sync,
+    ) -> Result<Vec<(usize, T)>, PoolError> {
+        let mut seen = Vec::new();
+        parallel_for_ordered(n, workers, f, |u, v| seen.push((u, v)))?;
+        Ok(seen)
+    }
 
     #[test]
     fn results_in_index_order() {
-        let out = parallel_map_indexed(1000, 8, |i| i * 3).unwrap();
+        let out = collect(1000, 8, |i| i * 3).unwrap();
         assert_eq!(out.len(), 1000);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, i * 3);
+        for (i, &(u, v)) in out.iter().enumerate() {
+            assert_eq!((u, v), (i, i * 3));
         }
     }
 
     #[test]
     fn sequential_and_parallel_agree() {
-        let seq = parallel_map_indexed(257, 1, |i| (i as f64).sqrt()).unwrap();
-        let par = parallel_map_indexed(257, 7, |i| (i as f64).sqrt()).unwrap();
+        let seq = collect(257, 1, |i| (i as f64).sqrt()).unwrap();
+        let par = collect(257, 7, |i| (i as f64).sqrt()).unwrap();
         assert_eq!(seq, par);
     }
 
     #[test]
-    fn every_index_computed_exactly_once() {
+    fn every_unit_computed_exactly_once() {
         let calls = AtomicU64::new(0);
-        let out = parallel_map_indexed(500, 6, |i| {
+        let out = collect(500, 6, |i| {
             calls.fetch_add(1, Ordering::Relaxed);
             i
         })
         .unwrap();
         assert_eq!(calls.load(Ordering::Relaxed), 500);
-        let unique: HashSet<_> = out.iter().collect();
-        assert_eq!(unique.len(), 500);
+        assert!(out.iter().enumerate().all(|(i, &(u, v))| u == i && v == i));
     }
 
     #[test]
     fn empty_and_tiny_inputs() {
-        let empty: Vec<u32> = parallel_map_indexed(0, 4, |_| 1u32).unwrap();
-        assert!(empty.is_empty());
-        let one = parallel_map_indexed(1, 4, |i| i + 10).unwrap();
-        assert_eq!(one, vec![10]);
+        for workers in [1, 4] {
+            let empty = collect(0, workers, |_| 1u32).unwrap();
+            assert!(empty.is_empty());
+            let one = collect(1, workers, |i| i + 10).unwrap();
+            assert_eq!(one, vec![(0, 10)]);
+        }
+    }
+
+    /// Unit 0 finishes last on a pool: it waits until every other unit
+    /// is computed, so all of them wait in the tail, and the sink still
+    /// sees `0..n` in ascending order.
+    #[test]
+    fn slowest_first_unit_still_lands_first() {
+        const N: usize = 64;
+        for workers in [1, 4] {
+            let others_done = AtomicUsize::new(0);
+            let out = collect(N, workers, |i| {
+                if i > 0 {
+                    others_done.fetch_add(1, Ordering::SeqCst);
+                } else if workers > 1 {
+                    while others_done.load(Ordering::SeqCst) < N - 1 {
+                        thread::yield_now();
+                    }
+                }
+                i
+            })
+            .unwrap();
+            let units: Vec<usize> = out.iter().map(|&(u, _)| u).collect();
+            assert_eq!(units, (0..N).collect::<Vec<_>>(), "workers {workers}");
+        }
     }
 
     #[test]
@@ -519,25 +536,25 @@ mod tests {
     }
 
     #[test]
-    fn transient_panic_is_contained_and_requeued() {
-        // Index 13 panics on its first execution only; the requeue pass
-        // must recover it and the result must be complete and correct,
-        // with both worker counts (inline and pooled paths).
+    fn transient_panic_is_contained_and_retried() {
+        // Unit 13 panics on its first execution only; the retry in
+        // place must recover it and the result must be complete and
+        // correct, with both worker counts (inline and pooled paths).
         for workers in [1, 4] {
             let fired = AtomicU64::new(0);
-            let out = parallel_map_indexed(40, workers, |i| {
+            let out = collect(40, workers, |i| {
                 if i == 13 && fired.swap(1, Ordering::Relaxed) == 0 {
                     panic!("transient failure at {i}");
                 }
                 i * 2
             })
             .unwrap_or_else(|e| panic!("workers {workers}: {e}"));
-            assert_eq!(out, (0..40).map(|i| i * 2).collect::<Vec<_>>());
+            assert_eq!(out, (0..40).map(|i| (i, i * 2)).collect::<Vec<_>>());
         }
     }
 
     #[test]
-    fn persistent_panic_surfaces_as_typed_error_with_other_chunks_done() {
+    fn persistent_panic_surfaces_as_typed_error() {
         let calls = AtomicU64::new(0);
         let err = parallel_map_fold(
             64,
@@ -567,16 +584,47 @@ mod tests {
             other => panic!("unexpected error {other:?}"),
         }
         assert!(err.to_string().contains("panicked on all 2 attempts"));
-        // Every other chunk still executed (the panic did not abort the
-        // pool): 64 items minus the two aborted attempts' partial
-        // chunks is at least 64 - 8 folds before the retry, and the
-        // retry re-runs the cursed chunk once more.
-        assert!(calls.load(Ordering::Relaxed) >= 56);
+        // Every chunk below the cursed one still ran (40 folds), and
+        // both attempts of chunk 5 got as far as item 42 (3 folds each).
+        assert!(calls.load(Ordering::Relaxed) >= 46);
+    }
+
+    /// With two persistent failures the lower unit is reported, and the
+    /// sink has seen exactly the units below it.
+    #[test]
+    fn lowest_failing_unit_is_reported() {
+        for workers in [1, 4] {
+            let mut seen = Vec::new();
+            let err = parallel_for_ordered(
+                64,
+                workers,
+                |i| {
+                    if i == 10 || i == 40 {
+                        panic!("unit {i} is cursed");
+                    }
+                    i
+                },
+                |u, _| seen.push(u),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    PoolError::UnitPanicked {
+                        unit: 10,
+                        attempts: 2,
+                        ..
+                    }
+                ),
+                "workers {workers}: {err:?}"
+            );
+            assert_eq!(seen, (0..10).collect::<Vec<_>>(), "workers {workers}");
+        }
     }
 
     #[test]
     fn inline_path_contains_panics_too() {
-        let err = parallel_map_indexed(8, 1, |i| {
+        let err = collect(8, 1, |i| {
             if i == 3 {
                 panic!("boom");
             }
@@ -587,17 +635,46 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_unit_is_a_hard_error_in_all_profiles() {
-        // `place` is the single point every computed chunk passes
+    fn sink_panic_is_a_lost_worker() {
+        for workers in [1, 4] {
+            let err = parallel_for_ordered(
+                16,
+                workers,
+                |i| i,
+                |u, _| {
+                    if u == 3 {
+                        panic!("sink broke");
+                    }
+                },
+            )
+            .unwrap_err();
+            assert!(
+                matches!(&err, PoolError::WorkerLost { message } if message.contains("sink broke")),
+                "workers {workers}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn duplicate_and_missing_units_are_hard_errors_in_all_profiles() {
+        // `land` is the single point every computed unit passes
         // through; a double execution must be rejected even in release
-        // builds (this used to be a debug_assert that release builds
-        // compiled out, silently overwriting an accumulator).
-        let mut slots: Vec<Option<u32>> = vec![None, None];
-        place(&mut slots, 1, 10).unwrap();
-        let err = place(&mut slots, 1, 11).unwrap_err();
-        assert_eq!(err, PoolError::DuplicateUnit { unit: 1 });
-        assert_eq!(slots[1], Some(10), "first value must not be overwritten");
-        let err = place(&mut slots, 7, 1).unwrap_err();
-        assert_eq!(err, PoolError::MissingUnit { unit: 7 });
+        // builds, without overwriting the first value.
+        let mut seen = Vec::new();
+        let mut ordered = Ordered::new(|u, v: u32| seen.push((u, v)));
+        ordered.land(1, 10);
+        ordered.land(1, 11);
+        assert_eq!(ordered.failed, Some(PoolError::DuplicateUnit { unit: 1 }));
+        assert_eq!(ordered.tail.get(&1), Some(&10), "first value kept");
+        ordered.land(0, 5);
+        ordered.land(0, 6);
+        assert_eq!(ordered.next, 2);
+        assert_eq!(ordered.finish(2), Err(PoolError::DuplicateUnit { unit: 1 }));
+        assert_eq!(seen, vec![(0, 5), (1, 10)]);
+
+        let mut ordered = Ordered::new(|_, _: u32| {});
+        ordered.land(0, 1);
+        ordered.land(2, 1);
+        assert_eq!(ordered.finish(3), Err(PoolError::MissingUnit { unit: 1 }));
     }
 }

@@ -6,7 +6,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dck_simcore::par::{parallel_map_fold, parallel_map_indexed};
+use dck_simcore::par::{parallel_for_ordered, parallel_map_fold};
 
 #[test]
 fn contained_panics_are_counted() {
@@ -14,12 +14,17 @@ fn contained_panics_are_counted() {
     dck_obs::reset();
     let was = dck_obs::set_enabled(true);
     let fired = AtomicU64::new(0);
-    parallel_map_indexed(32, 4, |i| {
-        if i == 7 && fired.swap(1, Ordering::Relaxed) == 0 {
-            panic!("once");
-        }
-        i
-    })
+    parallel_for_ordered(
+        32,
+        4,
+        |i| {
+            if i == 7 && fired.swap(1, Ordering::Relaxed) == 0 {
+                panic!("once");
+            }
+            i
+        },
+        |_, _| {},
+    )
     .unwrap();
     dck_obs::set_enabled(was);
     let snap = dck_obs::snapshot();
@@ -31,11 +36,13 @@ fn contained_panics_are_counted() {
 fn pool_occupancy_recorded_only_when_enabled() {
     let _guard = dck_obs::exclusive_session();
     dck_obs::reset();
-    parallel_map_indexed(64, 4, |i| i).unwrap();
+    parallel_for_ordered(64, 4, |i| i, |_, _| {}).unwrap();
     assert_eq!(dck_obs::snapshot().counter("par.pool_spawns"), 0);
 
     let was = dck_obs::set_enabled(true);
-    parallel_map_indexed(64, 4, |i| i).unwrap();
+    parallel_for_ordered(64, 4, |i| i, |_, _| {}).unwrap();
+    // The inline path spawns no pool and records no occupancy.
+    parallel_for_ordered(64, 1, |i| i, |_, _| {}).unwrap();
     parallel_map_fold(64, 4, 8, || 0u64, |a, i| *a += i as u64, |a, b| a + b).unwrap();
     dck_obs::set_enabled(was);
     let snap = dck_obs::snapshot();
