@@ -10,17 +10,18 @@
 use crate::diagnostics::{Finding, Severity};
 use std::collections::BTreeMap;
 
-/// How far a `snippet_hash`-keyed entry's `line` anchor may drift from
-/// the finding before the entry stops matching. Unrelated edits that
-/// shift code by up to this many lines never re-key the baseline.
+/// How far a `snippet_hash`-keyed entry's `line` anchor may sit from
+/// the finding and still be recognised as its entry. A recognised
+/// entry whose anchor is off by any amount fails the scan, naming the
+/// finding's current line, so an anchor never goes stale silently.
 pub const LINE_FUZZ: u32 = 10;
 
 /// One baseline entry: a justified suppression of current findings.
 ///
-/// The durable key is `(path, lint, snippet_hash)` with `line` as a
-/// ±[`LINE_FUZZ`] anchor; an entry with `line` but no `snippet_hash`
-/// is the deprecated exact-line format, which still matches but is
-/// reported so it can be migrated.
+/// The durable key is `(path, lint, snippet_hash)` with `line` as an
+/// anchor that must name the finding's line (see [`LINE_FUZZ`]); an
+/// entry with neither covers the whole file. A `line` without a
+/// `snippet_hash` is a config error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllowEntry {
     /// Lint name the entry applies to.
@@ -28,8 +29,8 @@ pub struct AllowEntry {
     /// Workspace-relative path; a trailing `*` makes it a prefix match
     /// (`crates/experiments/*`).
     pub path: String,
-    /// Line anchor. With `snippet_hash`: fuzzy (±[`LINE_FUZZ`] lines).
-    /// Without: deprecated exact match. Absent: whole file.
+    /// Line anchor of a `snippet_hash` entry: recognised within
+    /// ±[`LINE_FUZZ`] lines, and the scan fails unless it is exact.
     pub line: Option<u32>,
     /// FNV-1a hash (16 hex digits) of the whitespace-normalized source
     /// line the finding sits on — the content key that survives
@@ -53,24 +54,24 @@ impl AllowEntry {
         if !path_ok {
             return false;
         }
-        match (&self.snippet_hash, self.line) {
+        match &self.snippet_hash {
             // Content key: hash must match, the line anchor (if any)
-            // only has to be within the fuzz window.
-            (Some(h), anchor) => {
+            // within the window that recognises it.
+            Some(h) => {
                 *h == snippet_hash(&f.snippet)
-                    && anchor.is_none_or(|l| l.abs_diff(f.line) <= LINE_FUZZ)
+                    && self.line.is_none_or(|l| l.abs_diff(f.line) <= LINE_FUZZ)
             }
-            // Deprecated exact-line key.
-            (None, Some(l)) => l == f.line,
-            // Whole file.
-            (None, None) => true,
+            // Whole file (a bare `line` is rejected when parsing).
+            None => self.line.is_none(),
         }
     }
 
-    /// True for the deprecated exact-line key format (line without a
-    /// snippet hash).
-    pub fn is_deprecated_exact_line(&self) -> bool {
-        self.line.is_some() && self.snippet_hash.is_none()
+    /// For an entry that [`matches`](Self::matches) `f`: a message
+    /// naming `f`'s current line when the anchor names another one.
+    pub fn drift(&self, f: &Finding) -> Option<String> {
+        self.line
+            .filter(|&l| l != f.line)
+            .map(|_| format!("{} now sits on line {}", self.describe(), f.line))
     }
 
     /// Short description for stale/unjustified messages.
@@ -216,6 +217,12 @@ impl AnalyzeConfig {
                     e.describe()
                 ));
             }
+            if e.line.is_some() && e.snippet_hash.is_none() {
+                return Err(format!(
+                    "[[allow]] entry {} has a `line` but no `snippet_hash` (run `dck lint baseline`)",
+                    e.describe()
+                ));
+            }
         }
         Ok(cfg)
     }
@@ -339,6 +346,7 @@ justification = "worker panics must propagate"
 lint = "sentinel-value"
 path = "crates/core/src/opt.rs"
 line = 91
+snippet_hash = "04dd9e0f97a73a61"
 justification = "minimizer-internal +inf, never escapes"
 "#;
 
@@ -374,7 +382,12 @@ justification = "minimizer-internal +inf, never escapes"
         assert!(e.matches(&f));
         e.path = "crates/experiments/src/validate.rs".into();
         assert!(e.matches(&f));
-        e.line = Some(11);
+        // A line anchor needs the content key beside it.
+        e.line = Some(10);
+        assert!(!e.matches(&f));
+        e.snippet_hash = Some(snippet_hash(""));
+        assert!(e.matches(&f));
+        e.line = Some(10 + LINE_FUZZ + 1);
         assert!(!e.matches(&f));
         e.line = Some(10);
         e.lint = "float-eq".into();
@@ -452,7 +465,13 @@ justification = "minimizer-internal +inf, never escapes"
         // Outside the window, or different content: not suppressed.
         assert!(!e.matches(&f(111, "cfg.build().expect(\"validated\");")));
         assert!(!e.matches(&f(100, "other.unwrap();")));
-        assert!(!e.is_deprecated_exact_line());
+        // Recognised off its anchor: the drift names the current line.
+        assert_eq!(e.drift(&f(100, "cfg.build().expect(\"validated\");")), None);
+        assert_eq!(
+            e.drift(&f(101, "cfg.build().expect(\"validated\");"))
+                .as_deref(),
+            Some("[panic-safety] crates/x/src/a.rs:100 now sits on line 101")
+        );
     }
 
     #[test]
@@ -477,17 +496,19 @@ justification = "minimizer-internal +inf, never escapes"
     }
 
     #[test]
-    fn exact_line_without_hash_is_deprecated_but_still_matches() {
-        let cfg = AnalyzeConfig::from_toml(
+    fn a_line_needs_a_snippet_hash() {
+        let err = AnalyzeConfig::from_toml(
             "[[allow]]\nlint = \"x\"\npath = \"y\"\nline = 7\njustification = \"j\"",
         )
-        .unwrap();
-        assert!(cfg.allow[0].is_deprecated_exact_line());
+        .unwrap_err();
+        assert!(
+            err.contains("[x] y:7") && err.contains("snippet_hash"),
+            "{err}"
+        );
         let with_hash = AnalyzeConfig::from_toml(
             "[[allow]]\nlint = \"x\"\npath = \"y\"\nline = 7\nsnippet_hash = \"0123456789abcDEF\"\njustification = \"j\"",
         )
         .unwrap();
-        assert!(!with_hash.allow[0].is_deprecated_exact_line());
         assert_eq!(
             with_hash.allow[0].snippet_hash.as_deref(),
             Some("0123456789abcdef"),
@@ -497,6 +518,11 @@ justification = "minimizer-internal +inf, never escapes"
             "[[allow]]\nlint = \"x\"\npath = \"y\"\nsnippet_hash = \"xyz\"\njustification = \"j\"",
         )
         .is_err());
+        let whole_file = AnalyzeConfig::from_toml(
+            "[[allow]]\nlint = \"x\"\npath = \"y\"\njustification = \"j\"",
+        )
+        .unwrap();
+        assert_eq!(whole_file.allow[0].line, None);
     }
 
     #[test]
@@ -516,8 +542,8 @@ justification = "minimizer-internal +inf, never escapes"
             snippet_hash("v.unwrap();")
         )));
         let cfg = AnalyzeConfig::from_toml(&toml).unwrap();
-        assert!(!cfg.allow[0].is_deprecated_exact_line());
         assert!(cfg.allow[0].matches(&f));
+        assert_eq!(cfg.allow[0].drift(&f), None);
     }
 
     #[test]

@@ -83,11 +83,11 @@ pub struct Report {
     /// Baseline entries without a written justification — these fail
     /// the scan: every suppression must say *why*.
     pub unjustified_allows: Vec<String>,
-    /// Baseline entries still using the deprecated exact-line key
-    /// (`line` without `snippet_hash`). They match, but warn until
-    /// migrated to the content-hash key.
+    /// Baseline entries recognised by content whose `line` anchor
+    /// names another line than their finding's, each naming the current
+    /// line. These fail the scan: an anchor must not go stale silently.
     #[serde(default)]
-    pub deprecated_allows: Vec<String>,
+    pub drifted_allows: Vec<String>,
     /// `mod` declarations the walker could not resolve.
     pub unresolved_mods: Vec<String>,
 }
@@ -109,10 +109,13 @@ impl Report {
             .count()
     }
 
-    /// True when the scan passes: no live deny findings, no stale or
-    /// unjustified baseline entries.
+    /// True when the scan passes: no live deny findings, no stale,
+    /// unjustified or drifted baseline entries.
     pub fn is_clean(&self) -> bool {
-        self.deny_count() == 0 && self.stale_allows.is_empty() && self.unjustified_allows.is_empty()
+        self.deny_count() == 0
+            && self.stale_allows.is_empty()
+            && self.unjustified_allows.is_empty()
+            && self.drifted_allows.is_empty()
     }
 
     /// Human rendering: one `file:line:col` diagnostic per finding
@@ -138,9 +141,9 @@ impl Report {
                 "analyze.toml: allow entry needs a justification: {s}\n"
             ));
         }
-        for s in &self.deprecated_allows {
+        for s in &self.drifted_allows {
             out.push_str(&format!(
-                "analyze.toml: entry uses the deprecated exact-line key; add `snippet_hash` (run `dck lint baseline`): {s}\n"
+                "analyze.toml: allow entry anchor drifted: {s}; update its `line`\n"
             ));
         }
         out.push_str(&self.summary());
@@ -215,7 +218,7 @@ mod tests {
             suppressed: 0,
             stale_allows: vec![],
             unjustified_allows: vec![],
-            deprecated_allows: vec![],
+            drifted_allows: vec![],
             unresolved_mods: vec![],
         };
         assert!(r.is_clean(), "warnings alone stay clean");
@@ -234,7 +237,7 @@ mod tests {
             suppressed: 1,
             stale_allows: vec![],
             unjustified_allows: vec![],
-            deprecated_allows: vec![],
+            drifted_allows: vec![],
             unresolved_mods: vec![],
         };
         let back = Report::from_json(&r.to_json().unwrap()).unwrap();

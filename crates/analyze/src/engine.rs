@@ -41,15 +41,18 @@ pub fn scan(root: &Path, config: &AnalyzeConfig) -> Result<Report, String> {
     findings
         .sort_by(|a, b| (&a.path, a.line, a.col, &a.lint).cmp(&(&b.path, b.line, b.col, &b.lint)));
 
-    // Baseline: suppress matching findings, track per-entry use.
+    // Baseline: suppress matching findings, track per-entry use and
+    // anchors that no longer name their finding's line.
     let mut used = vec![false; config.allow.len()];
     let mut suppressed = 0usize;
+    let mut drifted_allows = Vec::new();
     findings.retain(|f| {
         let mut hit = false;
         for (i, entry) in config.allow.iter().enumerate() {
             if entry.matches(f) {
                 used[i] = true;
                 hit = true;
+                drifted_allows.extend(entry.drift(f));
             }
         }
         if hit {
@@ -70,12 +73,6 @@ pub fn scan(root: &Path, config: &AnalyzeConfig) -> Result<Report, String> {
         .filter(|e| e.justification.trim().is_empty())
         .map(|e| e.describe())
         .collect();
-    let deprecated_allows = config
-        .allow
-        .iter()
-        .filter(|e| e.is_deprecated_exact_line())
-        .map(|e| e.describe())
-        .collect();
 
     Ok(Report {
         findings,
@@ -83,7 +80,7 @@ pub fn scan(root: &Path, config: &AnalyzeConfig) -> Result<Report, String> {
         suppressed,
         stale_allows,
         unjustified_allows,
-        deprecated_allows,
+        drifted_allows,
         unresolved_mods: ws.unresolved_mods,
     })
 }

@@ -147,7 +147,7 @@ mod tests {
             suppressed: 0,
             stale_allows: vec![],
             unjustified_allows: vec![],
-            deprecated_allows: vec![],
+            drifted_allows: vec![],
             unresolved_mods: vec![],
         }
     }

@@ -1,8 +1,8 @@
-//! The point of the content-hash baseline key: editing *elsewhere* in
-//! a file must not invalidate its `[[allow]]` entries. An entry is
-//! keyed by (path, lint, normalized snippet hash) with the `line` as a
-//! fuzzy anchor (±[`dck_analyze::LINE_FUZZ`]), so a small shift keeps
-//! matching while a large one goes honestly stale.
+//! The content-hash baseline key: an entry is keyed by (path, lint,
+//! normalized snippet hash) with the `line` as an anchor. An entry
+//! shifted by a small edit elsewhere (±[`dck_analyze::LINE_FUZZ`]) is
+//! still recognised, so its finding stays suppressed, but the scan
+//! fails naming the finding's current line; a large shift goes stale.
 
 use dck_analyze::{scan, snippet_hash, AnalyzeConfig, LINE_FUZZ};
 use std::path::PathBuf;
@@ -51,7 +51,7 @@ fn entry(anchor_line: u32) -> AnalyzeConfig {
 }
 
 #[test]
-fn small_shifts_keep_the_baseline_entry_alive() {
+fn small_shifts_are_recognised_but_fail_naming_the_new_line() {
     // Unpadded, the unwrap sits on line 5; each pad entry adds 2 lines.
     let anchor = 5;
     for pad in [0usize, 1, 4] {
@@ -59,12 +59,25 @@ fn small_shifts_keep_the_baseline_entry_alive() {
         let shift = 2 * pad as u32;
         assert!(shift <= LINE_FUZZ, "test premise");
         let report = scan(&ws.root, &entry(anchor)).unwrap();
-        assert!(
-            report.is_clean(),
-            "a {shift}-line shift must not re-key the entry:\n{}",
-            report.to_human()
-        );
         assert_eq!(report.suppressed, 1);
+        assert_eq!(report.deny_count(), 0);
+        assert!(report.stale_allows.is_empty());
+        if shift == 0 {
+            assert!(report.is_clean(), "{}", report.to_human());
+        } else {
+            assert!(
+                !report.is_clean(),
+                "a {shift}-line drift must fail the scan"
+            );
+            assert_eq!(
+                report.drifted_allows,
+                [format!(
+                    "[panic-safety] crates/x/src/lib.rs:5 now sits on line {}",
+                    5 + shift
+                )]
+            );
+            assert!(report.to_human().contains("update its `line`"));
+        }
     }
 }
 

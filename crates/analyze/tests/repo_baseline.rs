@@ -1,6 +1,6 @@
 //! Baseline exactness: the repo's own `analyze.toml` must match the
 //! current scan exactly — no live deny findings, no stale entries, no
-//! entry without a written justification. This is the same check `dck
+//! entry without a written justification, no anchor off its line. This is the same check `dck
 //! lint` and the CI `analyze` job enforce, run here so `cargo test`
 //! alone catches drift.
 
@@ -31,13 +31,10 @@ fn repo_scan_is_clean_against_checked_in_baseline() {
         "{:?}",
         report.unjustified_allows
     );
-    // The repo baseline is fully migrated to the content-hash key; a
-    // new entry added with bare `line = N` (no `snippet_hash`) would
-    // silently rot as the file drifts, so it is rejected here.
+    // Every anchored entry names the line its finding sits on.
     assert!(
-        report.deprecated_allows.is_empty(),
-        "analyze.toml entries still on the deprecated exact-line key \
-         (add snippet_hash, see `dck lint baseline`): {:?}",
-        report.deprecated_allows
+        report.drifted_allows.is_empty(),
+        "{:?}",
+        report.drifted_allows
     );
 }

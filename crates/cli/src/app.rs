@@ -16,7 +16,7 @@ use dck_sim::{
     RegretScenario, RegretSpec, RunConfig, RunOutcome, SweepCheckpoint, SweepResult, SweepSpec,
     TimelineEvent,
 };
-use dck_simcore::{fsio, RngFactory, SimTime};
+use dck_simcore::{fsio, stats::Tolerance, RngFactory, SimTime};
 use std::fmt::Write as _;
 use std::io::BufWriter;
 use std::path::Path;
@@ -522,7 +522,7 @@ fn cmd_run(args: &Args) -> Result<String, String> {
                 est.truncated
             );
             let verdict = match est.ci95 {
-                Some(ci) if ci.contains_with_slack(model, 4.0) => {
+                Some(ci) if Tolerance::new(4.0, 0.0).admits(model, ci.mean, ci.half_width) => {
                     "model within Monte-Carlo tolerance"
                 }
                 Some(_) => "MODEL OUTSIDE TOLERANCE",
@@ -877,8 +877,8 @@ fn cmd_validate(args: &Args) -> Result<String, String> {
     }
     if let Some(path) = args.get("conformance") {
         let text = read_file(path)?;
-        let report =
-            dck_testkit::ConformanceReport::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
+        let report = dck_experiments::conformance::ConformanceReport::from_json(&text)
+            .map_err(|e| format!("{path}: {e}"))?;
         if report.failed > 0 {
             return Err(format!(
                 "{path}: {} conformance cell(s) out of tolerance:\n{}",
@@ -888,9 +888,11 @@ fn cmd_validate(args: &Args) -> Result<String, String> {
         }
         let _ = writeln!(
             out,
-            "conformance {path}: {} waste + {} prediction cells ({} passed, {} degenerate), \
-             max |model - sim| = {:.4}",
-            report.cells.len(),
+            "conformance {path}: {} region cells in {} regions ({} gating) + {} prediction \
+             cells; gating cells: {} passed, {} degenerate, max |model - sim| = {:.4}",
+            report.spec.cell_count(),
+            report.regions.len(),
+            report.spec.regions.iter().filter(|r| r.gate).count(),
             report.prediction_cells.len(),
             report.passed,
             report.degenerate,
@@ -1936,31 +1938,56 @@ mod tests {
 
     #[test]
     fn validate_conformance_report() {
-        use dck_testkit::{run_conformance, ConformanceSpec};
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("dck-conf-{}.json", std::process::id()));
+        use dck_experiments::conformance::{run_conformance, CellStatus, ConformanceSpec};
+        let path = std::env::temp_dir().join(format!("dck-conf-{}.json", std::process::id()));
         let p = path.to_str().unwrap();
 
-        // A tiny single-plane grid keeps this test fast.
+        // A tiny single-plane region keeps this test fast.
         let mut spec = ConformanceSpec::coarse();
-        spec.protocols = vec![Protocol::DoubleNbl];
-        spec.mtbfs = vec![3_600.0];
-        spec.alphas = vec![10.0];
-        spec.phi_ratios = vec![0.5];
-        spec.replications = 8;
+        spec.regions.truncate(1);
+        let region = &mut spec.regions[0];
+        region.protocols = vec![Protocol::DoubleNbl];
+        region.mtbfs = vec![3_600.0];
+        region.alphas = vec![10.0];
+        region.phi_ratios = vec![0.5];
+        region.replications = 8;
         let report = run_conformance(&spec).unwrap();
         std::fs::write(&path, report.to_json().unwrap()).unwrap();
         let out = run_ok(&["validate", "--conformance", p]);
         assert!(out.contains("cells"), "{out}");
 
         // A report with failures is rejected, naming the cell.
-        spec.ci_slack = 0.0;
-        spec.bias_allowance = 0.0;
+        spec.regions[0].tolerance = Tolerance::new(0.0, 0.0);
         let failing = run_conformance(&spec).unwrap();
-        if failing.failed > 0 {
-            std::fs::write(&path, failing.to_json().unwrap()).unwrap();
+        assert_eq!(failing.failed, 1, "{failing:?}");
+        std::fs::write(&path, failing.to_json().unwrap()).unwrap();
+        let err = run_err(&["validate", "--conformance", p]);
+        assert!(
+            err.contains("out of tolerance") && err.contains("benign"),
+            "{err}"
+        );
+
+        // Edited to pass, with tallies to match, it is still rejected:
+        // the judge re-runs on the stored model and estimate. So are a
+        // maximum and a tally the cells do not give.
+        let mut flipped = failing;
+        flipped.regions[0].cells[0].status = CellStatus::Pass;
+        flipped.regions[0].passed += 1;
+        flipped.regions[0].failed -= 1;
+        flipped.passed += 1;
+        flipped.failed -= 1;
+        let mut deviation = report.clone();
+        deviation.max_abs_deviation += 0.5;
+        let mut tally = report;
+        tally.regions[0].degenerate += 1;
+        for (tampered, expected) in [
+            (flipped, "the judge gives"),
+            (deviation, "max_abs_deviation"),
+            (tally, "1 degenerate"),
+        ] {
+            std::fs::write(&path, tampered.to_json().unwrap()).unwrap();
             let err = run_err(&["validate", "--conformance", p]);
-            assert!(err.contains("out of tolerance"), "{err}");
+            assert!(err.contains(expected) && err.contains(p), "{err}");
         }
         std::fs::remove_file(&path).ok();
     }

@@ -21,9 +21,11 @@
 //! | E5 | higher-order (Daly-style) model accuracy vs simulation | [`refined_exp`] |
 //! | V3 | Figure 5 regenerated from the simulator (not the model) | [`fig5_sim`] |
 //!
-//! Every experiment is a pure function from parameters to a typed,
-//! serializable result; [`output`] renders results to CSV (gnuplot
-//! ready), JSON and ASCII previews under a results directory.
+//! V1, E1 and E5 are regions of the model↔simulator [`conformance`]
+//! harness and only render its report. Every experiment is a pure
+//! function from parameters to a typed, serializable result; [`output`]
+//! renders results to CSV (gnuplot ready), JSON and ASCII previews
+//! under a results directory.
 //! [`run_experiments`] runs them by name for the `dck experiments`
 //! command (`dck experiments all --out results`).
 
@@ -31,6 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod blocking_gain;
+pub mod conformance;
 pub mod fig5_sim;
 pub mod gnuplot;
 pub mod hierarchical_exp;
@@ -47,6 +50,7 @@ pub mod waste_surface;
 
 pub use output::OutputDir;
 
+use conformance::{run_conformance, ConformanceSpec};
 use dck_core::Scenario;
 use std::error::Error;
 use std::path::Path;
@@ -156,29 +160,27 @@ fn run_one(name: &str, fast: bool, seed: u64, out: &OutputDir) -> Result<(), Box
                 out.path().display()
             );
         }
-        "validate" => {
-            let mut cfg = if fast {
-                validate::ValidateConfig::fast()
-            } else {
-                validate::ValidateConfig::default()
+        "validate" | "refined" | "robustness" => {
+            let mut spec = match name {
+                "validate" => ConformanceSpec::v1(fast),
+                "refined" => ConformanceSpec::e5(fast),
+                _ => ConformanceSpec::e1(fast),
             };
-            cfg.seed = seed;
-            let report = validate::run(&cfg)?;
-            println!("{}", report.to_ascii());
-            report.write(out)?;
-            if !report.all_within() {
-                return Err("some points fell outside tolerance".into());
+            spec.seed = seed;
+            let report = run_conformance(&spec)?;
+            let text = match name {
+                "validate" => validate::write(&report, out)?,
+                "refined" => refined_exp::write(&report, out)?,
+                _ => robustness::write(&report, out)?,
+            };
+            println!("{text}");
+            if !report.all_pass() {
+                return Err(format!(
+                    "gating cells outside tolerance:\n{}",
+                    report.failures().join("\n")
+                )
+                .into());
             }
-        }
-        "robustness" => {
-            let cfg = if fast {
-                robustness::RobustnessConfig::fast()
-            } else {
-                robustness::RobustnessConfig::default()
-            };
-            let report = robustness::run(&cfg)?;
-            println!("{}", report.to_ascii());
-            report.write(out)?;
         }
         "fig5-sim" => {
             let mut cfg = if fast {
@@ -211,17 +213,6 @@ fn run_one(name: &str, fast: bool, seed: u64, out: &OutputDir) -> Result<(), Box
             }
             cfg.seed = seed;
             let report = hierarchical_exp::run(&cfg)?;
-            println!("{}", report.to_ascii());
-            report.write(out)?;
-        }
-        "refined" => {
-            let mut cfg = if fast {
-                refined_exp::RefinedConfig::fast()
-            } else {
-                refined_exp::RefinedConfig::default()
-            };
-            cfg.seed = seed;
-            let report = refined_exp::run(&cfg)?;
             println!("{}", report.to_ascii());
             report.write(out)?;
         }

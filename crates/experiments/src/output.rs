@@ -61,6 +61,21 @@ pub fn to_csv(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
+/// Writes `rows` under `name` as CSV and returns them as an ASCII
+/// table, so a terminal preview shows exactly the file's columns.
+///
+/// # Errors
+/// I/O errors.
+pub fn write_table(
+    out: &OutputDir,
+    name: &str,
+    headers: &[&str],
+    rows: &[Vec<String>],
+) -> io::Result<String> {
+    out.write_text(name, &to_csv(headers, rows))?;
+    Ok(ascii_table(headers, rows))
+}
+
 /// Renders a fixed-width ASCII table (for terminal summaries).
 pub fn ascii_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let cols = headers.len();
@@ -122,6 +137,11 @@ pub fn fmt_f64(x: f64) -> String {
     } else {
         format!("{x:.6e}")
     }
+}
+
+/// [`fmt_f64`] of a value that may be missing (`n/a`).
+pub fn fmt_opt(x: Option<f64>) -> String {
+    x.map_or_else(|| "n/a".to_string(), fmt_f64)
 }
 
 #[cfg(test)]

@@ -6,223 +6,87 @@
 //! Monte-Carlo simulator as ground truth. The refined model should sit
 //! inside the Monte-Carlo interval where the first-order model drifts
 //! out of it.
+//!
+//! The points are the recorded region `e5-refined` of
+//! [`ConformanceSpec::e5`](crate::conformance::ConformanceSpec::e5),
+//! judged at `3·hw`; this module renders it.
 
-use crate::output::{ascii_table, fmt_f64, to_csv, OutputDir};
-use dck_core::{optimal_period, refined_waste, ModelError, Protocol, Scenario};
-use dck_sim::{estimate_waste, MonteCarloConfig, PeriodChoice, RunConfig};
-use serde::{Deserialize, Serialize};
+use crate::conformance::ConformanceReport;
+use crate::output::{fmt_f64, fmt_opt, write_table, OutputDir};
 
-/// Configuration of E5.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct RefinedConfig {
-    /// Monte-Carlo replications per point.
-    pub replications: usize,
-    /// Master seed.
-    pub seed: u64,
-    /// Worker threads (0 = auto).
-    pub workers: usize,
-}
-
-impl Default for RefinedConfig {
-    fn default() -> Self {
-        RefinedConfig {
-            replications: 200,
-            seed: 0xE5,
-            workers: 0,
-        }
-    }
-}
-
-impl RefinedConfig {
-    /// CI-friendly settings.
-    pub fn fast() -> Self {
-        RefinedConfig {
-            replications: 60,
-            ..Default::default()
-        }
-    }
-}
-
-/// One accuracy row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RefinedRow {
-    /// Protocol.
-    pub protocol: Protocol,
-    /// Platform MTBF (s).
-    pub mtbf: f64,
-    /// Period used (first-order optimum).
-    pub period: f64,
-    /// First-order waste (Eq. 5).
-    pub first_order: f64,
-    /// Refined waste.
-    pub refined: f64,
-    /// Simulated waste.
-    pub sim: f64,
-    /// Monte-Carlo 95% half-width.
-    pub half_width: f64,
-}
-
-impl RefinedRow {
-    /// |model − sim| for the first-order model.
-    pub fn first_order_error(&self) -> f64 {
-        (self.first_order - self.sim).abs()
-    }
-
-    /// |model − sim| for the refined model.
-    pub fn refined_error(&self) -> f64 {
-        (self.refined - self.sim).abs()
-    }
-}
-
-/// The E5 report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RefinedReport {
-    /// Accuracy rows.
-    pub rows: Vec<RefinedRow>,
-}
-
-/// Runs E5 on a 96-node Base-shaped platform at the blocking point.
+/// Renders the E5 region of `report` as CSV, JSON and ASCII under
+/// `out` and returns the ASCII.
 ///
 /// # Errors
-/// Propagates model/configuration errors; an operating point where no
-/// replication completes is reported as a degenerate-estimate error.
-pub fn run(cfg: &RefinedConfig) -> Result<RefinedReport, ModelError> {
-    let mut params = Scenario::base().params;
-    params.nodes = 96;
-    let phi = params.theta_min;
-    let mut rows = Vec::new();
-    for protocol in [Protocol::DoubleNbl, Protocol::Triple] {
-        for mtbf in [60.0, 120.0, 300.0, 1_800.0, 25_200.0] {
-            let opt = optimal_period(protocol, &params, phi, mtbf)?;
-            let refined = refined_waste(protocol, &params, phi, opt.period, mtbf)?;
-            let mut run_cfg = RunConfig::new(protocol, params, phi, mtbf);
-            run_cfg.period = PeriodChoice::Explicit(opt.period);
-            let mc = MonteCarloConfig {
-                replications: cfg.replications,
-                seed: cfg.seed,
-                workers: cfg.workers,
-                source: dck_sim::montecarlo::SourceKind::Exponential,
-            };
-            let est = estimate_waste(&run_cfg, 40.0 * mtbf, &mc)?;
-            let ci = est.ci95.ok_or_else(|| {
-                ModelError::invalid("replications", "no E5 replication completed its work")
-            })?;
-            rows.push(RefinedRow {
-                protocol,
-                mtbf,
-                period: opt.period,
-                first_order: opt.waste.total,
-                refined: refined.total,
-                sim: ci.mean,
-                half_width: ci.half_width,
-            });
-        }
-    }
-    Ok(RefinedReport { rows })
-}
-
-impl RefinedReport {
-    /// ASCII rendering.
-    pub fn to_ascii(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.protocol.to_string(),
-                    fmt_f64(r.mtbf),
-                    format!("{:.4}", r.first_order),
-                    format!("{:.4}", r.refined),
-                    format!("{:.4} ± {:.4}", r.sim, r.half_width),
-                    format!("{:.4}", r.first_order_error()),
-                    format!("{:.4}", r.refined_error()),
-                ]
-            })
-            .collect();
-        format!(
-            "Model accuracy vs Monte-Carlo ground truth (Base shape, phi = R)\n{}",
-            ascii_table(
-                &[
-                    "protocol",
-                    "M_s",
-                    "Eq.5",
-                    "refined",
-                    "sim (95% CI)",
-                    "|Eq.5 err|",
-                    "|refined err|",
-                ],
-                &rows
-            )
-        )
-    }
-
-    /// Writes CSV + JSON + ASCII.
-    ///
-    /// # Errors
-    /// I/O errors.
-    pub fn write(&self, out: &OutputDir) -> std::io::Result<()> {
-        let rows: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.protocol.id(),
-                    fmt_f64(r.mtbf),
-                    fmt_f64(r.period),
-                    fmt_f64(r.first_order),
-                    fmt_f64(r.refined),
-                    fmt_f64(r.sim),
-                    fmt_f64(r.half_width),
-                ]
-            })
-            .collect();
-        out.write_text(
-            "refined_model.csv",
-            &to_csv(
-                &[
-                    "protocol",
-                    "mtbf_s",
-                    "period_s",
-                    "first_order_waste",
-                    "refined_waste",
-                    "sim_waste",
-                    "ci95_half_width",
-                ],
-                &rows,
-            ),
-        )?;
-        out.write_json("refined_model.json", self)?;
-        out.write_text("refined_model.txt", &self.to_ascii())?;
-        Ok(())
-    }
+/// I/O errors.
+pub fn write(report: &ConformanceReport, out: &OutputDir) -> std::io::Result<String> {
+    let rows: Vec<Vec<String>> = report
+        .regions_named("e5-")
+        .flat_map(|(_, r)| &r.cells)
+        .map(|c| {
+            vec![
+                c.protocol.id(),
+                fmt_f64(c.mtbf),
+                fmt_f64(c.period),
+                fmt_f64(c.model),
+                fmt_opt(c.refined),
+                fmt_opt(c.sim),
+                fmt_opt(c.half_width),
+            ]
+        })
+        .collect();
+    let headers = [
+        "protocol",
+        "mtbf_s",
+        "period_s",
+        "first_order_waste",
+        "refined_waste",
+        "sim_waste",
+        "ci95_half_width",
+    ];
+    let table = write_table(out, "refined_model.csv", &headers, &rows)?;
+    out.write_json(
+        "refined_model.json",
+        &report.regions_named("e5-").collect::<Vec<_>>(),
+    )?;
+    let text = format!(
+        "Model accuracy vs Monte-Carlo ground truth (Base shape, phi = R)\n{table}\n{}",
+        report.summary("e5-")
+    );
+    out.write_text("refined_model.txt", &text)?;
+    Ok(text)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::conformance::{run_conformance, Closer, ConformanceSpec};
+    use dck_core::Protocol;
 
     #[test]
     fn refined_never_worse_and_strictly_better_when_harsh() {
-        let report = run(&RefinedConfig::fast()).unwrap();
-        assert_eq!(report.rows.len(), 10);
-        for r in &report.rows {
-            // Refined is at least as accurate (up to MC noise).
-            assert!(
-                r.refined_error() <= r.first_order_error() + 2.0 * r.half_width,
-                "{r:?}"
-            );
+        let report = run_conformance(&ConformanceSpec::e5(true)).unwrap();
+        let (region, e5) = report.regions_named("e5-refined").next().unwrap();
+        assert_eq!(e5.cells.len(), 10);
+        for c in &e5.cells {
+            // Refined is at least as accurate, up to two half-widths of
+            // Monte-Carlo noise.
+            let (first, refined) = (c.ci_units.unwrap(), c.refined_ci_units.unwrap());
+            assert!(refined <= first + 2.0, "{c:?}");
         }
-        // At the harshest point the improvement is decisive.
-        let harsh = report
-            .rows
+        // At the harshest point the refined model sits inside the
+        // region's tolerance and the first-order one does not.
+        let harsh = e5
+            .cells
             .iter()
-            .find(|r| r.protocol == Protocol::DoubleNbl && r.mtbf == 60.0)
+            .find(|c| c.protocol == Protocol::DoubleNbl && c.mtbf == 60.0)
             .unwrap();
+        let (sim, hw) = (harsh.sim.unwrap(), harsh.half_width.unwrap());
         assert!(
-            harsh.refined_error() < 0.3 * harsh.first_order_error(),
-            "refined {} vs first-order {}",
-            harsh.refined_error(),
-            harsh.first_order_error()
+            region.tolerance.admits(harsh.refined.unwrap(), sim, hw),
+            "{harsh:?}"
         );
+        assert!(!region.tolerance.admits(harsh.model, sim, hw), "{harsh:?}");
+        assert_eq!(harsh.closer, Some(Closer::Refined));
+        assert!(e5.refined_closer >= 8, "{}", e5.refined_closer);
     }
 }

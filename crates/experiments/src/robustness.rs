@@ -14,352 +14,110 @@
 //! * **risk** is driven by failure *clustering* inside risk windows —
 //!   bursty laws (k < 1) should make fatal failures more likely than
 //!   Eq. 11/16 predicts.
+//!
+//! Each law is a pair of recorded regions of
+//! [`ConformanceSpec::e1`](crate::conformance::ConformanceSpec::e1),
+//! `e1-waste-<law>` (judged like `benign`, `3·hw + 0.01`) and
+//! `e1-risk-<law>` (judged like V1, Wilson `± hw + 0.05`); this module
+//! renders them.
 
-use crate::output::{ascii_table, fmt_f64, to_csv, OutputDir};
-use dck_core::{ModelError, PlatformParams, Protocol, RiskModel, Scenario};
-use dck_failures::DistributionSpec;
-use dck_sim::montecarlo::SourceKind;
-use dck_sim::{estimate_success, estimate_waste, MonteCarloConfig, RunConfig};
-use dck_simcore::SimTime;
-use serde::{Deserialize, Serialize};
+use crate::conformance::{ConformanceReport, Region, RegionCell};
+use crate::output::{fmt_f64, fmt_opt, write_table, OutputDir};
 
-/// Configuration of the robustness sweep.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct RobustnessConfig {
-    /// Replications per waste point.
-    pub waste_replications: usize,
-    /// Replications per risk point.
-    pub risk_replications: usize,
-    /// Master seed.
-    pub seed: u64,
-    /// Worker threads (0 = auto).
-    pub workers: usize,
-}
-
-impl Default for RobustnessConfig {
-    fn default() -> Self {
-        RobustnessConfig {
-            waste_replications: 150,
-            risk_replications: 300,
-            seed: 0x0B57,
-            workers: 0,
-        }
-    }
-}
-
-impl RobustnessConfig {
-    /// Cheap settings for CI.
-    pub fn fast() -> Self {
-        RobustnessConfig {
-            waste_replications: 40,
-            risk_replications: 100,
-            ..Default::default()
-        }
-    }
-}
-
-/// The distribution variants compared (all calibrated to the same
-/// mean). Each non-Exponential law appears twice: fresh-start (all
-/// nodes brand-new at t = 0 — infant mortality front-loads failures)
-/// and warmed (ten MTBFs of burn-in — the stationary regime), so the
-/// transient and steady-state effects can be told apart.
-fn distributions() -> Vec<(&'static str, SourceKind)> {
-    let unit = SimTime::seconds(1.0); // re-targeted inside the harness
-    let weibull7 = DistributionSpec::Weibull {
-        mean: unit,
-        shape: 0.7,
-    };
-    let weibull5 = DistributionSpec::Weibull {
-        mean: unit,
-        shape: 0.5,
-    };
-    let lognormal = DistributionSpec::LogNormal {
-        mean: unit,
-        sigma: 1.0,
-    };
-    vec![
-        ("exponential", SourceKind::Exponential),
-        ("weibull_k0.7", SourceKind::Renewal(weibull7)),
-        ("weibull_k0.7_warm", SourceKind::RenewalWarmed(weibull7)),
-        ("weibull_k0.5", SourceKind::Renewal(weibull5)),
-        ("weibull_k0.5_warm", SourceKind::RenewalWarmed(weibull5)),
-        ("lognormal_s1", SourceKind::Renewal(lognormal)),
-        ("lognormal_s1_warm", SourceKind::RenewalWarmed(lognormal)),
-    ]
-}
-
-/// One waste robustness row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WasteRobustnessRow {
-    /// Distribution label.
-    pub distribution: String,
-    /// Protocol.
-    pub protocol: Protocol,
-    /// Exponential-model waste prediction.
-    pub model_waste: f64,
-    /// Simulated mean waste.
-    pub sim_waste: f64,
-    /// 95% half-width.
-    pub half_width: f64,
-    /// Relative drift of the simulation from the model.
-    pub rel_drift: f64,
-}
-
-/// One risk robustness row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RiskRobustnessRow {
-    /// Distribution label.
-    pub distribution: String,
-    /// Protocol.
-    pub protocol: Protocol,
-    /// Eq. 11/16 prediction (Exponential assumption).
-    pub model_p: f64,
-    /// Simulated success probability.
-    pub sim_p: f64,
-    /// Wilson 95% interval.
-    pub wilson: (f64, f64),
-}
-
-/// The robustness report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RobustnessReport {
-    /// Waste rows.
-    pub waste: Vec<WasteRobustnessRow>,
-    /// Risk rows.
-    pub risk: Vec<RiskRobustnessRow>,
-}
-
-/// Runs the sweep: waste on a 96-node Base-shaped platform at M = 30
-/// min; risk at the harsh Base corner (full size, M = 60 s, T = 1 day).
+/// Renders the E1 regions of `report` as CSV, JSON and ASCII under
+/// `out` and returns the ASCII.
 ///
 /// # Errors
-/// Propagates model/configuration errors; an operating point where no
-/// replication completes is reported as a degenerate-estimate error.
-pub fn run(cfg: &RobustnessConfig) -> Result<RobustnessReport, ModelError> {
-    let scenario = Scenario::base();
-    let mut waste_params = scenario.params;
-    waste_params.nodes = 96;
-    let phi = 1.0;
-    let mtbf = 1_800.0;
-
-    let mut waste = Vec::new();
-    for protocol in [Protocol::DoubleNbl, Protocol::Triple] {
-        let model = dck_core::optimal_period(protocol, &waste_params, phi, mtbf)?
-            .waste
-            .total;
-        for (label, source) in distributions() {
-            let run_cfg = RunConfig::new(protocol, waste_params, phi, mtbf);
-            let mc = MonteCarloConfig {
-                replications: cfg.waste_replications,
-                seed: cfg.seed,
-                workers: cfg.workers,
-                source,
-            };
-            let est = estimate_waste(&run_cfg, 25.0 * mtbf, &mc)?;
-            let ci = est.ci95.ok_or_else(|| {
-                ModelError::invalid("replications", "no V3 replication completed its work")
-            })?;
-            waste.push(WasteRobustnessRow {
-                distribution: label.to_string(),
-                protocol,
-                model_waste: model,
-                sim_waste: ci.mean,
-                half_width: ci.half_width,
-                rel_drift: (ci.mean - model) / model,
-            });
-        }
-    }
-
-    let risk_params = risk_platform(&scenario.params);
-    let mtbf_risk = 60.0;
-    let horizon = 86_400.0;
-    let mut risk = Vec::new();
-    for protocol in [Protocol::DoubleNbl, Protocol::Triple] {
-        let model_p = RiskModel::with_theta(protocol, &risk_params, risk_params.theta_max())?
-            .success_probability(mtbf_risk, horizon)?
-            .probability;
-        for (label, source) in distributions() {
-            let run_cfg = RunConfig::new(protocol, risk_params, 0.0, mtbf_risk);
-            let mc = MonteCarloConfig {
-                replications: cfg.risk_replications,
-                seed: cfg.seed ^ 0xF00D,
-                workers: cfg.workers,
-                source,
-            };
-            let est = estimate_success(&run_cfg, horizon, &mc)?;
-            risk.push(RiskRobustnessRow {
-                distribution: label.to_string(),
-                protocol,
-                model_p,
-                sim_p: est.p_hat,
-                wilson: est.wilson95,
-            });
-        }
-    }
-    Ok(RobustnessReport { waste, risk })
-}
-
-/// The risk platform: the full Base machine (the heap-based renewal
-/// source handles 10⁴ nodes comfortably).
-fn risk_platform(params: &PlatformParams) -> PlatformParams {
-    *params
-}
-
-impl RobustnessReport {
-    /// ASCII rendering.
-    pub fn to_ascii(&self) -> String {
-        let waste_rows: Vec<Vec<String>> = self
-            .waste
-            .iter()
-            .map(|r| {
-                vec![
-                    r.protocol.to_string(),
-                    r.distribution.clone(),
-                    format!("{:.5}", r.model_waste),
-                    format!("{:.5} ± {:.5}", r.sim_waste, r.half_width),
-                    format!("{:+.1}%", 100.0 * r.rel_drift),
-                ]
+/// I/O errors.
+pub fn write(report: &ConformanceReport, out: &OutputDir) -> std::io::Result<String> {
+    // One row per cell of the regions named `prefix<law>`.
+    let rows = |prefix, row: fn(&RegionCell) -> Vec<String>| -> Vec<Vec<String>> {
+        report
+            .regions_named(prefix)
+            .flat_map(|(spec, r): (&Region, _)| {
+                let law = spec.name.trim_start_matches(prefix);
+                r.cells.iter().map(move |c| {
+                    let mut cells = vec![c.protocol.id(), law.to_string()];
+                    cells.extend(row(c));
+                    cells
+                })
             })
-            .collect();
-        let risk_rows: Vec<Vec<String>> = self
-            .risk
-            .iter()
-            .map(|r| {
-                vec![
-                    r.protocol.to_string(),
-                    r.distribution.clone(),
-                    format!("{:.5}", r.model_p),
-                    format!("{:.5} [{:.4}, {:.4}]", r.sim_p, r.wilson.0, r.wilson.1),
-                ]
-            })
-            .collect();
-        format!(
-            "Waste under non-Exponential failures (model assumes Exponential)\n{}\n\
-             Risk under non-Exponential failures\n{}",
-            ascii_table(
-                &["protocol", "distribution", "model", "simulated", "drift"],
-                &waste_rows
-            ),
-            ascii_table(
-                &["protocol", "distribution", "model_p", "sim_p (95% CI)"],
-                &risk_rows
-            )
-        )
-    }
-
-    /// Writes CSV + JSON + ASCII.
-    ///
-    /// # Errors
-    /// I/O errors.
-    pub fn write(&self, out: &OutputDir) -> std::io::Result<()> {
-        let rows: Vec<Vec<String>> = self
-            .waste
-            .iter()
-            .map(|r| {
-                vec![
-                    r.protocol.id(),
-                    r.distribution.clone(),
-                    fmt_f64(r.model_waste),
-                    fmt_f64(r.sim_waste),
-                    fmt_f64(r.half_width),
-                    fmt_f64(r.rel_drift),
-                ]
-            })
-            .collect();
-        out.write_text(
-            "robustness_waste.csv",
-            &to_csv(
-                &[
-                    "protocol",
-                    "distribution",
-                    "model_waste",
-                    "sim_waste",
-                    "ci95_half_width",
-                    "rel_drift",
-                ],
-                &rows,
-            ),
-        )?;
-        let rows: Vec<Vec<String>> = self
-            .risk
-            .iter()
-            .map(|r| {
-                vec![
-                    r.protocol.id(),
-                    r.distribution.clone(),
-                    fmt_f64(r.model_p),
-                    fmt_f64(r.sim_p),
-                    fmt_f64(r.wilson.0),
-                    fmt_f64(r.wilson.1),
-                ]
-            })
-            .collect();
-        out.write_text(
-            "robustness_risk.csv",
-            &to_csv(
-                &[
-                    "protocol",
-                    "distribution",
-                    "model_p",
-                    "sim_p",
-                    "wilson_lo",
-                    "wilson_hi",
-                ],
-                &rows,
-            ),
-        )?;
-        out.write_json("robustness.json", self)?;
-        out.write_text("robustness.txt", &self.to_ascii())?;
-        Ok(())
-    }
+            .collect()
+    };
+    let waste = rows("e1-waste-", |c| {
+        let drift = c.sim.map(|s| (s - c.model) / c.model);
+        vec![
+            fmt_f64(c.model),
+            fmt_opt(c.sim),
+            fmt_opt(c.half_width),
+            fmt_opt(drift),
+        ]
+    });
+    let risk = rows("e1-risk-", |c| {
+        let (p_hat, (lo, hi)) = c.proportion();
+        vec![fmt_f64(c.model), fmt_f64(p_hat), fmt_f64(lo), fmt_f64(hi)]
+    });
+    let headers = [
+        "protocol",
+        "distribution",
+        "model_waste",
+        "sim_waste",
+        "ci95_half_width",
+        "rel_drift",
+    ];
+    let waste = write_table(out, "robustness_waste.csv", &headers, &waste)?;
+    let headers = [
+        "protocol",
+        "distribution",
+        "model_p",
+        "sim_p",
+        "wilson_lo",
+        "wilson_hi",
+    ];
+    let risk = write_table(out, "robustness_risk.csv", &headers, &risk)?;
+    out.write_json(
+        "robustness.json",
+        &report.regions_named("e1-").collect::<Vec<_>>(),
+    )?;
+    let text = format!(
+        "Waste under non-Exponential failures (model assumes Exponential)\n{waste}\n\
+         Risk under non-Exponential failures\n{risk}\n{}",
+        report.summary("e1-")
+    );
+    out.write_text("robustness.txt", &text)?;
+    Ok(text)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::conformance::{run_conformance, CellStatus, ConformanceSpec};
 
     #[test]
-    fn exponential_row_matches_model_and_shapes_drift_bounded() {
-        let mut cfg = RobustnessConfig::fast();
-        cfg.waste_replications = 30;
-        cfg.risk_replications = 0; // waste-only in the unit test
-        let scenario = Scenario::base();
-        let mut params = scenario.params;
-        params.nodes = 24;
-        // Inline a reduced version of the waste sweep for speed.
-        let phi = 1.0;
-        let mtbf = 1_800.0;
-        let model = dck_core::optimal_period(Protocol::DoubleNbl, &params, phi, mtbf)
-            .unwrap()
-            .waste
-            .total;
-        for (label, source) in distributions() {
-            let run_cfg = RunConfig::new(Protocol::DoubleNbl, params, phi, mtbf);
-            let mc = MonteCarloConfig {
-                replications: cfg.waste_replications,
-                seed: 1,
-                workers: 0,
-                source,
-            };
-            let est = estimate_waste(&run_cfg, 15.0 * mtbf, &mc).unwrap();
-            let ci = est.ci95.expect("moderate-MTBF runs complete");
-            let drift = (ci.mean - model) / model;
-            // Fresh-start bursty shapes drift *upward* (front-loaded
-            // hazard); warmed (stationary) sources sit on the model —
-            // that split is this experiment's finding.
-            assert!(drift > -0.15, "{label}: waste below model by {drift}");
-            assert!(drift < 1.5, "{label}: drift {drift} implausibly large");
-            if label.ends_with("_warm") {
+    fn exponential_waste_matches_model_and_shapes_drift_bounded() {
+        let mut spec = ConformanceSpec::e1(true);
+        // The waste regions only: the risk regions run the full Base.
+        spec.regions.retain(|r| r.name.starts_with("e1-waste-"));
+        let report = run_conformance(&spec).unwrap();
+        assert_eq!(report.regions.len(), 7);
+        for (region, measured) in report.regions_named("e1-waste-") {
+            for c in &measured.cells {
+                let drift = (c.sim.unwrap() - c.model) / c.model;
+                // Fresh-start Weibull shapes drift *upward* (front-loaded
+                // hazard); warmed (stationary) sources sit on the model —
+                // that split is this experiment's finding.
                 assert!(
-                    drift.abs() < 0.15,
-                    "{label}: stationary run should match the model, drift {drift}"
+                    drift.abs() < 1.5,
+                    "{}: drift {drift} implausibly large",
+                    region.name
                 );
-            }
-            if label == "exponential" {
-                assert!(
-                    ci.contains_with_slack(model, 4.0),
-                    "exponential should match the model closely"
-                );
+                if region.name.ends_with("_warm") {
+                    assert!(drift.abs() < 0.15, "{}: drift {drift}", region.name);
+                } else if region.name.contains("weibull") {
+                    assert!(drift > 0.2, "{}: drift {drift}", region.name);
+                }
+                if region.name == "e1-waste-exponential" {
+                    assert_eq!(c.status, CellStatus::Pass, "{c:?}");
+                }
             }
         }
     }

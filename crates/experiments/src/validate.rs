@@ -7,446 +7,115 @@
 //! windows) and checks that
 //!
 //! * the empirical waste matches `1 − (1 − F/M)(1 − Cff/P)` at the
-//!   optimal period (Eqs. 5, 7, 8, 14), and
-//! * the empirical success probability matches Eqs. 11/16
+//!   optimal period (Eqs. 5, 7, 8, 14): region `v1-waste`, judged at
+//!   `4·hw`, and
+//! * the empirical success probability matches Eqs. 11/16: regions
+//!   `v1-risk-1d` and `v1-risk-3d`, judged on the Wilson interval
+//!   `± hw + 0.05`.
 //!
-//! within Monte-Carlo confidence intervals (plus a slack factor, since
-//! the analytic model is first-order in the failure rate).
+//! The regions are [`ConformanceSpec::v1`](crate::conformance::ConformanceSpec::v1);
+//! this module renders them.
 
-use crate::output::{ascii_table, fmt_f64, to_csv, OutputDir};
-use dck_core::{optimal_period, ModelError, PlatformParams, Protocol, RiskModel, Scenario};
-use dck_sim::{estimate_success, estimate_waste, MonteCarloConfig, PeriodChoice, RunConfig};
-use serde::{Deserialize, Serialize};
+use crate::conformance::{CellStatus, ConformanceReport};
+use crate::output::{fmt_f64, fmt_opt, write_table, OutputDir};
 
-/// Validation harness configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct ValidateConfig {
-    /// Replications per waste point.
-    pub waste_replications: usize,
-    /// Replications per risk point.
-    pub risk_replications: usize,
-    /// Master seed.
-    pub seed: u64,
-    /// Worker threads (0 = auto).
-    pub workers: usize,
-    /// Node count used for waste points (waste is n-independent in the
-    /// model; a small platform keeps runs cheap).
-    pub waste_nodes: u64,
-    /// Useful work per waste run, as a multiple of the MTBF (sets the
-    /// expected number of failures each run absorbs).
-    pub work_in_mtbfs: f64,
-}
-
-impl Default for ValidateConfig {
-    fn default() -> Self {
-        ValidateConfig {
-            waste_replications: 200,
-            risk_replications: 400,
-            seed: 0x0D0C_5EED,
-            workers: 0,
-            waste_nodes: 96, // divisible by both 2 and 3
-            work_in_mtbfs: 30.0,
-        }
-    }
-}
-
-impl ValidateConfig {
-    /// A cheap configuration for CI / `--fast` runs.
-    pub fn fast() -> Self {
-        ValidateConfig {
-            waste_replications: 40,
-            risk_replications: 120,
-            work_in_mtbfs: 15.0,
-            ..Default::default()
-        }
-    }
-}
-
-/// One waste validation point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WasteRow {
-    /// Protocol validated.
-    pub protocol: Protocol,
-    /// Overhead ratio `φ/R`.
-    pub phi_ratio: f64,
-    /// Platform MTBF (seconds).
-    pub mtbf: f64,
-    /// Analytic waste at the optimal period.
-    pub model_waste: f64,
-    /// Monte-Carlo mean waste.
-    pub sim_waste: f64,
-    /// Monte-Carlo 95% half-width.
-    pub half_width: f64,
-    /// |model − sim| in units of the CI half-width.
-    pub z_score: f64,
-    /// Whether the model lies inside the slack-widened interval.
-    pub within: bool,
-}
-
-/// One risk validation point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RiskRow {
-    /// Protocol validated.
-    pub protocol: Protocol,
-    /// Platform MTBF (seconds).
-    pub mtbf: f64,
-    /// Exploitation horizon (seconds).
-    pub horizon: f64,
-    /// Analytic success probability (Eq. 11/16).
-    pub model_p: f64,
-    /// Monte-Carlo estimate.
-    pub sim_p: f64,
-    /// Wilson 95% interval.
-    pub wilson: (f64, f64),
-    /// Whether the model lies inside the (slack-widened) interval.
-    pub within: bool,
-}
-
-/// The full validation report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ValidationReport {
-    /// Waste points.
-    pub waste: Vec<WasteRow>,
-    /// Risk points.
-    pub risk: Vec<RiskRow>,
-}
-
-/// CI slack factor applied when comparing the first-order model to the
-/// mechanistic simulation.
-const WASTE_SLACK: f64 = 4.0;
-/// Absolute slack on success probabilities (first-order model).
-const RISK_SLACK: f64 = 0.05;
-
-/// Runs the waste validation sweep on a Base-shaped platform.
+/// Renders the V1 regions of `report` as CSV, JSON and ASCII under
+/// `out` and returns the ASCII.
 ///
 /// # Errors
-/// Propagates model/configuration errors from any validated point.
-pub fn run_waste(cfg: &ValidateConfig) -> Result<Vec<WasteRow>, ModelError> {
-    let scenario = Scenario::base();
-    let mut params = scenario.params;
-    params.nodes = cfg.waste_nodes;
-    let mut rows = Vec::new();
-    for protocol in Protocol::EVALUATED {
-        for phi_ratio in [0.0, 0.5, 1.0] {
-            for mtbf in [3_600.0, 7.0 * 3_600.0] {
-                rows.push(waste_point(cfg, &params, protocol, phi_ratio, mtbf)?);
-            }
-        }
-    }
-    Ok(rows)
-}
-
-fn waste_point(
-    cfg: &ValidateConfig,
-    params: &PlatformParams,
-    protocol: Protocol,
-    phi_ratio: f64,
-    mtbf: f64,
-) -> Result<WasteRow, ModelError> {
-    let phi = phi_ratio * params.theta_min;
-    let opt = optimal_period(protocol, params, phi, mtbf)?;
-    let mut run_cfg = RunConfig::new(protocol, *params, phi, mtbf);
-    run_cfg.period = PeriodChoice::Explicit(opt.period);
-    let mc = MonteCarloConfig {
-        replications: cfg.waste_replications,
-        seed: cfg.seed,
-        workers: cfg.workers,
-        source: dck_sim::montecarlo::SourceKind::Exponential,
-    };
-    let t_base = cfg.work_in_mtbfs * mtbf;
-    let est = estimate_waste(&run_cfg, t_base, &mc)?;
-    let ci = est.ci95.ok_or_else(|| {
-        ModelError::invalid("replications", "no V1 replication completed its work")
-    })?;
-    let model = opt.waste.total;
-    let hw = ci.half_width.max(1e-12);
-    let z = (model - ci.mean).abs() / hw;
-    Ok(WasteRow {
-        protocol,
-        phi_ratio,
-        mtbf,
-        model_waste: model,
-        sim_waste: ci.mean,
-        half_width: ci.half_width,
-        z_score: z,
-        within: ci.contains_with_slack(model, WASTE_SLACK),
-    })
-}
-
-/// Runs the risk validation sweep: the paper's harsh corner (Base
-/// platform at full size, minute-level MTBF, day-level exploitation),
-/// where fatal failures are frequent enough to measure.
-///
-/// # Errors
-/// Propagates model/configuration errors from any validated point.
-pub fn run_risk(cfg: &ValidateConfig) -> Result<Vec<RiskRow>, ModelError> {
-    let scenario = Scenario::base();
-    let params = scenario.params; // full n = 10368 (divisible by 6)
-    let theta = params.theta_max();
-    let mut rows = Vec::new();
-    for protocol in Protocol::EVALUATED {
-        for (mtbf, horizon) in [(60.0, 86_400.0), (120.0, 3.0 * 86_400.0)] {
-            rows.push(risk_point(cfg, &params, protocol, theta, mtbf, horizon)?);
-        }
-    }
-    Ok(rows)
-}
-
-fn risk_point(
-    cfg: &ValidateConfig,
-    params: &PlatformParams,
-    protocol: Protocol,
-    theta: f64,
-    mtbf: f64,
-    horizon: f64,
-) -> Result<RiskRow, ModelError> {
-    // Pin θ at its maximum, matching Figures 6/9: run the simulation at
-    // φ = 0 so the schedule's θ is also (α+1)R.
-    let mut run_cfg = RunConfig::new(protocol, *params, 0.0, mtbf);
-    // Risk behaviour does not depend on the period choice, but the run
-    // needs a feasible one; the optimal period may be saturated at such
-    // low MTBF, which is fine.
-    run_cfg.period = PeriodChoice::Optimal;
-    let mc = MonteCarloConfig {
-        replications: cfg.risk_replications,
-        seed: cfg.seed ^ 0x5157,
-        workers: cfg.workers,
-        source: dck_sim::montecarlo::SourceKind::Exponential,
-    };
-    let est = estimate_success(&run_cfg, horizon, &mc)?;
-    let model = RiskModel::with_theta(protocol, params, theta)?
-        .success_probability(mtbf, horizon)?
-        .probability;
-    let (lo, hi) = est.wilson95;
-    Ok(RiskRow {
-        protocol,
-        mtbf,
-        horizon,
-        model_p: model,
-        sim_p: est.p_hat,
-        wilson: est.wilson95,
-        within: model >= lo - RISK_SLACK && model <= hi + RISK_SLACK,
-    })
-}
-
-/// Runs the full validation.
-///
-/// # Errors
-/// Propagates model/configuration errors from either sweep.
-pub fn run(cfg: &ValidateConfig) -> Result<ValidationReport, ModelError> {
-    Ok(ValidationReport {
-        waste: run_waste(cfg)?,
-        risk: run_risk(cfg)?,
-    })
-}
-
-impl ValidationReport {
-    /// True if every point validated.
-    pub fn all_within(&self) -> bool {
-        self.waste.iter().all(|r| r.within) && self.risk.iter().all(|r| r.within)
-    }
-
-    /// ASCII rendering of both tables.
-    pub fn to_ascii(&self) -> String {
-        let waste_rows: Vec<Vec<String>> = self
-            .waste
-            .iter()
-            .map(|r| {
-                vec![
-                    r.protocol.to_string(),
-                    fmt_f64(r.phi_ratio),
-                    fmt_f64(r.mtbf),
-                    fmt_f64(r.model_waste),
-                    format!("{} ± {}", fmt_f64(r.sim_waste), fmt_f64(r.half_width)),
-                    format!("{:.2}", r.z_score),
-                    if r.within { "ok" } else { "MISMATCH" }.into(),
-                ]
-            })
-            .collect();
-        let risk_rows: Vec<Vec<String>> = self
-            .risk
-            .iter()
-            .map(|r| {
-                vec![
-                    r.protocol.to_string(),
-                    fmt_f64(r.mtbf),
-                    fmt_f64(r.horizon / 86_400.0),
-                    fmt_f64(r.model_p),
-                    format!(
-                        "{} [{}, {}]",
-                        fmt_f64(r.sim_p),
-                        fmt_f64(r.wilson.0),
-                        fmt_f64(r.wilson.1)
-                    ),
-                    if r.within { "ok" } else { "MISMATCH" }.into(),
-                ]
-            })
-            .collect();
-        format!(
-            "Waste: model (Eqs. 5/7/8/14) vs simulation\n{}\n\
-             Risk: model (Eqs. 11/16) vs simulation\n{}",
-            ascii_table(
-                &[
-                    "protocol",
-                    "phi/R",
-                    "M_s",
-                    "model",
-                    "sim (95% CI)",
-                    "|z|",
-                    "status"
-                ],
-                &waste_rows
-            ),
-            ascii_table(
-                &[
-                    "protocol",
-                    "M_s",
-                    "T_days",
-                    "model_p",
-                    "sim_p (95% CI)",
-                    "status"
-                ],
-                &risk_rows
-            )
-        )
-    }
-
-    /// Writes CSV + JSON + ASCII.
-    ///
-    /// # Errors
-    /// I/O errors.
-    pub fn write(&self, out: &OutputDir) -> std::io::Result<()> {
-        let waste_rows: Vec<Vec<String>> = self
-            .waste
-            .iter()
-            .map(|r| {
-                vec![
-                    r.protocol.id(),
-                    fmt_f64(r.phi_ratio),
-                    fmt_f64(r.mtbf),
-                    fmt_f64(r.model_waste),
-                    fmt_f64(r.sim_waste),
-                    fmt_f64(r.half_width),
-                    fmt_f64(r.z_score),
-                    r.within.to_string(),
-                ]
-            })
-            .collect();
-        out.write_text(
-            "validate_waste.csv",
-            &to_csv(
-                &[
-                    "protocol",
-                    "phi_over_r",
-                    "mtbf_s",
-                    "model_waste",
-                    "sim_waste",
-                    "ci95_half_width",
-                    "z",
-                    "within",
-                ],
-                &waste_rows,
-            ),
-        )?;
-        let risk_rows: Vec<Vec<String>> = self
-            .risk
-            .iter()
-            .map(|r| {
-                vec![
-                    r.protocol.id(),
-                    fmt_f64(r.mtbf),
-                    fmt_f64(r.horizon),
-                    fmt_f64(r.model_p),
-                    fmt_f64(r.sim_p),
-                    fmt_f64(r.wilson.0),
-                    fmt_f64(r.wilson.1),
-                    r.within.to_string(),
-                ]
-            })
-            .collect();
-        out.write_text(
-            "validate_risk.csv",
-            &to_csv(
-                &[
-                    "protocol",
-                    "mtbf_s",
-                    "horizon_s",
-                    "model_p",
-                    "sim_p",
-                    "wilson_lo",
-                    "wilson_hi",
-                    "within",
-                ],
-                &risk_rows,
-            ),
-        )?;
-        out.write_json("validate.json", self)?;
-        out.write_text("validate.txt", &self.to_ascii())?;
-        Ok(())
-    }
+/// I/O errors.
+pub fn write(report: &ConformanceReport, out: &OutputDir) -> std::io::Result<String> {
+    let within = |s| (s == CellStatus::Pass).to_string();
+    let waste: Vec<Vec<String>> = report
+        .regions_named("v1-waste")
+        .flat_map(|(_, r)| &r.cells)
+        .map(|c| {
+            vec![
+                c.protocol.id(),
+                fmt_f64(c.phi_ratio),
+                fmt_f64(c.mtbf),
+                fmt_f64(c.model),
+                fmt_opt(c.sim),
+                fmt_opt(c.half_width),
+                fmt_opt(c.ci_units),
+                within(c.status),
+            ]
+        })
+        .collect();
+    let risk: Vec<Vec<String>> = report
+        .regions_named("v1-risk-")
+        .flat_map(|(spec, r)| r.cells.iter().map(move |c| (spec, c)))
+        .map(|(spec, c)| {
+            let (p_hat, (lo, hi)) = c.proportion();
+            vec![
+                c.protocol.id(),
+                fmt_f64(c.mtbf),
+                fmt_f64(spec.work_in_mtbfs * c.mtbf),
+                fmt_f64(c.model),
+                fmt_f64(p_hat),
+                fmt_f64(lo),
+                fmt_f64(hi),
+                within(c.status),
+            ]
+        })
+        .collect();
+    let headers = [
+        "protocol",
+        "phi_over_r",
+        "mtbf_s",
+        "model_waste",
+        "sim_waste",
+        "ci95_half_width",
+        "z",
+        "within",
+    ];
+    let waste = write_table(out, "validate_waste.csv", &headers, &waste)?;
+    let headers = [
+        "protocol",
+        "mtbf_s",
+        "horizon_s",
+        "model_p",
+        "sim_p",
+        "wilson_lo",
+        "wilson_hi",
+        "within",
+    ];
+    let risk = write_table(out, "validate_risk.csv", &headers, &risk)?;
+    out.write_json(
+        "validate.json",
+        &report.regions_named("v1-").collect::<Vec<_>>(),
+    )?;
+    let text = format!(
+        "Waste: model (Eqs. 5/7/8/14) vs simulation\n{waste}\n\
+         Risk: model (Eqs. 11/16) vs simulation\n{risk}\n{}",
+        report.summary("v1-")
+    );
+    out.write_text("validate.txt", &text)?;
+    Ok(text)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny() -> ValidateConfig {
-        ValidateConfig {
-            waste_replications: 24,
-            risk_replications: 60,
-            work_in_mtbfs: 10.0,
-            waste_nodes: 12,
-            ..Default::default()
-        }
-    }
+    use crate::conformance::{run_conformance, ConformanceSpec};
 
     #[test]
-    fn waste_validation_passes_on_small_sweep() {
-        let cfg = tiny();
-        let scenario = Scenario::base();
-        let mut params = scenario.params;
-        params.nodes = cfg.waste_nodes;
-        // One point per protocol keeps the test quick.
-        for protocol in Protocol::EVALUATED {
-            let row = waste_point(&cfg, &params, protocol, 0.5, 7.0 * 3600.0).unwrap();
-            assert!(
-                row.within,
-                "{protocol:?}: model {} vs sim {} ± {}",
-                row.model_waste, row.sim_waste, row.half_width
-            );
-        }
-    }
-
-    #[test]
-    fn risk_validation_point_passes() {
-        let cfg = tiny();
-        let params = Scenario::base().params;
-        let row = risk_point(
-            &cfg,
-            &params,
-            Protocol::DoubleNbl,
-            params.theta_max(),
-            60.0,
-            86_400.0,
-        )
-        .unwrap();
+    fn fast_regions_pass_and_render_every_point() {
+        let report = run_conformance(&ConformanceSpec::v1(true)).unwrap();
+        assert!(report.all_pass(), "{:?}", report.failures());
+        assert_eq!(report.degenerate, 0);
+        let dir = std::env::temp_dir().join(format!("dck-v1-{}", std::process::id()));
+        let text = write(&report, &OutputDir::create(&dir).unwrap()).unwrap();
+        assert!(!text.contains("false"), "{text}");
+        let waste = std::fs::read_to_string(dir.join("validate_waste.csv")).unwrap();
+        let risk = std::fs::read_to_string(dir.join("validate_risk.csv")).unwrap();
+        // 3 protocols × 3 φ/R × 2 MTBFs, and 3 protocols × 2 horizons.
+        assert_eq!(waste.lines().count(), 1 + 18);
+        assert_eq!(risk.lines().count(), 1 + 6);
         assert!(
-            row.within,
-            "model {} vs sim {} in {:?}",
-            row.model_p, row.sim_p, row.wilson
+            risk.contains(",86400,") && risk.contains(",259200,"),
+            "{risk}"
         );
-        // This regime is genuinely risky for the double protocol.
-        assert!(row.model_p < 0.999);
-    }
-
-    #[test]
-    fn report_serializes() {
-        let report = ValidationReport {
-            waste: vec![],
-            risk: vec![],
-        };
-        assert!(report.all_within());
-        let json = serde_json::to_string(&report).unwrap();
-        assert!(json.contains("waste"));
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

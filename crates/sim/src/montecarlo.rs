@@ -11,6 +11,7 @@ use crate::sweep::{run_pool, RoundBudget, WastePlan};
 use dck_core::ModelError;
 use dck_failures::{AggregatedExponential, DistributionSpec, MtbfSpec, PerNodeRenewal};
 use dck_simcore::par::{default_workers, parallel_for_ordered};
+use dck_simcore::stats::wilson_interval;
 use dck_simcore::{ConfidenceInterval, OnlineStats, RngFactory, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -434,44 +435,15 @@ pub fn estimate_success(
     })
 }
 
-/// Wilson score interval for a binomial proportion at normal quantile
-/// `z` (1.96 for 95%).
-pub fn wilson_interval(successes: usize, trials: usize, z: f64) -> (f64, f64) {
-    if trials == 0 {
-        return (0.0, 1.0);
-    }
-    let n = trials as f64;
-    let p = successes as f64 / n;
-    let z2 = z * z;
-    let denom = 1.0 + z2 / n;
-    let center = (p + z2 / (2.0 * n)) / denom;
-    let half = (z / denom) * ((p * (1.0 - p) / n) + z2 / (4.0 * n * n)).sqrt();
-    ((center - half).max(0.0), (center + half).min(1.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::PeriodChoice;
     use dck_core::{PlatformParams, Protocol, RiskModel, WasteModel};
+    use dck_simcore::stats::Tolerance;
 
     fn params(nodes: u64) -> PlatformParams {
         PlatformParams::new(0.0, 2.0, 4.0, 10.0, nodes).unwrap()
-    }
-
-    #[test]
-    fn wilson_interval_reference() {
-        let (lo, hi) = wilson_interval(8, 10, 1.96);
-        // Known value: 8/10 → approx (0.49, 0.94).
-        assert!((lo - 0.49).abs() < 0.01, "lo {lo}");
-        assert!((hi - 0.943).abs() < 0.01, "hi {hi}");
-        assert_eq!(wilson_interval(0, 0, 1.96), (0.0, 1.0));
-        let (lo, hi) = wilson_interval(0, 50, 1.96);
-        assert_eq!(lo, 0.0);
-        assert!(hi < 0.1);
-        let (lo, hi) = wilson_interval(50, 50, 1.96);
-        assert!(lo > 0.9);
-        assert_eq!(hi, 1.0);
     }
 
     #[test]
@@ -491,7 +463,7 @@ mod tests {
         let model_waste = opt.waste.total;
         let ci95 = est.ci95.expect("completed runs produce an interval");
         assert!(
-            ci95.contains_with_slack(model_waste, 4.0),
+            Tolerance::new(4.0, 0.0).admits(model_waste, ci95.mean, ci95.half_width),
             "model {model_waste} vs sim {} ± {}",
             ci95.mean,
             ci95.half_width

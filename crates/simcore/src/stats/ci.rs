@@ -35,29 +35,56 @@ impl ConfidenceInterval {
             n,
         }
     }
+}
 
-    /// Lower endpoint.
-    pub fn lo(&self) -> f64 {
-        self.mean - self.half_width
+/// The one rule by which a model value is judged against a simulated
+/// interval: `|model − centre| ≤ ci_slack · half_width + bias_allowance`.
+/// The slack scales the estimator's own uncertainty; the allowance
+/// absorbs a first-order model's bias. For a mean the interval is its
+/// [`ConfidenceInterval`]; for a proportion it is its
+/// [`wilson_interval`], centre and half-width taken from the endpoints.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct Tolerance {
+    /// Multiple of the interval's half-width admitted.
+    pub ci_slack: f64,
+    /// Absolute allowance added on top.
+    pub bias_allowance: f64,
+}
+
+impl Tolerance {
+    /// A tolerance of `ci_slack` half-widths plus `bias_allowance`.
+    pub const fn new(ci_slack: f64, bias_allowance: f64) -> Self {
+        Tolerance {
+            ci_slack,
+            bias_allowance,
+        }
     }
 
-    /// Upper endpoint.
-    pub fn hi(&self) -> f64 {
-        self.mean + self.half_width
+    /// The largest `|model − centre|` admitted around an interval of
+    /// this half-width.
+    pub fn bound(&self, half_width: f64) -> f64 {
+        self.ci_slack * half_width + self.bias_allowance
     }
 
-    /// True if `x` lies inside the interval.
-    pub fn contains(&self, x: f64) -> bool {
-        x >= self.lo() && x <= self.hi()
+    /// True if `model` lies within the bound of `centre`.
+    pub fn admits(&self, model: f64, centre: f64, half_width: f64) -> bool {
+        (model - centre).abs() <= self.bound(half_width)
     }
+}
 
-    /// True if `x` lies inside the interval widened by a factor
-    /// `slack ≥ 1` (used for tolerant model-vs-simulation checks).
-    pub fn contains_with_slack(&self, x: f64, slack: f64) -> bool {
-        debug_assert!(slack >= 1.0);
-        let hw = self.half_width * slack;
-        x >= self.mean - hw && x <= self.mean + hw
+/// Wilson score interval `(lo, hi)` for a binomial proportion at normal
+/// quantile `z` (1.96 for 95%); `(0, 1)` when there are no trials.
+pub fn wilson_interval(successes: usize, trials: usize, z: f64) -> (f64, f64) {
+    if trials == 0 {
+        return (0.0, 1.0);
     }
+    let n = trials as f64;
+    let p = successes as f64 / n;
+    let z2 = z * z;
+    let denom = 1.0 + z2 / n;
+    let center = (p + z2 / (2.0 * n)) / denom;
+    let half = (z / denom) * ((p * (1.0 - p) / n) + z2 / (4.0 * n * n)).sqrt();
+    ((center - half).max(0.0), (center + half).min(1.0))
 }
 
 /// Quantile of the Student-t distribution with `df` degrees of freedom.
@@ -174,9 +201,8 @@ mod tests {
         let mut s = OnlineStats::new();
         s.extend([9.8, 10.1, 10.0, 9.9, 10.2, 10.0]);
         let ci = ConfidenceInterval::from_stats(&s, 0.95);
-        assert!(ci.contains(10.0));
+        assert!(Tolerance::new(1.0, 0.0).admits(10.0, ci.mean, ci.half_width));
         assert!(ci.half_width > 0.0);
-        assert!(ci.lo() < ci.hi());
     }
 
     #[test]
@@ -189,12 +215,29 @@ mod tests {
     }
 
     #[test]
-    fn slack_widens_interval() {
+    fn tolerance_scales_the_half_width_and_adds_the_allowance() {
         let mut s = OnlineStats::new();
         s.extend([0.0, 1.0, 0.0, 1.0, 0.5]);
         let ci = ConfidenceInterval::from_stats(&s, 0.95);
-        let just_outside = ci.hi() + ci.half_width;
-        assert!(!ci.contains(just_outside));
-        assert!(ci.contains_with_slack(just_outside, 2.5));
+        let just_outside = ci.mean + 2.0 * ci.half_width;
+        assert!(!Tolerance::new(1.0, 0.0).admits(just_outside, ci.mean, ci.half_width));
+        assert!(Tolerance::new(2.5, 0.0).admits(just_outside, ci.mean, ci.half_width));
+        assert!(Tolerance::new(1.0, ci.half_width).admits(just_outside, ci.mean, ci.half_width));
+        assert_eq!(Tolerance::new(3.0, 0.01).bound(0.5), 1.51);
+    }
+
+    #[test]
+    fn wilson_interval_reference() {
+        let (lo, hi) = wilson_interval(8, 10, 1.96);
+        // Known value: 8/10 → approx (0.49, 0.94).
+        assert!((lo - 0.49).abs() < 0.01, "lo {lo}");
+        assert!((hi - 0.943).abs() < 0.01, "hi {hi}");
+        assert_eq!(wilson_interval(0, 0, 1.96), (0.0, 1.0));
+        let (lo, hi) = wilson_interval(0, 50, 1.96);
+        assert_eq!(lo, 0.0);
+        assert!(hi < 0.1);
+        let (lo, hi) = wilson_interval(50, 50, 1.96);
+        assert!(lo > 0.9);
+        assert_eq!(hi, 1.0);
     }
 }

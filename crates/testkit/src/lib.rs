@@ -1,4 +1,4 @@
-//! # dck-testkit — deterministic fault-injection and conformance
+//! # dck-testkit — deterministic fault injection
 //!
 //! Testing as a subsystem, in three layers:
 //!
@@ -8,16 +8,13 @@
 //!   double failure inside the risk window, buddy failure mid-re-send,
 //!   triple failure in one triple — is a ~10-line script executed
 //!   through the same `sim::run` machinery as a Monte-Carlo sample.
+//!   [`cell_repro_script`] turns a cell of the model↔simulator
+//!   conformance harness (`dck_experiments::conformance`) into one.
 //! * [`diff`] + [`golden`] — the golden-trace corpus harness: replay a
 //!   script, compare the resulting event timeline *structurally*
 //!   (variant by variant, floats within tolerance) against a stored
 //!   JSONL trace, and name the first diverging event on regression.
 //!   `DCK_UPDATE_GOLDEN=1` regenerates the corpus.
-//! * [`conformance`] — the differential driver: sweep an
-//!   `(MTBF, α, φ)` grid per protocol, run the closed-form waste
-//!   (`core::waste`/`core::period`) against the Monte-Carlo estimate
-//!   (`sim::sweep`), assert agreement within CI95, and emit a
-//!   `conformance.json` report consumable by `dck validate`.
 //! * [`killresume`] — the crash harness: SIGKILL a checkpointing
 //!   command at seeded pseudo-random points and re-invoke it until one
 //!   attempt completes, for kill-and-resume end-to-end tests.
@@ -29,17 +26,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod conformance;
 pub mod diff;
 pub mod golden;
 pub mod killresume;
 pub mod script;
 
-pub use conformance::{
-    run_conformance, AdaptationCell, AdaptationGrid, ConformanceCell, ConformanceReport,
-    ConformanceSpec, GridSummary,
-};
 pub use diff::{diff_timelines, Divergence};
 pub use golden::{load_cases, replay_case, GoldenCase, ReplayReport};
 pub use killresume::{run_with_random_kills, CrashLoopOutcome, KillSchedule};
-pub use script::{CompiledScript, Expectation, Fault, FaultScript, ScriptOutcome, WorkSpec};
+pub use script::{
+    cell_repro_script, CompiledScript, Expectation, Fault, FaultScript, ScriptOutcome, WorkSpec,
+};

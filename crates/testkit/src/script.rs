@@ -33,6 +33,7 @@
 //! fields are `Option`, and absent keys deserialize as `None`.
 
 use dck_core::{PlatformParams, Protocol, RiskModel};
+use dck_experiments::conformance::{Region, RegionCell};
 use dck_failures::{FailureEvent, FailureTrace};
 use dck_protocols::GroupLayout;
 use dck_sim::{
@@ -343,6 +344,40 @@ fn resolve_victim(fault: &Fault, layout: &GroupLayout) -> Result<u64, String> {
     }
 }
 
+/// A failure-free [`FaultScript`] at the operating point of a
+/// conformance region cell: a failing cell becomes a deterministic
+/// repro script mechanically.
+pub fn cell_repro_script(cell: &RegionCell, region: &Region) -> FaultScript {
+    let mut platform = region.base;
+    platform.alpha = cell.alpha;
+    FaultScript {
+        name: format!(
+            "repro_{}_m{}_a{}_p{}",
+            cell.protocol.id(),
+            cell.mtbf as i64,
+            cell.alpha as i64,
+            (cell.phi_ratio * 100.0) as i64
+        ),
+        description: format!(
+            "failure-free repro of conformance cell {}: {}",
+            region.name,
+            cell.coordinates()
+        ),
+        protocol: cell.protocol,
+        platform,
+        phi_ratio: cell.phi_ratio,
+        mtbf: cell.mtbf,
+        period: PeriodChoice::Explicit(cell.period),
+        work: WorkSpec::Periods(10.0),
+        faults: vec![],
+        expect: Expectation {
+            reason: Some(StopReason::WorkComplete),
+            failures: Some(0),
+            survives: Some(true),
+        },
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,6 +513,27 @@ mod tests {
             survives: Some(false),
         };
         ok.check(&out.outcome).unwrap();
+    }
+
+    #[test]
+    fn repro_script_compiles_to_the_cell_operating_point() {
+        use dck_experiments::conformance::{run_conformance, ConformanceSpec};
+        let mut spec = ConformanceSpec::coarse();
+        spec.regions.truncate(1);
+        let region = &mut spec.regions[0];
+        region.protocols = vec![Protocol::DoubleNbl];
+        region.mtbfs = vec![3_600.0];
+        region.alphas = vec![10.0];
+        region.phi_ratios = vec![0.25];
+        region.replications = 8;
+        (spec.prediction, spec.adaptation) = (None, None);
+        let report = run_conformance(&spec).unwrap();
+        let cell = &report.regions[0].cells[0];
+        let script = cell_repro_script(cell, &spec.regions[0]);
+        let compiled = script.compile().unwrap();
+        assert!((compiled.period - cell.period).abs() < 1e-12);
+        let out = compiled.execute().unwrap();
+        script.expect.check(&out.outcome).unwrap();
     }
 
     #[test]

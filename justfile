@@ -68,14 +68,15 @@ adapt:
     ./target/release/dck adapt --out BENCH_adapt.json
     ./target/release/dck validate --bench BENCH_adapt.json
 
-# Full model-vs-sim conformance grid (k = 2..5 + fault prediction +
-# adaptation): regenerate the v3 artifact and round-trip it through
-# the validator.
+# Model-vs-sim conformance: the coarse regions (benign grid for
+# k = 2..5, V1, E5, E1) with fault prediction and adaptation, plus the
+# recorded stress regions; writes both v4 reports and re-judges them.
 conformance-k:
     cargo build --release -p dck-cli
     DCK_CONFORMANCE_OUT=$(pwd)/conformance.json \
-        cargo test --release -p dck-testkit --test conformance
+        cargo test --release -p dck-testkit --test conformance -- --include-ignored
     ./target/release/dck validate --conformance conformance.json
+    ./target/release/dck validate --conformance conformance-stress.json
 
 # Long-running waste/risk/sweep-cell service on a fixed local port.
 # Send {"v":1,"method":"shutdown"} (or `just loadgen` then that) to stop.

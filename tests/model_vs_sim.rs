@@ -1,12 +1,17 @@
 //! Cross-crate integration: the mechanistic simulator agrees with the
 //! analytical model.
 
-use dck::failures::{FailureEvent, FailureTrace};
-use dck::model::{optimal_period, refined_waste, PlatformParams, Protocol, RiskModel, WasteModel};
-use dck::sim::{
-    estimate_success, estimate_waste, run_to_completion, MonteCarloConfig, PeriodChoice, RunConfig,
-    StopReason,
+use std::sync::OnceLock;
+
+use dck::experiments::conformance::{
+    run_conformance, CellStatus, Closer, ConformanceReport, ConformanceSpec, Measure, Region,
 };
+use dck::failures::{FailureEvent, FailureTrace};
+use dck::model::{PlatformParams, Protocol, WasteModel};
+use dck::sim::{
+    estimate_waste, run_to_completion, MonteCarloConfig, PeriodChoice, RunConfig, StopReason,
+};
+use dck::simcore::stats::Tolerance;
 use dck::simcore::SimTime;
 
 fn base_params(nodes: u64) -> PlatformParams {
@@ -58,23 +63,60 @@ fn deterministic_outage_matches_case_analysis() {
     }
 }
 
+/// One trimmed conformance report behind the three statistical checks
+/// below: its `benign` region and sections, a success region over every
+/// registered protocol, and a recorded harsh-MTBF region.
+fn report() -> &'static ConformanceReport {
+    static REPORT: OnceLock<ConformanceReport> = OnceLock::new();
+    REPORT.get_or_init(|| {
+        let mut spec = ConformanceSpec::coarse();
+        spec.regions.truncate(1);
+        spec.seed = 0xFEED;
+        let benign = &mut spec.regions[0];
+        benign.mtbfs = vec![1_800.0, 3_600.0];
+        benign.alphas = vec![0.0, 10.0];
+        benign.phi_ratios = vec![0.0, 0.5];
+        benign.replications = 16;
+        let risk = Region {
+            name: "registry-risk".into(),
+            measure: Measure::Success,
+            protocols: Protocol::registry(),
+            alphas: vec![10.0],
+            phi_ratios: vec![0.0],
+            mtbfs: vec![60.0],
+            base: base_params(10_368),
+            replications: 150,
+            work_in_mtbfs: 1_440.0, // one day
+            tolerance: Tolerance::new(2.0, 0.0),
+            ..benign.clone()
+        };
+        let harsh = Region {
+            name: "harsh-refined".into(),
+            protocols: vec![Protocol::DoubleNbl],
+            alphas: vec![10.0],
+            phi_ratios: vec![1.0], // blocking point: the φ-choice optimum down here
+            mtbfs: vec![60.0, 120.0],
+            base: base_params(96),
+            replications: 200,
+            work_in_mtbfs: 40.0,
+            tolerance: Tolerance::new(3.0, 0.0),
+            gate: false,
+            ..benign.clone()
+        };
+        spec.regions.extend([risk, harsh]);
+        run_conformance(&spec).unwrap()
+    })
+}
+
 /// Monte-Carlo waste matches Eqs. 5/7/8/14 across a (MTBF, α, φ) grid
 /// for the three evaluated protocols plus the `k = 4` / `k = 5` buddy
 /// instances, each cell judged against its own simulator-reported CI95
 /// half-width (not a hard-coded epsilon). The coarse spec's
-/// fault-prediction cells ride along, so the predicted model is
-/// cross-checked here too. A failure names the offending cell.
+/// fault-prediction and adaptation cells ride along. A failure names
+/// the offending cell.
 #[test]
 fn monte_carlo_waste_matches_model() {
-    let mut spec = dck_testkit::ConformanceSpec::coarse();
-    // A trimmed grid keeps this tier-1 test quick; the full coarse grid
-    // runs in the dedicated conformance suite.
-    spec.mtbfs = vec![1_800.0, 3_600.0];
-    spec.alphas = vec![0.0, 10.0];
-    spec.phi_ratios = vec![0.0, 0.5];
-    spec.replications = 16;
-    spec.seed = 0xFEED;
-    let report = dck_testkit::run_conformance(&spec).unwrap();
+    let report = report();
     assert!(
         !report.prediction_cells.is_empty(),
         "coarse spec must carry fault-prediction cells"
@@ -95,65 +137,40 @@ fn monte_carlo_waste_matches_model() {
 /// for triples — and their `k`-generalization — in a regime where fatal
 /// failures are observable, for **every registered protocol** (a newly
 /// instantiated `k` cannot skip this check). The tolerance is one
-/// Wilson-interval half-width (the simulator's own uncertainty), not a
-/// hard-coded epsilon.
+/// Wilson-interval half-width beyond the interval (the simulator's own
+/// uncertainty), not a hard-coded epsilon.
 #[test]
 fn monte_carlo_risk_matches_model() {
-    let params = base_params(10_368);
-    let mtbf = 60.0;
-    let horizon = 86_400.0;
-    for protocol in Protocol::registry() {
-        // φ = 0 everywhere; DOUBLE (blocking) pins φ = θmin internally,
-        // and BoF risk windows are θ-independent, so the model side at
-        // θmax matches the simulated window for every instance.
-        let cfg = RunConfig::new(protocol, params, 0.0, mtbf);
-        let mc = MonteCarloConfig::new(150, 0xCAFE);
-        let est = estimate_success(&cfg, horizon, &mc).unwrap();
-        let model = RiskModel::with_theta(protocol, &params, params.theta_max())
-            .unwrap()
-            .success_probability(mtbf, horizon)
-            .unwrap()
-            .probability;
-        let (lo, hi) = est.wilson95;
-        let slack = (hi - lo) / 2.0;
-        assert!(
-            model >= lo - slack && model <= hi + slack,
-            "{protocol:?} @ (MTBF={mtbf}s, alpha={}, phi/R=0): model {model} outside \
-             Wilson CI [{lo}, {hi}] widened by its half-width {slack}",
-            params.alpha
-        );
-    }
+    let (_, risk) = report().regions_named("registry-risk").next().unwrap();
+    assert_eq!(risk.cells.len(), Protocol::registry().len());
+    let outside: Vec<_> = risk
+        .cells
+        .iter()
+        .filter(|c| c.status != CellStatus::Pass)
+        .collect();
+    assert!(
+        outside.is_empty(),
+        "model outside the widened Wilson interval: {outside:?}"
+    );
 }
 
 /// At harsh MTBFs the refined (higher-order) model tracks the
 /// simulator much more closely than the paper's first-order Eq. 5:
-/// the refined prediction must fall inside the Monte-Carlo CI while
-/// the first-order one falls outside it, at M ∈ {60 s, 120 s}.
+/// the region's tolerance admits the refined prediction, and it is the
+/// closer of the two, at M ∈ {60 s, 120 s}.
 #[test]
 fn refined_model_beats_first_order_at_harsh_mtbf() {
-    let params = base_params(96);
-    let phi = 4.0; // blocking point: the φ-choice optimum down here
-    for mtbf in [60.0, 120.0] {
-        let opt = optimal_period(Protocol::DoubleNbl, &params, phi, mtbf).unwrap();
-        let refined = refined_waste(Protocol::DoubleNbl, &params, phi, opt.period, mtbf).unwrap();
-        let mut cfg = RunConfig::new(Protocol::DoubleNbl, params, phi, mtbf);
-        cfg.period = PeriodChoice::Explicit(opt.period);
-        let mc = MonteCarloConfig::new(200, 0x5EF1);
-        let est = estimate_waste(&cfg, 40.0 * mtbf, &mc).unwrap();
-        let ci = est.ci95.expect("harsh-MTBF runs still complete");
+    let (region, harsh) = report().regions_named("harsh-refined").next().unwrap();
+    assert_eq!(harsh.cells.len(), 2);
+    for c in &harsh.cells {
+        let (sim, hw) = (c.sim.unwrap(), c.half_width.unwrap());
         assert!(
-            ci.contains_with_slack(refined.total, 3.0),
-            "M={mtbf}: refined {} outside sim {} ± {}",
-            refined.total,
-            ci.mean,
-            ci.half_width
+            region.tolerance.admits(c.refined.unwrap(), sim, hw),
+            "M={}: refined {:?} outside sim {sim} ± {hw}",
+            c.mtbf,
+            c.refined
         );
-        let first_err = (opt.waste.total - ci.mean).abs();
-        let refined_err = (refined.total - ci.mean).abs();
-        assert!(
-            refined_err < first_err,
-            "M={mtbf}: refined err {refined_err} not better than first-order {first_err}"
-        );
+        assert_eq!(c.closer, Some(Closer::Refined), "{c:?}");
     }
 }
 
