@@ -41,18 +41,19 @@ pub fn scan(root: &Path, config: &AnalyzeConfig) -> Result<Report, String> {
     findings
         .sort_by(|a, b| (&a.path, a.line, a.col, &a.lint).cmp(&(&b.path, b.line, b.col, &b.lint)));
 
-    // Baseline: suppress matching findings, track per-entry use and
-    // anchors that no longer name their finding's line.
-    let mut used = vec![false; config.allow.len()];
+    // Baseline: suppress matching findings and track, per entry, the
+    // first line it matched and whether an anchored entry matched any
+    // finding on its anchor line (else it has drifted).
+    let mut uses: Vec<Option<(u32, bool)>> = vec![None; config.allow.len()];
     let mut suppressed = 0usize;
-    let mut drifted_allows = Vec::new();
     findings.retain(|f| {
         let mut hit = false;
-        for (i, entry) in config.allow.iter().enumerate() {
+        for (entry, used) in config.allow.iter().zip(uses.iter_mut()) {
             if entry.matches(f) {
-                used[i] = true;
+                let on_anchor = entry.line.is_none_or(|l| l == f.line);
+                let (_, anchored) = used.get_or_insert((f.line, false));
+                *anchored |= on_anchor;
                 hit = true;
-                drifted_allows.extend(entry.drift(f));
             }
         }
         if hit {
@@ -60,11 +61,20 @@ pub fn scan(root: &Path, config: &AnalyzeConfig) -> Result<Report, String> {
         }
         !hit
     });
+    let drifted_allows = config
+        .allow
+        .iter()
+        .zip(&uses)
+        .filter_map(|(e, used)| match used {
+            Some((line, false)) => Some(format!("{} now sits on line {line}", e.describe())),
+            _ => None,
+        })
+        .collect();
     let stale_allows = config
         .allow
         .iter()
-        .zip(&used)
-        .filter(|(_, &u)| !u)
+        .zip(&uses)
+        .filter(|(_, used)| used.is_none())
         .map(|(e, _)| e.describe())
         .collect();
     let unjustified_allows = config

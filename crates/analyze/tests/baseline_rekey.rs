@@ -82,6 +82,28 @@ fn small_shifts_are_recognised_but_fail_naming_the_new_line() {
 }
 
 #[test]
+fn identical_sites_each_keep_their_exact_anchor() {
+    // Two identical violations four lines apart, each with its own
+    // entry: both entries also recognise the other site, but each has a
+    // finding on its anchor, so neither has drifted.
+    let ws = TempWs::new("twins", 0);
+    let lib = ws.root.join("crates/x/src/lib.rs");
+    let text = std::fs::read_to_string(&lib).unwrap();
+    std::fs::write(
+        &lib,
+        format!(
+            "{text}/// Its twin.\npub fn boom2(x: Option<u64>) -> u64 {{\n    x.unwrap()\n}}\n"
+        ),
+    )
+    .unwrap();
+    let mut cfg = entry(5);
+    cfg.allow.extend(entry(9).allow);
+    let report = scan(&ws.root, &cfg).unwrap();
+    assert_eq!(report.suppressed, 2);
+    assert!(report.is_clean(), "{}", report.to_human());
+}
+
+#[test]
 fn large_shifts_go_stale_instead_of_matching_blindly() {
     // 6 pad entries shift the line by 12 > LINE_FUZZ: the entry stops
     // matching, the finding comes back live, and the entry reports

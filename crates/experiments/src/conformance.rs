@@ -615,10 +615,11 @@ impl RegionCell {
             self.half_width,
             sound,
         );
-        let measured = match (self.sim, self.half_width) {
-            (Some(s), Some(hw)) if self.status != CellStatus::Degenerate => Some((s, hw)),
-            _ => None,
-        };
+        // Distances only for sound estimates: those the judge bounded.
+        let measured = self
+            .sim
+            .zip(self.half_width)
+            .filter(|_| self.tolerance.is_some());
         self.ci_units = measured.map(|(s, hw)| ci_units(self.model, s, hw));
         self.refined_ci_units = measured
             .zip(self.refined)

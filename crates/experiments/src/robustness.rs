@@ -21,7 +21,7 @@
 //! `e1-risk-<law>` (judged like V1, Wilson `± hw + 0.05`); this module
 //! renders them.
 
-use crate::conformance::{ConformanceReport, Region, RegionCell};
+use crate::conformance::{ConformanceReport, RegionCell};
 use crate::output::{fmt_f64, fmt_opt, write_table, OutputDir};
 
 /// Renders the E1 regions of `report` as CSV, JSON and ASCII under
@@ -31,10 +31,10 @@ use crate::output::{fmt_f64, fmt_opt, write_table, OutputDir};
 /// I/O errors.
 pub fn write(report: &ConformanceReport, out: &OutputDir) -> std::io::Result<String> {
     // One row per cell of the regions named `prefix<law>`.
-    let rows = |prefix, row: fn(&RegionCell) -> Vec<String>| -> Vec<Vec<String>> {
+    let rows = |prefix: &str, row: fn(&RegionCell) -> Vec<String>| -> Vec<Vec<String>> {
         report
             .regions_named(prefix)
-            .flat_map(|(spec, r): (&Region, _)| {
+            .flat_map(|(spec, r)| {
                 let law = spec.name.trim_start_matches(prefix);
                 r.cells.iter().map(move |c| {
                     let mut cells = vec![c.protocol.id(), law.to_string()];
