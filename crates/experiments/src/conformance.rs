@@ -150,8 +150,6 @@ pub struct PredictionGrid {
     pub work_in_mtbfs: f64,
     /// The judge's tolerance.
     pub tolerance: Tolerance,
-    /// Whether a failing cell fails the report.
-    pub gate: bool,
 }
 
 impl PredictionGrid {
@@ -284,6 +282,17 @@ fn e1_sources() -> Vec<(&'static str, SourceKind)> {
     ]
 }
 
+/// Name of E1's region measuring `measure` under failure law `law`;
+/// [`ConformanceSpec::e1`] and [`ConformanceReport::e1_regions`] both
+/// go through it.
+fn e1_region_name(measure: Measure, law: &str) -> String {
+    let what = match measure {
+        Measure::Waste => "waste",
+        Measure::Success => "risk",
+    };
+    format!("e1-{what}-{law}")
+}
+
 impl ConformanceSpec {
     /// `regions` alone, at the default seed of `dck experiments`.
     fn of(regions: Vec<Region>) -> Self {
@@ -331,7 +340,6 @@ impl ConformanceSpec {
                 replications: 24,
                 work_in_mtbfs: 10.0,
                 tolerance: BENIGN,
-                gate: true,
             }),
             adaptation: Some(AdaptationGrid {
                 protocol: Protocol::DoubleNbl,
@@ -415,7 +423,7 @@ impl ConformanceSpec {
                 work_in_mtbfs: 25.0,
                 gate: false,
                 ..region(
-                    &format!("e1-waste-{label}"),
+                    &e1_region_name(Measure::Waste, label),
                     Measure::Waste,
                     base96(),
                     BENIGN,
@@ -429,7 +437,7 @@ impl ConformanceSpec {
                 work_in_mtbfs: 1_440.0,
                 gate: false,
                 ..region(
-                    &format!("e1-risk-{label}"),
+                    &e1_region_name(Measure::Success, label),
                     Measure::Success,
                     full_base,
                     V1_RISK,
@@ -482,12 +490,12 @@ impl ConformanceSpec {
             ..region("stress-k45", Measure::Waste, SMALL_BASE, BENIGN)
         };
         let mut regions = vec![small_m, phi1, k45];
-        regions.extend(
-            Self::e1(true)
-                .regions
-                .into_iter()
-                .filter(|r| r.name.ends_with("weibull_k0.5") || r.name.ends_with("weibull_k0.7")),
-        );
+        let fresh_weibull = ["weibull_k0.7", "weibull_k0.5"];
+        regions.extend(Self::e1(true).regions.into_iter().filter(|r| {
+            fresh_weibull
+                .iter()
+                .any(|law| r.name == e1_region_name(r.measure, law))
+        }));
         ConformanceSpec {
             prediction: Some(PredictionGrid {
                 protocols: vec![Protocol::DoubleNbl, Protocol::Triple],
@@ -499,7 +507,6 @@ impl ConformanceSpec {
                 replications: 48,
                 work_in_mtbfs: 10.0,
                 tolerance: BENIGN,
-                gate: false,
             }),
             ..Self::of(regions)
         }
@@ -508,6 +515,13 @@ impl ConformanceSpec {
     /// Total region cells.
     pub fn cell_count(&self) -> usize {
         self.regions.iter().map(Region::cell_count).sum()
+    }
+
+    /// Whether the prediction section gates: exactly when some region
+    /// does, so a spec of recorded regions only records its prediction
+    /// cells too.
+    pub fn prediction_gates(&self) -> bool {
+        self.regions.iter().any(|r| r.gate)
     }
 }
 
@@ -527,9 +541,9 @@ pub struct RegionCell {
     /// First-order model: waste (Eqs. 5/7/8/14) or success probability
     /// (Eqs. 11/16).
     pub model: f64,
-    /// Estimate the judge centres on: the mean simulated waste, or the
-    /// centre of the Wilson interval of the success proportion (`None`
-    /// when no replication completed).
+    /// Estimate the judge centres on: the mean simulated waste (`None`
+    /// when no replication completed), or the centre of the Wilson
+    /// interval of the success proportion (`None` when none ran).
     pub sim: Option<f64>,
     /// Half-width of that interval (CI95, or Wilson 95%).
     pub half_width: Option<f64>,
@@ -602,11 +616,19 @@ impl RegionCell {
     /// Sets the verdict and the distances from the measured fields. An
     /// estimate built from fewer than 80% completed replications is
     /// survivorship-biased (the harsh runs died fatally), so a waste
-    /// cell below that is degenerate; a success cell needs one trial.
+    /// cell below that is degenerate. A success cell needs one trial,
+    /// and its estimate is a function of its tallies: the centre and
+    /// half-width of their Wilson 95% interval.
     fn judged(mut self, region: &Region) -> Self {
         let sound = match region.measure {
             Measure::Waste => self.completed * 5 >= self.replications_run * 4,
-            Measure::Success => self.replications_run > 0,
+            Measure::Success => {
+                let trials = self.replications_run > 0;
+                let (lo, hi) = wilson_interval(self.completed, self.replications_run, 1.96);
+                self.sim = trials.then_some((lo + hi) / 2.0);
+                self.half_width = trials.then_some((hi - lo) / 2.0);
+                trials
+            }
         };
         (self.status, self.tolerance) = judge(
             region.tolerance,
@@ -868,10 +890,7 @@ impl ConformanceReport {
                 .filter(|(r, _)| r.gate)
                 .flat_map(|(_, report)| &report.cells)
         };
-        let gating_pred = || {
-            let gate = spec.prediction.as_ref().is_some_and(|g| g.gate);
-            prediction_cells.iter().filter(move |_| gate)
-        };
+        let gating_pred = || prediction_cells.iter().filter(|_| spec.prediction_gates());
         let count = |s: CellStatus| {
             gating().filter(|c| c.status == s).count()
                 + gating_pred().filter(|c| c.status == s).count()
@@ -916,21 +935,30 @@ impl ConformanceReport {
             .filter(move |(r, _)| r.name.starts_with(prefix))
     }
 
+    /// E1's regions measuring `measure`, one per failure law the report
+    /// holds, in [`ConformanceSpec::e1`] order, each with its law's
+    /// label.
+    pub fn e1_regions(
+        &self,
+        measure: Measure,
+    ) -> impl Iterator<Item = (&'static str, &RegionReport)> + '_ {
+        e1_sources().into_iter().filter_map(move |(law, _)| {
+            let name = e1_region_name(measure, law);
+            Some((law, self.regions.iter().find(|r| r.name == name)?))
+        })
+    }
+
     /// One line per region whose name starts with `prefix`: its
     /// tolerance, whether it gates, and its [`RegionReport::summary`].
     pub fn summary(&self, prefix: &str) -> String {
         self.regions_named(prefix)
             .map(|(r, report)| {
                 let Tolerance {
-                    ci_slack,
-                    bias_allowance,
+                    ci_slack: k,
+                    bias_allowance: b,
                 } = r.tolerance;
                 let role = if r.gate { "gating" } else { "recorded" };
-                format!(
-                    "{} ({role}, {ci_slack}·hw + {bias_allowance}): {}\n",
-                    r.name,
-                    report.summary()
-                )
+                format!("{} ({role}, {k}·hw + {b}): {}\n", r.name, report.summary())
             })
             .collect()
     }
@@ -974,7 +1002,7 @@ impl ConformanceReport {
                     c.replications_run,
                 )
             });
-        let pred_gates = self.spec.prediction.as_ref().is_some_and(|g| g.gate);
+        let pred_gates = self.spec.prediction_gates();
         let failing_pred = self
             .prediction_cells
             .iter()
@@ -1062,13 +1090,7 @@ impl ConformanceReport {
                 ));
             }
             for cell in &report.cells {
-                let verdict = |c: &RegionCell| {
-                    format!(
-                        "{:?} (bound {:?}, {:?} hw; refined {:?} hw, closer {:?})",
-                        c.status, c.tolerance, c.ci_units, c.refined_ci_units, c.closer
-                    )
-                };
-                rejudged(cell, cell.judged(region), verdict, || {
+                rejudged(cell, cell.judged(region), || {
                     format!("region {name}: {}", cell.coordinates())
                 })?;
             }
@@ -1091,16 +1113,12 @@ impl ConformanceReport {
         }
         if let Some(grid) = prediction {
             for c in &self.prediction_cells {
-                let verdict =
-                    |c: &PredictionCell| format!("{:?} (bound {:?})", c.status, c.tolerance);
-                rejudged(c, c.judged(grid), verdict, || c.coordinates())?;
+                rejudged(c, c.judged(grid), || c.coordinates())?;
             }
         }
         if let Some(grid) = adaptation {
             for c in &self.adaptation_cells {
-                let verdict =
-                    |c: &AdaptationCell| format!("{:?} (tolerance {:?})", c.status, c.tolerance);
-                rejudged(c, c.judged(grid), verdict, || c.coordinates())?;
+                rejudged(c, c.judged(grid), || c.coordinates())?;
             }
         }
         let rebuilt = Self::assemble(
@@ -1158,24 +1176,19 @@ impl ConformanceReport {
     }
 }
 
-/// A stored cell must equal its re-judged self; `verdict` renders what
-/// the judge sets.
-fn rejudged<T: PartialEq>(
+/// A stored cell must equal its re-judged self.
+fn rejudged<T: PartialEq + std::fmt::Debug>(
     stored: &T,
     judged: T,
-    verdict: impl Fn(&T) -> String,
     at: impl FnOnce() -> String,
 ) -> Result<(), String> {
-    if *stored == judged {
-        Ok(())
-    } else {
-        Err(format!(
-            "{}: stored verdict {} but the judge gives {}",
-            at(),
-            verdict(stored),
-            verdict(&judged)
-        ))
+    if *stored != judged {
+        return Err(format!(
+            "{}: stored {stored:?} but the judge gives {judged:?}",
+            at()
+        ));
     }
+    Ok(())
 }
 
 /// Runs every region and section of `spec`.
@@ -1296,14 +1309,14 @@ fn run_region(region: &Region, seed: u64, workers: usize) -> Result<Vec<RegionCe
                                 source: region.source,
                             };
                             let est = estimate_success(&run_cfg, horizon, &mc)?;
-                            let (lo, hi) = est.wilson95;
+                            // The judge derives the estimate from the tallies.
                             cells.push(cell(
                                 phi_ratio,
                                 mtbf,
                                 period,
                                 model,
-                                Some((lo + hi) / 2.0),
-                                Some((hi - lo) / 2.0),
+                                None,
+                                None,
                                 est.survived,
                                 est.runs,
                             ));
@@ -1637,14 +1650,22 @@ mod tests {
 
     #[test]
     fn check_consistent_rejudges_every_stored_number() {
-        let report = run_conformance(&tiny_spec()).unwrap();
+        let mut spec = tiny_spec();
+        let mut success = spec.regions[0].clone();
+        success.name = "success".into();
+        success.measure = Measure::Success;
+        success.phi_ratios = vec![0.0];
+        success.work_in_mtbfs = 2.0;
+        success.tolerance = V1_RISK;
+        spec.regions.push(success);
+        let report = run_conformance(&spec).unwrap();
         type Edit = fn(&mut ConformanceReport);
         let tamper = |edit: Edit| {
             let mut r = report.clone();
             edit(&mut r);
             ConformanceReport::from_json(&r.to_json().unwrap()).unwrap_err()
         };
-        let cases: [(Edit, &str); 9] = [
+        let cases: [(Edit, &str); 11] = [
             (|r| r.passed = 99, "stored gating tallies passed 99"),
             (|r| r.regions[0].failed = 1, "stored 2 passed, 1 failed"),
             (|r| r.regions[0].refined_closer += 1, "but its cells give"),
@@ -1655,6 +1676,19 @@ mod tests {
                 "the judge gives",
             ),
             (|r| r.regions[0].cells[0].sim = Some(0.9), "the judge gives"),
+            (
+                // A success estimate moved onto its model, its distance
+                // edited to match: the tallies say otherwise.
+                |r| {
+                    let c = &mut r.regions[1].cells[0];
+                    (c.sim, c.ci_units) = (Some(c.model), Some(0.0));
+                },
+                "the judge gives",
+            ),
+            (
+                |r| r.regions[1].cells[0].half_width = Some(1.0),
+                "the judge gives",
+            ),
             (|r| r.regions[0].cells[1].mtbf = 7.0, "not the planes"),
             (
                 |r| r.spec.regions[0].tolerance.ci_slack = 0.0,

@@ -86,6 +86,12 @@ mod tests {
             "{harsh:?}"
         );
         assert!(!region.tolerance.admits(harsh.model, sim, hw), "{harsh:?}");
+        let refined_error = (harsh.refined.unwrap() - sim).abs();
+        let first_order_error = (harsh.model - sim).abs();
+        assert!(
+            refined_error < 0.3 * first_order_error,
+            "refined {refined_error} vs first-order {first_order_error}"
+        );
         assert_eq!(harsh.closer, Some(Closer::Refined));
         assert!(e5.refined_closer >= 8, "{}", e5.refined_closer);
     }

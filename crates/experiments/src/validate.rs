@@ -98,12 +98,20 @@ pub fn write(report: &ConformanceReport, out: &OutputDir) -> std::io::Result<Str
 mod tests {
     use super::*;
     use crate::conformance::{run_conformance, ConformanceSpec};
+    use dck_core::Protocol;
 
     #[test]
     fn fast_regions_pass_and_render_every_point() {
         let report = run_conformance(&ConformanceSpec::v1(true)).unwrap();
         assert!(report.all_pass(), "{:?}", report.failures());
         assert_eq!(report.degenerate, 0);
+        // The one-day corner is genuinely risky for the double protocol.
+        let (_, risk_1d) = report.regions_named("v1-risk-1d").next().unwrap();
+        let double = risk_1d
+            .cells
+            .iter()
+            .find(|c| c.protocol == Protocol::DoubleNbl);
+        assert!(double.unwrap().model < 0.999);
         let dir = std::env::temp_dir().join(format!("dck-v1-{}", std::process::id()));
         let text = write(&report, &OutputDir::create(&dir).unwrap()).unwrap();
         assert!(!text.contains("false"), "{text}");
