@@ -14,6 +14,7 @@
 //! `dck validate --bench BENCH_adapt.json` re-checks all of this from
 //! the file alone, so CI needs no knowledge of the harness.
 
+use crate::{positive_finite, Report};
 use dck_sim::{RegretResult, RegretScenario};
 use serde::{Deserialize, Serialize};
 
@@ -186,51 +187,43 @@ impl AdaptReport {
         }
     }
 
-    /// Serializes as pretty JSON with a trailing newline.
-    ///
-    /// # Errors
-    /// Propagates serializer errors.
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string_pretty(self).map(|mut s| {
-            s.push('\n');
-            s
-        })
-    }
-
-    /// Parses a report from JSON.
-    ///
-    /// # Errors
-    /// Propagates parse errors.
-    pub fn from_json(text: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(text)
-    }
-
-    /// Checks internal consistency and the acceptance gates: schema
-    /// tag, well-formed rows (wastes are fractions, oracle never above
-    /// the arms it bounds by more than noise allows, completions
-    /// present), a summary that matches its rows, stationary regret
-    /// within tolerance, and drift beating static.
+    /// Checks the schema tag and the acceptance gates: an inherent
+    /// method, so callers need not import [`Report`].
     ///
     /// # Errors
     /// Returns a human-readable description of the first violation.
     pub fn validate(&self) -> Result<(), String> {
-        if self.schema != ADAPT_SCHEMA {
-            return Err(format!(
-                "schema {:?} is not the expected {ADAPT_SCHEMA:?}",
-                self.schema
-            ));
-        }
+        Report::validate(self)
+    }
+}
+
+impl Report for AdaptReport {
+    const SCHEMA: &'static str = ADAPT_SCHEMA;
+    const NAME: &'static str = "AdaptReport";
+
+    fn schema(&self) -> &str {
+        &self.schema
+    }
+
+    fn summary(&self) -> String {
+        format!(
+            "adaptive regret, {} scenarios, max stationary regret {:+.1}%, \
+             drift beats static: {}",
+            self.scenarios.len(),
+            100.0 * self.summary.max_stationary_regret_ratio,
+            self.summary.drift_beats_static
+        )
+    }
+
+    /// Well-formed rows (wastes are fractions, oracle never above the
+    /// arms it bounds by more than noise allows, completions present),
+    /// a summary that matches its rows, stationary regret within
+    /// tolerance, and drift beating static.
+    fn check(&self) -> Result<(), String> {
         if self.scenarios.is_empty() {
             return Err("report contains no scenarios".to_string());
         }
-        if !(self.summary.stationary_tolerance.is_finite()
-            && self.summary.stationary_tolerance > 0.0)
-        {
-            return Err(format!(
-                "stationary tolerance {} not positive finite",
-                self.summary.stationary_tolerance
-            ));
-        }
+        positive_finite("stationary tolerance", self.summary.stationary_tolerance)?;
         for s in &self.scenarios {
             if !matches!(s.kind.as_str(), "misspecified" | "drift" | "predicted") {
                 return Err(format!("scenario {:?}: unknown kind {:?}", s.name, s.kind));

@@ -6,7 +6,7 @@
 use std::path::Path;
 use std::time::Instant;
 
-use crate::{BenchConfig, BenchKind, BenchReport, BenchSeries, BenchSummary, SCHEMA};
+use crate::{BenchConfig, BenchKind, BenchReport, BenchSeries, BenchSummary, Report, SCHEMA};
 use dck_core::{ModelError, PlatformParams, Protocol};
 use dck_sim::{estimate_waste, run_sweep, MonteCarloConfig, RunConfig, SweepSpec};
 use dck_simcore::fsio;

@@ -6,6 +6,7 @@
 //! across worker counts) — so the perf trajectory of the hot path is
 //! tracked by CI rather than anecdote. `dck validate --bench` checks files against this schema.
 
+use crate::{positive_finite, Report};
 use serde::{Deserialize, Serialize};
 
 /// Schema tag carried by every report (`BenchReport::SCHEMA`).
@@ -90,41 +91,27 @@ pub struct BenchReport {
     pub summary: BenchSummary,
 }
 
-impl BenchReport {
-    /// Serializes the report as pretty JSON with a trailing newline.
-    ///
-    /// # Errors
-    /// Propagates serializer errors (unbounded floats would be the only
-    /// realistic cause; [`BenchReport::validate`] rejects them first).
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string_pretty(self).map(|mut s| {
-            s.push('\n');
-            s
-        })
+impl Report for BenchReport {
+    const SCHEMA: &'static str = SCHEMA;
+    const NAME: &'static str = "BenchReport";
+
+    fn schema(&self) -> &str {
+        &self.schema
     }
 
-    /// Parses a report from JSON.
-    ///
-    /// # Errors
-    /// Propagates parse errors.
-    pub fn from_json(text: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(text)
+    fn summary(&self) -> String {
+        format!(
+            "{:?}, {} series, max workers {}",
+            self.kind,
+            self.series.len(),
+            self.summary.max_workers
+        )
     }
 
-    /// Checks the report for internal consistency: schema tag, at
-    /// least one series, positive finite timings and throughputs,
+    /// At least one series, positive finite timings and throughputs,
     /// oversubscription marks agreeing with the recorded parallelism,
     /// and a summary agreeing with the series.
-    ///
-    /// # Errors
-    /// Returns a human-readable description of the first violation.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.schema != SCHEMA {
-            return Err(format!(
-                "schema {:?} is not the expected {SCHEMA:?}",
-                self.schema
-            ));
-        }
+    fn check(&self) -> Result<(), String> {
         if self.series.is_empty() {
             return Err("report contains no series".to_string());
         }
@@ -146,18 +133,9 @@ impl BenchReport {
             if s.replications == 0 {
                 return Err(format!("series {:?}: zero replications", s.label));
             }
-            if !(s.elapsed_s.is_finite() && s.elapsed_s > 0.0) {
-                return Err(format!(
-                    "series {:?} @ {} workers: elapsed {} not a positive finite time",
-                    s.label, s.workers, s.elapsed_s
-                ));
-            }
-            if !(s.reps_per_sec.is_finite() && s.reps_per_sec > 0.0) {
-                return Err(format!(
-                    "series {:?} @ {} workers: throughput {} not positive finite",
-                    s.label, s.workers, s.reps_per_sec
-                ));
-            }
+            let at = format!("series {:?} @ {} workers:", s.label, s.workers);
+            positive_finite(format_args!("{at} elapsed"), s.elapsed_s)?;
+            positive_finite(format_args!("{at} throughput"), s.reps_per_sec)?;
         }
         let max_workers = self.series.iter().map(|s| s.workers).max().unwrap_or(0);
         if self.summary.max_workers != max_workers {
@@ -166,14 +144,10 @@ impl BenchReport {
                 self.summary.max_workers
             ));
         }
-        if let Some(x) = self.summary.scaling_max_vs_one_worker {
-            if !(x.is_finite() && x > 0.0) {
-                return Err(format!(
-                    "summary.scaling_max_vs_one_worker {x} not positive finite"
-                ));
-            }
+        match self.summary.scaling_max_vs_one_worker {
+            Some(x) => positive_finite("summary.scaling_max_vs_one_worker", x),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 

@@ -12,6 +12,7 @@
 //! histogram still receives every sample, so an obs snapshot and this
 //! report can be cross-checked.
 
+use crate::{positive_finite, Report};
 use serde::{Deserialize, Serialize};
 
 /// Schema tag carried by every serve report.
@@ -115,67 +116,36 @@ pub struct ServeBenchReport {
     pub latency: ServeLatency,
 }
 
-impl ServeBenchReport {
-    /// Serializes the report as pretty JSON with a trailing newline.
-    ///
-    /// # Errors
-    /// Propagates serializer errors ([`ServeBenchReport::validate`]
-    /// rejects the non-finite floats that could cause them).
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string_pretty(self).map(|mut s| {
-            s.push('\n');
-            s
-        })
+impl Report for ServeBenchReport {
+    const SCHEMA: &'static str = SERVE_SCHEMA;
+    const NAME: &'static str = "ServeBenchReport";
+
+    fn schema(&self) -> &str {
+        &self.schema
     }
 
-    /// Parses a report from JSON.
-    ///
-    /// # Errors
-    /// Propagates parse errors.
-    pub fn from_json(text: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(text)
+    fn summary(&self) -> String {
+        format!(
+            "serve load, {} ok requests at {:.0} req/s ({} errors), p99 {}us",
+            self.ok_requests, self.req_per_sec, self.errors, self.latency.p99_us
+        )
     }
 
-    /// Checks the report for internal consistency: schema tag, a
-    /// non-empty load shape, at least one successful request, positive
-    /// finite timings/throughput, and monotone percentiles.
-    ///
-    /// # Errors
-    /// Returns a human-readable description of the first violation.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.schema != SERVE_SCHEMA {
-            return Err(format!(
-                "schema {:?} is not the expected {SERVE_SCHEMA:?}",
-                self.schema
-            ));
-        }
+    /// A non-empty load shape, at least one successful request,
+    /// positive finite timings/throughput, and monotone percentiles.
+    fn check(&self) -> Result<(), String> {
         if self.config.threads == 0 || self.config.concurrency == 0 {
             return Err("load shape has zero client connections".to_string());
         }
         if self.config.methods.is_empty() {
             return Err("request mix exercises no methods".to_string());
         }
-        if !(self.config.duration_s.is_finite() && self.config.duration_s > 0.0) {
-            return Err(format!(
-                "duration {} not a positive finite time",
-                self.config.duration_s
-            ));
-        }
+        positive_finite("duration", self.config.duration_s)?;
         if self.ok_requests == 0 {
             return Err("no request succeeded — the measurement is vacuous".to_string());
         }
-        if !(self.elapsed_s.is_finite() && self.elapsed_s > 0.0) {
-            return Err(format!(
-                "elapsed {} not a positive finite time",
-                self.elapsed_s
-            ));
-        }
-        if !(self.req_per_sec.is_finite() && self.req_per_sec > 0.0) {
-            return Err(format!(
-                "throughput {} not positive finite",
-                self.req_per_sec
-            ));
-        }
+        positive_finite("elapsed", self.elapsed_s)?;
+        positive_finite("throughput", self.req_per_sec)?;
         let l = &self.latency;
         let ladder = [
             ("p50", l.p50_us),
@@ -204,9 +174,7 @@ impl ServeBenchReport {
                 ));
             }
         }
-        if !(l.mean_us.is_finite() && l.mean_us > 0.0) {
-            return Err(format!("mean latency {} not positive finite", l.mean_us));
-        }
+        positive_finite("mean latency", l.mean_us)?;
         if l.mean_us > l.max_us as f64 {
             return Err(format!(
                 "mean latency {}us exceeds max {}us",

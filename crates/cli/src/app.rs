@@ -1,8 +1,10 @@
-//! Command implementations: parsed arguments → rendered report.
+//! Command implementations: a checked command line → rendered report.
+//! [`crate::commands`] maps each command name to one of these.
 
 use crate::parse::{
     format_duration, parse_duration, resolve_params, resolve_phi, resolve_protocol, Args,
 };
+use dck_bench::Report as _;
 use dck_core::{
     base_success_probability, optimal_period, proactive_cost, ControllerConfig, Evaluation,
     PredictorSpec, Protocol, RiskModel, Scenario,
@@ -12,121 +14,15 @@ use dck_failures::{AggregatedExponential, FailureSource, FailureTrace, MtbfSpec}
 use dck_obs::{JsonlSink, MetricsSnapshot};
 use dck_sim::{
     estimate_waste, replication_source, run_regret, run_sweep_with_checkpoint,
-    run_to_completion_sinked, validate_snapshot, EarlyStop, MonteCarloConfig, RegretCase,
-    RegretScenario, RegretSpec, RunConfig, RunOutcome, SweepCheckpoint, SweepResult, SweepSpec,
-    TimelineEvent,
+    run_to_completion_sinked, EarlyStop, MonteCarloConfig, RegretCase, RegretScenario, RegretSpec,
+    RunConfig, RunOutcome, SweepCheckpoint, SweepSpec,
 };
 use dck_simcore::{fsio, stats::Tolerance, RngFactory, SimTime};
 use std::fmt::Write as _;
 use std::io::BufWriter;
 use std::path::Path;
 
-/// Entry point: dispatches a command line to its implementation and
-/// returns the rendered output.
-///
-/// # Errors
-/// A usage or domain error message fit for stderr.
-pub fn run(raw: &[String]) -> Result<String, String> {
-    let args = Args::parse(raw)?;
-    if args.get("help").is_some() {
-        return Ok(usage());
-    }
-    let command = args.positional(0).unwrap_or("help");
-    let out = match command {
-        "scenarios" => cmd_scenarios(&args)?,
-        "waste" => cmd_waste(&args)?,
-        "period" => cmd_period(&args)?,
-        "risk" => cmd_risk(&args)?,
-        "compare" => cmd_compare(&args)?,
-        "optimize" => cmd_optimize(&args)?,
-        "hierarchical" => cmd_hierarchical(&args)?,
-        "run" => cmd_run(&args)?,
-        "inject" => cmd_inject(&args)?,
-        "sweep" => cmd_sweep(&args)?,
-        "adapt" => cmd_adapt(&args)?,
-        "serve" => cmd_serve(&args)?,
-        "loadgen" => cmd_loadgen(&args)?,
-        "trace" => cmd_trace(&args)?,
-        "lint" => cmd_lint(&args)?,
-        "validate" => cmd_validate(&args)?,
-        "experiments" => cmd_experiments(&args)?,
-        "bench" => cmd_bench(&args)?,
-        "help" | "-h" | "--help" => usage(),
-        other => return Err(format!("unknown command `{other}`\n{}", usage())),
-    };
-    args.ensure_all_consumed()?;
-    Ok(out)
-}
-
-/// The help text.
-pub fn usage() -> String {
-    "dck — in-memory buddy checkpointing toolkit\n\
-     \n\
-     commands:\n\
-     \x20 scenarios                               list Table I scenarios\n\
-     \x20 waste    --protocol P [opts]            waste breakdown at the optimal period\n\
-     \x20 period   [opts]                         optimal periods, all protocols\n\
-     \x20 risk     --life T [opts]                success probabilities over a platform life\n\
-     \x20 compare  --life T [opts]                all protocols side by side\n\
-     \x20 optimize [opts]                         best overhead phi* per protocol\n\
-     \x20 hierarchical --write T --read T [opts]  two-level global-checkpoint tuning\n\
-     \x20 run      --protocol P [opts]            one simulated run, observable\n\
-     \x20          --mtbf DUR (default 1h)  --work DUR (default 40h)  --seed N\n\
-     \x20          --rep N  --trace FILE (JSONL timeline)  --metrics FILE (counters as JSON)\n\
-     \x20          --reps N (Monte-Carlo waste over replications 0..N vs the model)\n\
-     \x20 inject   --script FILE                  replay a deterministic fault script\n\
-     \x20          --trace FILE (timeline JSONL)  --golden FILE (diff against a golden)\n\
-     \x20 sweep    --protocol P [opts]            simulated waste over a (phi/R, MTBF) grid\n\
-     \x20          --phi-ratios A,B,..  --mtbfs D1,D2,..  --reps N  --work-mtbfs X\n\
-     \x20          --target-hw X [--min-reps N --batch N]\n\
-     \x20          --format ascii|csv|json  --metrics FILE (counters + summary table)\n\
-     \x20          --out FILE (rendered output, written atomically)\n\
-     \x20          --checkpoint DIR (snapshot between-rounds state)\n\
-     \x20          --checkpoint-every N (rounds per snapshot, default 1; on resume the\n\
-     \x20              snapshot-recorded cadence wins unless this is passed explicitly)\n\
-     \x20          --keep-snapshots K (retained generations, 2..=8, default 2)\n\
-     \x20          --resume (continue from the newest valid snapshot)\n\
-     \x20          --max-rounds N (pause after N rounds; rerun with --resume)\n\
-     \x20 adapt    [--protocol P] [opts]          adaptive-controller regret vs static tunings\n\
-     \x20          --mtbf DUR (true platform MTBF)  --reps N  --work-mtbfs X  --seed N\n\
-     \x20          --half-life DUR (estimator window)  --hysteresis X  --min-failures N\n\
-     \x20          --tolerance X (stationary regret gate, default 0.10)\n\
-     \x20          --out FILE (default BENCH_adapt.json; gates enforced after writing)\n\
-     \x20 serve    [--addr A] [opts]              waste/risk query service (line-delimited JSON)\n\
-     \x20          --addr HOST:PORT (default 127.0.0.1:0, prints the bound address)\n\
-     \x20          --workers N (0 = auto)  --cache-cells N (sweep-cell LRU, default 256)\n\
-     \x20          stop it with a {\"v\":1,\"method\":\"shutdown\"} request line\n\
-     \x20 loadgen  --addr A [opts]                measured load against a running serve\n\
-     \x20          --threads N --concurrency N (connections = threads x concurrency)\n\
-     \x20          --duration DUR  --seed N  --out FILE (default BENCH_serve.json)\n\
-     \x20          --metrics FILE (client-side histogram snapshot)\n\
-     \x20 trace    generate|stats ...             failure-trace tooling\n\
-     \x20 lint     [baseline]                      static determinism/panic-safety lints\n\
-     \x20          --root DIR (workspace root)  --config FILE (analyze.toml)\n\
-     \x20          --format human|json|sarif  --out FILE (JSON report, written even on failure)\n\
-     \x20          --sarif FILE (SARIF 2.1.0 report, written even on failure)\n\
-     \x20          --graph (dump the resolved cross-crate call graph)\n\
-     \x20          --explain LINT (what a lint matches, why, bad/good examples)\n\
-     \x20 validate --trace F | --metrics F | --sweep F | --conformance F | --snapshot F | --bench F\n\
-     \x20                                          schema-check emitted files\n\
-     \x20 experiments <all|NAME> [opts]          regenerate the paper's tables and figures\n\
-     \x20          NAME: table1 fig4..fig9 period-check phi-choice blocking-gain fig5-sim\n\
-     \x20                hierarchical refined validate robustness\n\
-     \x20          --out DIR (default results)  --fast (CI-sized grids)  --seed N\n\
-     \x20 bench    [opts]                         replication + sweep throughput (BENCH_*.json)\n\
-     \x20          --out DIR (default .)  --fast (CI-sized grid)  --seed N  --reps N\n\
-     \x20          --workers CSV (worker counts, default 1,2,4,8)\n\
-     \n\
-     common options:\n\
-     \x20 --scenario base|exa      parameter preset (default base)\n\
-     \x20 --mtbf DUR               platform MTBF (default 7h)\n\
-     \x20 --phi-ratio X            overhead ratio phi/R in [0,1] (default 0)\n\
-     \x20 --delta/--theta-min/--downtime DUR, --alpha X, --nodes N   overrides\n\
-     durations: 45s, 30min, 7h, 1d, 2w\n"
-        .to_string()
-}
-
-fn cmd_scenarios(_args: &Args) -> Result<String, String> {
+pub(crate) fn cmd_scenarios(_args: &Args) -> Result<String, String> {
     let rows: Vec<Vec<String>> = Scenario::all()
         .iter()
         .map(|s| {
@@ -147,7 +43,7 @@ fn cmd_scenarios(_args: &Args) -> Result<String, String> {
     ))
 }
 
-fn cmd_waste(args: &Args) -> Result<String, String> {
+pub(crate) fn cmd_waste(args: &Args) -> Result<String, String> {
     let (params, scenario) = resolve_params(args)?;
     let protocol = resolve_protocol(args, None)?;
     let phi = resolve_phi(args, &params)?;
@@ -203,7 +99,7 @@ fn cmd_waste(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
-fn cmd_period(args: &Args) -> Result<String, String> {
+pub(crate) fn cmd_period(args: &Args) -> Result<String, String> {
     let (params, scenario) = resolve_params(args)?;
     let phi = resolve_phi(args, &params)?;
     let mtbf = args.get_duration("mtbf", 7.0 * 3600.0)?;
@@ -239,7 +135,7 @@ fn cmd_period(args: &Args) -> Result<String, String> {
     ))
 }
 
-fn cmd_risk(args: &Args) -> Result<String, String> {
+pub(crate) fn cmd_risk(args: &Args) -> Result<String, String> {
     let (params, scenario) = resolve_params(args)?;
     let mtbf = args.get_duration("mtbf", 7.0 * 3600.0)?;
     let life = args.get_duration("life", 30.0 * 86_400.0)?;
@@ -285,7 +181,7 @@ fn cmd_risk(args: &Args) -> Result<String, String> {
     ))
 }
 
-fn cmd_compare(args: &Args) -> Result<String, String> {
+pub(crate) fn cmd_compare(args: &Args) -> Result<String, String> {
     let (params, scenario) = resolve_params(args)?;
     let phi = resolve_phi(args, &params)?;
     let mtbf = args.get_duration("mtbf", 7.0 * 3600.0)?;
@@ -324,7 +220,7 @@ fn cmd_compare(args: &Args) -> Result<String, String> {
     ))
 }
 
-fn cmd_optimize(args: &Args) -> Result<String, String> {
+pub(crate) fn cmd_optimize(args: &Args) -> Result<String, String> {
     let (params, scenario) = resolve_params(args)?;
     let mtbf = args.get_duration("mtbf", 7.0 * 3600.0)?;
     let mut rows = Vec::new();
@@ -350,7 +246,7 @@ fn cmd_optimize(args: &Args) -> Result<String, String> {
     ))
 }
 
-fn cmd_hierarchical(args: &Args) -> Result<String, String> {
+pub(crate) fn cmd_hierarchical(args: &Args) -> Result<String, String> {
     let (params, scenario) = resolve_params(args)?;
     let phi = resolve_phi(args, &params)?;
     let mtbf = args.get_duration("mtbf", 600.0)?;
@@ -403,7 +299,7 @@ fn cmd_hierarchical(args: &Args) -> Result<String, String> {
 }
 
 /// Reads `path` whole, naming it in the error.
-fn read_file(path: &str) -> Result<String, String> {
+pub(crate) fn read_file(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
@@ -454,7 +350,7 @@ fn metered<T>(on: bool, f: impl FnOnce() -> T) -> (T, Option<MetricsSnapshot>) {
 /// `dck run`: one observable run of replication `--rep`, or with
 /// `--reps N` the Monte-Carlo estimate over replications `0..N` of the
 /// same seed, set against the model.
-fn cmd_run(args: &Args) -> Result<String, String> {
+pub(crate) fn cmd_run(args: &Args) -> Result<String, String> {
     let (params, scenario) = resolve_params(args)?;
     let protocol = resolve_protocol(args, None)?;
     let phi = resolve_phi(args, &params)?;
@@ -474,13 +370,6 @@ fn cmd_run(args: &Args) -> Result<String, String> {
     let mut out = String::new();
     let snapshot = match reps {
         Some(reps) => {
-            for single in ["rep", "trace"] {
-                if args.get(single).is_some() {
-                    return Err(format!(
-                        "--{single} belongs to a single run and cannot be combined with --reps"
-                    ));
-                }
-            }
             let (est, snapshot) = metered(metrics_path.is_some(), || {
                 estimate_waste(&run_cfg, work, &mc)
             });
@@ -610,12 +499,10 @@ fn run_traced(
     committed
 }
 
-fn cmd_inject(args: &Args) -> Result<String, String> {
+pub(crate) fn cmd_inject(args: &Args) -> Result<String, String> {
     let script_path = args
         .get("script")
-        .ok_or_else(|| {
-            "usage: dck inject --script FILE [--trace FILE] [--golden FILE]".to_string()
-        })?
+        .ok_or("usage: dck inject --script FILE (see dck help)")?
         .to_string();
     let trace_path = args.get("trace").map(str::to_string);
     let golden_path = args.get("golden").map(str::to_string);
@@ -708,7 +595,7 @@ fn find_workspace_root() -> Result<std::path::PathBuf, String> {
     ))
 }
 
-fn cmd_lint(args: &Args) -> Result<String, String> {
+pub(crate) fn cmd_lint(args: &Args) -> Result<String, String> {
     let baseline = match args.positional(1) {
         None => false,
         Some("baseline") => true,
@@ -812,173 +699,7 @@ fn indent(block: &str) -> String {
         .join("\n")
 }
 
-fn cmd_validate(args: &Args) -> Result<String, String> {
-    // Every check that passes writes one line.
-    let mut out = String::new();
-    if let Some(path) = args.get("trace") {
-        let text = read_file(path)?;
-        let mut events = 0usize;
-        let mut last_at = f64::NEG_INFINITY;
-        for (i, line) in text.lines().enumerate() {
-            let event: TimelineEvent = serde_json::from_str(line)
-                .map_err(|e| format!("{path}:{}: invalid TimelineEvent: {e}", i + 1))?;
-            let at = match event {
-                TimelineEvent::Failure { at, .. }
-                | TimelineEvent::OutageEnd { at }
-                | TimelineEvent::Retune { at, .. }
-                | TimelineEvent::Finished { at, .. } => at,
-            };
-            if at < last_at {
-                return Err(format!(
-                    "{path}:{}: timestamp {at} moves backwards (previous {last_at})",
-                    i + 1
-                ));
-            }
-            last_at = at;
-            events += 1;
-        }
-        if events == 0 {
-            return Err(format!(
-                "{path}: trace contains no events — an empty artifact is a failed run, not a valid one"
-            ));
-        }
-        let _ = writeln!(
-            out,
-            "trace {path}: {events} valid events, timestamps ordered"
-        );
-    }
-    if let Some(path) = args.get("metrics") {
-        let text = read_file(path)?;
-        let snapshot: MetricsSnapshot = serde_json::from_str(&text)
-            .map_err(|e| format!("{path}: invalid MetricsSnapshot: {e}"))?;
-        let _ = writeln!(
-            out,
-            "metrics {path}: {} counters, {} histograms",
-            snapshot.counters.len(),
-            snapshot.histograms.len()
-        );
-    }
-    if let Some(path) = args.get("sweep") {
-        let text = read_file(path)?;
-        let result: SweepResult =
-            serde_json::from_str(&text).map_err(|e| format!("{path}: invalid SweepResult: {e}"))?;
-        let expected = result.spec.phi_ratios.len() * result.spec.mtbfs.len();
-        if result.cells.len() != expected {
-            return Err(format!(
-                "{path}: {} cells but the spec's grid has {expected}",
-                result.cells.len()
-            ));
-        }
-        let _ = writeln!(
-            out,
-            "sweep {path}: {} cells, grid consistent",
-            result.cells.len()
-        );
-    }
-    if let Some(path) = args.get("conformance") {
-        let text = read_file(path)?;
-        let report = dck_experiments::conformance::ConformanceReport::from_json(&text)
-            .map_err(|e| format!("{path}: {e}"))?;
-        if report.failed > 0 {
-            return Err(format!(
-                "{path}: {} conformance cell(s) out of tolerance:\n{}",
-                report.failed,
-                report.failures().join("\n")
-            ));
-        }
-        let _ = writeln!(
-            out,
-            "conformance {path}: {} region cells in {} regions ({} gating) + {} prediction \
-             cells; gating cells: {} passed, {} degenerate, max |model - sim| = {:.4}",
-            report.spec.cell_count(),
-            report.regions.len(),
-            report.spec.regions.iter().filter(|r| r.gate).count(),
-            report.prediction_cells.len(),
-            report.passed,
-            report.degenerate,
-            report.max_abs_deviation
-        );
-    }
-    if let Some(path) = args.get("bench") {
-        let text = read_file(path)?;
-        // Two report families share the flag; the `schema` tag says
-        // which one a file claims to be, and it is then held to that
-        // claim (no silent fallback to the other parser).
-        let sniffed: serde_json::Value =
-            serde_json::from_str(&text).map_err(|e| format!("{path}: not JSON: {e}"))?;
-        let schema = sniffed
-            .get("schema")
-            .and_then(|s| s.as_str())
-            .unwrap_or("")
-            .to_string();
-        if schema == dck_bench::SERVE_SCHEMA {
-            let report = dck_bench::ServeBenchReport::from_json(&text)
-                .map_err(|e| format!("{path}: invalid ServeBenchReport: {e}"))?;
-            report.validate().map_err(|e| format!("{path}: {e}"))?;
-            let _ = writeln!(
-                out,
-                "bench {path}: serve load, {} ok requests at {:.0} req/s ({} errors), p99 {}us",
-                report.ok_requests, report.req_per_sec, report.errors, report.latency.p99_us
-            );
-        } else if schema == dck_bench::ADAPT_SCHEMA {
-            let report = dck_bench::AdaptReport::from_json(&text)
-                .map_err(|e| format!("{path}: invalid AdaptReport: {e}"))?;
-            report.validate().map_err(|e| format!("{path}: {e}"))?;
-            let _ = writeln!(
-                out,
-                "bench {path}: adaptive regret, {} scenarios, max stationary regret {:+.1}%, \
-                 drift beats static: {}",
-                report.scenarios.len(),
-                100.0 * report.summary.max_stationary_regret_ratio,
-                report.summary.drift_beats_static
-            );
-        } else {
-            let report = dck_bench::BenchReport::from_json(&text)
-                .map_err(|e| format!("{path}: invalid BenchReport: {e}"))?;
-            report.validate().map_err(|e| format!("{path}: {e}"))?;
-            let _ = writeln!(
-                out,
-                "bench {path}: {:?}, {} series, max workers {}",
-                report.kind,
-                report.series.len(),
-                report.summary.max_workers
-            );
-        }
-    }
-    if let Some(path) = args.get("snapshot") {
-        let info = validate_snapshot(Path::new(path)).map_err(|e| {
-            // The read error already names the path; format errors
-            // from a successfully-read file need it prepended.
-            if e.contains(path) {
-                e
-            } else {
-                format!("{path}: {e}")
-            }
-        })?;
-        let _ = writeln!(
-            out,
-            "snapshot {path}: v{}, {} rounds, {}/{} cells active, {} replications done, \
-             cadence {} round(s)/snapshot, spec {}",
-            info.version,
-            info.rounds_done,
-            info.active_cells,
-            info.cells,
-            info.replications_done,
-            info.checkpoint_every,
-            info.spec_fingerprint
-        );
-    }
-    if out.is_empty() {
-        return Err(
-            "usage: dck validate --trace FILE | --metrics FILE | --sweep FILE \
-             | --conformance FILE | --snapshot FILE | --bench FILE"
-                .to_string(),
-        );
-    }
-    Ok(out)
-}
-
-fn cmd_sweep(args: &Args) -> Result<String, String> {
+pub(crate) fn cmd_sweep(args: &Args) -> Result<String, String> {
     let format = args.get("format").unwrap_or("ascii");
     if !matches!(format, "ascii" | "csv" | "json") {
         return Err(format!("unknown --format `{format}` (ascii|csv|json)"));
@@ -1035,14 +756,7 @@ fn cmd_sweep(args: &Args) -> Result<String, String> {
             )?;
             Some(ck)
         }
-        None => {
-            for dependent in ["resume", "checkpoint-every", "keep-snapshots", "max-rounds"] {
-                if args.get(dependent).is_some() {
-                    return Err(format!("--{dependent} requires --checkpoint DIR"));
-                }
-            }
-            None
-        }
+        None => None,
     };
 
     let out_path = args.get("out").map(str::to_string);
@@ -1152,7 +866,7 @@ fn cmd_sweep(args: &Args) -> Result<String, String> {
     }
 }
 
-fn cmd_adapt(args: &Args) -> Result<String, String> {
+pub(crate) fn cmd_adapt(args: &Args) -> Result<String, String> {
     let (params, _scenario) = resolve_params(args)?;
     let protocol = resolve_protocol(args, Some(Protocol::DoubleNbl))?;
     let phi = resolve_phi(args, &params)?;
@@ -1284,7 +998,7 @@ fn cmd_adapt(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
-fn cmd_serve(args: &Args) -> Result<String, String> {
+pub(crate) fn cmd_serve(args: &Args) -> Result<String, String> {
     let addr = args.get("addr").unwrap_or("127.0.0.1:0").to_string();
     let workers: usize = args.get_parsed("workers", 0)?; // 0 is documented auto
     let cache_cells: usize = args.get_parsed("cache-cells", 256)?;
@@ -1313,7 +1027,7 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
     ))
 }
 
-fn cmd_loadgen(args: &Args) -> Result<String, String> {
+pub(crate) fn cmd_loadgen(args: &Args) -> Result<String, String> {
     let addr = args
         .get("addr")
         .ok_or("--addr HOST:PORT is required (start `dck serve` first; it prints its address)")?
@@ -1373,82 +1087,78 @@ fn cmd_loadgen(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
-fn cmd_trace(args: &Args) -> Result<String, String> {
-    match args.positional(1) {
-        Some("generate") => {
-            let nodes: u64 = args.get_count("nodes", 64, "failures need a node to strike")?;
-            let mtbf = args.get_positive_duration("mtbf", 600.0)?;
-            let horizon = args.get_duration("horizon", 86_400.0)?;
-            let seed: u64 = args.get_parsed("seed", 1)?;
-            let out_path = args
-                .get("out")
-                .ok_or_else(|| "--out FILE is required".to_string())?
-                .to_string();
-            let spec = MtbfSpec::Platform {
-                mtbf: SimTime::seconds(mtbf),
-                nodes,
-            };
-            let mut source = AggregatedExponential::new(spec, RngFactory::new(seed).stream(0));
-            let trace = FailureTrace::record(&mut source, SimTime::seconds(horizon));
-            write_file(&out_path, &trace.to_json()?)?;
-            Ok(format!(
-                "wrote {} failures over {} ({} nodes) to {out_path}\n",
-                trace.len(),
-                format_duration(horizon),
-                nodes
-            ))
-        }
-        Some("stats") => {
-            let path = args
-                .positional(2)
-                .ok_or_else(|| "trace stats needs a file".to_string())?;
-            let json = read_file(path)?;
-            let trace = FailureTrace::from_json(&json)?;
-            // Count over the events, not a slot per node: memory then
-            // follows the trace, whatever node count it declares.
-            let mut nodes: Vec<u64> = trace.events().iter().map(|e| e.node).collect();
-            nodes.sort_unstable();
-            let max = nodes
-                .chunk_by(|a, b| a == b)
-                .map(<[u64]>::len)
-                .max()
-                .unwrap_or(0);
-            let mtbf = trace
-                .empirical_platform_mtbf()
-                .map(|m| format_duration(m.as_secs()))
-                .unwrap_or_else(|| "n/a".into());
-            Ok(format!(
-                "trace {path}: {} failures over {} nodes\n  span: {}\n  empirical platform MTBF: {}\n  max failures on one node: {max}\n",
-                trace.len(),
-                trace.nodes(),
-                trace
-                    .span()
-                    .map(|s| format_duration(s.as_secs()))
-                    .unwrap_or_else(|| "empty".into()),
-                mtbf
-            ))
-        }
-        _ => Err("usage: dck trace <generate|stats> ...".to_string()),
-    }
+/// `dck trace generate`: records an exponential failure trace.
+pub(crate) fn cmd_trace_generate(args: &Args) -> Result<String, String> {
+    let nodes: u64 = args.get_count("nodes", 64, "failures need a node to strike")?;
+    let mtbf = args.get_positive_duration("mtbf", 600.0)?;
+    let horizon = args.get_duration("horizon", 86_400.0)?;
+    let seed: u64 = args.get_parsed("seed", 1)?;
+    let out_path = args
+        .get("out")
+        .ok_or_else(|| "--out FILE is required".to_string())?
+        .to_string();
+    let spec = MtbfSpec::Platform {
+        mtbf: SimTime::seconds(mtbf),
+        nodes,
+    };
+    let mut source = AggregatedExponential::new(spec, RngFactory::new(seed).stream(0));
+    let trace = FailureTrace::record(&mut source, SimTime::seconds(horizon));
+    write_file(&out_path, &trace.to_json()?)?;
+    Ok(format!(
+        "wrote {} failures over {} ({} nodes) to {out_path}\n",
+        trace.len(),
+        format_duration(horizon),
+        nodes
+    ))
+}
+
+/// `dck trace stats FILE`: summarizes a failure trace.
+pub(crate) fn cmd_trace_stats(args: &Args) -> Result<String, String> {
+    let path = args
+        .positional(2)
+        .ok_or_else(|| "trace stats needs a file".to_string())?;
+    let json = read_file(path)?;
+    let trace = FailureTrace::from_json(&json)?;
+    // Count over the events, not a slot per node: memory then follows
+    // the trace, whatever node count it declares.
+    let mut nodes: Vec<u64> = trace.events().iter().map(|e| e.node).collect();
+    nodes.sort_unstable();
+    let max = nodes
+        .chunk_by(|a, b| a == b)
+        .map(<[u64]>::len)
+        .max()
+        .unwrap_or(0);
+    let mtbf = trace
+        .empirical_platform_mtbf()
+        .map(|m| format_duration(m.as_secs()))
+        .unwrap_or_else(|| "n/a".into());
+    Ok(format!(
+        "trace {path}: {} failures over {} nodes\n  span: {}\n  empirical platform MTBF: {}\n  max failures on one node: {max}\n",
+        trace.len(),
+        trace.nodes(),
+        trace
+            .span()
+            .map(|s| format_duration(s.as_secs()))
+            .unwrap_or_else(|| "empty".into()),
+        mtbf
+    ))
 }
 
 /// `dck experiments <all|NAME>`: regenerates the paper's evaluation.
 /// Progress lines reach stdout as each experiment finishes.
-fn cmd_experiments(args: &Args) -> Result<String, String> {
-    let name = args.positional(1).ok_or_else(|| {
-        "usage: dck experiments <all|NAME> [--out DIR] [--fast] [--seed N] (see dck help)"
-            .to_string()
-    })?;
+pub(crate) fn cmd_experiments(args: &Args) -> Result<String, String> {
+    let name = args
+        .positional(1)
+        .ok_or("usage: dck experiments <all|NAME> (see dck help)")?;
     let out = args.get("out").unwrap_or("results");
     let fast = args.get_parsed("fast", false)?;
     let seed = args.get_parsed("seed", 0x0D0C_5EED)?;
-    args.ensure_all_consumed()?;
     dck_experiments::run_experiments(name, Path::new(out), fast, seed)?;
     Ok(String::new())
 }
 
 /// `dck bench`: the replication and sweep throughput harness.
-fn cmd_bench(args: &Args) -> Result<String, String> {
+pub(crate) fn cmd_bench(args: &Args) -> Result<String, String> {
     let out = args.get("out").unwrap_or(".");
     let fast = args.get_parsed("fast", false)?;
     let seed = args.get_parsed("seed", 0xBE9C)?;
@@ -1456,13 +1166,13 @@ fn cmd_bench(args: &Args) -> Result<String, String> {
     let workers = args.get_list("workers", vec![1, 2, 4, 8], |w| {
         w.parse::<usize>().map_err(|e| e.to_string())
     })?;
-    args.ensure_all_consumed()?;
     dck_bench::run_bench(Path::new(out), fast, seed, reps, &workers)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run;
 
     fn run_ok(raw: &[&str]) -> String {
         run(&raw.iter().map(|s| s.to_string()).collect::<Vec<_>>()).expect("command succeeds")
@@ -1648,7 +1358,9 @@ mod tests {
     }
 
     #[test]
-    fn bench_writes_valid_reports_and_rejects_bad_workers() {
+    fn bench_rejects_bad_options_before_writing() {
+        // The reports a good run writes read back: see
+        // `artifacts::tests::every_artifact_reads_back`.
         let dir = std::env::temp_dir().join(format!("dck-cli-bench-{}", std::process::id()));
         let d = dir.to_str().unwrap();
         for workers in ["1,0", "0", ""] {
@@ -1657,24 +1369,6 @@ mod tests {
         }
         assert!(run_err(&["bench", "--reps", "0", "--out", d]).contains("--reps"));
         assert!(!dir.exists(), "rejected options must not write anything");
-
-        let out = run_ok(&[
-            "bench",
-            "--fast",
-            "--reps",
-            "64",
-            "--workers",
-            "1,2",
-            "--out",
-            d,
-        ]);
-        for name in ["BENCH_reps.json", "BENCH_sweep.json"] {
-            let path = dir.join(name);
-            assert!(out.contains(&path.display().to_string()), "{out}");
-            let report = run_ok(&["validate", "--bench", path.to_str().unwrap()]);
-            assert!(report.contains("2 series, max workers 2"), "{report}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1726,155 +1420,12 @@ mod tests {
     }
 
     #[test]
-    fn all_stop_reason_traces_validate() {
-        // Acceptance: traced runs for every StopReason end in Finished
-        // and round-trip through `dck validate --trace`.
-        use dck_sim::{PeriodChoice, RunConfig};
-        let params = dck_core::PlatformParams::new(0.0, 2.0, 4.0, 10.0, 8).unwrap();
-        let mk_trace = |events: &[(f64, u64)]| {
-            FailureTrace::new(
-                8,
-                events
-                    .iter()
-                    .map(|&(at, node)| dck_failures::FailureEvent {
-                        at: SimTime::seconds(at),
-                        node,
-                    })
-                    .collect(),
-            )
-        };
-        let mut cfg = RunConfig::new(Protocol::DoubleNbl, params, 1.0, 7.0 * 3600.0);
-        cfg.period = PeriodChoice::Explicit(100.0);
-        let mut stuck = RunConfig::new(Protocol::DoubleBlocking, params, 0.0, 3600.0);
-        stuck.period = PeriodChoice::Explicit(6.0);
-        let mut capped = cfg;
-        capped.max_failures = 1;
-
-        let timelines = [
-            // WorkComplete
-            dck_sim::run_to_completion_traced(&cfg, 970.0, &mut mk_trace(&[]).replay())
-                .unwrap()
-                .1,
-            // Fatal (buddy inside the risk window)
-            dck_sim::run_to_completion_traced(
-                &cfg,
-                970.0,
-                &mut mk_trace(&[(250.0, 0), (260.0, 1)]).replay(),
-            )
-            .unwrap()
-            .1,
-            // HorizonReached
-            dck_sim::run_until_traced(&cfg, 500.0, &mut mk_trace(&[]).replay())
-                .unwrap()
-                .1,
-            // FailureCapReached
-            dck_sim::run_to_completion_traced(
-                &capped,
-                1e9,
-                &mut mk_trace(&[(1000.0, 0), (2000.0, 2)]).replay(),
-            )
-            .unwrap()
-            .1,
-            // NoProgress
-            dck_sim::run_to_completion_traced(&stuck, 100.0, &mut mk_trace(&[]).replay())
-                .unwrap()
-                .1,
-        ];
-        for (i, timeline) in timelines.iter().enumerate() {
-            assert!(
-                matches!(timeline.last(), Some(TimelineEvent::Finished { .. })),
-                "timeline {i} missing Finished: {timeline:?}"
-            );
-            let path =
-                std::env::temp_dir().join(format!("dck-reason-{}-{i}.jsonl", std::process::id()));
-            let lines: String = timeline
-                .iter()
-                .map(|e| serde_json::to_string(e).unwrap() + "\n")
-                .collect();
-            std::fs::write(&path, lines).unwrap();
-            let out = run_ok(&["validate", "--trace", path.to_str().unwrap()]);
-            assert!(out.contains("timestamps ordered"), "timeline {i}: {out}");
-            std::fs::remove_file(&path).ok();
-        }
-    }
-
-    #[test]
-    fn validate_checks_bench_reports() {
-        let report = dck_bench::BenchReport {
-            schema: dck_bench::SCHEMA.to_string(),
-            kind: dck_bench::BenchKind::Sweep,
-            config: dck_bench::BenchConfig {
-                protocol: "double-nbl".to_string(),
-                nodes: 64,
-                mtbf_s: vec![1800.0],
-                phi_ratio: vec![0.5],
-                work_in_mtbfs: 4.0,
-                replications: 64,
-                seed: 1,
-                quick: true,
-                available_parallelism: Some(2),
-            },
-            series: vec![dck_bench::BenchSeries {
-                label: "sweep".to_string(),
-                workers: 2,
-                replications: 64,
-                elapsed_s: 0.25,
-                reps_per_sec: 256.0,
-                oversubscribed: Some(false),
-            }],
-            summary: dck_bench::BenchSummary {
-                max_workers: 2,
-                scaling_max_vs_one_worker: None,
-            },
-        };
-        let path = std::env::temp_dir().join(format!("dck-bench-{}.json", std::process::id()));
-        std::fs::write(&path, report.to_json().unwrap()).unwrap();
-        let out = run_ok(&["validate", "--bench", path.to_str().unwrap()]);
-        assert!(out.contains("Sweep"), "{out}");
-
-        // A corrupted report is rejected with the defect named.
-        let mut bad = report;
-        bad.series[0].elapsed_s = -1.0;
-        std::fs::write(&path, bad.to_json().unwrap()).unwrap();
-        let err = run_err(&["validate", "--bench", path.to_str().unwrap()]);
-        assert!(err.contains("elapsed"), "{err}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn run_is_reproducible_per_replication() {
         let a = run_ok(&["run", "--protocol", "triple", "--nodes", "9", "--rep", "2"]);
         let b = run_ok(&["run", "--protocol", "triple", "--nodes", "9", "--rep", "2"]);
         assert_eq!(a, b);
         let c = run_ok(&["run", "--protocol", "triple", "--nodes", "9", "--rep", "3"]);
         assert_ne!(a, c, "different replications draw different streams");
-    }
-
-    #[test]
-    fn sweep_json_output_validates_as_sweep_result() {
-        let path = std::env::temp_dir().join(format!("dck-sweep-{}.json", std::process::id()));
-        let p = path.to_str().unwrap();
-        let out = run_ok(&[
-            "sweep",
-            "--protocol",
-            "triple",
-            "--phi-ratios",
-            "0.5",
-            "--mtbfs",
-            "30min",
-            "--reps",
-            "8",
-            "--work-mtbfs",
-            "5",
-            "--nodes",
-            "9",
-            "--format",
-            "json",
-        ]);
-        std::fs::write(&path, &out).unwrap();
-        let report = run_ok(&["validate", "--sweep", p]);
-        assert!(report.contains("grid consistent"), "{report}");
-        std::fs::remove_file(&path).ok();
     }
 
     fn demo_script_json() -> String {
@@ -1934,109 +1485,6 @@ mod tests {
         assert!(err.contains("expectation failed"), "{err}");
         assert!(run_err(&["inject"]).contains("usage"));
         std::fs::remove_file(&script).ok();
-    }
-
-    #[test]
-    fn validate_conformance_report() {
-        use dck_experiments::conformance::{run_conformance, CellStatus, ConformanceSpec};
-        let path = std::env::temp_dir().join(format!("dck-conf-{}.json", std::process::id()));
-        let p = path.to_str().unwrap();
-
-        // A tiny single-plane region keeps this test fast.
-        let mut spec = ConformanceSpec::coarse();
-        spec.regions.truncate(1);
-        let region = &mut spec.regions[0];
-        region.protocols = vec![Protocol::DoubleNbl];
-        region.mtbfs = vec![3_600.0];
-        region.alphas = vec![10.0];
-        region.phi_ratios = vec![0.5];
-        region.replications = 8;
-        let report = run_conformance(&spec).unwrap();
-        std::fs::write(&path, report.to_json().unwrap()).unwrap();
-        let out = run_ok(&["validate", "--conformance", p]);
-        assert!(out.contains("cells"), "{out}");
-
-        // A report with failures is rejected, naming the cell.
-        spec.regions[0].tolerance = Tolerance::new(0.0, 0.0);
-        let failing = run_conformance(&spec).unwrap();
-        assert_eq!(failing.failed, 1, "{failing:?}");
-        std::fs::write(&path, failing.to_json().unwrap()).unwrap();
-        let err = run_err(&["validate", "--conformance", p]);
-        assert!(
-            err.contains("out of tolerance") && err.contains("benign"),
-            "{err}"
-        );
-
-        // Edited to pass, with tallies to match, it is still rejected:
-        // the judge re-runs on the stored model and estimate. So are a
-        // maximum and a tally the cells do not give.
-        let mut flipped = failing;
-        flipped.regions[0].cells[0].status = CellStatus::Pass;
-        flipped.regions[0].passed += 1;
-        flipped.regions[0].failed -= 1;
-        flipped.passed += 1;
-        flipped.failed -= 1;
-        let mut deviation = report.clone();
-        deviation.max_abs_deviation += 0.5;
-        let mut tally = report;
-        tally.regions[0].degenerate += 1;
-        for (tampered, expected) in [
-            (flipped, "the judge gives"),
-            (deviation, "max_abs_deviation"),
-            (tally, "1 degenerate"),
-        ] {
-            std::fs::write(&path, tampered.to_json().unwrap()).unwrap();
-            let err = run_err(&["validate", "--conformance", p]);
-            assert!(err.contains(expected) && err.contains(p), "{err}");
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn validate_rejects_garbage_and_empty_invocation() {
-        assert!(run_err(&["validate"]).contains("usage"));
-        let path = std::env::temp_dir().join(format!("dck-garbage-{}.jsonl", std::process::id()));
-        std::fs::write(&path, "{\"NotAnEvent\":{}}\n").unwrap();
-        let err = run_err(&["validate", "--trace", path.to_str().unwrap()]);
-        assert!(err.contains("invalid TimelineEvent"), "{err}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn validate_rejects_empty_trace() {
-        let path = std::env::temp_dir().join(format!("dck-empty-{}.jsonl", std::process::id()));
-        std::fs::write(&path, "").unwrap();
-        let err = run_err(&["validate", "--trace", path.to_str().unwrap()]);
-        assert!(err.contains("no events"), "{err}");
-        assert!(
-            err.contains(path.to_str().unwrap()),
-            "names the path: {err}"
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn validate_errors_name_the_failing_path() {
-        // Every arm must name the artifact it rejected so a CI log
-        // pinpoints the broken file without re-running locally.
-        for flag in [
-            "--trace",
-            "--metrics",
-            "--sweep",
-            "--conformance",
-            "--snapshot",
-            "--bench",
-        ] {
-            let err = run_err(&["validate", flag, "/nonexistent/artifact.json"]);
-            assert!(err.contains("/nonexistent/artifact.json"), "{flag}: {err}");
-        }
-        // A structurally-invalid artifact is named too.
-        let path = std::env::temp_dir().join(format!("dck-badsnap-{}.json", std::process::id()));
-        std::fs::write(&path, "{\"not\": \"a snapshot\"}").unwrap();
-        let err = run_err(&["validate", "--metrics", path.to_str().unwrap()]);
-        assert!(err.contains(path.to_str().unwrap()), "{err}");
-        assert!(err.contains("invalid MetricsSnapshot"), "{err}");
-        std::fs::remove_file(&path).ok();
     }
 
     /// The common grid for checkpoint tests: 2 cells × 24 replications
@@ -2175,111 +1623,6 @@ mod tests {
                 "{flag}: {err}"
             );
         }
-    }
-
-    #[test]
-    fn validate_sweep_accepts_degenerate_null_cells() {
-        // A cell where every replication died keeps explicit nulls in
-        // the artifact; `validate --sweep` must accept the round-trip,
-        // not choke on them.
-        let mut spec = SweepSpec::new(
-            Protocol::DoubleNbl,
-            dck_core::PlatformParams::new(0.0, 2.0, 4.0, 10.0, 48).unwrap(),
-            vec![0.0],
-            vec![3600.0],
-        );
-        spec.replications = 4;
-        let result = SweepResult {
-            spec,
-            cells: vec![dck_sim::SweepCell {
-                phi_ratio: 0.0,
-                mtbf: 3600.0,
-                period: 120.0,
-                model_waste: 0.9,
-                sim_waste: None,
-                half_width: None,
-                completed: 0,
-                fatal: 4,
-                truncated: 0,
-                replications_run: 4,
-            }],
-        };
-        let json = serde_json::to_string_pretty(&result).unwrap();
-        assert!(json.contains("\"sim_waste\": null"), "{json}");
-        assert!(json.contains("\"half_width\": null"), "{json}");
-
-        let path =
-            std::env::temp_dir().join(format!("dck-degen-sweep-{}.json", std::process::id()));
-        std::fs::write(&path, &json).unwrap();
-        let out = run_ok(&["validate", "--sweep", path.to_str().unwrap()]);
-        assert!(out.contains("1 cells"), "{out}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn validate_bench_sniffs_the_serve_schema() {
-        let report = dck_bench::ServeBenchReport {
-            schema: dck_bench::SERVE_SCHEMA.to_string(),
-            config: dck_bench::ServeBenchConfig {
-                addr: "127.0.0.1:4717".to_string(),
-                threads: 2,
-                concurrency: 2,
-                duration_s: 1.0,
-                seed: 7,
-                methods: vec!["waste".to_string(), "sweep_cell".to_string()],
-            },
-            elapsed_s: 1.01,
-            ok_requests: 100,
-            errors: 0,
-            req_per_sec: 99.0,
-            latency: dck_bench::ServeLatency {
-                p50_us: 100,
-                p90_us: 200,
-                p99_us: 400,
-                p999_us: 900,
-                max_us: 1000,
-                mean_us: 130.0,
-            },
-        };
-        let path =
-            std::env::temp_dir().join(format!("dck-serve-bench-{}.json", std::process::id()));
-        std::fs::write(&path, report.to_json().unwrap()).unwrap();
-        let out = run_ok(&["validate", "--bench", path.to_str().unwrap()]);
-        assert!(out.contains("serve load"), "{out}");
-        assert!(out.contains("99 req/s"), "{out}");
-
-        // A serve-schema file is held to the serve validator: break a
-        // percentile and the same command must reject it.
-        let mut broken = report;
-        broken.latency.p99_us = 150;
-        std::fs::write(&path, broken.to_json().unwrap()).unwrap();
-        let err = run_err(&["validate", "--bench", path.to_str().unwrap()]);
-        assert!(err.contains("monotone"), "{err}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn validate_snapshot_reports_and_rejects() {
-        let dir = std::env::temp_dir().join(format!("dck-cli-snapval-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let d = dir.to_str().unwrap();
-        let _ = run_err(&ckpt_sweep_args(&["--checkpoint", d, "--max-rounds", "1"]));
-        let mut snapshots: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .collect();
-        snapshots.sort();
-        let snap = snapshots.last().unwrap().to_str().unwrap().to_string();
-        let out = run_ok(&["validate", "--snapshot", &snap]);
-        assert!(out.contains("rounds"), "{out}");
-        assert!(out.contains("cells active"), "{out}");
-
-        // A corrupted snapshot is rejected, naming the file.
-        let garbage = dir.join("sweep-r99999999.dckpt");
-        std::fs::write(&garbage, "not a snapshot\n").unwrap();
-        let err = run_err(&["validate", "--snapshot", garbage.to_str().unwrap()]);
-        assert!(err.contains(garbage.to_str().unwrap()), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

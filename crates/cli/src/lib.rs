@@ -11,13 +11,17 @@
 //! dck bench --fast --out .
 //! ```
 //!
-//! `dck help` lists every command and option. Durations accept `s`,
-//! `min`, `h`, `d`, `w` suffixes (`90s`, `7h`, `30min`, `1d`).
+//! [`commands`] holds one table of every command and its flags: a
+//! command line is checked against it before any work, and `dck help`
+//! is rendered from it. Durations accept `s`, `min`, `h`, `d`, `w`
+//! suffixes (`90s`, `7h`, `30min`, `1d`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod app;
+mod artifacts;
+pub mod commands;
 pub mod parse;
 
-pub use app::run;
+pub use commands::run;

@@ -54,13 +54,12 @@ pub fn format_duration(secs: f64) -> String {
 }
 
 /// Flag-style arguments: `--key value` pairs plus positional arguments.
-#[derive(Debug, Clone, Default)]
+/// [`crate::commands`] checks them against the command's entry before
+/// the command reads them.
+#[derive(Debug, Clone)]
 pub struct Args {
     flags: BTreeMap<String, String>,
     positional: Vec<String>,
-    consumed: std::cell::RefCell<Vec<String>>,
-    /// How many leading positionals some command has read.
-    positionals_read: std::cell::Cell<usize>,
 }
 
 impl Args {
@@ -85,28 +84,27 @@ impl Args {
                 positional.push(a.clone());
             }
         }
-        Ok(Args {
-            flags,
-            positional,
-            ..Args::default()
-        })
+        Ok(Args { flags, positional })
     }
 
-    /// A positional argument by index (marks it and every earlier one
-    /// as consumed).
+    /// A positional argument by index.
     pub fn positional(&self, i: usize) -> Option<&str> {
-        self.positionals_read
-            .set(self.positionals_read.get().max(i + 1));
         self.positional.get(i).map(String::as_str)
     }
 
-    /// Raw flag lookup (marks the flag as consumed).
+    /// Every positional argument, the command name included.
+    pub fn positionals(&self) -> &[String] {
+        &self.positional
+    }
+
+    /// The names of the flags given, in sorted order.
+    pub fn flag_names(&self) -> impl Iterator<Item = &str> {
+        self.flags.keys().map(String::as_str)
+    }
+
+    /// Raw flag lookup.
     pub fn get(&self, key: &str) -> Option<&str> {
-        let v = self.flags.get(key).map(String::as_str);
-        if v.is_some() {
-            self.consumed.borrow_mut().push(key.to_string());
-        }
-        v
+        self.flags.get(key).map(String::as_str)
     }
 
     /// Typed flag lookup with default.
@@ -176,21 +174,6 @@ impl Args {
         } else {
             Err(format!("--{key} must be a positive duration, got {v}"))
         }
-    }
-
-    /// Errors on any flag or positional argument that no command
-    /// consumed (catches typos).
-    pub fn ensure_all_consumed(&self) -> Result<(), String> {
-        if let Some(extra) = self.positional.get(self.positionals_read.get()) {
-            return Err(format!("unexpected argument `{extra}`"));
-        }
-        let consumed = self.consumed.borrow();
-        for key in self.flags.keys() {
-            if !consumed.iter().any(|c| c == key) {
-                return Err(format!("unknown flag --{key}"));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -282,7 +265,8 @@ mod tests {
         assert_eq!(a.positional(0), Some("waste"));
         assert_eq!(a.get("mtbf"), Some("7h"));
         assert_eq!(a.get("protocol"), Some("triple"));
-        assert!(a.ensure_all_consumed().is_ok());
+        assert_eq!(a.flag_names().collect::<Vec<_>>(), ["mtbf", "protocol"]);
+        assert_eq!(a.positionals(), ["waste"]);
     }
 
     #[test]
@@ -296,24 +280,6 @@ mod tests {
         // An explicit value still wins.
         let b = args(&["sweep", "--resume", "false"]);
         assert_eq!(b.get_parsed("resume", true), Ok(false));
-    }
-
-    #[test]
-    fn unconsumed_flags_detected() {
-        let a = args(&["waste", "--bogus", "1"]);
-        assert!(a.ensure_all_consumed().is_err());
-    }
-
-    #[test]
-    fn unconsumed_positionals_detected() {
-        let a = args(&["trace", "stats", "a.json", "b.json"]);
-        assert_eq!(a.positional(2), Some("a.json"));
-        assert_eq!(
-            a.ensure_all_consumed(),
-            Err("unexpected argument `b.json`".to_string())
-        );
-        assert_eq!(a.positional(3), Some("b.json"));
-        assert!(a.ensure_all_consumed().is_ok());
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! unknown methods, wrong protocol versions, an oversized line — and
 //! requires typed error responses with no worker death.
 
+use dck_bench::Report;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;

@@ -552,7 +552,9 @@ pub struct RegionCell {
     pub tolerance: Option<f64>,
     /// Refined restart-aware waste (waste cells).
     pub refined: Option<f64>,
-    /// `|model − sim|` in half-widths (sound cells).
+    /// `|model − sim|` in half-widths (sound waste cells); for a sound
+    /// success cell `|model − p̂|` in units of the Wilson side facing
+    /// the model (`hi − p̂` above p̂, `p̂ − lo` below).
     pub ci_units: Option<f64>,
     /// `|refined − sim|` in half-widths (sound waste cells).
     pub refined_ci_units: Option<f64>,
@@ -567,7 +569,8 @@ pub struct RegionCell {
     pub status: CellStatus,
 }
 
-/// Distance in half-widths; a zero-width interval counts as 10⁻¹².
+/// Distance in half-widths (or interval sides); a zero width counts as
+/// 10⁻¹².
 fn ci_units(model: f64, sim: f64, half_width: f64) -> f64 {
     (model - sim).abs() / half_width.max(1e-12)
 }
@@ -642,7 +645,22 @@ impl RegionCell {
             .sim
             .zip(self.half_width)
             .filter(|_| self.tolerance.is_some());
-        self.ci_units = measured.map(|(s, hw)| ci_units(self.model, s, hw));
+        self.ci_units = measured.map(|(s, hw)| match region.measure {
+            Measure::Waste => ci_units(self.model, s, hw),
+            // From p̂, not from the Wilson centre: at p̂ = 1 the centre
+            // sits a half-width below 1, where every model near 1 would
+            // read one half-width. The unit is the interval's side that
+            // faces the model.
+            Measure::Success => {
+                let (p_hat, (lo, hi)) = self.proportion();
+                let side = if self.model > p_hat {
+                    hi - p_hat
+                } else {
+                    p_hat - lo
+                };
+                ci_units(self.model, p_hat, side)
+            }
+        });
         self.refined_ci_units = measured
             .zip(self.refined)
             .map(|((s, hw), r)| ci_units(r, s, hw));
@@ -796,7 +814,7 @@ pub struct RegionReport {
     pub degenerate: usize,
     /// Largest `|model − sim|` over sound cells.
     pub max_abs_deviation: f64,
-    /// Largest `|model − sim|` in half-widths over sound cells.
+    /// Largest [`RegionCell::ci_units`] over sound cells.
     pub max_ci_units: f64,
     /// Sound cells where the refined model is closer.
     pub refined_closer: usize,
@@ -1463,6 +1481,43 @@ mod tests {
         region.work_in_mtbfs = 8.0;
         (spec.prediction, spec.adaptation) = (None, None);
         spec
+    }
+
+    #[test]
+    fn success_distance_is_measured_from_the_proportion() {
+        // 100 of 100 runs survive and the model says 0.99998: the
+        // Wilson centre sits one half-width below 1, but p̂ = 1 and the
+        // model are 2·10⁻⁵ apart, a sliver of the interval's lower side.
+        let mut region = tiny_spec().regions.remove(0);
+        (region.measure, region.tolerance) = (Measure::Success, V1_RISK);
+        let cell = |completed, model| {
+            RegionCell {
+                protocol: Protocol::Triple,
+                mtbf: 3_600.0,
+                alpha: 10.0,
+                phi_ratio: 0.0,
+                period: 600.0,
+                model,
+                sim: None,
+                half_width: None,
+                tolerance: None,
+                refined: None,
+                ci_units: None,
+                refined_ci_units: None,
+                closer: None,
+                completed,
+                replications_run: 100,
+                status: CellStatus::Degenerate,
+            }
+            .judged(&region)
+        };
+        let top = cell(100, 0.99998);
+        assert_eq!(top.status, CellStatus::Pass);
+        assert!(top.ci_units.unwrap() < 0.01, "{top:?}");
+        // Below p̂ the unit is the lower side, above p̂ the upper one.
+        let (p_hat, (lo, hi)) = cell(90, 0.5).proportion();
+        assert_eq!(cell(90, 0.5).ci_units, Some((p_hat - 0.5) / (p_hat - lo)));
+        assert_eq!(cell(90, 0.95).ci_units, Some((0.95 - p_hat) / (hi - p_hat)));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! power-of-two buckets. The result is a validated
 //! [`ServeBenchReport`] (`BENCH_serve.json`).
 
-use dck_bench::{latency_ladder, ServeBenchConfig, ServeBenchReport, SERVE_SCHEMA};
+use dck_bench::{latency_ladder, Report, ServeBenchConfig, ServeBenchReport, SERVE_SCHEMA};
 use dck_core::{Protocol, Scenario};
 use dck_sim::SweepSpec;
 use serde::{Map, Serialize, Value};
