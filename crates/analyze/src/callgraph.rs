@@ -23,13 +23,19 @@
 //! Each edge records whether the call token sits lexically inside a
 //! `catch_unwind(...)` argument list — the containment boundary the
 //! panic-reachability lint distinguishes on. Closures handed to
-//! `thread::spawn`/`scope.spawn` and to the `parallel_map_*` pool
-//! entry points are collected as [`ClosureRoot`]s: the escape points
-//! where a new thread of control starts.
+//! `thread::spawn`/`scope.spawn` and to the `parallel_for_ordered` /
+//! `parallel_map_fold` pool entry points are collected as
+//! [`ClosureRoot`]s: the escape points where a new thread of control
+//! starts.
+//!
+//! [`CallGraph::search`] is the one walk over the graph: every
+//! workspace lint is a caller of it with its own start states and
+//! per-edge step.
 
-use crate::lexer::{Token, TokenKind};
-use crate::symbols::{matching_punct, FnDef, SymbolIndex};
+use crate::lexer::{matching_punct, next_code, prev_code, Token, TokenKind};
+use crate::symbols::{FnDef, SymbolIndex};
 use crate::walker::{Context, SourceFile, Workspace};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One resolved call edge.
 #[derive(Debug, Clone)]
@@ -53,8 +59,9 @@ pub struct Edge {
 /// What kind of thread-of-control a closure root starts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RootKind {
-    /// A work-unit closure handed to a `parallel_map_*` pool entry
-    /// point; `simcore::par` wraps unit execution in `catch_unwind`.
+    /// A work-unit closure handed to `parallel_for_ordered` or
+    /// `parallel_map_fold`; `simcore::par` wraps unit execution in
+    /// `catch_unwind`.
     WorkUnit,
     /// A closure handed to `thread::spawn`/`scope.spawn`; nothing
     /// contains a panic unless the closure does so itself.
@@ -85,6 +92,40 @@ pub struct CallGraph {
     /// Closure roots (pool work units and spawned threads).
     pub roots: Vec<ClosureRoot>,
     out: Vec<Vec<usize>>,
+    into: Vec<Vec<usize>>,
+}
+
+/// Which end of its edges a [`CallGraph::search`] moves to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Direction {
+    /// From each caller to its callees.
+    Callees,
+    /// From each callee to its callers.
+    Callers,
+}
+
+/// The states a [`CallGraph::search`] reached: a fn id and a
+/// lint-specific tag.
+#[derive(Debug)]
+pub(crate) struct Walk<T> {
+    /// Every reached state, in breadth-first visit order.
+    pub(crate) order: Vec<(usize, T)>,
+    parent: BTreeMap<(usize, T), (usize, T)>,
+}
+
+impl<T: Copy + Ord> Walk<T> {
+    /// The fns on the path that first reached state `s`, its start
+    /// state's fn first.
+    pub(crate) fn chain(&self, s: (usize, T)) -> Vec<usize> {
+        let mut chain = vec![s.0];
+        let mut cur = s;
+        while let Some(&p) = self.parent.get(&cur) {
+            chain.push(p.0);
+            cur = p;
+        }
+        chain.reverse();
+        chain
+    }
 }
 
 const POOL_ENTRY_POINTS: [&str; 2] = ["parallel_for_ordered", "parallel_map_fold"];
@@ -94,10 +135,6 @@ const KEYWORDS: [&str; 18] = [
     "if", "while", "match", "return", "for", "loop", "in", "as", "move", "ref", "let", "else",
     "unsafe", "await", "yield", "fn", "use", "mod",
 ];
-
-fn is_code(t: &Token) -> bool {
-    !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment)
-}
 
 impl CallGraph {
     /// Builds the graph for every library-context file.
@@ -111,15 +148,67 @@ impl CallGraph {
             scan_file(index, fi, file, &mut edges, &mut roots);
         }
         let mut out = vec![Vec::new(); index.fns.len()];
+        let mut into = vec![Vec::new(); index.fns.len()];
         for (ei, e) in edges.iter().enumerate() {
             out[e.caller].push(ei);
+            into[e.callee].push(ei);
         }
-        CallGraph { edges, roots, out }
+        CallGraph {
+            edges,
+            roots,
+            out,
+            into,
+        }
     }
 
     /// Edge ids leaving `caller`.
     pub fn callees(&self, caller: usize) -> &[usize] {
         self.out.get(caller).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    /// Edge ids entering `callee`.
+    pub(crate) fn callers(&self, callee: usize) -> &[usize] {
+        self.into.get(callee).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    /// Breadth-first search from the `starts` states (repeats
+    /// ignored). From state `(f, tag)` it follows `f`'s edges in `dir`,
+    /// taking the fns at their far ends in qualified-name order (call
+    /// sites in graph order break ties), to state `(far, step(tag,
+    /// edge))`. Each state is visited once, so [`Walk::chain`] gives a
+    /// shortest path to it, the first one found.
+    pub(crate) fn search<T: Copy + Ord>(
+        &self,
+        index: &SymbolIndex,
+        dir: Direction,
+        starts: impl IntoIterator<Item = (usize, T)>,
+        step: impl Fn(T, &Edge) -> T,
+    ) -> Walk<T> {
+        let mut walk = Walk {
+            order: Vec::new(),
+            parent: BTreeMap::new(),
+        };
+        let mut seen = BTreeSet::new();
+        walk.order
+            .extend(starts.into_iter().filter(|&s| seen.insert(s)));
+        let mut next = 0;
+        while let Some(&(f, tag)) = walk.order.get(next) {
+            next += 1;
+            let (ids, far): (&[usize], fn(&Edge) -> usize) = match dir {
+                Direction::Callees => (self.callees(f), |e| e.callee),
+                Direction::Callers => (self.callers(f), |e| e.caller),
+            };
+            let mut edges: Vec<&Edge> = ids.iter().map(|&ei| &self.edges[ei]).collect();
+            edges.sort_by_key(|e| index.fns[far(e)].qual());
+            for e in edges {
+                let s = (far(e), step(tag, e));
+                if seen.insert(s) {
+                    walk.parent.insert(s, (f, tag));
+                    walk.order.push(s);
+                }
+            }
+        }
+        walk
     }
 
     /// Edges whose call site lies inside the token `range` of `file` —
@@ -211,14 +300,11 @@ fn scan_file(
 ) {
     let toks = &file.tokens;
     let guard_ranges = catch_unwind_ranges(toks);
-    let mut i = 0;
-    while i < toks.len() {
-        if !is_code(&toks[i]) || toks[i].kind != TokenKind::Ident || file.is_exempt(i) {
-            i += 1;
+    for i in 0..toks.len() {
+        if toks[i].kind != TokenKind::Ident || file.is_exempt(i) {
             continue;
         }
         let Some(call) = call_site_at(toks, i) else {
-            i += 1;
             continue;
         };
         let caller = index.enclosing_fn(fi, i);
@@ -237,7 +323,6 @@ fn scan_file(
                 });
             }
         }
-        i += 1;
     }
 }
 
@@ -252,15 +337,15 @@ fn call_site_at(toks: &[Token], i: usize) -> Option<CallSite<'_>> {
         return None;
     }
     // `name(`, `name::<T>(`; `name!` is a macro.
-    let mut j = next_code_idx(toks, i + 1)?;
+    let mut j = next_code(toks, i + 1)?;
     if toks[j].is_punct("::") {
         // Possible turbofish `::<...>(`.
-        let lt = next_code_idx(toks, j + 1)?;
+        let lt = next_code(toks, j + 1)?;
         if !toks[lt].is_punct("<") {
             return None; // longer path — the *last* segment forms the call
         }
         let gt = matching_angle(toks, lt)?;
-        j = next_code_idx(toks, gt + 1)?;
+        j = next_code(toks, gt + 1)?;
     }
     if !toks[j].is_punct("(") {
         return None;
@@ -309,22 +394,10 @@ fn resolve(
     if cands.is_empty() {
         return Vec::new();
     }
+    let same_crate = |id: usize| index.fns[id].crate_name == file.crate_name;
     if call.is_method {
-        let methods: Vec<usize> = cands
-            .iter()
-            .copied()
-            .filter(|&id| index.fns[id].has_self)
-            .collect();
-        let same_crate: Vec<usize> = methods
-            .iter()
-            .copied()
-            .filter(|&id| index.fns[id].crate_name == file.crate_name)
-            .collect();
-        return if same_crate.is_empty() {
-            methods
-        } else {
-            same_crate
-        };
+        let methods = cands.iter().copied().filter(|&id| index.fns[id].has_self);
+        return narrow(methods.collect(), same_crate);
     }
     if let Some(&root) = call.path.first() {
         if matches!(root, "std" | "core" | "alloc") {
@@ -351,23 +424,18 @@ fn resolve(
         return filtered;
     }
     // Bare call: same file, then same crate, then anywhere.
-    let same_file: Vec<usize> = cands
-        .iter()
-        .copied()
-        .filter(|&id| index.fns[id].file == fi)
-        .collect();
-    if !same_file.is_empty() {
-        return same_file;
+    let same_file = |id: usize| index.fns[id].file == fi;
+    narrow(narrow(cands.to_vec(), same_crate), same_file)
+}
+
+/// The candidates `keep` accepts, or all of them when it accepts none.
+fn narrow(cands: Vec<usize>, keep: impl Fn(usize) -> bool) -> Vec<usize> {
+    let kept: Vec<usize> = cands.iter().copied().filter(|&id| keep(id)).collect();
+    if kept.is_empty() {
+        cands
+    } else {
+        kept
     }
-    let same_crate: Vec<usize> = cands
-        .iter()
-        .copied()
-        .filter(|&id| index.fns[id].crate_name == file.crate_name)
-        .collect();
-    if !same_crate.is_empty() {
-        return same_crate;
-    }
-    cands.to_vec()
 }
 
 /// `dck_sim` / `dck-sim` qualifiers match the `sim` crate directory.
@@ -405,13 +473,13 @@ fn record_roots(
 }
 
 /// Token ranges of `catch_unwind(...)` argument lists.
-fn catch_unwind_ranges(toks: &[Token]) -> Vec<(usize, usize)> {
+pub(crate) fn catch_unwind_ranges(toks: &[Token]) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     for (i, t) in toks.iter().enumerate() {
         if !t.is_ident("catch_unwind") {
             continue;
         }
-        let Some(open) = next_code_idx(toks, i + 1) else {
+        let Some(open) = next_code(toks, i + 1) else {
             continue;
         };
         if !toks[open].is_punct("(") {
@@ -424,21 +492,10 @@ fn catch_unwind_ranges(toks: &[Token]) -> Vec<(usize, usize)> {
     out
 }
 
-fn next_code_idx(toks: &[Token], from: usize) -> Option<usize> {
-    (from..toks.len()).find(|&i| is_code(&toks[i]))
-}
-
-fn prev_code(toks: &[Token], i: usize) -> Option<usize> {
-    (0..i).rev().find(|&p| is_code(&toks[p]))
-}
-
 /// Matching `>` for the `<` at `open`, tolerating shift tokens.
 fn matching_angle(toks: &[Token], open: usize) -> Option<usize> {
     let mut depth = 0i32;
     for (i, t) in toks.iter().enumerate().skip(open) {
-        if !is_code(t) {
-            continue;
-        }
         match t.text.as_str() {
             "<" => depth += 1,
             ">" => depth -= 1,
@@ -456,14 +513,10 @@ fn matching_angle(toks: &[Token], open: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::walker::test_file;
+    use crate::walker::test_workspace;
 
     fn graph_for(src: &str) -> (Workspace, SymbolIndex, CallGraph) {
-        let ws = Workspace {
-            files: vec![test_file(src, Context::Lib, false)],
-            crate_roots: vec![],
-            unresolved_mods: vec![],
-        };
+        let ws = test_workspace(src);
         let index = SymbolIndex::build(&ws);
         let graph = CallGraph::build(&ws, &index);
         (ws, index, graph)
@@ -563,6 +616,35 @@ mod tests {
         for r in &graph.roots {
             assert_eq!(graph.edges_in_range(r.file, r.range).len(), 1);
         }
+    }
+
+    #[test]
+    fn search_takes_names_in_order_and_keeps_the_first_shortest_chain() {
+        let src = "fn top() { zed(); alpha(); }\n\
+                   fn alpha() { leaf(); }\n\
+                   fn zed() { leaf(); }\n\
+                   fn leaf() {}";
+        let (_, index, graph) = graph_for(src);
+        let id = |name: &str| index.fns.iter().position(|f| f.name == name).unwrap();
+        let names = |walk: &Walk<()>| -> Vec<String> {
+            walk.order
+                .iter()
+                .map(|&(f, ())| index.fns[f].name.clone())
+                .collect()
+        };
+        let down = graph.search(&index, Direction::Callees, [(id("top"), ())], |(), _| ());
+        assert_eq!(names(&down), ["top", "alpha", "zed", "leaf"]);
+        let chain: Vec<usize> = vec![id("top"), id("alpha"), id("leaf")];
+        assert_eq!(down.chain((id("leaf"), ())), chain);
+        let up = graph.search(&index, Direction::Callers, [(id("leaf"), ())], |(), _| ());
+        assert_eq!(names(&up), ["leaf", "alpha", "zed", "top"]);
+        // A tag splits a fn into states: here, "crossed a `zed` edge".
+        let tagged = graph.search(&index, Direction::Callees, [(id("top"), false)], |t, e| {
+            t || index.fns[e.callee].name == "zed"
+        });
+        assert_eq!(tagged.order.len(), 5, "leaf is reached both ways");
+        let via_zed: Vec<usize> = vec![id("top"), id("zed"), id("leaf")];
+        assert_eq!(tagged.chain((id("leaf"), true)), via_zed);
     }
 
     #[test]

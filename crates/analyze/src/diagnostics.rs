@@ -1,6 +1,7 @@
 //! Findings, severities and the scan report with its two renderings
 //! (human `file:line:col` diagnostics and machine JSON).
 
+use crate::walker::SourceFile;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -55,6 +56,28 @@ pub struct Finding {
     pub message: String,
     /// The offending source line, trimmed.
     pub snippet: String,
+}
+
+impl Finding {
+    /// A finding of `lint` at `line:col` of `file`, quoting that line.
+    pub(crate) fn new(
+        lint: &str,
+        severity: Severity,
+        file: &SourceFile,
+        line: u32,
+        col: u32,
+        message: String,
+    ) -> Finding {
+        Finding {
+            lint: lint.to_string(),
+            severity,
+            path: file.rel.clone(),
+            line,
+            col,
+            message,
+            snippet: file.snippet(line).to_string(),
+        }
+    }
 }
 
 impl fmt::Display for Finding {

@@ -52,6 +52,37 @@ impl Token {
     pub fn is_punct(&self, s: &str) -> bool {
         self.kind == TokenKind::Punct && self.text == s
     }
+
+    /// True for tokens that carry code (not comments).
+    pub(crate) fn is_code(&self) -> bool {
+        !matches!(self.kind, TokenKind::LineComment | TokenKind::BlockComment)
+    }
+}
+
+/// Index of the first code token at or after `from`.
+pub(crate) fn next_code(toks: &[Token], from: usize) -> Option<usize> {
+    (from..toks.len()).find(|&i| toks[i].is_code())
+}
+
+/// Index of the last code token before `i`.
+pub(crate) fn prev_code(toks: &[Token], i: usize) -> Option<usize> {
+    (0..i).rev().find(|&p| toks[p].is_code())
+}
+
+/// Matching closer `r` for the opener `l` at `open`.
+pub(crate) fn matching_punct(toks: &[Token], open: usize, l: &str, r: &str) -> Option<usize> {
+    let mut depth = 0usize;
+    for (i, t) in toks.iter().enumerate().skip(open) {
+        if t.is_punct(l) {
+            depth += 1;
+        } else if t.is_punct(r) {
+            depth -= 1;
+            if depth == 0 {
+                return Some(i);
+            }
+        }
+    }
+    None
 }
 
 /// Multi-character operators, longest first so maximal munch works.

@@ -24,8 +24,9 @@
 //!   (`determinism-taint`, `panic-reachability`, `lock-discipline`).
 //! * [`symbols`] / [`callgraph`] — the workspace symbol index (every
 //!   `fn`, its `impl` type, its body span) and the conservative call
-//!   graph resolved by convention, with `catch_unwind` guard edges and
-//!   spawn/pool closure roots.
+//!   graph resolved by convention, with `catch_unwind` guard edges,
+//!   spawn/pool closure roots, and the one search every workspace lint
+//!   walks it with.
 //! * [`taint`] / [`reachability`] — the inter-procedural lints:
 //!   nondeterministic sources reaching fingerprinted sinks (full call
 //!   path in the diagnostic), panic sites reachable from work units

@@ -128,15 +128,7 @@ fn live_lib_code(file: &SourceFile) -> Vec<usize> {
     if file.context != Context::Lib {
         return Vec::new();
     }
-    file.tokens
-        .iter()
-        .enumerate()
-        .filter(|(i, t)| {
-            !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment)
-                && !file.is_exempt(*i)
-        })
-        .map(|(i, _)| i)
-        .collect()
+    file.live_code(0..file.tokens.len())
 }
 
 fn emit(
@@ -146,15 +138,107 @@ fn emit(
     message: String,
     findings: &mut Vec<Finding>,
 ) {
-    findings.push(Finding {
-        lint: lint.name().to_string(),
-        severity: lint.default_severity(),
-        path: file.rel.clone(),
-        line: tok.line,
-        col: tok.col,
+    let severity = lint.default_severity();
+    findings.push(Finding::new(
+        lint.name(),
+        severity,
+        file,
+        tok.line,
+        tok.col,
         message,
-        snippet: file.snippet(tok.line).to_string(),
-    });
+    ));
+}
+
+// ---------------------------------------------------------------------
+// The site classifier shared by the per-file and workspace lints
+// ---------------------------------------------------------------------
+
+/// What kind of panic site a token is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PanicKind {
+    /// `.unwrap()` / `.expect(...)`.
+    Call,
+    /// `panic!` / `unreachable!`.
+    Macro,
+    /// Bracket indexing.
+    Index,
+}
+
+/// Keywords that can directly precede `[` without it being indexing.
+const INDEX_KEYWORDS: [&str; 10] = [
+    "return", "break", "in", "if", "else", "match", "as", "mut", "ref", "move",
+];
+
+/// Classifies the live code token `code[k]` of `toks` as a panic site.
+pub(crate) fn panic_site(toks: &[Token], code: &[usize], k: usize) -> Option<PanicKind> {
+    let t = &toks[code[k]];
+    let prev = k.checked_sub(1).map(|p| &toks[code[p]]);
+    let next = code.get(k + 1).map(|&j| &toks[j]);
+    match t.text.as_str() {
+        "unwrap" | "expect"
+            if t.kind == TokenKind::Ident
+                && prev.is_some_and(|p| p.is_punct("."))
+                && next.is_some_and(|n| n.is_punct("(")) =>
+        {
+            Some(PanicKind::Call)
+        }
+        // Exclude `core::panic::...` paths and the
+        // `#[panic_handler]`-style idents: require `name!`.
+        "panic" | "unreachable"
+            if t.kind == TokenKind::Ident
+                && next.is_some_and(|n| n.is_punct("!"))
+                && !prev.is_some_and(|p| p.is_punct("::")) =>
+        {
+            Some(PanicKind::Macro)
+        }
+        // `xs[...]`, `f()[...]`, `xs[i][j]` — but not attributes
+        // (`#[...]`), macro brackets (`vec![...]`), array types or
+        // literals (`: [u8; 4]`, `= [a, b]`, `return [..]`).
+        "[" if t.kind == TokenKind::Punct
+            && prev.is_some_and(|p| {
+                (p.kind == TokenKind::Ident && !INDEX_KEYWORDS.contains(&p.text.as_str()))
+                    || p.is_punct(")")
+                    || p.is_punct("]")
+            }) =>
+        {
+            Some(PanicKind::Index)
+        }
+        _ => None,
+    }
+}
+
+/// A nondeterministic source an ident names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Source {
+    /// `Instant` / `SystemTime`.
+    WallClock,
+    /// `HashMap` / `HashSet`.
+    HashOrder,
+    /// `thread_rng`, `from_entropy`, `RandomState`, `OsRng`, `getrandom`.
+    Entropy,
+}
+
+impl Source {
+    /// The source the ident `name` names, if any.
+    pub(crate) fn of(name: &str) -> Option<Source> {
+        match name {
+            "Instant" | "SystemTime" => Some(Source::WallClock),
+            "HashMap" | "HashSet" => Some(Source::HashOrder),
+            "thread_rng" | "from_entropy" | "RandomState" | "OsRng" | "getrandom" => {
+                Some(Source::Entropy)
+            }
+            _ => None,
+        }
+    }
+
+    /// What reading the source does, for diagnostics.
+    pub(crate) fn what(self) -> &'static str {
+        match self {
+            Source::WallClock => "wall-clock read",
+            Source::HashOrder => "hash-order iteration",
+            Source::Entropy => "OS entropy",
+        }
+    }
 }
 
 /// (1) Sources of nondeterminism: hash-order iteration, wall-clock
@@ -195,47 +279,30 @@ impl Lint for Nondeterminism {
             if t.kind != TokenKind::Ident {
                 continue;
             }
-            match t.text.as_str() {
-                "HashMap" | "HashSet" => emit(
-                    self,
-                    file,
-                    t,
-                    format!(
-                        "`{}` iterates in nondeterministic order; use `BTree{}` (or justify in analyze.toml)",
-                        t.text,
-                        t.text.trim_start_matches("Hash")
-                    ),
-                    findings,
+            let next = code.get(k + 1).map(|&j| &file.tokens[j]);
+            let after = code.get(k + 2).map(|&j| &file.tokens[j]);
+            let message = match Source::of(&t.text) {
+                Some(Source::HashOrder) => format!(
+                    "`{}` iterates in nondeterministic order; use `BTree{}` (or justify in analyze.toml)",
+                    t.text,
+                    t.text.trim_start_matches("Hash")
                 ),
-                "Instant" | "SystemTime" => emit(
-                    self,
-                    file,
-                    t,
-                    format!(
-                        "`{}` reads the wall clock; results depending on it are not replayable",
-                        t.text
-                    ),
-                    findings,
+                Some(Source::WallClock) => format!(
+                    "`{}` reads the wall clock; results depending on it are not replayable",
+                    t.text
                 ),
-                "thread" if file.rel != PAR_SUBSTRATE => {
-                    // `thread::spawn` / `thread::scope`: thread-count
-                    // dependent reductions live in simcore::par only.
-                    let next = code.get(k + 1).map(|&j| &file.tokens[j]);
-                    let after = code.get(k + 2).map(|&j| &file.tokens[j]);
-                    if next.is_some_and(|t| t.is_punct("::"))
-                        && after.is_some_and(|t| t.is_ident("spawn") || t.is_ident("scope"))
-                    {
-                        emit(
-                            self,
-                            file,
-                            t,
-                            "raw threading outside `simcore::par`; reductions must be bit-identical across worker counts".to_string(),
-                            findings,
-                        );
-                    }
+                // `thread::spawn` / `thread::scope`: thread-count
+                // dependent reductions live in simcore::par only.
+                None if t.text == "thread"
+                    && file.rel != PAR_SUBSTRATE
+                    && next.is_some_and(|t| t.is_punct("::"))
+                    && after.is_some_and(|t| t.is_ident("spawn") || t.is_ident("scope")) =>
+                {
+                    "raw threading outside `simcore::par`; reductions must be bit-identical across worker counts".to_string()
                 }
-                _ => {}
-            }
+                _ => continue,
+            };
+            emit(self, file, t, message, findings);
         }
     }
 }
@@ -269,43 +336,15 @@ impl Lint for PanicSafety {
         let code = live_lib_code(file);
         for (k, &i) in code.iter().enumerate() {
             let t = &file.tokens[i];
-            if t.kind != TokenKind::Ident {
-                continue;
-            }
-            let prev = k.checked_sub(1).map(|p| &file.tokens[code[p]]);
-            let next = code.get(k + 1).map(|&j| &file.tokens[j]);
-            match t.text.as_str() {
-                "unwrap" | "expect"
-                    if prev.is_some_and(|p| p.is_punct("."))
-                        && next.is_some_and(|n| n.is_punct("(")) =>
-                {
-                    emit(
-                        self,
-                        file,
-                        t,
-                        format!(
-                            "`.{}()` panics in library code; return a `Result` (e.g. `ModelError`) instead",
-                            t.text
-                        ),
-                        findings,
-                    );
-                }
-                // Exclude `core::panic::...` paths and the
-                // `#[panic_handler]`-style idents: require `name!`.
-                "panic" | "unreachable"
-                    if next.is_some_and(|n| n.is_punct("!"))
-                        && !prev.is_some_and(|p| p.is_punct("::")) =>
-                {
-                    emit(
-                        self,
-                        file,
-                        t,
-                        format!("`{}!` aborts the process from library code; return an error or restructure the invariant", t.text),
-                        findings,
-                    );
-                }
-                _ => {}
-            }
+            let message = match panic_site(&file.tokens, &code, k) {
+                Some(PanicKind::Call) => format!(
+                    "`.{}()` panics in library code; return a `Result` (e.g. `ModelError`) instead",
+                    t.text
+                ),
+                Some(PanicKind::Macro) => format!("`{}!` aborts the process from library code; return an error or restructure the invariant", t.text),
+                _ => continue,
+            };
+            emit(self, file, t, message, findings);
         }
     }
 }
@@ -339,24 +378,11 @@ impl Lint for SliceIndex {
     fn check(&self, file: &SourceFile, findings: &mut Vec<Finding>) {
         let code = live_lib_code(file);
         for (k, &i) in code.iter().enumerate() {
-            let t = &file.tokens[i];
-            if !t.is_punct("[") {
-                continue;
-            }
-            let Some(prev) = k.checked_sub(1).map(|p| &file.tokens[code[p]]) else {
-                continue;
-            };
-            // `xs[...]`, `f()[...]`, `xs[i][j]` — but not attributes
-            // (`#[...]`), macro brackets (`vec![...]`), array types or
-            // literals (`: [u8; 4]`, `= [a, b]`).
-            let indexes = (prev.kind == TokenKind::Ident && !is_keyword(&prev.text))
-                || prev.is_punct(")")
-                || prev.is_punct("]");
-            if indexes {
+            if panic_site(&file.tokens, &code, k) == Some(PanicKind::Index) {
                 emit(
                     self,
                     file,
-                    t,
+                    &file.tokens[i],
                     "bracket indexing panics out of bounds; prefer `get()` or an iterator"
                         .to_string(),
                     findings,
@@ -364,15 +390,6 @@ impl Lint for SliceIndex {
             }
         }
     }
-}
-
-/// Keywords that can directly precede `[` without it being indexing
-/// (`return [..]`, `break [..]`, `in [..]`, ...).
-fn is_keyword(s: &str) -> bool {
-    matches!(
-        s,
-        "return" | "break" | "in" | "if" | "else" | "match" | "as" | "mut" | "ref" | "move"
-    )
 }
 
 /// (4) `==`/`!=` on floating-point expressions.
@@ -561,11 +578,7 @@ impl Lint for ForbidUnsafe {
         if !file.is_crate_root {
             return;
         }
-        let code: Vec<&Token> = file
-            .tokens
-            .iter()
-            .filter(|t| !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment))
-            .collect();
+        let code: Vec<&Token> = file.tokens.iter().filter(|t| t.is_code()).collect();
         let has = code.windows(8).any(|w| {
             w[0].is_punct("#")
                 && w[1].is_punct("!")
@@ -577,17 +590,13 @@ impl Lint for ForbidUnsafe {
                 && w[7].is_punct("]")
         });
         if !has {
+            let message = format!(
+                "crate `{}` root lacks `#![forbid(unsafe_code)]`",
+                file.crate_name
+            );
             findings.push(Finding {
-                lint: self.name().to_string(),
-                severity: self.default_severity(),
-                path: file.rel.clone(),
-                line: 1,
-                col: 1,
-                message: format!(
-                    "crate `{}` root lacks `#![forbid(unsafe_code)]`",
-                    file.crate_name
-                ),
                 snippet: String::new(),
+                ..Finding::new(self.name(), self.default_severity(), file, 1, 1, message)
             });
         }
     }
@@ -641,9 +650,7 @@ impl Lint for TodoMarkers {
             return;
         }
         for (i, t) in file.tokens.iter().enumerate() {
-            if !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment)
-                || file.is_exempt(i)
-            {
+            if t.is_code() || file.is_exempt(i) {
                 continue;
             }
             for marker in ["TODO", "FIXME", "XXX"] {
@@ -660,6 +667,17 @@ impl Lint for TodoMarkers {
             }
         }
     }
+}
+
+/// Test-only driver: runs one workspace lint over a one-file workspace.
+#[cfg(test)]
+pub(crate) fn run_workspace_lint(lint: &dyn WorkspaceLint, src: &str) -> Vec<Finding> {
+    let ws = crate::walker::test_workspace(src);
+    let index = SymbolIndex::build(&ws);
+    let graph = CallGraph::build(&ws, &index);
+    let mut out = Vec::new();
+    lint.check(&ws, &index, &graph, &mut out);
+    out
 }
 
 #[cfg(test)]

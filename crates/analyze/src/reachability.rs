@@ -3,12 +3,13 @@
 //! "compute misses outside the lock" invariant.
 //!
 //! **panic-reachability** starts from every closure root the call
-//! graph collected (`parallel_map_*` work units, `thread::spawn` /
-//! `scope.spawn` closures) and walks callee edges, tracking whether a
-//! `catch_unwind` sits on the path. A transitive `unwrap`/`expect`/
-//! `panic!`/`unreachable!` site is *contained* when every path to it
-//! crosses a guard (work-unit roots are contained by construction —
-//! `simcore::par` wraps unit execution), *escaping* otherwise. An
+//! graph collected (`parallel_for_ordered` / `parallel_map_fold` work
+//! units, `thread::spawn` / `scope.spawn` closures) and searches callee
+//! edges, tracking whether a `catch_unwind` sits on the path. A
+//! transitive `unwrap`/`expect`/`panic!`/`unreachable!` site is
+//! *contained* when every path to it crosses a guard (work-unit roots
+//! are contained by construction — `simcore::par` wraps unit
+//! execution), *escaping* otherwise. An
 //! escaping panic site denies; a contained one warns. Escaping
 //! indexing sites warn, aggregated one-per-function; contained
 //! indexing is left to the per-file `slice-index` inventory.
@@ -17,21 +18,18 @@
 //! let-bound to end of block, bound by `if let`/`while let`/`match`
 //! into the following block, or a temporary alive for the rest of the
 //! statement — and denies any call under the guard that can reach
-//! compute (`run_sweep*`, `estimate_*`). `.lock().ok().and_then(...)`
+//! compute (`run_sweep*`, `estimate_*`): the fns a search over caller
+//! edges from those entry points reaches. `.lock().ok().and_then(...)`
 //! accessor chains are scanned only to their statement end, which is
 //! exactly the scope the guard temporary lives for.
 
-use crate::callgraph::{CallGraph, RootKind};
+use crate::callgraph::{catch_unwind_ranges, CallGraph, Direction, RootKind};
 use crate::diagnostics::{Finding, Severity};
-use crate::lexer::{Token, TokenKind};
-use crate::lints::{Explanation, WorkspaceLint};
-use crate::symbols::{matching_punct, SymbolIndex};
+use crate::lexer::{matching_punct, next_code, prev_code, Token, TokenKind};
+use crate::lints::{panic_site, Explanation, PanicKind, WorkspaceLint};
+use crate::symbols::SymbolIndex;
 use crate::walker::{Context, SourceFile, Workspace};
 use std::collections::BTreeMap;
-
-fn is_code(t: &Token) -> bool {
-    !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment)
-}
 
 // ---------------------------------------------------------------------
 // panic-reachability
@@ -40,17 +38,6 @@ fn is_code(t: &Token) -> bool {
 /// The workspace panic-reachability lint.
 pub struct PanicReachability;
 
-/// What kind of panic a site is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SiteKind {
-    /// `.unwrap()` / `.expect(...)`.
-    Call,
-    /// `panic!` / `unreachable!`.
-    Macro,
-    /// Bracket indexing.
-    Index,
-}
-
 /// One potential panic site inside a fn body.
 struct PanicSite {
     fn_id: usize,
@@ -58,7 +45,7 @@ struct PanicSite {
     tok: usize,
     line: u32,
     col: u32,
-    kind: SiteKind,
+    kind: PanicKind,
     label: String,
 }
 
@@ -115,18 +102,16 @@ impl WorkspaceLint for PanicReachability {
                 .caller
                 .map(|c| index.fns[c].qual())
                 .unwrap_or_else(|| "<top level>".into());
-            let desc = match root.kind {
-                RootKind::WorkUnit => format!(
-                    "work unit spawned in `{}` ({}:{})",
-                    owner, ws.files[root.file].rel, root.line
-                ),
-                RootKind::Thread => format!(
-                    "thread spawned in `{}` ({}:{})",
-                    owner, ws.files[root.file].rel, root.line
-                ),
+            let what = match root.kind {
+                RootKind::WorkUnit => "work unit",
+                RootKind::Thread => "thread",
             };
+            let desc = format!(
+                "{what} spawned in `{owner}` ({}:{})",
+                ws.files[root.file].rel, root.line
+            );
             // Sites lexically inside the closure argument itself.
-            let guards = catch_ranges(&ws.files[root.file].tokens);
+            let guards = catch_unwind_ranges(&ws.files[root.file].tokens);
             for (si, s) in sites.iter().enumerate() {
                 if s.file == root.file && root.range.0 <= s.tok && s.tok <= root.range.1 {
                     let guarded =
@@ -134,41 +119,24 @@ impl WorkspaceLint for PanicReachability {
                     record(&mut reached, si, reach_of(guarded), &desc, vec![]);
                 }
             }
-            // BFS from the first hops out of the closure.
-            // Visited state: 0 = none, 1 = contained, 2 = also escaping.
-            let mut state: Vec<u8> = vec![0; index.fns.len()];
-            let mut parent: BTreeMap<(usize, bool), (usize, bool)> = BTreeMap::new();
-            let mut queue = std::collections::VecDeque::new();
-            for ei in graph.edges_in_range(root.file, root.range) {
-                let e = &graph.edges[ei];
-                // Only edges out of the *enclosing* fn count: the
-                // closure body is attributed to it.
-                if root.caller.is_some() && Some(e.caller) != root.caller {
-                    continue;
-                }
-                let esc = !root_contained && !e.guarded;
-                push_state(&mut state, &mut queue, &mut parent, e.callee, esc, None);
-            }
-            while let Some((f, esc)) = queue.pop_front() {
+            // Search from the first hops out of the closure; only edges
+            // out of the *enclosing* fn count, as the closure body is
+            // attributed to it. The tag is "escaping": no guard yet.
+            let starts = graph
+                .edges_in_range(root.file, root.range)
+                .into_iter()
+                .map(|ei| &graph.edges[ei])
+                .filter(|e| root.caller.is_none() || Some(e.caller) == root.caller)
+                .map(|e| (e.callee, !root_contained && !e.guarded));
+            let walk = graph.search(index, Direction::Callees, starts, |esc, e| {
+                esc && !e.guarded
+            });
+            for &(f, esc) in &walk.order {
                 if let Some(site_ids) = by_fn.get(&f) {
-                    let chain = chain_to(f, esc, &parent);
+                    let chain = walk.chain((f, esc));
                     for &si in site_ids {
                         record(&mut reached, si, reach_of(!esc), &desc, chain.clone());
                     }
-                }
-                let mut outs: Vec<&usize> = graph.callees(f).iter().collect();
-                outs.sort_by_key(|&&ei| index.fns[graph.edges[ei].callee].qual());
-                for &ei in outs {
-                    let e = &graph.edges[ei];
-                    let next_esc = esc && !e.guarded;
-                    push_state(
-                        &mut state,
-                        &mut queue,
-                        &mut parent,
-                        e.callee,
-                        next_esc,
-                        Some((f, esc)),
-                    );
                 }
             }
         }
@@ -201,37 +169,6 @@ fn record(
     }
 }
 
-fn push_state(
-    state: &mut [u8],
-    queue: &mut std::collections::VecDeque<(usize, bool)>,
-    parent: &mut BTreeMap<(usize, bool), (usize, bool)>,
-    f: usize,
-    esc: bool,
-    from: Option<(usize, bool)>,
-) {
-    let bit = if esc { 2 } else { 1 };
-    if state[f] & bit != 0 {
-        return;
-    }
-    state[f] |= bit;
-    if let Some(p) = from {
-        parent.insert((f, esc), p);
-    }
-    queue.push_back((f, esc));
-}
-
-/// Root-to-fn chain (root's first callee first).
-fn chain_to(f: usize, esc: bool, parent: &BTreeMap<(usize, bool), (usize, bool)>) -> Vec<usize> {
-    let mut chain = vec![f];
-    let mut cur = (f, esc);
-    while let Some(&p) = parent.get(&cur) {
-        chain.push(p.0);
-        cur = p;
-    }
-    chain.reverse();
-    chain
-}
-
 fn emit_panic_findings(
     lint: &PanicReachability,
     ws: &Workspace,
@@ -243,7 +180,7 @@ fn emit_panic_findings(
     // Escaping indexing aggregates one finding per fn.
     let mut index_seen: BTreeMap<usize, usize> = BTreeMap::new();
     for (&si, (reach, _, _)) in reached.iter() {
-        if sites[si].kind == SiteKind::Index && *reach == Reach::Escaping {
+        if sites[si].kind == PanicKind::Index && *reach == Reach::Escaping {
             *index_seen.entry(sites[si].fn_id).or_insert(0) += 1;
         }
     }
@@ -272,8 +209,8 @@ fn emit_panic_findings(
             )
         };
         let (severity, verdict) = match (s.kind, reach) {
-            (SiteKind::Index, Reach::Contained) => continue, // slice-index inventories these
-            (SiteKind::Index, Reach::Escaping) => {
+            (PanicKind::Index, Reach::Contained) => continue, // slice-index inventories these
+            (PanicKind::Index, Reach::Escaping) => {
                 if index_emitted.insert(s.fn_id, true).is_some() {
                     continue;
                 }
@@ -289,7 +226,7 @@ fn emit_panic_findings(
                 "contained by catch_unwind (the thread survives the panic)",
             ),
         };
-        let extra = if s.kind == SiteKind::Index {
+        let extra = if s.kind == PanicKind::Index {
             let n = index_seen.get(&s.fn_id).copied().unwrap_or(1);
             if n > 1 {
                 format!(" ({n} indexing sites in this fn)")
@@ -299,47 +236,25 @@ fn emit_panic_findings(
         } else {
             String::new()
         };
-        findings.push(Finding {
-            lint: lint.name().to_string(),
+        let message = format!(
+            "{} in `{}` is reachable from {} {}; {}{}",
+            s.label,
+            index.fns[s.fn_id].qual(),
+            desc,
+            via,
+            verdict,
+            extra
+        );
+        let file = &ws.files[s.file];
+        findings.push(Finding::new(
+            lint.name(),
             severity,
-            path: ws.files[s.file].rel.clone(),
-            line: s.line,
-            col: s.col,
-            message: format!(
-                "{} in `{}` is reachable from {} {}; {}{}",
-                s.label,
-                index.fns[s.fn_id].qual(),
-                desc,
-                via,
-                verdict,
-                extra
-            ),
-            snippet: ws.files[s.file].snippet(s.line).to_string(),
-        });
+            file,
+            s.line,
+            s.col,
+            message,
+        ));
     }
-}
-
-fn next_code(toks: &[Token], from: usize) -> Option<usize> {
-    (from..toks.len()).find(|&i| is_code(&toks[i]))
-}
-
-/// `catch_unwind(...)` argument ranges in one token stream.
-fn catch_ranges(toks: &[Token]) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if !t.is_ident("catch_unwind") {
-            continue;
-        }
-        let Some(open) = (i + 1..toks.len()).find(|&j| is_code(&toks[j])) else {
-            continue;
-        };
-        if toks[open].is_punct("(") {
-            if let Some(close) = matching_punct(toks, open, "(", ")") {
-                out.push((open, close));
-            }
-        }
-    }
-    out
 }
 
 /// Every `.unwrap()`/`.expect(`/`panic!`/`unreachable!`/indexing site
@@ -349,60 +264,29 @@ fn collect_panic_sites(ws: &Workspace, index: &SymbolIndex) -> Vec<PanicSite> {
     for (fn_id, f) in index.fns.iter().enumerate() {
         let Some((a, b)) = f.body else { continue };
         let file = &ws.files[f.file];
-        let toks = &file.tokens;
-        let code: Vec<usize> = (a..=b.min(toks.len().saturating_sub(1)))
-            .filter(|&i| is_code(&toks[i]) && !file.is_exempt(i))
-            .collect();
+        let code = file.live_code(a..b + 1);
         for (k, &i) in code.iter().enumerate() {
-            let t = &toks[i];
-            let prev = k.checked_sub(1).map(|p| &toks[code[p]]);
-            let next = code.get(k + 1).map(|&j| &toks[j]);
-            let site = match t.text.as_str() {
-                "unwrap" | "expect"
-                    if t.kind == TokenKind::Ident
-                        && prev.is_some_and(|p| p.is_punct("."))
-                        && next.is_some_and(|n| n.is_punct("(")) =>
-                {
-                    Some((SiteKind::Call, format!("`.{}()`", t.text)))
-                }
-                "panic" | "unreachable"
-                    if t.kind == TokenKind::Ident
-                        && next.is_some_and(|n| n.is_punct("!"))
-                        && !prev.is_some_and(|p| p.is_punct("::")) =>
-                {
-                    Some((SiteKind::Macro, format!("`{}!`", t.text)))
-                }
-                "[" if t.kind == TokenKind::Punct => {
-                    let indexes = prev.is_some_and(|p| {
-                        (p.kind == TokenKind::Ident && !index_keyword(&p.text))
-                            || p.is_punct(")")
-                            || p.is_punct("]")
-                    });
-                    indexes.then(|| (SiteKind::Index, "bracket indexing".to_string()))
-                }
-                _ => None,
+            let Some(kind) = panic_site(&file.tokens, &code, k) else {
+                continue;
             };
-            if let Some((kind, label)) = site {
-                out.push(PanicSite {
-                    fn_id,
-                    file: f.file,
-                    tok: i,
-                    line: t.line,
-                    col: t.col,
-                    kind,
-                    label,
-                });
-            }
+            let t = &file.tokens[i];
+            let label = match kind {
+                PanicKind::Call => format!("`.{}()`", t.text),
+                PanicKind::Macro => format!("`{}!`", t.text),
+                PanicKind::Index => "bracket indexing".to_string(),
+            };
+            out.push(PanicSite {
+                fn_id,
+                file: f.file,
+                tok: i,
+                line: t.line,
+                col: t.col,
+                kind,
+                label,
+            });
         }
     }
     out
-}
-
-fn index_keyword(s: &str) -> bool {
-    matches!(
-        s,
-        "return" | "break" | "in" | "if" | "else" | "match" | "as" | "mut" | "ref" | "move"
-    )
 }
 
 // ---------------------------------------------------------------------
@@ -443,34 +327,25 @@ impl WorkspaceLint for LockDiscipline {
         graph: &CallGraph,
         findings: &mut Vec<Finding>,
     ) {
-        let compute = compute_reaching(index, graph);
+        // Fns that are, or can reach, a compute entry point.
+        let entries = (0..index.fns.len())
+            .filter(|&f| {
+                let name = &index.fns[f].name;
+                name.starts_with("run_sweep") || name.starts_with("estimate_")
+            })
+            .map(|f| (f, ()));
+        let mut compute = vec![false; index.fns.len()];
+        for (f, ()) in graph
+            .search(index, Direction::Callers, entries, |(), _| ())
+            .order
+        {
+            compute[f] = true;
+        }
         for (fi, file) in ws.files.iter().enumerate() {
             if file.context != Context::Lib {
                 continue;
             }
             check_file(self, index, graph, &compute, fi, file, findings);
-        }
-    }
-}
-
-/// Fns that are, or can reach, a compute entry point.
-fn compute_reaching(index: &SymbolIndex, graph: &CallGraph) -> Vec<bool> {
-    let mut reach: Vec<bool> = index
-        .fns
-        .iter()
-        .map(|f| f.name.starts_with("run_sweep") || f.name.starts_with("estimate_"))
-        .collect();
-    // Fixpoint over the (small) edge list.
-    loop {
-        let mut changed = false;
-        for e in &graph.edges {
-            if reach[e.callee] && !reach[e.caller] {
-                reach[e.caller] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            return reach;
         }
     }
 }
@@ -499,18 +374,12 @@ fn check_file(
         if !(t.is_ident("lock")) || file.is_exempt(i) {
             continue;
         }
-        let Some(prev) = (0..i).rev().find(|&p| is_code(&toks[p])) else {
-            continue;
-        };
-        if !toks[prev].is_punct(".") {
+        if !prev_code(toks, i).is_some_and(|p| toks[p].is_punct(".")) {
             continue;
         }
-        let Some(open) = (i + 1..toks.len()).find(|&j| is_code(&toks[j])) else {
+        let Some(open) = next_code(toks, i + 1).filter(|&o| toks[o].is_punct("(")) else {
             continue;
         };
-        if !toks[open].is_punct("(") {
-            continue;
-        }
         let Some(close) = matching_punct(toks, open, "(", ")") else {
             continue;
         };
@@ -525,20 +394,20 @@ fn check_file(
             if !compute[e.callee] {
                 continue;
             }
-            let callee = &index.fns[e.callee];
-            findings.push(Finding {
-                lint: lint.name().to_string(),
-                severity: lint.default_severity(),
-                path: file.rel.clone(),
-                line: e.line,
-                col: e.col,
-                message: format!(
-                    "`{}` reaches compute while the MutexGuard from `.lock()` on line {} is still live; compute misses outside the lock, then re-lock to insert",
-                    callee.qual(),
-                    scope.line
-                ),
-                snippet: file.snippet(e.line).to_string(),
-            });
+            let message = format!(
+                "`{}` reaches compute while the MutexGuard from `.lock()` on line {} is still live; compute misses outside the lock, then re-lock to insert",
+                index.fns[e.callee].qual(),
+                scope.line
+            );
+            let severity = lint.default_severity();
+            findings.push(Finding::new(
+                lint.name(),
+                severity,
+                file,
+                e.line,
+                e.col,
+                message,
+            ));
         }
     }
 }
@@ -593,18 +462,17 @@ fn guard_scope(toks: &[Token], lock_idx: usize, close: usize) -> Option<GuardSco
     // Statement start form: scan backwards for the nearest `;`/`{`/`}`
     // at relative depth 0, then classify the first code tokens.
     let (form_start, boundary) = backward_stmt_start(toks, lock_idx)?;
-    let first = (form_start..lock_idx).find(|&j| is_code(&toks[j]))?;
-    let second = (first + 1..lock_idx).find(|&j| is_code(&toks[j]));
+    let first = next_code(toks, form_start).filter(|&j| j < lock_idx)?;
+    let second = next_code(toks, first + 1).filter(|&j| j < lock_idx);
     let is_let = toks[first].is_ident("let");
     let is_if_while_let = (toks[first].is_ident("if") || toks[first].is_ident("while"))
         && second.is_some_and(|s| toks[s].is_ident("let"));
-    let is_match = toks[first].is_ident("match")
-        || (form_start..lock_idx).any(|j| is_code(&toks[j]) && toks[j].is_ident("match"));
+    let is_match =
+        toks[first].is_ident("match") || (form_start..lock_idx).any(|j| toks[j].is_ident("match"));
     if is_if_while_let || (is_match && !is_let) {
         // Guard lives for the `{ ... }` that follows the condition /
         // scrutinee.
-        let body_open =
-            (close + 1..toks.len()).find(|&j| is_code(&toks[j]) && toks[j].is_punct("{"))?;
+        let body_open = (close + 1..toks.len()).find(|&j| toks[j].is_punct("{"))?;
         let body_close = matching_punct(toks, body_open, "{", "}")?;
         return Some(GuardScope {
             range: (body_open, body_close),
@@ -630,9 +498,6 @@ fn guard_scope(toks: &[Token], lock_idx: usize, close: usize) -> Option<GuardSco
 fn forward_stmt_end(toks: &[Token], from: usize) -> usize {
     let mut depth = 0i32;
     for (j, t) in toks.iter().enumerate().skip(from) {
-        if !is_code(t) {
-            continue;
-        }
         if t.kind == TokenKind::Punct {
             match t.text.as_str() {
                 "(" | "[" | "{" => depth += 1,
@@ -656,7 +521,7 @@ fn backward_stmt_start(toks: &[Token], i: usize) -> Option<(usize, usize)> {
     let mut depth = 0i32;
     for j in (0..i).rev() {
         let t = &toks[j];
-        if !is_code(t) || t.kind != TokenKind::Punct {
+        if t.kind != TokenKind::Punct {
             continue;
         }
         match t.text.as_str() {
@@ -684,7 +549,7 @@ fn enclosing_block_close(toks: &[Token], boundary: usize, i: usize) -> Option<us
     let mut depth = 0i32;
     for j in (0..=boundary.min(i)).rev() {
         let t = &toks[j];
-        if !is_code(t) || t.kind != TokenKind::Punct {
+        if t.kind != TokenKind::Punct {
             continue;
         }
         match t.text.as_str() {
@@ -705,32 +570,14 @@ fn enclosing_block_close(toks: &[Token], boundary: usize, i: usize) -> Option<us
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::walker::test_file;
+    use crate::lints::run_workspace_lint;
 
     fn run_reach(src: &str) -> Vec<Finding> {
-        let ws = Workspace {
-            files: vec![test_file(src, Context::Lib, false)],
-            crate_roots: vec![],
-            unresolved_mods: vec![],
-        };
-        let index = SymbolIndex::build(&ws);
-        let graph = CallGraph::build(&ws, &index);
-        let mut out = Vec::new();
-        PanicReachability.check(&ws, &index, &graph, &mut out);
-        out
+        run_workspace_lint(&PanicReachability, src)
     }
 
     fn run_lock(src: &str) -> Vec<Finding> {
-        let ws = Workspace {
-            files: vec![test_file(src, Context::Lib, false)],
-            crate_roots: vec![],
-            unresolved_mods: vec![],
-        };
-        let index = SymbolIndex::build(&ws);
-        let graph = CallGraph::build(&ws, &index);
-        let mut out = Vec::new();
-        LockDiscipline.check(&ws, &index, &graph, &mut out);
-        out
+        run_workspace_lint(&LockDiscipline, src)
     }
 
     #[test]
@@ -825,6 +672,28 @@ mod tests {
                    fn bad(cache: &M) {\n  cache.lock().unwrap().insert(run_sweep_cell());\n}";
         let hits = run_lock(src);
         assert_eq!(hits.len(), 1, "{hits:?}");
+    }
+
+    #[test]
+    fn guard_over_a_call_reaching_compute_two_hops_away_denies() {
+        let src = "fn estimate_waste() -> u8 { 0 }\n\
+                   fn middle() -> u8 { estimate_waste() }\n\
+                   fn outer() -> u8 { middle() }\n\
+                   fn bad(cache: &M) {\n  let mut c = cache.lock().unwrap();\n  c.insert(outer());\n}";
+        let hits = run_lock(src);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert!(hits[0].message.starts_with("`x::outer` reaches compute"));
+        assert_eq!(hits[0].line, 6);
+    }
+
+    #[test]
+    fn guard_over_a_fn_compute_calls_is_clean() {
+        // `helper` is a callee of compute, not a caller: reach runs
+        // along caller edges from the compute entry points only.
+        let src = "fn helper() -> u8 { 0 }\n\
+                   fn run_sweep_cell() -> u8 { helper() }\n\
+                   fn fine(cache: &M) {\n  let mut c = cache.lock().unwrap();\n  c.insert(helper());\n}";
+        assert!(run_lock(src).is_empty());
     }
 
     #[test]

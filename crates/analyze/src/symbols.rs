@@ -17,7 +17,7 @@
 //! * whether it takes `self`, so `.name(...)` method calls only ever
 //!   resolve to methods.
 
-use crate::lexer::{Token, TokenKind};
+use crate::lexer::{matching_punct, next_code, Token, TokenKind};
 use crate::walker::{Context, SourceFile, Workspace};
 use std::collections::BTreeMap;
 
@@ -114,11 +114,6 @@ impl SymbolIndex {
     }
 }
 
-/// True for tokens that carry code (not comments).
-fn is_code(t: &Token) -> bool {
-    !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment)
-}
-
 /// Scans one file for fn items, tracking `impl` blocks.
 fn index_file(file: &SourceFile, fi: usize) -> Vec<FnDef> {
     let toks = &file.tokens;
@@ -126,13 +121,7 @@ fn index_file(file: &SourceFile, fi: usize) -> Vec<FnDef> {
     // Stack of (body close index, impl type) for impl blocks we are in.
     let mut impls: Vec<(usize, String)> = Vec::new();
     let module = module_name(file);
-    let mut i = 0;
-    while i < toks.len() {
-        let t = &toks[i];
-        if !is_code(t) {
-            i += 1;
-            continue;
-        }
+    for (i, t) in toks.iter().enumerate() {
         while impls.last().is_some_and(|&(end, _)| i > end) {
             impls.pop();
         }
@@ -142,17 +131,13 @@ fn index_file(file: &SourceFile, fi: usize) -> Vec<FnDef> {
                     impls.push((body_close, ty));
                 }
             }
-            i += 1;
-            continue;
-        }
-        if t.is_ident("fn") {
+        } else if t.is_ident("fn") {
             // Keep scanning from the next token (not past the body) so
             // nested fns inside this body are indexed too.
             if let Some(def) = parse_fn(file, fi, toks, i, &impls, &module) {
                 out.push(def);
             }
         }
-        i += 1;
     }
     out
 }
@@ -178,13 +163,7 @@ fn parse_impl_header(toks: &[Token], impl_idx: usize) -> Option<(String, usize)>
     let mut after_for: Option<String> = None;
     let mut first_ident: Option<String> = None;
     let mut saw_for = false;
-    let mut j = impl_idx + 1;
-    while j < toks.len() {
-        let t = &toks[j];
-        if !is_code(t) {
-            j += 1;
-            continue;
-        }
+    for (j, t) in toks.iter().enumerate().skip(impl_idx + 1) {
         match t.kind {
             TokenKind::Punct => match t.text.as_str() {
                 "<" => angle += 1,
@@ -213,7 +192,6 @@ fn parse_impl_header(toks: &[Token], impl_idx: usize) -> Option<(String, usize)>
             }
             _ => {}
         }
-        j += 1;
     }
     None
 }
@@ -240,7 +218,7 @@ fn parse_fn(
     let mut angle = 0i32;
     let paren_open = loop {
         let t = toks.get(j)?;
-        if is_code(t) && t.kind == TokenKind::Punct {
+        if t.kind == TokenKind::Punct {
             match t.text.as_str() {
                 "<" => angle += 1,
                 ">" => angle -= 1,
@@ -257,10 +235,7 @@ fn parse_fn(
     // `self` before the first top-level comma marks a method.
     let mut has_self = false;
     let mut depth = 0i32;
-    for t in toks[paren_open + 1..paren_close]
-        .iter()
-        .filter(|t| is_code(t))
-    {
+    for t in &toks[paren_open + 1..paren_close] {
         if t.kind == TokenKind::Punct {
             match t.text.as_str() {
                 "(" | "[" => depth += 1,
@@ -279,7 +254,7 @@ fn parse_fn(
     let mut depth = 0i32;
     let mut k = paren_close + 1;
     while let Some(t) = toks.get(k) {
-        if is_code(t) && t.kind == TokenKind::Punct {
+        if t.kind == TokenKind::Punct {
             match t.text.as_str() {
                 "(" | "[" => depth += 1,
                 ")" | "]" => depth -= 1,
@@ -310,29 +285,6 @@ fn parse_fn(
         col: name_tok.col,
         body,
     })
-}
-
-fn next_code(toks: &[Token], from: usize) -> Option<usize> {
-    (from..toks.len()).find(|&i| is_code(&toks[i]))
-}
-
-/// Matching closer for the opener at `open`, comment-aware.
-pub(crate) fn matching_punct(toks: &[Token], open: usize, l: &str, r: &str) -> Option<usize> {
-    let mut depth = 0usize;
-    for (i, t) in toks.iter().enumerate().skip(open) {
-        if !is_code(t) {
-            continue;
-        }
-        if t.is_punct(l) {
-            depth += 1;
-        } else if t.is_punct(r) {
-            depth -= 1;
-            if depth == 0 {
-                return Some(i);
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -402,12 +354,7 @@ mod tests {
     #[test]
     fn enclosing_fn_picks_the_innermost() {
         let src = "fn outer() {\n  fn inner() { mark(); }\n  inner();\n}";
-        let f = test_file(src, Context::Lib, false);
-        let ws = Workspace {
-            files: vec![f],
-            crate_roots: vec![],
-            unresolved_mods: vec![],
-        };
+        let ws = crate::walker::test_workspace(src);
         let idx = SymbolIndex::build(&ws);
         assert_eq!(idx.fns.len(), 2);
         let toks = lex(src);

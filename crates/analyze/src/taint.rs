@@ -19,10 +19,10 @@
 //! at the source, using the shortest path from the
 //! alphabetically-first sink that reaches it.
 
-use crate::callgraph::CallGraph;
+use crate::callgraph::{CallGraph, Direction};
 use crate::diagnostics::{Finding, Severity};
 use crate::lexer::TokenKind;
-use crate::lints::{Explanation, WorkspaceLint};
+use crate::lints::{Explanation, Source, WorkspaceLint};
 use crate::symbols::{FnDef, SymbolIndex};
 use crate::walker::Workspace;
 use std::collections::BTreeMap;
@@ -88,33 +88,15 @@ impl WorkspaceLint for DeterminismTaint {
             .collect();
         sinks.sort_by_key(|&id| index.fns[id].qual());
         for &sink in &sinks {
-            // BFS along callee edges, remembering the path.
-            let mut parent: BTreeMap<usize, usize> = BTreeMap::new();
-            let mut queue = std::collections::VecDeque::new();
-            queue.push_back(sink);
-            let mut seen = vec![false; index.fns.len()];
-            seen[sink] = true;
-            while let Some(f) = queue.pop_front() {
-                if let Some(site_ids) = by_fn.get(&f) {
-                    let chain = path_to(sink, f, &parent);
-                    for &si in site_ids {
-                        let cur = best.get(&si);
-                        if cur.is_none_or(|c| chain.len() < c.len()) {
-                            best.insert(si, chain.clone());
-                        }
-                    }
-                }
-                let mut next: Vec<usize> = graph
-                    .callees(f)
-                    .iter()
-                    .map(|&ei| graph.edges[ei].callee)
-                    .collect();
-                next.sort_by_key(|&id| index.fns[id].qual());
-                for n in next {
-                    if !seen[n] {
-                        seen[n] = true;
-                        parent.insert(n, f);
-                        queue.push_back(n);
+            let walk = graph.search(index, Direction::Callees, [(sink, ())], |(), _| ());
+            for &s in &walk.order {
+                let Some(site_ids) = by_fn.get(&s.0) else {
+                    continue;
+                };
+                let chain = walk.chain(s);
+                for &si in site_ids {
+                    if best.get(&si).is_none_or(|c| chain.len() < c.len()) {
+                        best.insert(si, chain.clone());
                     }
                 }
             }
@@ -128,42 +110,25 @@ impl WorkspaceLint for DeterminismTaint {
             let sink = chain[0];
             let kind = sink_kind(ws, &index.fns[sink]).unwrap_or("output surface");
             let path_str: Vec<String> = chain.iter().map(|&f| index.fns[f].qual()).collect();
-            findings.push(Finding {
-                lint: self.name().to_string(),
-                severity: self.default_severity(),
-                path: ws.files[site.file].rel.clone(),
-                line: site.line,
-                col: site.col,
-                message: format!(
-                    "{} `{}` in `{}` is reachable from {} `{}`; call path: {}",
-                    site.what,
-                    site.token,
-                    index.fns[site.fn_id].qual(),
-                    kind,
-                    index.fns[sink].qual(),
-                    path_str.join(" -> "),
-                ),
-                snippet: ws.files[site.file].snippet(site.line).to_string(),
-            });
+            let message = format!(
+                "{} `{}` in `{}` is reachable from {} `{}`; call path: {}",
+                site.what,
+                site.token,
+                index.fns[site.fn_id].qual(),
+                kind,
+                index.fns[sink].qual(),
+                path_str.join(" -> "),
+            );
+            findings.push(Finding::new(
+                self.name(),
+                self.default_severity(),
+                &ws.files[site.file],
+                site.line,
+                site.col,
+                message,
+            ));
         }
     }
-}
-
-/// Reconstructs sink→fn as a fn-id chain (sink first).
-fn path_to(sink: usize, f: usize, parent: &BTreeMap<usize, usize>) -> Vec<usize> {
-    let mut chain = vec![f];
-    let mut cur = f;
-    while cur != sink {
-        match parent.get(&cur) {
-            Some(&p) => {
-                chain.push(p);
-                cur = p;
-            }
-            None => break,
-        }
-    }
-    chain.reverse();
-    chain
 }
 
 /// What makes `f` a fingerprinted output surface, if anything.
@@ -190,50 +155,32 @@ fn collect_sources(ws: &Workspace, index: &SymbolIndex) -> Vec<SourceSite> {
         let Some((a, b)) = f.body else { continue };
         let file = &ws.files[f.file];
         let toks = &file.tokens;
-        for i in a..=b.min(toks.len().saturating_sub(1)) {
+        let code = file.live_code(a..b + 1);
+        for (k, &i) in code.iter().enumerate() {
             let t = &toks[i];
-            if t.kind != TokenKind::Ident || file.is_exempt(i) {
+            if t.kind != TokenKind::Ident {
                 continue;
             }
-            let what: Option<(&'static str, String)> = match t.text.as_str() {
-                "Instant" | "SystemTime" => Some(("wall-clock read", t.text.clone())),
-                "HashMap" | "HashSet" => Some(("hash-order iteration", t.text.clone())),
-                "thread_rng" | "from_entropy" | "RandomState" | "OsRng" | "getrandom" => {
-                    Some(("OS entropy", t.text.clone()))
+            let (what, token) = match Source::of(&t.text) {
+                Some(source) => (source.what(), t.text.clone()),
+                // `thread::current()` — thread identity.
+                None if t.text == "current"
+                    && k >= 2
+                    && toks[code[k - 1]].is_punct("::")
+                    && toks[code[k - 2]].is_ident("thread") =>
+                {
+                    ("thread identity", "thread::current".into())
                 }
-                "current" => {
-                    // `thread::current()` — thread identity.
-                    let prev2 = (0..i)
-                        .rev()
-                        .filter(|&p| {
-                            !matches!(
-                                toks[p].kind,
-                                TokenKind::LineComment | TokenKind::BlockComment
-                            )
-                        })
-                        .take(2)
-                        .collect::<Vec<_>>();
-                    if prev2.len() == 2
-                        && toks[prev2[0]].is_punct("::")
-                        && toks[prev2[1]].is_ident("thread")
-                    {
-                        Some(("thread identity", "thread::current".into()))
-                    } else {
-                        None
-                    }
-                }
-                _ => None,
+                None => continue,
             };
-            if let Some((what, token)) = what {
-                out.push(SourceSite {
-                    fn_id,
-                    file: f.file,
-                    line: t.line,
-                    col: t.col,
-                    what,
-                    token,
-                });
-            }
+            out.push(SourceSite {
+                fn_id,
+                file: f.file,
+                line: t.line,
+                col: t.col,
+                what,
+                token,
+            });
         }
     }
     out
@@ -242,19 +189,10 @@ fn collect_sources(ws: &Workspace, index: &SymbolIndex) -> Vec<SourceSite> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::walker::{test_file, Context};
+    use crate::lints::run_workspace_lint;
 
     fn run(src: &str) -> Vec<Finding> {
-        let ws = Workspace {
-            files: vec![test_file(src, Context::Lib, false)],
-            crate_roots: vec![],
-            unresolved_mods: vec![],
-        };
-        let index = SymbolIndex::build(&ws);
-        let graph = CallGraph::build(&ws, &index);
-        let mut out = Vec::new();
-        DeterminismTaint.check(&ws, &index, &graph, &mut out);
-        out
+        run_workspace_lint(&DeterminismTaint, src)
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! declarations to reach every file the compiler would, classifying
 //! each by [`Context`] so lints can exempt test code.
 
-use crate::lexer::{lex, Token, TokenKind};
+use crate::lexer::{lex, matching_punct, Token, TokenKind};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -51,6 +51,14 @@ impl SourceFile {
     /// True when token `i` lies inside a test-exempt region.
     pub fn is_exempt(&self, i: usize) -> bool {
         self.exempt.iter().any(|&(a, b)| a <= i && i < b)
+    }
+
+    /// Indices of the live code tokens in `range`: not comments, not
+    /// inside a test-exempt region.
+    pub(crate) fn live_code(&self, range: std::ops::Range<usize>) -> Vec<usize> {
+        (range.start..range.end.min(self.tokens.len()))
+            .filter(|&i| self.tokens[i].is_code() && !self.is_exempt(i))
+            .collect()
     }
 
     /// The trimmed source line `line` (1-based), for diagnostics.
@@ -253,10 +261,7 @@ fn walk_module_tree(
 
 /// Out-of-line child modules: every `mod name ;` token triple.
 fn child_modules(tokens: &[Token]) -> Vec<String> {
-    let code: Vec<&Token> = tokens
-        .iter()
-        .filter(|t| !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment))
-        .collect();
+    let code: Vec<&Token> = tokens.iter().filter(|t| t.is_code()).collect();
     let mut out = Vec::new();
     for w in code.windows(3) {
         if w[0].is_ident("mod") && w[1].kind == TokenKind::Ident && w[2].is_punct(";") {
@@ -278,7 +283,7 @@ fn test_exempt_regions(tokens: &[Token]) -> Vec<(usize, usize)> {
             continue;
         }
         let attr_start = i;
-        let Some(attr_end) = matching_bracket(tokens, i + 1) else {
+        let Some(attr_end) = matching_punct(tokens, i + 1, "[", "]") else {
             break;
         };
         if attribute_is_test(&tokens[i + 2..attr_end]) {
@@ -288,7 +293,7 @@ fn test_exempt_regions(tokens: &[Token]) -> Vec<(usize, usize)> {
                 && tokens[j].is_punct("#")
                 && tokens.get(j + 1).is_some_and(|t| t.is_punct("["))
             {
-                match matching_bracket(tokens, j + 1) {
+                match matching_punct(tokens, j + 1, "[", "]") {
                     Some(e) => j = e + 1,
                     None => break,
                 }
@@ -331,7 +336,7 @@ fn item_extent(tokens: &[Token], start: usize) -> usize {
         if t.kind == TokenKind::Punct {
             match t.text.as_str() {
                 "{" => {
-                    if let Some(end) = matching_brace(tokens, i) {
+                    if let Some(end) = matching_punct(tokens, i, "{", "}") {
                         return end + 1;
                     }
                     return tokens.len();
@@ -345,31 +350,6 @@ fn item_extent(tokens: &[Token], start: usize) -> usize {
         i += 1;
     }
     tokens.len()
-}
-
-/// Matching `]` for the `[` at `open`.
-fn matching_bracket(tokens: &[Token], open: usize) -> Option<usize> {
-    matching_delim(tokens, open, "[", "]")
-}
-
-/// Matching `}` for the `{` at `open`.
-fn matching_brace(tokens: &[Token], open: usize) -> Option<usize> {
-    matching_delim(tokens, open, "{", "}")
-}
-
-fn matching_delim(tokens: &[Token], open: usize, l: &str, r: &str) -> Option<usize> {
-    let mut depth = 0usize;
-    for (i, t) in tokens.iter().enumerate().skip(open) {
-        if t.is_punct(l) {
-            depth += 1;
-        } else if t.is_punct(r) {
-            depth -= 1;
-            if depth == 0 {
-                return Some(i);
-            }
-        }
-    }
-    None
 }
 
 /// Test-only constructor: a lexed in-memory file with exempt regions
@@ -386,6 +366,16 @@ pub(crate) fn test_file(src: &str, context: Context, is_crate_root: bool) -> Sou
         text: src.into(),
         tokens,
         exempt,
+    }
+}
+
+/// Test-only constructor: a workspace of one library file.
+#[cfg(test)]
+pub(crate) fn test_workspace(src: &str) -> Workspace {
+    Workspace {
+        files: vec![test_file(src, Context::Lib, false)],
+        crate_roots: vec![],
+        unresolved_mods: vec![],
     }
 }
 

@@ -45,7 +45,7 @@ use serde::{Deserialize, Serialize};
 /// v3 added the adaptive-controller regret section; v2 the k-buddy
 /// protocols and the fault-prediction section. Other tags are rejected
 /// rather than silently reinterpreted.
-pub const SCHEMA: &str = "dck-conformance/v4";
+pub const SCHEMA: &str = "dck-conformance/v5";
 
 /// Verdict for one cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -616,6 +616,21 @@ impl RegionCell {
         )
     }
 
+    /// A sound cell's gap from its model as the summaries report it:
+    /// `|model − origin|` and [`RegionCell::ci_units`], both from one
+    /// origin — the mean simulated waste, or a success cell's
+    /// proportion p̂ (not the Wilson centre the judge uses). `None` for
+    /// a degenerate cell.
+    fn gap(&self, measure: Measure) -> Option<(f64, f64)> {
+        let origin = match measure {
+            Measure::Waste => self.sim,
+            Measure::Success => self.sim.map(|_| self.proportion().0),
+        };
+        let gap = origin.zip(self.ci_units);
+        gap.filter(|_| self.status != CellStatus::Degenerate)
+            .map(|(o, units)| ((self.model - o).abs(), units))
+    }
+
     /// Sets the verdict and the distances from the measured fields. An
     /// estimate built from fewer than 80% completed replications is
     /// survivorship-biased (the harsh runs died fatally), so a waste
@@ -812,7 +827,8 @@ pub struct RegionReport {
     pub failed: usize,
     /// Degenerate cells.
     pub degenerate: usize,
-    /// Largest `|model − sim|` over sound cells.
+    /// Largest `|model − sim|` over sound cells (`|model − p̂|` for
+    /// success cells).
     pub max_abs_deviation: f64,
     /// Largest [`RegionCell::ci_units`] over sound cells.
     pub max_ci_units: f64,
@@ -839,19 +855,19 @@ impl RegionReport {
         )
     }
 
-    fn tally(name: &str, cells: Vec<RegionCell>) -> Self {
+    fn tally(region: &Region, cells: Vec<RegionCell>) -> Self {
         let count = |s| cells.iter().filter(|c| c.status == s).count();
-        let sound = || cells.iter().filter(|c| c.status != CellStatus::Degenerate);
+        let gaps = || cells.iter().filter_map(|c| c.gap(region.measure));
         RegionReport {
-            name: name.to_string(),
+            name: region.name.clone(),
             passed: count(CellStatus::Pass),
             failed: count(CellStatus::Fail),
             degenerate: count(CellStatus::Degenerate),
-            max_abs_deviation: sound()
-                .filter_map(|c| c.sim.map(|s| (c.model - s).abs()))
-                .fold(0.0, f64::max),
-            max_ci_units: sound().filter_map(|c| c.ci_units).fold(0.0, f64::max),
-            refined_closer: sound()
+            max_abs_deviation: gaps().map(|(abs, _)| abs).fold(0.0, f64::max),
+            max_ci_units: gaps().map(|(_, units)| units).fold(0.0, f64::max),
+            refined_closer: cells
+                .iter()
+                .filter(|c| c.status != CellStatus::Degenerate)
                 .filter(|c| c.closer == Some(Closer::Refined))
                 .count(),
             cells,
@@ -883,7 +899,7 @@ pub struct ConformanceReport {
     /// Degenerate gating cells.
     pub degenerate: usize,
     /// Largest `|model − sim|` over sound gating region and prediction
-    /// cells.
+    /// cells (`|model − p̂|` for success cells).
     pub max_abs_deviation: f64,
 }
 
@@ -899,24 +915,23 @@ impl ConformanceReport {
             .regions
             .iter()
             .zip(regions)
-            .map(|(r, cells)| RegionReport::tally(&r.name, cells))
+            .map(|(r, cells)| RegionReport::tally(r, cells))
             .collect();
         let gating = || {
             spec.regions
                 .iter()
                 .zip(&regions)
                 .filter(|(r, _)| r.gate)
-                .flat_map(|(_, report)| &report.cells)
+                .flat_map(|(r, report)| report.cells.iter().map(|c| (r.measure, c)))
         };
         let gating_pred = || prediction_cells.iter().filter(|_| spec.prediction_gates());
         let count = |s: CellStatus| {
-            gating().filter(|c| c.status == s).count()
+            gating().filter(|(_, c)| c.status == s).count()
                 + gating_pred().filter(|c| c.status == s).count()
                 + adaptation_cells.iter().filter(|c| c.status == s).count()
         };
         let max_abs_deviation = gating()
-            .filter(|c| c.status != CellStatus::Degenerate)
-            .filter_map(|c| c.sim.map(|s| (c.model - s).abs()))
+            .filter_map(|(measure, c)| c.gap(measure).map(|(abs, _)| abs))
             .chain(
                 gating_pred()
                     .filter(|c| c.status != CellStatus::Degenerate)
@@ -1483,34 +1498,61 @@ mod tests {
         spec
     }
 
+    /// A one-cell success region: the plane of [`success_cell`].
+    fn success_region() -> Region {
+        let mut region = tiny_spec().regions.remove(0);
+        (region.measure, region.tolerance) = (Measure::Success, V1_RISK);
+        (region.protocols, region.phi_ratios) = (vec![Protocol::Triple], vec![0.0]);
+        region
+    }
+
+    /// A success cell with `completed` of 100 runs surviving, judged.
+    fn success_cell(region: &Region, completed: usize, model: f64) -> RegionCell {
+        RegionCell {
+            protocol: Protocol::Triple,
+            mtbf: 3_600.0,
+            alpha: 10.0,
+            phi_ratio: 0.0,
+            period: 600.0,
+            model,
+            sim: None,
+            half_width: None,
+            tolerance: None,
+            refined: None,
+            ci_units: None,
+            refined_ci_units: None,
+            closer: None,
+            completed,
+            replications_run: 100,
+            status: CellStatus::Degenerate,
+        }
+        .judged(region)
+    }
+
+    #[test]
+    fn success_summary_gap_is_measured_from_the_proportion() {
+        // p̂ = 1 and a model of 0.99998: both summary numbers come from
+        // p̂, not from the Wilson centre a half-width below 1.
+        let region = success_region();
+        let top = success_cell(&region, 100, 0.99998);
+        let gap = (0.99998_f64 - 1.0).abs();
+        let tallied = RegionReport::tally(&region, vec![top]);
+        assert_eq!(tallied.max_abs_deviation, gap);
+        assert_eq!(Some(tallied.max_ci_units), top.ci_units);
+        let mut spec = tiny_spec();
+        spec.regions = vec![region];
+        let report = ConformanceReport::assemble(&spec, vec![vec![top]], vec![], vec![]);
+        assert_eq!(report.max_abs_deviation, gap);
+        report.check_consistent().unwrap();
+    }
+
     #[test]
     fn success_distance_is_measured_from_the_proportion() {
         // 100 of 100 runs survive and the model says 0.99998: the
         // Wilson centre sits one half-width below 1, but p̂ = 1 and the
         // model are 2·10⁻⁵ apart, a sliver of the interval's lower side.
-        let mut region = tiny_spec().regions.remove(0);
-        (region.measure, region.tolerance) = (Measure::Success, V1_RISK);
-        let cell = |completed, model| {
-            RegionCell {
-                protocol: Protocol::Triple,
-                mtbf: 3_600.0,
-                alpha: 10.0,
-                phi_ratio: 0.0,
-                period: 600.0,
-                model,
-                sim: None,
-                half_width: None,
-                tolerance: None,
-                refined: None,
-                ci_units: None,
-                refined_ci_units: None,
-                closer: None,
-                completed,
-                replications_run: 100,
-                status: CellStatus::Degenerate,
-            }
-            .judged(&region)
-        };
+        let region = success_region();
+        let cell = |completed, model| success_cell(&region, completed, model);
         let top = cell(100, 0.99998);
         assert_eq!(top.status, CellStatus::Pass);
         assert!(top.ci_units.unwrap() < 0.01, "{top:?}");
@@ -1691,9 +1733,13 @@ mod tests {
         stale.schema = String::new(); // what an untagged artifact deserializes to
         let err = ConformanceReport::from_json(&stale.to_json().unwrap()).unwrap_err();
         assert!(err.contains("schema"), "{err}");
-        let mut wrong = report;
-        wrong.schema = "dck-conformance/v3".to_string();
-        assert!(wrong.check_consistent().is_err());
+        // v4 reports derived success cells from the Wilson centre.
+        for old in ["dck-conformance/v3", "dck-conformance/v4"] {
+            let mut wrong = report.clone();
+            wrong.schema = old.to_string();
+            let err = wrong.check_consistent().unwrap_err();
+            assert!(err.contains("regenerate the artifact"), "{err}");
+        }
     }
 
     #[test]
