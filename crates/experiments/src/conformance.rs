@@ -837,8 +837,10 @@ pub struct RegionReport {
 }
 
 impl RegionReport {
-    /// Tallies, the largest gap and (for waste) how often the refined
-    /// model is closer, on one line.
+    /// Tallies, the two largest gaps and (for waste) how often the
+    /// refined model is closer, on one line. The largest `|model − sim|`
+    /// and the largest gap in half-widths are folded separately and may
+    /// come from different cells, so each carries its own label.
     pub fn summary(&self) -> String {
         let closer = if self.cells.iter().any(|c| c.refined.is_some()) {
             format!(
@@ -850,7 +852,8 @@ impl RegionReport {
             String::new()
         };
         format!(
-            "{} passed, {} failed, {} degenerate; largest |model - sim| {:.4} = {:.2} hw{closer}",
+            "{} passed, {} failed, {} degenerate; largest |model - sim| {:.4}, \
+             largest gap {:.2} hw{closer}",
             self.passed, self.failed, self.degenerate, self.max_abs_deviation, self.max_ci_units,
         )
     }
@@ -1544,6 +1547,29 @@ mod tests {
         let report = ConformanceReport::assemble(&spec, vec![vec![top]], vec![], vec![]);
         assert_eq!(report.max_abs_deviation, gap);
         report.check_consistent().unwrap();
+    }
+
+    #[test]
+    fn summary_labels_maxima_from_different_cells_apart() {
+        // The wide cell is furthest in absolute terms, the tight one in
+        // half-widths: neither number may be read as the other's.
+        let region = success_region();
+        let wide = success_cell(&region, 50, 0.3);
+        let tight = success_cell(&region, 100, 0.9);
+        let gap = |c: &RegionCell| c.gap(region.measure).unwrap();
+        let ((wide_abs, wide_hw), (tight_abs, tight_hw)) = (gap(&wide), gap(&tight));
+        assert!(
+            wide_abs > tight_abs && tight_hw > wide_hw,
+            "{wide:?} {tight:?}"
+        );
+        let tallied = RegionReport::tally(&region, vec![wide, tight]);
+        assert_eq!(
+            (tallied.max_abs_deviation, tallied.max_ci_units),
+            (wide_abs, tight_hw)
+        );
+        let summary = tallied.summary();
+        let expected = format!("largest |model - sim| {wide_abs:.4}, largest gap {tight_hw:.2} hw");
+        assert!(summary.contains(&expected), "{summary}");
     }
 
     #[test]

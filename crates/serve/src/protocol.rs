@@ -15,8 +15,7 @@
 //! (the stream can no longer be framed reliably). Malformed JSON and
 //! non-object requests get `bad_request` with a `null` id.
 
-use serde::Value;
-use serde_json::to_string;
+use serde::{Serialize, Value};
 
 /// Protocol version spoken by this build.
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -43,8 +42,8 @@ pub mod codes {
 }
 
 /// A typed protocol-level error: a stable machine-readable code plus a
-/// human-readable message.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// human-readable message. Serializes as the `err` body.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct WireError {
     /// One of the [`codes`] constants.
     pub code: &'static str,
@@ -130,42 +129,34 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
     Ok(Request { id, method, params })
 }
 
-fn envelope(id: &Value) -> serde::Map {
-    let mut map = serde::Map::new();
-    map.insert("v", Value::U64(PROTOCOL_VERSION));
-    map.insert("id", id.clone());
-    map
+/// One response line: `{"v":1,"id":<id>,"<key>":<body>}`, written
+/// straight into one `String` (no trailing newline).
+fn line(id: &Value, key: &str, body: impl Serialize) -> String {
+    // Room for a short answer; a longer one grows the buffer once. A
+    // larger start would leave short lines that a caller keeps (a
+    // client's expected answers) holding unused capacity.
+    let mut out = String::with_capacity(256);
+    out.push_str("{\"v\":");
+    PROTOCOL_VERSION.write_json(&mut out);
+    out.push_str(",\"id\":");
+    id.write_json(&mut out);
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
+    body.write_json(&mut out);
+    out.push('}');
+    out
 }
 
 /// Serializes a success response line (no trailing newline).
-pub fn ok_line(id: &Value, payload: Value) -> String {
-    let mut map = envelope(id);
-    map.insert("ok", payload);
-    render(Value::Object(map))
+pub fn ok_line<T: Serialize>(id: &Value, payload: T) -> String {
+    line(id, "ok", payload)
 }
 
 /// Serializes an error response line (no trailing newline). `id` is
 /// `None` when the request could not be parsed far enough to learn it.
 pub fn err_line(id: Option<&Value>, err: &WireError) -> String {
-    let mut map = envelope(id.unwrap_or(&Value::Null));
-    let mut body = serde::Map::new();
-    body.insert("code", Value::String(err.code.to_string()));
-    body.insert("message", Value::String(err.message.clone()));
-    map.insert("err", Value::Object(body));
-    render(Value::Object(map))
-}
-
-/// Renders a value to one line; serialization of an in-memory tree
-/// cannot fail, but the panic-safety policy forbids `unwrap`, so fall
-/// back to a hand-written internal error rather than aborting a worker.
-fn render(value: Value) -> String {
-    to_string(&value).unwrap_or_else(|_| {
-        format!(
-            "{{\"v\":{PROTOCOL_VERSION},\"id\":null,\"err\":{{\"code\":\"{}\",\
-             \"message\":\"response serialization failed\"}}}}",
-            codes::INTERNAL
-        )
-    })
+    line(id.unwrap_or(&Value::Null), "err", err)
 }
 
 #[cfg(test)]

@@ -1,9 +1,14 @@
-//! Pure request handlers: JSON params in, JSON payload out.
+//! Pure request handlers: JSON params in, typed answer out.
 //!
 //! Every method the server dispatches (other than `ping`/`shutdown`,
 //! which are protocol-level) lives here as a pure function from a
-//! `params` [`Value`] to a response payload, so unit tests and the
-//! worker pool exercise exactly the same code. Point queries (`waste`,
+//! `params` [`Value`] to a typed answer ([`WasteAnswer`],
+//! [`PstarAnswer`], [`RiskAnswer`], [`SweepCellAnswer`]) that derives
+//! `Serialize`, so unit tests and the worker pool exercise exactly the
+//! same code and the server writes each answer straight into its
+//! response line. [`waste`], [`pstar`], [`risk`] and
+//! [`sweep_cell_payload`] return the same answers as [`Value`] trees
+//! for callers that collect trees. Point queries (`waste`,
 //! `risk`, `pstar`) are answered directly from the `dck-core` model —
 //! no simulation, microsecond-scale. `sweep_cell` parsing also lives
 //! here; the compute + cache path is in [`crate::server`] because it
@@ -24,8 +29,8 @@ use dck_core::{
     base_success_probability, optimal_period, Evaluation, ModelError, OverlapModel, PeriodSource,
     PlatformParams, Protocol, RiskModel, Scenario,
 };
-use dck_sim::{run_sweep_cell, sweep_spec_fingerprint, SweepSpec};
-use serde::{Deserialize, Map, Serialize, Value};
+use dck_sim::{run_sweep_cell, sweep_spec_fingerprint, SweepCell, SweepSpec};
+use serde::{Deserialize, Serialize, Value};
 
 /// Maps a model error onto the wire: domain errors (bad inputs,
 /// infeasible operating points) are the client's fault; execution
@@ -131,12 +136,91 @@ fn source_name(s: PeriodSource) -> &'static str {
     }
 }
 
+/// The `waste` answer: the waste decomposition at the optimal period.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct WasteAnswer {
+    /// Canonical protocol id.
+    pub protocol: String,
+    /// Requested overhead ratio `φ/R`.
+    pub phi_ratio: f64,
+    /// Overhead `φ` (s).
+    pub phi_s: f64,
+    /// Overlapped transfer time `θ(φ)` (s).
+    pub theta_s: f64,
+    /// Platform MTBF (s).
+    pub mtbf_s: f64,
+    /// Optimal period (s).
+    pub period_s: f64,
+    /// Where the period came from (`closed_form`, `clamped_to_min`,
+    /// `saturated`).
+    pub period_source: &'static str,
+    /// The waste terms of Eqs. 4–5.
+    pub waste: WasteParts,
+    /// `1 − waste`.
+    pub efficiency: f64,
+    /// Risk-window length (s).
+    pub risk_window_s: f64,
+}
+
+/// The terms of [`WasteAnswer::waste`].
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+pub struct WasteParts {
+    /// Fault-free waste `Cff/P`.
+    pub fault_free: f64,
+    /// Failure-induced waste `F/M`.
+    pub failure_induced: f64,
+    /// Total waste (Eq. 5).
+    pub total: f64,
+    /// Expected loss per failure `F` (s).
+    pub failure_loss_s: f64,
+}
+
+/// The `pstar` answer: the optimal period and its waste.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct PstarAnswer {
+    /// Canonical protocol id.
+    pub protocol: String,
+    /// Requested overhead ratio `φ/R`.
+    pub phi_ratio: f64,
+    /// Platform MTBF (s).
+    pub mtbf_s: f64,
+    /// Optimal period (s).
+    pub period_s: f64,
+    /// Where the period came from.
+    pub period_source: &'static str,
+    /// Total waste at that period.
+    pub waste_total: f64,
+}
+
+/// The `risk` answer: success probability over an exploitation time.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct RiskAnswer {
+    /// Canonical protocol id.
+    pub protocol: String,
+    /// Platform MTBF (s).
+    pub mtbf_s: f64,
+    /// Exploitation time (s).
+    pub life_s: f64,
+    /// Overlapped transfer time used (s).
+    pub theta_s: f64,
+    /// Risk-window length (s).
+    pub risk_window_s: f64,
+    /// Per-node failure rate (1/s).
+    pub lambda_per_s: f64,
+    /// Success probability with checkpointing (Eqs. 11/16).
+    pub probability: f64,
+    /// Success probability without checkpointing (Eq. 12).
+    pub base_probability: f64,
+    /// Expected fatal failures per buddy group over `life_s`.
+    pub fatal_rate_per_group: f64,
+}
+
 /// `waste`: full model evaluation at the optimal period.
 ///
 /// Params: `protocol`, `phi_ratio`, `mtbf_s`, plus the platform
 /// scheme. Returns the waste decomposition (Eqs. 4–5), the period and
 /// its provenance, efficiency, and the risk-window length.
-pub fn waste(params: &Value) -> Result<Value, WireError> {
+pub fn waste_answer(params: &Value) -> Result<WasteAnswer, WireError> {
     let protocol = require_protocol(params)?;
     let p = platform_params(params)?;
     let ratio = require_f64(params, "phi_ratio")?;
@@ -144,50 +228,54 @@ pub fn waste(params: &Value) -> Result<Value, WireError> {
     let phi = phi_from_ratio(&p, ratio)?;
     let e: Evaluation =
         Evaluation::at_optimal_period(protocol, &p, phi, mtbf).map_err(|e| model_err(&e))?;
-    let mut w = Map::new();
-    w.insert("fault_free", Value::F64(e.waste.fault_free));
-    w.insert("failure_induced", Value::F64(e.waste.failure_induced));
-    w.insert("total", Value::F64(e.waste.total));
-    w.insert("failure_loss_s", Value::F64(e.waste.failure_loss));
-    let mut out = Map::new();
-    out.insert("protocol", Value::String(protocol.id().to_string()));
-    out.insert("phi_ratio", Value::F64(ratio));
-    out.insert("phi_s", Value::F64(e.phi));
-    out.insert("theta_s", Value::F64(e.theta));
-    out.insert("mtbf_s", Value::F64(e.mtbf));
-    out.insert("period_s", Value::F64(e.period));
-    out.insert(
-        "period_source",
-        Value::String(source_name(e.period_source).into()),
-    );
-    out.insert("waste", Value::Object(w));
-    out.insert("efficiency", Value::F64(e.efficiency()));
-    out.insert("risk_window_s", Value::F64(e.risk_window));
-    Ok(Value::Object(out))
+    Ok(WasteAnswer {
+        protocol: protocol.id(),
+        phi_ratio: ratio,
+        phi_s: e.phi,
+        theta_s: e.theta,
+        mtbf_s: e.mtbf,
+        period_s: e.period,
+        period_source: source_name(e.period_source),
+        waste: WasteParts {
+            fault_free: e.waste.fault_free,
+            failure_induced: e.waste.failure_induced,
+            total: e.waste.total,
+            failure_loss_s: e.waste.failure_loss,
+        },
+        efficiency: e.efficiency(),
+        risk_window_s: e.risk_window,
+    })
+}
+
+/// [`waste_answer`] as a tree.
+pub fn waste(params: &Value) -> Result<Value, WireError> {
+    waste_answer(params).map(|a| a.to_value())
 }
 
 /// `pstar`: just the optimal period and its waste (Eqs. 9/10/15).
 ///
 /// Params: `protocol`, `phi_ratio`, `mtbf_s`, plus the platform
 /// scheme.
-pub fn pstar(params: &Value) -> Result<Value, WireError> {
+pub fn pstar_answer(params: &Value) -> Result<PstarAnswer, WireError> {
     let protocol = require_protocol(params)?;
     let p = platform_params(params)?;
     let ratio = require_f64(params, "phi_ratio")?;
     let mtbf = require_f64(params, "mtbf_s")?;
     let phi = phi_from_ratio(&p, ratio)?;
     let opt = optimal_period(protocol, &p, phi, mtbf).map_err(|e| model_err(&e))?;
-    let mut out = Map::new();
-    out.insert("protocol", Value::String(protocol.id().to_string()));
-    out.insert("phi_ratio", Value::F64(ratio));
-    out.insert("mtbf_s", Value::F64(mtbf));
-    out.insert("period_s", Value::F64(opt.period));
-    out.insert(
-        "period_source",
-        Value::String(source_name(opt.source).into()),
-    );
-    out.insert("waste_total", Value::F64(opt.waste.total));
-    Ok(Value::Object(out))
+    Ok(PstarAnswer {
+        protocol: protocol.id(),
+        phi_ratio: ratio,
+        mtbf_s: mtbf,
+        period_s: opt.period,
+        period_source: source_name(opt.source),
+        waste_total: opt.waste.total,
+    })
+}
+
+/// [`pstar_answer`] as a tree.
+pub fn pstar(params: &Value) -> Result<Value, WireError> {
+    pstar_answer(params).map(|a| a.to_value())
 }
 
 /// `risk`: application success probability over an exploitation time
@@ -196,7 +284,7 @@ pub fn pstar(params: &Value) -> Result<Value, WireError> {
 /// Params: `protocol`, `mtbf_s`, `life_s`, optional `phi_ratio`
 /// (defaults to the fully-overlapped worst case `θmax`), plus the
 /// platform scheme.
-pub fn risk(params: &Value) -> Result<Value, WireError> {
+pub fn risk_answer(params: &Value) -> Result<RiskAnswer, WireError> {
     let protocol = require_protocol(params)?;
     let p = platform_params(params)?;
     let mtbf = require_f64(params, "mtbf_s")?;
@@ -214,20 +302,22 @@ pub fn risk(params: &Value) -> Result<Value, WireError> {
         .success_probability(mtbf, life)
         .map_err(|e| model_err(&e))?;
     let base = base_success_probability(&p, mtbf, life).map_err(|e| model_err(&e))?;
-    let mut out = Map::new();
-    out.insert("protocol", Value::String(protocol.id().to_string()));
-    out.insert("mtbf_s", Value::F64(mtbf));
-    out.insert("life_s", Value::F64(life));
-    out.insert("theta_s", Value::F64(theta));
-    out.insert("risk_window_s", Value::F64(sp.risk_window));
-    out.insert("lambda_per_s", Value::F64(sp.lambda));
-    out.insert("probability", Value::F64(sp.probability));
-    out.insert("base_probability", Value::F64(base));
-    out.insert(
-        "fatal_rate_per_group",
-        Value::F64(model.fatal_rate_per_group(mtbf, life)),
-    );
-    Ok(Value::Object(out))
+    Ok(RiskAnswer {
+        protocol: protocol.id(),
+        mtbf_s: mtbf,
+        life_s: life,
+        theta_s: theta,
+        risk_window_s: sp.risk_window,
+        lambda_per_s: sp.lambda,
+        probability: sp.probability,
+        base_probability: base,
+        fatal_rate_per_group: model.fatal_rate_per_group(mtbf, life),
+    })
+}
+
+/// [`risk_answer`] as a tree.
+pub fn risk(params: &Value) -> Result<Value, WireError> {
+    risk_answer(params).map(|a| a.to_value())
 }
 
 /// Most Monte-Carlo work one `sweep_cell` request may ask for, counted
@@ -284,27 +374,47 @@ pub fn parse_sweep_cell(params: &Value) -> Result<SweepCellQuery, WireError> {
 /// Computes a sweep cell (cache miss path). The result is
 /// bit-identical to the corresponding cell of `run_sweep` on the same
 /// spec — that is the serving contract.
-pub fn compute_sweep_cell(q: &SweepCellQuery) -> Result<dck_sim::SweepCell, WireError> {
+pub fn compute_sweep_cell(q: &SweepCellQuery) -> Result<SweepCell, WireError> {
     run_sweep_cell(&q.spec, q.mtbf_idx, q.phi_idx).map_err(|e| model_err(&e))
 }
 
-/// Assembles the `sweep_cell` response payload.
-pub fn sweep_cell_payload(q: &SweepCellQuery, cell: &dck_sim::SweepCell, cached: bool) -> Value {
-    let mut out = Map::new();
-    out.insert("cell", cell.to_value());
-    out.insert(
-        "fingerprint",
-        Value::String(format!("{:016x}", q.fingerprint)),
-    );
-    out.insert("mtbf_idx", Value::U64(q.mtbf_idx as u64));
-    out.insert("phi_idx", Value::U64(q.phi_idx as u64));
-    out.insert("cached", Value::Bool(cached));
-    Value::Object(out)
+/// The `sweep_cell` answer: the cell, where it sits, and whether it
+/// came from the cache.
+#[derive(Debug, Clone, Serialize)]
+pub struct SweepCellAnswer {
+    /// The cell, bit-identical to `run_sweep`'s.
+    pub cell: SweepCell,
+    /// The spec fingerprint, 16 hex digits.
+    pub fingerprint: String,
+    /// MTBF (row) index.
+    pub mtbf_idx: usize,
+    /// φ (column) index.
+    pub phi_idx: usize,
+    /// Whether the cell was served from the cache (timing metadata,
+    /// not data).
+    pub cached: bool,
+}
+
+/// Assembles the `sweep_cell` answer.
+pub fn sweep_cell_answer(q: &SweepCellQuery, cell: &SweepCell, cached: bool) -> SweepCellAnswer {
+    SweepCellAnswer {
+        cell: *cell,
+        fingerprint: format!("{:016x}", q.fingerprint),
+        mtbf_idx: q.mtbf_idx,
+        phi_idx: q.phi_idx,
+        cached,
+    }
+}
+
+/// [`sweep_cell_answer`] as a tree.
+pub fn sweep_cell_payload(q: &SweepCellQuery, cell: &SweepCell, cached: bool) -> Value {
+    sweep_cell_answer(q, cell, cached).to_value()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Map;
 
     fn obj(pairs: &[(&str, Value)]) -> Value {
         let mut m = Map::new();
@@ -321,25 +431,15 @@ mod tests {
             ("phi_ratio", Value::F64(0.5)),
             ("mtbf_s", Value::F64(7.0 * 3600.0)),
         ]);
-        let out = waste(&params).unwrap();
+        let out = waste_answer(&params).unwrap();
         let p = Scenario::base().params;
         let phi = OverlapModel::new(&p).phi_from_ratio(0.5);
         let direct =
             Evaluation::at_optimal_period(Protocol::DoubleNbl, &p, phi, 7.0 * 3600.0).unwrap();
-        let total = out
-            .get("waste")
-            .unwrap()
-            .get("total")
-            .unwrap()
-            .as_f64()
-            .unwrap();
-        assert_eq!(total.to_bits(), direct.waste.total.to_bits());
-        let period = out.get("period_s").unwrap().as_f64().unwrap();
-        assert_eq!(period.to_bits(), direct.period.to_bits());
-        assert_eq!(
-            out.get("protocol").unwrap().as_str(),
-            Some(Protocol::DoubleNbl.id().as_str())
-        );
+        assert_eq!(out.waste.total.to_bits(), direct.waste.total.to_bits());
+        assert_eq!(out.period_s.to_bits(), direct.period.to_bits());
+        assert_eq!(out.protocol, Protocol::DoubleNbl.id());
+        assert_eq!(waste(&params).unwrap(), out.to_value());
     }
 
     #[test]
@@ -394,11 +494,12 @@ mod tests {
             ("mtbf_s", Value::F64(7.0 * 3600.0)),
             ("life_s", Value::F64(14.0 * 86400.0)),
         ]);
-        let out = risk(&base_q).unwrap();
-        let theta = out.get("theta_s").unwrap().as_f64().unwrap();
-        assert_eq!(theta.to_bits(), OverlapModel::new(&p).theta_max().to_bits());
-        let prob = out.get("probability").unwrap().as_f64().unwrap();
-        let base_prob = out.get("base_probability").unwrap().as_f64().unwrap();
+        let out = risk_answer(&base_q).unwrap();
+        assert_eq!(
+            out.theta_s.to_bits(),
+            OverlapModel::new(&p).theta_max().to_bits()
+        );
+        let (prob, base_prob) = (out.probability, out.base_probability);
         assert!((0.0..=1.0).contains(&prob));
         assert!(
             base_prob <= prob,

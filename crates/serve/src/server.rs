@@ -50,7 +50,7 @@
 use crate::cache::{CellCache, CellKey};
 use crate::protocol::{self, codes, Request, WireError, MAX_LINE_BYTES};
 use crate::queries;
-use serde::{Map, Value};
+use serde::{Serialize, Value};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -421,7 +421,7 @@ fn answer_line(line: &str, ctx: &ServerCtx, pending: &mut dyn Write) -> (String,
     };
     let (result, control) = dispatch(&req, ctx, pending);
     match result {
-        Ok(payload) => (protocol::ok_line(&req.id, payload), control),
+        Ok(response) => (response, control),
         Err(e) => {
             ctx.errors.fetch_add(1, Ordering::Relaxed);
             if dck_obs::enabled() {
@@ -432,11 +432,31 @@ fn answer_line(line: &str, ctx: &ServerCtx, pending: &mut dyn Write) -> (String,
     }
 }
 
+/// The `ping` answer.
+#[derive(Serialize)]
+struct Pong {
+    pong: bool,
+}
+
+/// The `shutdown` answer.
+#[derive(Serialize)]
+struct Draining {
+    draining: bool,
+}
+
+/// The success line for `req` carrying `answer`, written straight from
+/// the typed answer.
+fn reply<T: Serialize>(req: &Request, answer: Result<T, WireError>) -> Result<String, WireError> {
+    answer.map(|a| protocol::ok_line(&req.id, a))
+}
+
+/// Answers `req`: its success line, or the error to put in its error
+/// line.
 fn dispatch(
     req: &Request,
     ctx: &ServerCtx,
     pending: &mut dyn Write,
-) -> (Result<Value, WireError>, Control) {
+) -> (Result<String, WireError>, Control) {
     // Fault injection for the containment e2e, mirroring the sweep
     // engine's DCK_SWEEP_PANIC_UNIT: a request whose id matches
     // DCK_SERVE_PANIC_ID panics inside the worker, exercising the
@@ -450,20 +470,27 @@ fn dispatch(
         panic!("injected serve panic (DCK_SERVE_PANIC_ID matched the request id)");
     }
     match req.method.as_str() {
-        "ping" => {
-            let mut out = Map::new();
-            out.insert("pong", Value::Bool(true));
-            (Ok(Value::Object(out)), Control::Continue)
-        }
-        "shutdown" => {
-            let mut out = Map::new();
-            out.insert("draining", Value::Bool(true));
-            (Ok(Value::Object(out)), Control::Shutdown)
-        }
-        "waste" => (queries::waste(&req.params), Control::Continue),
-        "risk" => (queries::risk(&req.params), Control::Continue),
-        "pstar" => (queries::pstar(&req.params), Control::Continue),
-        "sweep_cell" => (sweep_cell(&req.params, ctx, pending), Control::Continue),
+        "ping" => (reply(req, Ok(Pong { pong: true })), Control::Continue),
+        "shutdown" => (
+            reply(req, Ok(Draining { draining: true })),
+            Control::Shutdown,
+        ),
+        "waste" => (
+            reply(req, queries::waste_answer(&req.params)),
+            Control::Continue,
+        ),
+        "risk" => (
+            reply(req, queries::risk_answer(&req.params)),
+            Control::Continue,
+        ),
+        "pstar" => (
+            reply(req, queries::pstar_answer(&req.params)),
+            Control::Continue,
+        ),
+        "sweep_cell" => (
+            reply(req, sweep_cell(&req.params, ctx, pending)),
+            Control::Continue,
+        ),
         other => (
             Err(WireError::new(
                 codes::UNKNOWN_METHOD,
@@ -480,7 +507,7 @@ fn sweep_cell(
     params: &Value,
     ctx: &ServerCtx,
     pending: &mut dyn Write,
-) -> Result<Value, WireError> {
+) -> Result<queries::SweepCellAnswer, WireError> {
     let q = queries::parse_sweep_cell(params)?;
     let key = CellKey {
         fingerprint: q.fingerprint,
@@ -496,7 +523,7 @@ fn sweep_cell(
         if dck_obs::enabled() {
             dck_obs::incr("serve.cache_hits");
         }
-        return Ok(queries::sweep_cell_payload(&q, &cell, true));
+        return Ok(queries::sweep_cell_answer(&q, &cell, true));
     }
     ctx.cache_misses.fetch_add(1, Ordering::Relaxed);
     if dck_obs::enabled() {
@@ -513,5 +540,5 @@ fn sweep_cell(
     if let Ok(mut c) = ctx.cache.lock() {
         c.insert(key, cell);
     }
-    Ok(queries::sweep_cell_payload(&q, &cell, false))
+    Ok(queries::sweep_cell_answer(&q, &cell, false))
 }

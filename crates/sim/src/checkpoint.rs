@@ -287,18 +287,22 @@ pub fn sweep_spec_fingerprint(spec: &SweepSpec) -> u64 {
     spec_fingerprint(spec)
 }
 
-/// Fingerprint of the spec that produced a snapshot. Workers are
-/// normalized to 0 before hashing: results are bit-identical across
-/// worker counts, so resuming with different parallelism is fine.
+/// Fingerprint of the spec that produced a snapshot: the FNV-1a hash
+/// of its compact JSON with `workers` written as 0. Results are
+/// bit-identical across worker counts, so resuming with different
+/// parallelism is fine.
 pub(crate) fn spec_fingerprint(spec: &SweepSpec) -> u64 {
-    let mut normalized = spec.clone();
-    normalized.workers = 0;
-    match serde_json::to_string(&normalized) {
-        Ok(json) => fnv64(json.as_bytes()),
-        // Serialization of a plain struct cannot fail with the vendored
-        // serializer; treat the impossible as a distinct sentinel
-        // rather than panicking a worker.
-        Err(_) => u64::MAX,
+    const KEY: &str = "\"workers\":";
+    let mut json = String::with_capacity(512);
+    spec.write_json(&mut json);
+    // A spec holds no free text (its only strings are variant tags), so
+    // the key occurs once, followed by the count's digits.
+    match json.split_once(KEY) {
+        Some((head, rest)) => {
+            let tail = rest.trim_start_matches(|c: char| c.is_ascii_digit());
+            fnv64([head, KEY, "0", tail].concat().as_bytes())
+        }
+        None => fnv64(json.as_bytes()),
     }
 }
 
