@@ -14,8 +14,20 @@
 //! are answered with an `oversized` error and the connection is closed
 //! (the stream can no longer be framed reliably). Malformed JSON and
 //! non-object requests get `bad_request` with a `null` id.
+//!
+//! [`parse_envelope`] reads a line with the vendored `serde_json`
+//! reader and builds no tree but the echoed `id`: it decodes `v`, `id`
+//! and `method` in whatever order they come, and keeps `params` as the
+//! raw JSON text it was sent as, checked for syntax, for the method's
+//! handler to decode into its own typed parameter struct. When the
+//! line names its method before its params, as clients write them,
+//! [`parse_envelope_with`] decodes the params in the same pass instead.
+//! The whole line is read before any field is judged, so a syntax error
+//! anywhere in it is a `bad_request`, whatever else is wrong with the
+//! request.
 
-use serde::{Serialize, Value};
+use serde::{DeError, Deserialize, Reader, Serialize, Value};
+use std::borrow::Cow;
 
 /// Protocol version spoken by this build.
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -66,7 +78,7 @@ impl WireError {
     }
 }
 
-/// A parsed, envelope-validated request.
+/// A parsed, envelope-validated request with its `params` as a tree.
 #[derive(Debug, Clone)]
 pub struct Request {
     /// Client-chosen correlation id, echoed verbatim in the response.
@@ -77,24 +89,109 @@ pub struct Request {
     pub params: Value,
 }
 
-/// Parses one request line into a [`Request`], validating the envelope
-/// (object shape, protocol version, string method). `id`, `method` and
-/// `params` are moved out of the parsed tree, not copied.
-pub fn parse_request(line: &str) -> Result<Request, WireError> {
-    let value: Value = serde_json::from_str(line)
-        .map_err(|e| WireError::new(codes::BAD_REQUEST, format!("request is not JSON: {e}")))?;
-    let mut map = match value {
-        Value::Object(map) if map.get("v").is_some() || map.get("method").is_some() => map,
-        _ => {
-            return Err(WireError::new(
-                codes::BAD_REQUEST,
-                "request must be an object with `v` and `method` fields",
-            ));
-        }
-    };
-    match map.get("v") {
-        Some(n) if n.as_u64() == Some(PROTOCOL_VERSION) => {}
-        Some(_) => {
+/// An envelope-validated request line, borrowing from it.
+#[derive(Debug, Clone)]
+pub struct Envelope<'a, P = ()> {
+    /// Client-chosen correlation id, echoed verbatim in the response.
+    pub id: Value,
+    /// Method name.
+    pub method: Cow<'a, str>,
+    /// The `params` value's JSON text, well formed; `None` when omitted.
+    pub params: Option<&'a str>,
+    /// `params` as [`parse_envelope_with`] decoded it for `method`, when
+    /// the line named the method first; else `None`.
+    pub decoded: Option<P>,
+}
+
+fn not_json(e: DeError) -> WireError {
+    WireError::new(codes::BAD_REQUEST, format!("request is not JSON: {e}"))
+}
+
+/// `Some` of the next value as `T`, or `None` when it is well formed
+/// but not a `T`.
+fn lenient<T: Deserialize>(r: &mut Reader<'_>) -> Result<Option<T>, DeError> {
+    match T::read_json(r) {
+        Ok(x) => Ok(Some(x)),
+        Err(e) if e.is_syntax() => Err(e),
+        Err(_) => Ok(None),
+    }
+}
+
+/// Parses one request line into an [`Envelope`], validating the
+/// envelope (object shape, protocol version, string method). Of
+/// duplicate keys the last wins, and unknown keys are ignored.
+///
+/// # Errors
+/// `bad_request` when the line is not JSON (first) or not an object
+/// with `v` or `method`, `unsupported_version` when `v` is not
+/// [`PROTOCOL_VERSION`], and `bad_request` when `v` or a string
+/// `method` is missing.
+pub fn parse_envelope(line: &str) -> Result<Envelope<'_>, WireError> {
+    parse_envelope_with(line, |_, r| r.skip())
+}
+
+/// [`parse_envelope`], reading a `params` value that follows a string
+/// `method` with `read_params(method, reader)` in the same pass. It
+/// must read the value whole; its result is [`Envelope::decoded`] when
+/// the method it was read for is the request's, and is dropped when a
+/// later duplicate key changes either.
+///
+/// # Errors
+/// As [`parse_envelope`]; a syntax error `read_params` returns is the
+/// line's.
+pub fn parse_envelope_with<'a, P>(
+    line: &'a str,
+    mut read_params: impl FnMut(&str, &mut Reader<'a>) -> Result<P, DeError>,
+) -> Result<Envelope<'a, P>, WireError> {
+    let mut r = Reader::new(line).map_err(not_json)?;
+    // `Some` once the key was seen: whether `v` is the spoken version,
+    // and the method when it is a string.
+    let mut version: Option<bool> = None;
+    let mut method: Option<Option<Cow<'a, str>>> = None;
+    let mut id = Value::Null;
+    let mut params = None;
+    let mut decoded: Option<(Cow<'a, str>, P)> = None;
+    let object = r.peek() == Some(b'{');
+    if object {
+        r.object(|r, key| {
+            match &*key {
+                "v" => version = Some(lenient::<u64>(r)? == Some(PROTOCOL_VERSION)),
+                "method" if r.peek() == Some(b'"') => method = Some(Some(r.string()?)),
+                "method" => {
+                    r.skip()?;
+                    method = Some(None);
+                }
+                "id" => id = r.value()?,
+                "params" => {
+                    r.peek();
+                    let start = r.pos();
+                    decoded = match &method {
+                        Some(Some(m)) => Some((m.clone(), read_params(m, r)?)),
+                        _ => {
+                            r.skip()?;
+                            None
+                        }
+                    };
+                    params = Some(r.since(start));
+                }
+                _ => r.skip()?,
+            }
+            Ok(())
+        })
+    } else {
+        r.skip()
+    }
+    .and_then(|()| r.end())
+    .map_err(not_json)?;
+    if !object || (version.is_none() && method.is_none()) {
+        return Err(WireError::new(
+            codes::BAD_REQUEST,
+            "request must be an object with `v` and `method` fields",
+        ));
+    }
+    match version {
+        Some(true) => {}
+        Some(false) => {
             return Err(WireError::new(
                 codes::UNSUPPORTED_VERSION,
                 format!(
@@ -109,9 +206,9 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
             ));
         }
     }
-    let method = match map.remove("method") {
-        Some(Value::String(m)) => m,
-        Some(_) => {
+    let method = match method {
+        Some(Some(m)) => m,
+        Some(None) => {
             return Err(WireError::new(
                 codes::BAD_REQUEST,
                 "`method` must be a string",
@@ -124,9 +221,32 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
             ));
         }
     };
-    let id = map.remove("id").unwrap_or(Value::Null);
-    let params = map.remove("params").unwrap_or(Value::Null);
-    Ok(Request { id, method, params })
+    let decoded = decoded.and_then(|(m, p)| (m == method).then_some(p));
+    Ok(Envelope {
+        id,
+        method,
+        params,
+        decoded,
+    })
+}
+
+/// Parses one request line into a [`Request`]: [`parse_envelope`], with
+/// `params` decoded into a tree for callers that read trees.
+///
+/// # Errors
+/// As [`parse_envelope`].
+pub fn parse_request(line: &str) -> Result<Request, WireError> {
+    let env = parse_envelope(line)?;
+    let params = match env.params {
+        Some(text) => serde_json::from_str(text)
+            .map_err(|e| WireError::new(codes::BAD_REQUEST, format!("request is not JSON: {e}")))?,
+        None => Value::Null,
+    };
+    Ok(Request {
+        id: env.id,
+        method: env.method.into_owned(),
+        params,
+    })
 }
 
 /// One response line: `{"v":1,"id":<id>,"<key>":<body>}`, written

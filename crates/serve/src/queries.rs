@@ -1,18 +1,29 @@
-//! Pure request handlers: JSON params in, typed answer out.
+//! Pure request handlers: typed params in, typed answer out.
 //!
 //! Every method the server dispatches (other than `ping`/`shutdown`,
-//! which are protocol-level) lives here as a pure function from a
-//! `params` [`Value`] to a typed answer ([`WasteAnswer`],
-//! [`PstarAnswer`], [`RiskAnswer`], [`SweepCellAnswer`]) that derives
-//! `Serialize`, so unit tests and the worker pool exercise exactly the
-//! same code and the server writes each answer straight into its
-//! response line. [`waste`], [`pstar`], [`risk`] and
-//! [`sweep_cell_payload`] return the same answers as [`Value`] trees
-//! for callers that collect trees. Point queries (`waste`,
-//! `risk`, `pstar`) are answered directly from the `dck-core` model —
-//! no simulation, microsecond-scale. `sweep_cell` parsing also lives
-//! here; the compute + cache path is in [`crate::server`] because it
-//! needs the shared cache.
+//! which are protocol-level) lives here as a pure function from its
+//! typed parameter struct ([`PointParams`] for `waste`, `pstar` and
+//! `risk`, [`SweepCellParams`] for `sweep_cell`) to a typed answer
+//! ([`WasteAnswer`], [`PstarAnswer`], [`RiskAnswer`],
+//! [`SweepCellAnswer`]) that derives `Serialize`, so unit tests and the
+//! worker pool exercise exactly the same code and the server writes
+//! each answer straight into its response line. The server decodes the
+//! parameter structs straight from the request's `params` text
+//! ([`decode_params`]); no tree is built.
+//!
+//! Each parameter is a [`Param`]: absent, or what decoding it gave,
+//! error included. A handler judges its params one by one in a fixed
+//! order, so the first bad one is reported, whatever order the request
+//! put them in; the messages are those of the tree-reading handlers
+//! these replaced. [`waste`], [`pstar`], [`risk`] and
+//! [`parse_sweep_cell`] take the params as a [`Value`] tree (decoded
+//! with `from_value`, the same semantics) and [`sweep_cell_payload`]
+//! returns a tree, for callers that hold trees.
+//!
+//! Point queries (`waste`, `risk`, `pstar`) are answered directly from
+//! the `dck-core` model — no simulation, microsecond-scale.
+//! `sweep_cell` parsing also lives here; the compute + cache path is in
+//! [`crate::server`] because it needs the shared cache.
 //!
 //! ## Platform parameters
 //!
@@ -30,7 +41,200 @@ use dck_core::{
     PlatformParams, Protocol, RiskModel, Scenario,
 };
 use dck_sim::{run_sweep_cell, sweep_spec_fingerprint, SweepCell, SweepSpec};
-use serde::{Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Reader, Serialize, Value};
+
+/// One request parameter: absent (or `null`), or what decoding its
+/// value as `T` gave. A value that is not a `T` is kept as its error,
+/// for the handler to report when it reaches this parameter.
+#[derive(Debug, Clone, Default)]
+pub enum Param<T> {
+    /// Not in the request, or `null`.
+    #[default]
+    Absent,
+    /// The decoded value, or why it is not a `T`.
+    Given(Result<T, DeError>),
+}
+
+impl<T: Deserialize> Deserialize for Param<T> {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Ok(match v {
+            Value::Null => Param::Absent,
+            v => Param::Given(T::from_value(v)),
+        })
+    }
+
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        if r.null()? {
+            return Ok(Param::Absent);
+        }
+        match T::read_json(r) {
+            Err(e) if e.is_syntax() => Err(e),
+            read => Ok(Param::Given(read)),
+        }
+    }
+}
+
+impl<T> Param<T> {
+    /// The value, `None` when absent; `bad_params` saying `param `key`
+    /// must be <kind>` when it is not a `T`.
+    fn optional(&self, key: &str, kind: &str) -> Result<Option<&T>, WireError> {
+        match self {
+            Param::Absent => Ok(None),
+            Param::Given(Ok(x)) => Ok(Some(x)),
+            Param::Given(Err(_)) => Err(WireError::bad_params(format!(
+                "param `{key}` must be {kind}"
+            ))),
+        }
+    }
+
+    /// As [`Param::optional`], with absence an error too.
+    fn required(&self, key: &str, kind: &str) -> Result<&T, WireError> {
+        self.optional(key, kind)?.ok_or_else(|| missing(key))
+    }
+}
+
+fn missing(key: &str) -> WireError {
+    WireError::bad_params(format!("missing required param `{key}`"))
+}
+
+const NUMBER: &str = "a number";
+const STRING: &str = "a string";
+const INDEX: &str = "a non-negative integer";
+
+/// The params of the point queries `waste`, `pstar` and `risk`: each
+/// reads the fields it needs, in its own order.
+#[derive(Debug, Clone, Default, Deserialize)]
+pub struct PointParams {
+    /// Protocol id (required).
+    pub protocol: Param<String>,
+    /// Named scenario, `base` by default.
+    pub scenario: Param<String>,
+    /// Downtime override (s).
+    pub downtime_s: Param<f64>,
+    /// Checkpoint transfer time override `δ` (s).
+    pub delta_s: Param<f64>,
+    /// Minimal overlapped transfer time override `θmin` (s).
+    pub theta_min_s: Param<f64>,
+    /// Slowdown factor override `α`.
+    pub alpha: Param<f64>,
+    /// Node count override.
+    pub nodes: Param<u64>,
+    /// Overhead ratio `φ/R` (required but by `risk`).
+    pub phi_ratio: Param<f64>,
+    /// Platform MTBF (s, required).
+    pub mtbf_s: Param<f64>,
+    /// Exploitation time (s, required by `risk`).
+    pub life_s: Param<f64>,
+}
+
+/// The params of `sweep_cell`.
+#[derive(Debug, Clone, Default, Deserialize)]
+pub struct SweepCellParams {
+    /// The sweep spec (required).
+    pub spec: Param<SweepSpec>,
+    /// MTBF (row) index (required).
+    pub mtbf_idx: Param<usize>,
+    /// φ (column) index (required).
+    pub phi_idx: Param<usize>,
+}
+
+/// Reads a method's params, the next value of `r`, whole and with no
+/// tree. Params that are not an object read as all absent, as a tree
+/// lookup finds no key in them.
+///
+/// # Errors
+/// A syntax error.
+pub fn read_params<T: Deserialize + Default>(r: &mut Reader<'_>) -> Result<T, DeError> {
+    // A `Param` field keeps its own error, so the only type error is
+    // params that are not an object.
+    match T::read_json(r) {
+        Err(e) if !e.is_syntax() => Ok(T::default()),
+        read => read,
+    }
+}
+
+/// Decodes a method's params from the request's `params` text (`None`
+/// when the request had none) with [`read_params`].
+///
+/// # Errors
+/// `bad_request` if `params` is not JSON; `parse_envelope` hands over
+/// only well-formed text, so a server never sees this.
+pub fn decode_params<T: Deserialize + Default>(params: Option<&str>) -> Result<T, WireError> {
+    let Some(text) = params else {
+        return Ok(T::default());
+    };
+    Reader::new(text)
+        .and_then(|mut r| {
+            let params = read_params(&mut r)?;
+            r.end()?;
+            Ok(params)
+        })
+        .map_err(|e| WireError::new(codes::BAD_REQUEST, format!("request is not JSON: {e}")))
+}
+
+/// A request's params, decoded for its method as the envelope is read.
+pub enum Params {
+    /// `waste`, `risk` or `pstar` params.
+    Point(PointParams),
+    /// `sweep_cell` params.
+    SweepCell(SweepCellParams),
+    /// The method takes no params, or is unknown.
+    Unused,
+}
+
+impl Params {
+    /// Reads the params of a `method` request whole, as
+    /// `parse_envelope_with` hands them over.
+    ///
+    /// # Errors
+    /// A syntax error.
+    pub fn read(method: &str, r: &mut Reader<'_>) -> Result<Params, DeError> {
+        Ok(match method {
+            "waste" | "risk" | "pstar" => Params::Point(read_params(r)?),
+            "sweep_cell" => Params::SweepCell(read_params(r)?),
+            _ => {
+                r.skip()?;
+                Params::Unused
+            }
+        })
+    }
+
+    /// Point-query params: as decoded with the envelope, or from
+    /// `text` when the line put them before the method.
+    ///
+    /// # Errors
+    /// As [`decode_params`].
+    pub fn point(decoded: Option<Params>, text: Option<&str>) -> Result<PointParams, WireError> {
+        match decoded {
+            Some(Params::Point(p)) => Ok(p),
+            _ => decode_params(text),
+        }
+    }
+
+    /// As [`Params::point`], for `sweep_cell`.
+    ///
+    /// # Errors
+    /// As [`decode_params`].
+    pub fn sweep_cell(
+        decoded: Option<Params>,
+        text: Option<&str>,
+    ) -> Result<SweepCellParams, WireError> {
+        match decoded {
+            Some(Params::SweepCell(p)) => Ok(p),
+            _ => decode_params(text),
+        }
+    }
+}
+
+/// [`decode_params`] for params held as a tree.
+fn params_from_value<T: Deserialize + Default>(params: &Value) -> T {
+    // Decoding an object into `Param` fields cannot fail: every field
+    // keeps its own error.
+    match params {
+        Value::Object(_) => T::from_value(params).unwrap_or_default(),
+        _ => T::default(),
+    }
+}
 
 /// Maps a model error onto the wire: domain errors (bad inputs,
 /// infeasible operating points) are the client's fault; execution
@@ -44,44 +248,8 @@ pub fn model_err(e: &ModelError) -> WireError {
     }
 }
 
-fn require<'a>(params: &'a Value, key: &str) -> Result<&'a Value, WireError> {
-    match params.get(key) {
-        Some(v) if !v.is_null() => Ok(v),
-        _ => Err(WireError::bad_params(format!(
-            "missing required param `{key}`"
-        ))),
-    }
-}
-
-fn require_f64(params: &Value, key: &str) -> Result<f64, WireError> {
-    require(params, key)?
-        .as_f64()
-        .ok_or_else(|| WireError::bad_params(format!("param `{key}` must be a number")))
-}
-
-fn require_usize(params: &Value, key: &str) -> Result<usize, WireError> {
-    require(params, key)?
-        .as_u64()
-        .and_then(|x| usize::try_from(x).ok())
-        .ok_or_else(|| {
-            WireError::bad_params(format!("param `{key}` must be a non-negative integer"))
-        })
-}
-
-fn optional_f64(params: &Value, key: &str) -> Result<Option<f64>, WireError> {
-    match params.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => v
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| WireError::bad_params(format!("param `{key}` must be a number"))),
-    }
-}
-
-fn require_protocol(params: &Value) -> Result<Protocol, WireError> {
-    let name = require(params, "protocol")?
-        .as_str()
-        .ok_or_else(|| WireError::bad_params("param `protocol` must be a string"))?;
+fn protocol(p: &Param<String>) -> Result<Protocol, WireError> {
+    let name = p.required("protocol", STRING)?;
     Protocol::parse(name).ok_or_else(|| {
         let known: Vec<String> = Protocol::registry().iter().map(|p| p.id()).collect();
         WireError::bad_params(format!(
@@ -93,29 +261,30 @@ fn require_protocol(params: &Value) -> Result<Protocol, WireError> {
 
 /// Resolves the platform parameter set for a point query (see the
 /// module docs for the scenario + overrides scheme).
-pub fn platform_params(params: &Value) -> Result<PlatformParams, WireError> {
-    let scenario = match params.get("scenario") {
-        None | Some(Value::Null) => Scenario::base(),
-        Some(v) => {
-            let name = v
-                .as_str()
-                .ok_or_else(|| WireError::bad_params("param `scenario` must be a string"))?;
-            Scenario::by_name(name).ok_or_else(|| {
-                WireError::bad_params(format!("unknown scenario `{name}` (known: base, exa)"))
-            })?
-        }
+///
+/// # Errors
+/// `bad_params` for the first ill-typed field, in the order scenario,
+/// `downtime_s`, `delta_s`, `theta_min_s`, `alpha`, `nodes`, then for a
+/// set [`PlatformParams::new`] rejects.
+pub fn platform_params(p: &PointParams) -> Result<PlatformParams, WireError> {
+    let scenario = match p.scenario.optional("scenario", STRING)? {
+        None => Scenario::base(),
+        Some(name) => Scenario::by_name(name).ok_or_else(|| {
+            WireError::bad_params(format!("unknown scenario `{name}` (known: base, exa)"))
+        })?,
     };
     let base = scenario.params;
-    let downtime = optional_f64(params, "downtime_s")?.unwrap_or(base.downtime);
-    let delta = optional_f64(params, "delta_s")?.unwrap_or(base.delta);
-    let theta_min = optional_f64(params, "theta_min_s")?.unwrap_or(base.theta_min);
-    let alpha = optional_f64(params, "alpha")?.unwrap_or(base.alpha);
-    let nodes = match params.get("nodes") {
-        None | Some(Value::Null) => base.nodes,
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| WireError::bad_params("param `nodes` must be a positive integer"))?,
+    let or_base = |param: &Param<f64>, key: &str, base: f64| {
+        Ok::<_, WireError>(param.optional(key, NUMBER)?.map_or(base, |x| *x))
     };
+    let downtime = or_base(&p.downtime_s, "downtime_s", base.downtime)?;
+    let delta = or_base(&p.delta_s, "delta_s", base.delta)?;
+    let theta_min = or_base(&p.theta_min_s, "theta_min_s", base.theta_min)?;
+    let alpha = or_base(&p.alpha, "alpha", base.alpha)?;
+    let nodes = p
+        .nodes
+        .optional("nodes", "a positive integer")?
+        .map_or(base.nodes, |n| *n);
     PlatformParams::new(downtime, delta, theta_min, alpha, nodes).map_err(|e| model_err(&e))
 }
 
@@ -220,11 +389,11 @@ pub struct RiskAnswer {
 /// Params: `protocol`, `phi_ratio`, `mtbf_s`, plus the platform
 /// scheme. Returns the waste decomposition (Eqs. 4–5), the period and
 /// its provenance, efficiency, and the risk-window length.
-pub fn waste_answer(params: &Value) -> Result<WasteAnswer, WireError> {
-    let protocol = require_protocol(params)?;
+pub fn waste_answer(params: &PointParams) -> Result<WasteAnswer, WireError> {
+    let protocol = protocol(&params.protocol)?;
     let p = platform_params(params)?;
-    let ratio = require_f64(params, "phi_ratio")?;
-    let mtbf = require_f64(params, "mtbf_s")?;
+    let ratio = *params.phi_ratio.required("phi_ratio", NUMBER)?;
+    let mtbf = *params.mtbf_s.required("mtbf_s", NUMBER)?;
     let phi = phi_from_ratio(&p, ratio)?;
     let e: Evaluation =
         Evaluation::at_optimal_period(protocol, &p, phi, mtbf).map_err(|e| model_err(&e))?;
@@ -247,20 +416,20 @@ pub fn waste_answer(params: &Value) -> Result<WasteAnswer, WireError> {
     })
 }
 
-/// [`waste_answer`] as a tree.
+/// [`waste_answer`] from and to a tree.
 pub fn waste(params: &Value) -> Result<Value, WireError> {
-    waste_answer(params).map(|a| a.to_value())
+    waste_answer(&params_from_value(params)).map(|a| a.to_value())
 }
 
 /// `pstar`: just the optimal period and its waste (Eqs. 9/10/15).
 ///
 /// Params: `protocol`, `phi_ratio`, `mtbf_s`, plus the platform
 /// scheme.
-pub fn pstar_answer(params: &Value) -> Result<PstarAnswer, WireError> {
-    let protocol = require_protocol(params)?;
+pub fn pstar_answer(params: &PointParams) -> Result<PstarAnswer, WireError> {
+    let protocol = protocol(&params.protocol)?;
     let p = platform_params(params)?;
-    let ratio = require_f64(params, "phi_ratio")?;
-    let mtbf = require_f64(params, "mtbf_s")?;
+    let ratio = *params.phi_ratio.required("phi_ratio", NUMBER)?;
+    let mtbf = *params.mtbf_s.required("mtbf_s", NUMBER)?;
     let phi = phi_from_ratio(&p, ratio)?;
     let opt = optimal_period(protocol, &p, phi, mtbf).map_err(|e| model_err(&e))?;
     Ok(PstarAnswer {
@@ -273,9 +442,9 @@ pub fn pstar_answer(params: &Value) -> Result<PstarAnswer, WireError> {
     })
 }
 
-/// [`pstar_answer`] as a tree.
+/// [`pstar_answer`] from and to a tree.
 pub fn pstar(params: &Value) -> Result<Value, WireError> {
-    pstar_answer(params).map(|a| a.to_value())
+    pstar_answer(&params_from_value(params)).map(|a| a.to_value())
 }
 
 /// `risk`: application success probability over an exploitation time
@@ -284,14 +453,14 @@ pub fn pstar(params: &Value) -> Result<Value, WireError> {
 /// Params: `protocol`, `mtbf_s`, `life_s`, optional `phi_ratio`
 /// (defaults to the fully-overlapped worst case `θmax`), plus the
 /// platform scheme.
-pub fn risk_answer(params: &Value) -> Result<RiskAnswer, WireError> {
-    let protocol = require_protocol(params)?;
+pub fn risk_answer(params: &PointParams) -> Result<RiskAnswer, WireError> {
+    let protocol = protocol(&params.protocol)?;
     let p = platform_params(params)?;
-    let mtbf = require_f64(params, "mtbf_s")?;
-    let life = require_f64(params, "life_s")?;
+    let mtbf = *params.mtbf_s.required("mtbf_s", NUMBER)?;
+    let life = *params.life_s.required("life_s", NUMBER)?;
     let overlap = OverlapModel::new(&p);
-    let theta = match optional_f64(params, "phi_ratio")? {
-        Some(ratio) => {
+    let theta = match params.phi_ratio.optional("phi_ratio", NUMBER)? {
+        Some(&ratio) => {
             let phi = phi_from_ratio(&p, ratio)?;
             overlap.theta_of_phi(phi).map_err(|e| model_err(&e))?
         }
@@ -315,9 +484,9 @@ pub fn risk_answer(params: &Value) -> Result<RiskAnswer, WireError> {
     })
 }
 
-/// [`risk_answer`] as a tree.
+/// [`risk_answer`] from and to a tree.
 pub fn risk(params: &Value) -> Result<Value, WireError> {
-    risk_answer(params).map(|a| a.to_value())
+    risk_answer(&params_from_value(params)).map(|a| a.to_value())
 }
 
 /// Most Monte-Carlo work one `sweep_cell` request may ask for, counted
@@ -345,11 +514,23 @@ pub struct SweepCellQuery {
     pub fingerprint: u64,
 }
 
-/// Parses `sweep_cell` params: `{"spec": <SweepSpec>, "mtbf_idx": i,
-/// "phi_idx": j}`.
+/// Parses `sweep_cell` params held as a tree; see [`sweep_cell_query`].
 pub fn parse_sweep_cell(params: &Value) -> Result<SweepCellQuery, WireError> {
-    let spec = SweepSpec::from_value(require(params, "spec")?)
-        .map_err(|e| WireError::bad_params(format!("param `spec` is not a sweep spec: {e}")))?;
+    sweep_cell_query(params_from_value(params))
+}
+
+/// Checks `sweep_cell` params, `{"spec": <SweepSpec>, "mtbf_idx": i,
+/// "phi_idx": j}`, in that order, and fingerprints the spec.
+///
+/// # Errors
+/// `bad_params` for the first param that is missing or ill-typed, or a
+/// spec over [`MAX_SWEEP_CELL_WORK`].
+pub fn sweep_cell_query(params: SweepCellParams) -> Result<SweepCellQuery, WireError> {
+    let spec = match params.spec {
+        Param::Absent => return Err(missing("spec")),
+        Param::Given(spec) => spec
+            .map_err(|e| WireError::bad_params(format!("param `spec` is not a sweep spec: {e}")))?,
+    };
     // A non-finite work size is left to the spec's own typed validation.
     let work = spec.replications as f64 * spec.work_in_mtbfs.max(1.0);
     if spec.work_in_mtbfs.is_finite() && work > MAX_SWEEP_CELL_WORK {
@@ -360,8 +541,8 @@ pub fn parse_sweep_cell(params: &Value) -> Result<SweepCellQuery, WireError> {
             spec.replications, spec.work_in_mtbfs
         )));
     }
-    let mtbf_idx = require_usize(params, "mtbf_idx")?;
-    let phi_idx = require_usize(params, "phi_idx")?;
+    let mtbf_idx = *params.mtbf_idx.required("mtbf_idx", INDEX)?;
+    let phi_idx = *params.phi_idx.required("phi_idx", INDEX)?;
     let fingerprint = sweep_spec_fingerprint(&spec);
     Ok(SweepCellQuery {
         spec,
@@ -431,7 +612,7 @@ mod tests {
             ("phi_ratio", Value::F64(0.5)),
             ("mtbf_s", Value::F64(7.0 * 3600.0)),
         ]);
-        let out = waste_answer(&params).unwrap();
+        let out = waste_answer(&params_from_value(&params)).unwrap();
         let p = Scenario::base().params;
         let phi = OverlapModel::new(&p).phi_from_ratio(0.5);
         let direct =
@@ -444,11 +625,12 @@ mod tests {
 
     #[test]
     fn scenario_and_overrides_change_the_platform() {
-        let base = platform_params(&obj(&[])).unwrap();
+        let platform = |pairs: &[(&str, Value)]| platform_params(&params_from_value(&obj(pairs)));
+        let base = platform(&[]).unwrap();
         assert_eq!(base, Scenario::base().params);
-        let exa = platform_params(&obj(&[("scenario", Value::String("exa".into()))])).unwrap();
+        let exa = platform(&[("scenario", Value::String("exa".into()))]).unwrap();
         assert_eq!(exa, Scenario::exa().params);
-        let tweaked = platform_params(&obj(&[("nodes", Value::U64(128))])).unwrap();
+        let tweaked = platform(&[("nodes", Value::U64(128))]).unwrap();
         assert_eq!(tweaked.nodes, 128);
         assert_eq!(tweaked.delta, base.delta);
     }
@@ -494,7 +676,7 @@ mod tests {
             ("mtbf_s", Value::F64(7.0 * 3600.0)),
             ("life_s", Value::F64(14.0 * 86400.0)),
         ]);
-        let out = risk_answer(&base_q).unwrap();
+        let out = risk_answer(&params_from_value(&base_q)).unwrap();
         assert_eq!(
             out.theta_s.to_bits(),
             OverlapModel::new(&p).theta_max().to_bits()

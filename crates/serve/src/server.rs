@@ -48,9 +48,9 @@
 //! session's [`ServeSummary`].
 
 use crate::cache::{CellCache, CellKey};
-use crate::protocol::{self, codes, Request, WireError, MAX_LINE_BYTES};
-use crate::queries;
-use serde::{Serialize, Value};
+use crate::protocol::{self, codes, Envelope, WireError, MAX_LINE_BYTES};
+use crate::queries::{self, Params, SweepCellParams};
+use serde::Serialize;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -412,14 +412,15 @@ fn answer_line(line: &str, ctx: &ServerCtx, pending: &mut dyn Write) -> (String,
     if dck_obs::enabled() {
         dck_obs::incr("serve.requests");
     }
-    let req = match protocol::parse_request(line) {
+    let mut req = match protocol::parse_envelope_with(line, Params::read) {
         Ok(r) => r,
         Err(e) => {
             ctx.errors.fetch_add(1, Ordering::Relaxed);
             return (protocol::err_line(None, &e), Control::Continue);
         }
     };
-    let (result, control) = dispatch(&req, ctx, pending);
+    let params = req.decoded.take();
+    let (result, control) = dispatch(&req, params, ctx, pending);
     match result {
         Ok(response) => (response, control),
         Err(e) => {
@@ -446,14 +447,19 @@ struct Draining {
 
 /// The success line for `req` carrying `answer`, written straight from
 /// the typed answer.
-fn reply<T: Serialize>(req: &Request, answer: Result<T, WireError>) -> Result<String, WireError> {
+fn reply<T: Serialize>(
+    req: &Envelope<Params>,
+    answer: Result<T, WireError>,
+) -> Result<String, WireError> {
     answer.map(|a| protocol::ok_line(&req.id, a))
 }
 
-/// Answers `req`: its success line, or the error to put in its error
-/// line.
+/// Answers `req`, whose params the envelope decoded into `params` (or
+/// not: see [`Params::point`]): its success line, or the error to put
+/// in its error line.
 fn dispatch(
-    req: &Request,
+    req: &Envelope<Params>,
+    params: Option<Params>,
     ctx: &ServerCtx,
     pending: &mut dyn Write,
 ) -> (Result<String, WireError>, Control) {
@@ -469,28 +475,28 @@ fn dispatch(
     {
         panic!("injected serve panic (DCK_SERVE_PANIC_ID matched the request id)");
     }
-    match req.method.as_str() {
+    match &*req.method {
         "ping" => (reply(req, Ok(Pong { pong: true })), Control::Continue),
         "shutdown" => (
             reply(req, Ok(Draining { draining: true })),
             Control::Shutdown,
         ),
-        "waste" => (
-            reply(req, queries::waste_answer(&req.params)),
-            Control::Continue,
-        ),
-        "risk" => (
-            reply(req, queries::risk_answer(&req.params)),
-            Control::Continue,
-        ),
-        "pstar" => (
-            reply(req, queries::pstar_answer(&req.params)),
-            Control::Continue,
-        ),
-        "sweep_cell" => (
-            reply(req, sweep_cell(&req.params, ctx, pending)),
-            Control::Continue,
-        ),
+        "waste" => {
+            let answer = Params::point(params, req.params).and_then(|p| queries::waste_answer(&p));
+            (reply(req, answer), Control::Continue)
+        }
+        "risk" => {
+            let answer = Params::point(params, req.params).and_then(|p| queries::risk_answer(&p));
+            (reply(req, answer), Control::Continue)
+        }
+        "pstar" => {
+            let answer = Params::point(params, req.params).and_then(|p| queries::pstar_answer(&p));
+            (reply(req, answer), Control::Continue)
+        }
+        "sweep_cell" => {
+            let answer = Params::sweep_cell(params, req.params).and_then(|p| sweep_cell(p, ctx, pending));
+            (reply(req, answer), Control::Continue)
+        }
         other => (
             Err(WireError::new(
                 codes::UNKNOWN_METHOD,
@@ -504,11 +510,11 @@ fn dispatch(
 }
 
 fn sweep_cell(
-    params: &Value,
+    params: SweepCellParams,
     ctx: &ServerCtx,
     pending: &mut dyn Write,
 ) -> Result<queries::SweepCellAnswer, WireError> {
-    let q = queries::parse_sweep_cell(params)?;
+    let q = queries::sweep_cell_query(params)?;
     let key = CellKey {
         fingerprint: q.fingerprint,
         mtbf_idx: q.mtbf_idx,

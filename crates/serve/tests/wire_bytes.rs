@@ -67,6 +67,11 @@ const BAD_PARAMS: (&str, &str) = (
 /// parser's nesting cap.
 const DEEP_ANSWER: &str = r#"{"v":1,"id":null,"err":{"code":"bad_request","message":"request is not JSON: nesting deeper than 128 levels at byte 128"}}"#;
 
+/// The answer to a 65 384-byte `waste` line whose params hold 6 645
+/// distinct keys and no `protocol`.
+const MANY_KEYS_ANSWER: &str =
+    r#"{"v":1,"id":"k","err":{"code":"bad_params","message":"missing required param `protocol`"}}"#;
+
 /// [`SPEC`] with `"replications": 1e15`, over the per-request budget.
 const HUGE_ANSWER: &str = r#"{"v":1,"id":"h","err":{"code":"bad_params","message":"param `spec` asks for 1000000000000000 replications x 10 MTBFs of work; this server computes at most 10000000 replication-MTBFs per sweep_cell, counting each replication as at least 1 MTBF"}}"#;
 
@@ -157,7 +162,9 @@ fn every_method_answers_with_pinned_bytes() {
 /// Each of these requests once ended the whole server: the recursive
 /// parser overflowed its stack on the deep line, and the sweep pool
 /// sized an allocation by the huge spec's replication count. Both now
-/// get a typed error, and the same connection still gets a `pong`.
+/// get a typed error, and the same connection still gets a `pong`. The
+/// line of 6 645 keys, under the line cap, held a worker for 78 ms
+/// while the parser searched the keys read so far at every key.
 #[test]
 fn hostile_requests_get_typed_errors_and_the_server_lives() {
     let (addr, server) = start();
@@ -168,6 +175,14 @@ fn hostile_requests_get_typed_errors_and_the_server_lives() {
     );
     let huge = sweep_cell_request("h").replace(r#""replications":16"#, r#""replications":1e15"#);
     assert_eq!(conn.exchange(&huge), format!("{HUGE_ANSWER}\n"));
+    let keys: Vec<String> = (0..6_645).map(|i| format!("\"k{i}\":0")).collect();
+    let many = format!(
+        r#"{{"v":1,"id":"k","method":"waste","params":{{{}}}}}"#,
+        keys.join(",")
+    );
+    assert_eq!(many.len(), 65_384);
+    assert!(many.len() < dck_serve::MAX_LINE_BYTES);
+    assert_eq!(conn.exchange(&many), format!("{MANY_KEYS_ANSWER}\n"));
     assert_eq!(conn.exchange(PING.0), format!("{}\n", PING.1));
     conn.exchange(r#"{"v":1,"id":"q","method":"shutdown"}"#);
     let summary = server.join().expect("server thread");

@@ -192,14 +192,14 @@ impl PoolState {
     }
 }
 
-#[derive(Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 struct HeaderDoc {
     magic: String,
     version: u64,
     checksum: String,
 }
 
-#[derive(Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 struct PayloadDoc {
     spec_fingerprint: String,
     rounds_done: u64,
@@ -210,7 +210,7 @@ struct PayloadDoc {
     cells: Vec<CellDoc>,
 }
 
-#[derive(Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 struct CellDoc {
     waste: StatsDoc,
     failures: StatsDoc,
@@ -223,7 +223,7 @@ struct CellDoc {
 
 /// Raw Welford state with floats as hex bit-strings (see module docs
 /// for why decimal is not an option).
-#[derive(Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 struct StatsDoc {
     n: u64,
     mean: String,
@@ -903,6 +903,35 @@ mod tests {
         assert_eq!(restored.checkpoint_every, 3);
         assert_eq!(validate_snapshot(&path).unwrap().checkpoint_every, 3);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[allow(dead_code)]
+    mod mutate {
+        include!("../../../vendor/serde/tests/support/mutate.rs");
+    }
+
+    /// Both snapshot lines, and edited and broken copies of them, read
+    /// as their parsed trees do: a snapshot written before the reader
+    /// decoded straight from bytes resumes the same, and a damaged one
+    /// fails with the same message.
+    #[test]
+    fn snapshot_lines_read_as_their_tree_does() {
+        let bytes = encode(&sample_state(), 0xabc, 2).unwrap();
+        let text = String::from_utf8(bytes).unwrap();
+        let (header, payload) = text.trim_end().split_once('\n').unwrap();
+        for seed in 0..16 {
+            for doc in std::iter::once(header.to_string()).chain(mutate::variants(header, seed, 8))
+            {
+                let (read, oracle) = mutate::both_ways::<HeaderDoc>(&doc);
+                assert_eq!(read, oracle, "{doc}");
+            }
+            for doc in
+                std::iter::once(payload.to_string()).chain(mutate::variants(payload, seed, 8))
+            {
+                let (read, oracle) = mutate::both_ways::<PayloadDoc>(&doc);
+                assert_eq!(read, oracle, "{doc}");
+            }
+        }
     }
 
     #[test]

@@ -7,10 +7,16 @@
 use dck_core::{PlatformParams, Protocol};
 use dck_failures::DistributionSpec;
 use dck_sim::montecarlo::SourceKind;
+use dck_sim::TimelineEvent;
 use dck_sim::{sweep_spec_fingerprint, EarlyStop, SweepCell, SweepResult, SweepSpec};
 use dck_simcore::SimTime;
+use mutate::{both_ways, variants};
 use proptest::prelude::*;
 use serde::Serialize;
+
+#[allow(dead_code)]
+#[path = "../../../vendor/serde/tests/support/mutate.rs"]
+mod mutate;
 
 fn direct(x: &impl Serialize) -> String {
     serde_json::to_string(x).unwrap()
@@ -109,6 +115,39 @@ proptest! {
                 spec.early_stop = early_stop;
                 prop_assert_eq!(direct(&spec), tree(&spec));
                 prop_assert_eq!(sweep_spec_fingerprint(&spec), tree_fingerprint(&spec));
+                let text = direct(&spec);
+                let seed = seed ^ workers as u64;
+                for doc in std::iter::once(text.clone()).chain(variants(&text, seed, 6)) {
+                    let (read, oracle) = both_ways::<SweepSpec>(&doc);
+                    prop_assert_eq!(read, oracle, "{}", doc);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn timeline_events_read_as_their_tree_does(
+        xs in prop::collection::vec(prop::num::f64::ANY, 4),
+        node in any::<u64>(),
+        flags in (any::<bool>(), any::<bool>()),
+        seed in any::<u64>(),
+    ) {
+        let events = [
+            TimelineEvent::Failure {
+                at: xs[0],
+                node,
+                offset: xs[1],
+                outage: xs[2],
+                fatal: flags.0,
+                during_outage: flags.1,
+            },
+            TimelineEvent::OutageEnd { at: xs[3] },
+        ];
+        for event in events {
+            let text = direct(&event);
+            for doc in std::iter::once(text.clone()).chain(variants(&text, seed, 12)) {
+                let (read, oracle) = both_ways::<TimelineEvent>(&doc);
+                prop_assert_eq!(read, oracle, "{}", doc);
             }
         }
     }

@@ -6,6 +6,10 @@ use dck_simcore::SimTime;
 use dck_testkit::golden::{default_corpus_dir, load_cases};
 use dck_testkit::script::FaultScript;
 
+#[allow(dead_code)]
+#[path = "../../../vendor/serde/tests/support/mutate.rs"]
+mod mutate;
+
 #[test]
 fn corpus_scripts_roundtrip_through_json() {
     let cases = load_cases(&default_corpus_dir()).expect("corpus must load");
@@ -15,6 +19,20 @@ fn corpus_scripts_roundtrip_through_json() {
             .unwrap_or_else(|err| panic!("{}: reparse failed: {err}", case.name));
         let again = back.to_json().unwrap();
         assert_eq!(json, again, "{}: JSON round-trip is not stable", case.name);
+    }
+}
+
+/// Every corpus script, and edited and broken copies of it, reads as
+/// its parsed tree does: the same script or the same error message.
+#[test]
+fn corpus_scripts_read_as_their_tree_does() {
+    let cases = load_cases(&default_corpus_dir()).expect("corpus must load");
+    for (seed, case) in cases.iter().enumerate() {
+        let json = case.script.to_json().unwrap();
+        for doc in std::iter::once(json.clone()).chain(mutate::variants(&json, seed as u64, 24)) {
+            let (read, oracle) = mutate::both_ways::<FaultScript>(&doc);
+            assert_eq!(read, oracle, "{}: {doc}", case.name);
+        }
     }
 }
 
