@@ -28,7 +28,7 @@
 //! [`ClosureRoot`]s: the escape points where a new thread of control
 //! starts.
 //!
-//! [`CallGraph::search`] is the one walk over the graph: every
+//! `CallGraph::search` is the one walk over the graph: every
 //! workspace lint is a caller of it with its own start states and
 //! per-edge step.
 

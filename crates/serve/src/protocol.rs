@@ -15,13 +15,13 @@
 //! (the stream can no longer be framed reliably). Malformed JSON and
 //! non-object requests get `bad_request` with a `null` id.
 //!
-//! [`parse_envelope`] reads a line with the vendored `serde_json`
+//! [`parse_envelope_with`] reads a line with the vendored `serde_json`
 //! reader and builds no tree but the echoed `id`: it decodes `v`, `id`
 //! and `method` in whatever order they come, and keeps `params` as the
 //! raw JSON text it was sent as, checked for syntax, for the method's
 //! handler to decode into its own typed parameter struct. When the
-//! line names its method before its params, as clients write them,
-//! [`parse_envelope_with`] decodes the params in the same pass instead.
+//! line names its method before its params, as clients write them, it
+//! decodes the params in the same pass instead.
 //! The whole line is read before any field is judged, so a syntax error
 //! anywhere in it is a `bad_request`, whatever else is wrong with the
 //! request.
@@ -107,38 +107,21 @@ fn not_json(e: DeError) -> WireError {
     WireError::new(codes::BAD_REQUEST, format!("request is not JSON: {e}"))
 }
 
-/// `Some` of the next value as `T`, or `None` when it is well formed
-/// but not a `T`.
-fn lenient<T: Deserialize>(r: &mut Reader<'_>) -> Result<Option<T>, DeError> {
-    match T::read_json(r) {
-        Ok(x) => Ok(Some(x)),
-        Err(e) if e.is_syntax() => Err(e),
-        Err(_) => Ok(None),
-    }
-}
-
 /// Parses one request line into an [`Envelope`], validating the
 /// envelope (object shape, protocol version, string method). Of
-/// duplicate keys the last wins, and unknown keys are ignored.
+/// duplicate keys the last wins, and unknown keys are ignored. A
+/// `params` value that follows a string `method` is read, in the same
+/// pass, by `read_params(method, reader)`, which must read it whole;
+/// its result is [`Envelope::decoded`] when the method it was read for
+/// is the request's, and is dropped when a later duplicate key changes
+/// either.
 ///
 /// # Errors
-/// `bad_request` when the line is not JSON (first) or not an object
-/// with `v` or `method`, `unsupported_version` when `v` is not
+/// `bad_request` when the line is not JSON (first; a syntax error
+/// `read_params` returns is the line's) or not an object with `v` or
+/// `method`, `unsupported_version` when `v` is not
 /// [`PROTOCOL_VERSION`], and `bad_request` when `v` or a string
 /// `method` is missing.
-pub fn parse_envelope(line: &str) -> Result<Envelope<'_>, WireError> {
-    parse_envelope_with(line, |_, r| r.skip())
-}
-
-/// [`parse_envelope`], reading a `params` value that follows a string
-/// `method` with `read_params(method, reader)` in the same pass. It
-/// must read the value whole; its result is [`Envelope::decoded`] when
-/// the method it was read for is the request's, and is dropped when a
-/// later duplicate key changes either.
-///
-/// # Errors
-/// As [`parse_envelope`]; a syntax error `read_params` returns is the
-/// line's.
 pub fn parse_envelope_with<'a, P>(
     line: &'a str,
     mut read_params: impl FnMut(&str, &mut Reader<'a>) -> Result<P, DeError>,
@@ -155,7 +138,12 @@ pub fn parse_envelope_with<'a, P>(
     if object {
         r.object(|r, key| {
             match &*key {
-                "v" => version = Some(lenient::<u64>(r)? == Some(PROTOCOL_VERSION)),
+                "v" => {
+                    version = Some(match u64::read_json(r) {
+                        Err(e) if e.is_syntax() => return Err(e),
+                        v => v == Ok(PROTOCOL_VERSION),
+                    });
+                }
                 "method" if r.peek() == Some(b'"') => method = Some(Some(r.string()?)),
                 "method" => {
                     r.skip()?;
@@ -230,13 +218,13 @@ pub fn parse_envelope_with<'a, P>(
     })
 }
 
-/// Parses one request line into a [`Request`]: [`parse_envelope`], with
-/// `params` decoded into a tree for callers that read trees.
+/// Parses one request line into a [`Request`]: [`parse_envelope_with`],
+/// with `params` decoded into a tree for callers that read trees.
 ///
 /// # Errors
-/// As [`parse_envelope`].
+/// As [`parse_envelope_with`].
 pub fn parse_request(line: &str) -> Result<Request, WireError> {
-    let env = parse_envelope(line)?;
+    let env = parse_envelope_with(line, |_, r| r.skip())?;
     let params = match env.params {
         Some(text) => serde_json::from_str(text)
             .map_err(|e| WireError::new(codes::BAD_REQUEST, format!("request is not JSON: {e}")))?,

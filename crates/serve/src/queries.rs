@@ -157,7 +157,7 @@ pub fn read_params<T: Deserialize + Default>(r: &mut Reader<'_>) -> Result<T, De
 /// when the request had none) with [`read_params`].
 ///
 /// # Errors
-/// `bad_request` if `params` is not JSON; `parse_envelope` hands over
+/// `bad_request` if `params` is not JSON; `parse_envelope_with` hands over
 /// only well-formed text, so a server never sees this.
 pub fn decode_params<T: Deserialize + Default>(params: Option<&str>) -> Result<T, WireError> {
     let Some(text) = params else {

@@ -70,7 +70,7 @@ adapt:
 
 # Model-vs-sim conformance: the coarse regions (benign grid for
 # k = 2..5, V1, E5, E1) with fault prediction and adaptation, plus the
-# recorded stress regions; writes both v4 reports and re-judges them.
+# recorded stress regions; writes both v5 reports and re-judges them.
 conformance-k:
     cargo build --release -p dck-cli
     DCK_CONFORMANCE_OUT=$(pwd)/conformance.json \
