@@ -15,13 +15,11 @@
 //! (the stream can no longer be framed reliably). Malformed JSON and
 //! non-object requests get `bad_request` with a `null` id.
 //!
-//! [`parse_envelope_with`] reads a line with the vendored `serde_json`
+//! [`parse_envelope`] reads a line with the vendored `serde_json`
 //! reader and builds no tree but the echoed `id`: it decodes `v`, `id`
 //! and `method` in whatever order they come, and keeps `params` as the
 //! raw JSON text it was sent as, checked for syntax, for the method's
-//! handler to decode into its own typed parameter struct. When the
-//! line names its method before its params, as clients write them, it
-//! decodes the params in the same pass instead.
+//! handler to decode into its own typed parameter struct.
 //! The whole line is read before any field is judged, so a syntax error
 //! anywhere in it is a `bad_request`, whatever else is wrong with the
 //! request.
@@ -91,16 +89,13 @@ pub struct Request {
 
 /// An envelope-validated request line, borrowing from it.
 #[derive(Debug, Clone)]
-pub struct Envelope<'a, P = ()> {
+pub struct Envelope<'a> {
     /// Client-chosen correlation id, echoed verbatim in the response.
     pub id: Value,
     /// Method name.
     pub method: Cow<'a, str>,
     /// The `params` value's JSON text, well formed; `None` when omitted.
     pub params: Option<&'a str>,
-    /// `params` as [`parse_envelope_with`] decoded it for `method`, when
-    /// the line named the method first; else `None`.
-    pub decoded: Option<P>,
 }
 
 fn not_json(e: DeError) -> WireError {
@@ -109,31 +104,21 @@ fn not_json(e: DeError) -> WireError {
 
 /// Parses one request line into an [`Envelope`], validating the
 /// envelope (object shape, protocol version, string method). Of
-/// duplicate keys the last wins, and unknown keys are ignored. A
-/// `params` value that follows a string `method` is read, in the same
-/// pass, by `read_params(method, reader)`, which must read it whole;
-/// its result is [`Envelope::decoded`] when the method it was read for
-/// is the request's, and is dropped when a later duplicate key changes
-/// either.
+/// duplicate keys the last wins, and unknown keys are ignored.
 ///
 /// # Errors
-/// `bad_request` when the line is not JSON (first; a syntax error
-/// `read_params` returns is the line's) or not an object with `v` or
-/// `method`, `unsupported_version` when `v` is not
+/// `bad_request` when the line is not JSON (first) or not an object
+/// with `v` or `method`, `unsupported_version` when `v` is not
 /// [`PROTOCOL_VERSION`], and `bad_request` when `v` or a string
 /// `method` is missing.
-pub fn parse_envelope_with<'a, P>(
-    line: &'a str,
-    mut read_params: impl FnMut(&str, &mut Reader<'a>) -> Result<P, DeError>,
-) -> Result<Envelope<'a, P>, WireError> {
+pub fn parse_envelope(line: &str) -> Result<Envelope<'_>, WireError> {
     let mut r = Reader::new(line).map_err(not_json)?;
     // `Some` once the key was seen: whether `v` is the spoken version,
     // and the method when it is a string.
     let mut version: Option<bool> = None;
-    let mut method: Option<Option<Cow<'a, str>>> = None;
+    let mut method: Option<Option<Cow<'_, str>>> = None;
     let mut id = Value::Null;
     let mut params = None;
-    let mut decoded: Option<(Cow<'a, str>, P)> = None;
     let object = r.peek() == Some(b'{');
     if object {
         r.object(|r, key| {
@@ -153,13 +138,7 @@ pub fn parse_envelope_with<'a, P>(
                 "params" => {
                     r.peek();
                     let start = r.pos();
-                    decoded = match &method {
-                        Some(Some(m)) => Some((m.clone(), read_params(m, r)?)),
-                        _ => {
-                            r.skip()?;
-                            None
-                        }
-                    };
+                    r.skip()?;
                     params = Some(r.since(start));
                 }
                 _ => r.skip()?,
@@ -209,22 +188,16 @@ pub fn parse_envelope_with<'a, P>(
             ));
         }
     };
-    let decoded = decoded.and_then(|(m, p)| (m == method).then_some(p));
-    Ok(Envelope {
-        id,
-        method,
-        params,
-        decoded,
-    })
+    Ok(Envelope { id, method, params })
 }
 
-/// Parses one request line into a [`Request`]: [`parse_envelope_with`],
+/// Parses one request line into a [`Request`]: [`parse_envelope`],
 /// with `params` decoded into a tree for callers that read trees.
 ///
 /// # Errors
-/// As [`parse_envelope_with`].
+/// As [`parse_envelope`].
 pub fn parse_request(line: &str) -> Result<Request, WireError> {
-    let env = parse_envelope_with(line, |_, r| r.skip())?;
+    let env = parse_envelope(line)?;
     let params = match env.params {
         Some(text) => serde_json::from_str(text)
             .map_err(|e| WireError::new(codes::BAD_REQUEST, format!("request is not JSON: {e}")))?,

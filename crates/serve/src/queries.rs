@@ -138,26 +138,13 @@ pub struct SweepCellParams {
     pub phi_idx: Param<usize>,
 }
 
-/// Reads a method's params, the next value of `r`, whole and with no
-/// tree. Params that are not an object read as all absent, as a tree
-/// lookup finds no key in them.
-///
-/// # Errors
-/// A syntax error.
-pub fn read_params<T: Deserialize + Default>(r: &mut Reader<'_>) -> Result<T, DeError> {
-    // A `Param` field keeps its own error, so the only type error is
-    // params that are not an object.
-    match T::read_json(r) {
-        Err(e) if !e.is_syntax() => Ok(T::default()),
-        read => read,
-    }
-}
-
 /// Decodes a method's params from the request's `params` text (`None`
-/// when the request had none) with [`read_params`].
+/// when the request had none), whole and with no tree. Params that are
+/// not an object decode as all absent, as a tree lookup finds no key
+/// in them.
 ///
 /// # Errors
-/// `bad_request` if `params` is not JSON; `parse_envelope_with` hands over
+/// `bad_request` if `params` is not JSON; `parse_envelope` hands over
 /// only well-formed text, so a server never sees this.
 pub fn decode_params<T: Deserialize + Default>(params: Option<&str>) -> Result<T, WireError> {
     let Some(text) = params else {
@@ -165,65 +152,16 @@ pub fn decode_params<T: Deserialize + Default>(params: Option<&str>) -> Result<T
     };
     Reader::new(text)
         .and_then(|mut r| {
-            let params = read_params(&mut r)?;
+            // A `Param` field keeps its own error, so the only type
+            // error is params that are not an object.
+            let params = match T::read_json(&mut r) {
+                Err(e) if !e.is_syntax() => T::default(),
+                read => read?,
+            };
             r.end()?;
             Ok(params)
         })
         .map_err(|e| WireError::new(codes::BAD_REQUEST, format!("request is not JSON: {e}")))
-}
-
-/// A request's params, decoded for its method as the envelope is read.
-pub enum Params {
-    /// `waste`, `risk` or `pstar` params.
-    Point(PointParams),
-    /// `sweep_cell` params.
-    SweepCell(SweepCellParams),
-    /// The method takes no params, or is unknown.
-    Unused,
-}
-
-impl Params {
-    /// Reads the params of a `method` request whole, as
-    /// `parse_envelope_with` hands them over.
-    ///
-    /// # Errors
-    /// A syntax error.
-    pub fn read(method: &str, r: &mut Reader<'_>) -> Result<Params, DeError> {
-        Ok(match method {
-            "waste" | "risk" | "pstar" => Params::Point(read_params(r)?),
-            "sweep_cell" => Params::SweepCell(read_params(r)?),
-            _ => {
-                r.skip()?;
-                Params::Unused
-            }
-        })
-    }
-
-    /// Point-query params: as decoded with the envelope, or from
-    /// `text` when the line put them before the method.
-    ///
-    /// # Errors
-    /// As [`decode_params`].
-    pub fn point(decoded: Option<Params>, text: Option<&str>) -> Result<PointParams, WireError> {
-        match decoded {
-            Some(Params::Point(p)) => Ok(p),
-            _ => decode_params(text),
-        }
-    }
-
-    /// As [`Params::point`], for `sweep_cell`.
-    ///
-    /// # Errors
-    /// As [`decode_params`].
-    pub fn sweep_cell(
-        decoded: Option<Params>,
-        text: Option<&str>,
-    ) -> Result<SweepCellParams, WireError> {
-        match decoded {
-            Some(Params::SweepCell(p)) => Ok(p),
-            _ => decode_params(text),
-        }
-    }
 }
 
 /// [`decode_params`] for params held as a tree.

@@ -49,7 +49,7 @@
 
 use crate::cache::{CellCache, CellKey};
 use crate::protocol::{self, codes, Envelope, WireError, MAX_LINE_BYTES};
-use crate::queries::{self, Params, SweepCellParams};
+use crate::queries::{self, decode_params, SweepCellParams};
 use serde::Serialize;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -412,15 +412,14 @@ fn answer_line(line: &str, ctx: &ServerCtx, pending: &mut dyn Write) -> (String,
     if dck_obs::enabled() {
         dck_obs::incr("serve.requests");
     }
-    let mut req = match protocol::parse_envelope_with(line, Params::read) {
+    let req = match protocol::parse_envelope(line) {
         Ok(r) => r,
         Err(e) => {
             ctx.errors.fetch_add(1, Ordering::Relaxed);
             return (protocol::err_line(None, &e), Control::Continue);
         }
     };
-    let params = req.decoded.take();
-    let (result, control) = dispatch(&req, params, ctx, pending);
+    let (result, control) = dispatch(&req, ctx, pending);
     match result {
         Ok(response) => (response, control),
         Err(e) => {
@@ -447,19 +446,14 @@ struct Draining {
 
 /// The success line for `req` carrying `answer`, written straight from
 /// the typed answer.
-fn reply<T: Serialize>(
-    req: &Envelope<Params>,
-    answer: Result<T, WireError>,
-) -> Result<String, WireError> {
+fn reply<T: Serialize>(req: &Envelope, answer: Result<T, WireError>) -> Result<String, WireError> {
     answer.map(|a| protocol::ok_line(&req.id, a))
 }
 
-/// Answers `req`, whose params the envelope decoded into `params` (or
-/// not: see [`Params::point`]): its success line, or the error to put
-/// in its error line.
+/// Answers `req`: its success line, or the error to put in its error
+/// line.
 fn dispatch(
-    req: &Envelope<Params>,
-    params: Option<Params>,
+    req: &Envelope,
     ctx: &ServerCtx,
     pending: &mut dyn Write,
 ) -> (Result<String, WireError>, Control) {
@@ -482,19 +476,19 @@ fn dispatch(
             Control::Shutdown,
         ),
         "waste" => {
-            let answer = Params::point(params, req.params).and_then(|p| queries::waste_answer(&p));
+            let answer = decode_params(req.params).and_then(|p| queries::waste_answer(&p));
             (reply(req, answer), Control::Continue)
         }
         "risk" => {
-            let answer = Params::point(params, req.params).and_then(|p| queries::risk_answer(&p));
+            let answer = decode_params(req.params).and_then(|p| queries::risk_answer(&p));
             (reply(req, answer), Control::Continue)
         }
         "pstar" => {
-            let answer = Params::point(params, req.params).and_then(|p| queries::pstar_answer(&p));
+            let answer = decode_params(req.params).and_then(|p| queries::pstar_answer(&p));
             (reply(req, answer), Control::Continue)
         }
         "sweep_cell" => {
-            let answer = Params::sweep_cell(params, req.params).and_then(|p| sweep_cell(p, ctx, pending));
+            let answer = decode_params(req.params).and_then(|p| sweep_cell(p, ctx, pending));
             (reply(req, answer), Control::Continue)
         }
         other => (

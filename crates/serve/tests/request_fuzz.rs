@@ -9,8 +9,8 @@
 mod mutate;
 
 use dck_core::{Protocol, Scenario};
-use dck_serve::protocol::{err_line, ok_line, parse_envelope_with, parse_request, WireError};
-use dck_serve::queries::{self, Params};
+use dck_serve::protocol::{err_line, ok_line, parse_envelope, parse_request, WireError};
+use dck_serve::queries::{self, decode_params};
 use dck_sim::SweepSpec;
 use proptest::prelude::*;
 use serde::{Serialize, Value};
@@ -18,23 +18,22 @@ use serde::{Serialize, Value};
 /// What the server decodes from `line` and the point handlers or the
 /// `sweep_cell` parser answer (the cell itself is not computed).
 fn typed(line: &str) -> String {
-    let req = match parse_envelope_with(line, Params::read) {
+    let req = match parse_envelope(line) {
         Ok(req) => req,
         Err(e) => return err_line(None, &e),
     };
-    let decoded = req.decoded;
     let text = req.params;
     let answer: Result<String, WireError> = match &*req.method {
-        "waste" => Params::point(decoded, text)
+        "waste" => decode_params(text)
             .and_then(|p| queries::waste_answer(&p))
             .map(|a| ok_line(&req.id, a)),
-        "risk" => Params::point(decoded, text)
+        "risk" => decode_params(text)
             .and_then(|p| queries::risk_answer(&p))
             .map(|a| ok_line(&req.id, a)),
-        "pstar" => Params::point(decoded, text)
+        "pstar" => decode_params(text)
             .and_then(|p| queries::pstar_answer(&p))
             .map(|a| ok_line(&req.id, a)),
-        "sweep_cell" => Params::sweep_cell(decoded, text)
+        "sweep_cell" => decode_params(text)
             .and_then(queries::sweep_cell_query)
             .map(|q| ok_line(&req.id, (q.fingerprint, q.mtbf_idx, q.phi_idx))),
         other => Ok(ok_line(&req.id, other)),

@@ -309,8 +309,6 @@ fn decoding_pins() -> Vec<(String, &'static str)> {
             r#"{"v":1,"id":20,"method":"waste","params":{"protocol":"double-nbl","phi_ratio":0.5,"mtbf_s":3600,"nodes":-4}}"#.to_string(),
             r#"{"v":1,"id":20,"err":{"code":"bad_params","message":"param `nodes` must be a positive integer"}}"#,
         ),
-        // `sweep_cell`: the spec first (whatever its place in the line), then
-        // its work budget, then the indices, then the compute.
         (
             r#"{"v":1,"id":21,"method":"waste","params":{"protocol":"double-nbl","phi_ratio":0.5,"mtbf_s":3600,"nodes":"48"}}"#.to_string(),
             r#"{"v":1,"id":21,"err":{"code":"bad_params","message":"param `nodes` must be a positive integer"}}"#,
@@ -331,6 +329,8 @@ fn decoding_pins() -> Vec<(String, &'static str)> {
             r#"{"v":1,"id":25,"method":"waste","params":{"protocol":"double-nbl","scenario":"exa","phi_ratio":"x","nodes":-1,"alpha":"y"}}"#.to_string(),
             r#"{"v":1,"id":25,"err":{"code":"bad_params","message":"param `alpha` must be a number"}}"#,
         ),
+        // `sweep_cell`: the spec first (whatever its place in the line), then
+        // its work budget, then the indices, then the compute.
         (
             r#"{"v":1,"id":30,"method":"sweep_cell"}"#.to_string(),
             r#"{"v":1,"id":30,"err":{"code":"bad_params","message":"missing required param `spec`"}}"#,
@@ -375,11 +375,11 @@ fn decoding_pins() -> Vec<(String, &'static str)> {
             r#"{"v":1,"id":41,"method":"sweep_cell","params":{"spec":{"protocol":"DoubleNbl","params":{"downtime":0.0,"delta":2.0,"theta_min":4.0,"alpha":10.0,"nodes":48},"phi_ratios":[0.0,"x"],"mtbfs":[1800.0],"work_in_mtbfs":10.0,"replications":16,"seed":1,"workers":0,"source":"Exponential","early_stop":null},"mtbf_idx":0,"phi_idx":0}}"#.to_string(),
             r#"{"v":1,"id":41,"err":{"code":"bad_params","message":"param `spec` is not a sweep spec: SweepSpec.phi_ratios: expected number, found String(\"x\")"}}"#,
         ),
-        // A syntax error anywhere in the line wins over an ill-typed param.
         (
             r#"{"v":1,"id":40,"method":"sweep_cell","params":{"mtbf_idx":-1,"phi_idx":"x","spec":{"protocol":"Quintuple"}}}"#.to_string(),
             r#"{"v":1,"id":40,"err":{"code":"bad_params","message":"param `spec` is not a sweep spec: SweepSpec.protocol: unknown Protocol variant `Quintuple`"}}"#,
         ),
+        // A syntax error anywhere in the line wins over an ill-typed param.
         (
             r#"{"v":1,"id":"e","method":"waste","params":{"protocol":5,"phi_ratio":}}"#.to_string(),
             r#"{"v":1,"id":null,"err":{"code":"bad_request","message":"request is not JSON: unexpected character `}` at byte 68"}}"#,
@@ -388,11 +388,11 @@ fn decoding_pins() -> Vec<(String, &'static str)> {
             r#"{"v":1,"id":"e","method":"waste","params":{"protocol":5,"phi_ratio":0.5,"mtbf_s":3600}} x"#.to_string(),
             r#"{"v":1,"id":null,"err":{"code":"bad_request","message":"request is not JSON: trailing characters at byte 88"}}"#,
         ),
-        // The envelope: duplicates, ill-typed `v` and `method`, no fields.
         (
             r#"{"v":1,"id":"e","method":"waste","params":{"protocol":"double-nbl","phi_ratio":"x","mtbf_s":[1,]}}"#.to_string(),
             r#"{"v":1,"id":null,"err":{"code":"bad_request","message":"request is not JSON: unexpected character `]` at byte 95"}}"#,
         ),
+        // The envelope: duplicates, ill-typed `v` and `method`, no fields.
         (
             r#"{"v":2,"method":"ping","v":1,"id":"p"}"#.to_string(),
             r#"{"v":1,"id":"p","ok":{"pong":true}}"#,
