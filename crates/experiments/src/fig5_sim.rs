@@ -1,7 +1,7 @@
 //! V3 — Figure 5 regenerated from the simulator.
 //!
 //! Figures 4–9 are model instantiations (in the paper and in our
-//! [`crate::waste_ratio`]). This experiment re-draws the paper's key
+//! [`crate::figures`]). This experiment re-draws the paper's key
 //! comparison — Figure 5's waste ratios at `M = 7 h` — from the
 //! *mechanistic* Monte-Carlo simulator alone, then overlays the model
 //! curves: if the ratios agree, the figure's story (BoF ≥ NBL with
@@ -9,8 +9,8 @@
 //! losing ≤ 15 % above it) rests on the protocol mechanics, not on the
 //! closed forms used to plot it.
 
+use crate::figures::M_7H;
 use crate::output::{fmt_f64, to_csv, OutputDir};
-use crate::waste_ratio::M_7H;
 use dck_core::{optimal_period, ModelError, Protocol, Scenario};
 use dck_sim::{estimate_waste, MonteCarloConfig, PeriodChoice, RunConfig};
 use serde::{Deserialize, Serialize};

@@ -1,16 +1,21 @@
 //! End-to-end experiment generation: every artifact writes, parses, and
 //! carries plausible data.
 
-use dck::experiments::{
-    output::OutputDir, period_check, risk_surface, table1, waste_ratio, waste_surface,
-};
-use dck::model::Scenario;
+use dck::experiments::figures::{Size, FIGURES};
+use dck::experiments::output::OutputDir;
+use dck::experiments::table::Figure;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn temp_out(tag: &str) -> (OutputDir, PathBuf) {
     let dir = std::env::temp_dir().join(format!("dck-e2e-{tag}-{}", std::process::id()));
     (OutputDir::create(&dir).unwrap(), dir)
+}
+
+/// The registry's figure `name` at `size`, with the CLI's default seed.
+fn build(name: &str, size: Size, dir: &Path) -> Figure {
+    let e = FIGURES.iter().find(|e| e.name == name).expect(name);
+    (e.build)(e.name, size, 0x0D0C_5EED, dir).expect(name)
 }
 
 fn csv_lines(path: PathBuf) -> Vec<String> {
@@ -24,7 +29,7 @@ fn csv_lines(path: PathBuf) -> Vec<String> {
 #[test]
 fn table1_writes_all_formats() {
     let (out, dir) = temp_out("t1");
-    table1::run().write(&out).unwrap();
+    build("table1", [0, 0], &dir).write(&out).unwrap();
     let csv = csv_lines(dir.join("table1.csv"));
     assert_eq!(csv.len(), 3); // header + 2 scenarios
     assert!(csv[0].starts_with("scenario,"));
@@ -37,12 +42,7 @@ fn table1_writes_all_formats() {
 #[test]
 fn waste_surfaces_write_per_protocol_csvs() {
     let (out, dir) = temp_out("fig4");
-    let res = waste_surface::Resolution {
-        mtbf_points: 5,
-        phi_points: 4,
-    };
-    let fig = waste_surface::run(&Scenario::base(), res).unwrap();
-    fig.write(&out).unwrap();
+    build("fig4", [5, 4], &dir).write(&out).unwrap();
     for proto in ["double-bof", "double-nbl", "triple"] {
         let lines = csv_lines(dir.join(format!("fig4_{proto}.csv")));
         assert_eq!(lines.len(), 1 + 5 * 4, "{proto}");
@@ -62,8 +62,7 @@ fn waste_surfaces_write_per_protocol_csvs() {
 #[test]
 fn waste_ratio_csv_roundtrips() {
     let (out, dir) = temp_out("fig5");
-    let fig = waste_ratio::run(&Scenario::base(), 9).unwrap();
-    fig.write(&out).unwrap();
+    build("fig5", [9, 0], &dir).write(&out).unwrap();
     let lines = csv_lines(dir.join("fig5_waste_ratio.csv"));
     assert_eq!(lines.len(), 10);
     // Endpoint sanity straight from the file.
@@ -76,12 +75,7 @@ fn waste_ratio_csv_roundtrips() {
 #[test]
 fn risk_surface_writes_previews() {
     let (out, dir) = temp_out("fig6");
-    let res = risk_surface::Resolution {
-        mtbf_points: 4,
-        exploitation_points: 4,
-    };
-    let fig = risk_surface::run(&Scenario::base(), res).unwrap();
-    fig.write(&out).unwrap();
+    build("fig6", [4, 4], &dir).write(&out).unwrap();
     let lines = csv_lines(dir.join("fig6_risk.csv"));
     assert_eq!(lines.len(), 1 + 16);
     assert!(fs::read_to_string(dir.join("fig6a_preview.txt"))
@@ -94,31 +88,22 @@ fn risk_surface_writes_previews() {
 #[test]
 fn exa_figures_generate_too() {
     let (out, dir) = temp_out("exa");
-    let fig7 = waste_surface::run(
-        &Scenario::exa(),
-        waste_surface::Resolution {
-            mtbf_points: 4,
-            phi_points: 4,
-        },
-    )
-    .unwrap();
-    assert_eq!(fig7.figure_number(), 7);
+    let fig7 = build("fig7", [4, 4], &dir);
+    assert!(fig7.summary.starts_with("fig7: 3 surfaces over 4×4 grid"));
     fig7.write(&out).unwrap();
-    let fig8 = waste_ratio::run(&Scenario::exa(), 5).unwrap();
-    assert_eq!(fig8.figure_number(), 8);
+    let fig8 = build("fig8", [5, 0], &dir);
+    assert!(fig8.summary.starts_with("fig8: 5 points"));
     fig8.write(&out).unwrap();
-    let fig9 = risk_surface::run(
-        &Scenario::exa(),
-        risk_surface::Resolution {
-            mtbf_points: 3,
-            exploitation_points: 3,
-        },
-    )
-    .unwrap();
-    assert_eq!(fig9.figure_number(), 9);
+    let fig9 = build("fig9", [3, 3], &dir);
+    assert!(fig9.summary.starts_with("fig9: 9 grid points"));
     fig9.write(&out).unwrap();
     for f in ["fig7_triple.csv", "fig8_waste_ratio.csv", "fig9_risk.csv"] {
         assert!(dir.join(f).exists(), "{f} missing");
+    }
+    for f in ["fig7.json", "fig8.json", "fig9.json"] {
+        let json = fs::read_to_string(dir.join(f)).unwrap();
+        let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
+        assert_eq!(parsed["scenario"].as_str(), Some("Exa"), "{f}");
     }
     fs::remove_dir_all(dir).unwrap();
 }
@@ -126,8 +111,15 @@ fn exa_figures_generate_too() {
 #[test]
 fn period_check_report_writes_and_validates() {
     let (out, dir) = temp_out("period");
-    let report = period_check::run().unwrap();
-    assert!(report.max_interior_rel_err() < 1e-3);
+    let report = build("period-check", [0, 0], &dir);
+    let rows = &report.tables[0];
+    let rel_err = rows.f64s("rel_err").unwrap();
+    let closed_form = serde_json::Value::String("ClosedForm".into());
+    let max_interior = (0..rows.rows.len())
+        .filter(|&i| rows.rows[i].last() == Some(&closed_form))
+        .map(|i| rel_err[i])
+        .fold(0.0, f64::max);
+    assert!(max_interior > 0.0 && max_interior < 1e-3);
     report.write(&out).unwrap();
     let txt = fs::read_to_string(dir.join("period_check.txt")).unwrap();
     assert!(txt.contains("Young/Daly"));
@@ -136,16 +128,23 @@ fn period_check_report_writes_and_validates() {
 
 #[test]
 fn json_figures_deserialize_back() {
-    let fig = waste_ratio::run(&Scenario::base(), 5).unwrap();
-    let json = serde_json::to_string(&fig).unwrap();
-    let back: waste_ratio::WasteRatioFigure = serde_json::from_str(&json).unwrap();
+    let (out, dir) = temp_out("json");
+    let fig = build("fig5", [5, 0], &dir);
+    fig.write(&out).unwrap();
+    let json = fs::read_to_string(dir.join("fig5.json")).unwrap();
+    let back: serde_json::Value = serde_json::from_str(&json).unwrap();
     // serde_json prints the shortest round-trippable decimal, which can
     // differ from the original by one ulp; compare within tolerance.
-    assert_eq!(fig.scenario, back.scenario);
-    assert_eq!(fig.points.len(), back.points.len());
-    for (a, b) in fig.points.iter().zip(&back.points) {
-        assert!((a.phi_ratio - b.phi_ratio).abs() < 1e-12);
-        assert!((a.waste_nbl - b.waste_nbl).abs() < 1e-12);
-        assert!((a.triple_over_nbl - b.triple_over_nbl).abs() < 1e-12);
+    assert_eq!(back["scenario"].as_str(), Some("Base"));
+    let points = back["points"].as_array().unwrap();
+    let t = &fig.tables[0];
+    assert_eq!(points.len(), t.rows.len());
+    for key in ["phi_ratio", "waste_nbl", "triple_over_nbl"] {
+        let computed = t.f64s(key).unwrap();
+        for (p, x) in points.iter().zip(computed) {
+            let read = p[key].as_f64().unwrap();
+            assert!((read - x).abs() < 1e-12, "{key}: {read} vs {x}");
+        }
     }
+    fs::remove_dir_all(dir).unwrap();
 }
