@@ -365,6 +365,11 @@ mod tests {
                 r#""dck-bench/v9""#,
             ),
             (r#"{"kind": "Sweep"}"#, r#""""#),
+            // A tag that is not a string reads as no tag, and so does a
+            // document that is not an object.
+            (r#"{"schema": 7, "kind": "Sweep"}"#, r#""""#),
+            (r#"{"schema": {"v": ["dck-bench/v3"]}}"#, r#""""#),
+            (r#"["dck-bench/v3"]"#, r#""""#),
         ] {
             std::fs::write(&path, text).unwrap();
             let err = run_err(&["validate", "--bench", p]);
@@ -372,6 +377,18 @@ mod tests {
             for (known, _) in BENCH_REPORTS {
                 assert!(err.contains(known) && err.contains(p), "{err}");
             }
+        }
+        // A file that is not JSON is named as such, with the reader's
+        // message and byte offset.
+        for (text, why) in [
+            ("schema: dck-bench/v3", "unexpected character `s` at byte 0"),
+            (r#"{"schema": "dck-bench/v3""#, "expected `,` or `}` at byte 25"),
+            (r#"{"kind": [1, 2}"#, "expected `,` or `]` at byte 14"),
+            (r#"{"schema": "dck-bench/v3"} x"#, "trailing characters at byte 27"),
+        ] {
+            std::fs::write(&path, text).unwrap();
+            let err = run_err(&["validate", "--bench", p]);
+            assert_eq!(err, format!("{p}: not JSON: {why}"));
         }
         std::fs::remove_file(&path).ok();
     }
