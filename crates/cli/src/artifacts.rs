@@ -10,6 +10,7 @@ use dck_bench::{AdaptReport, BenchReport, Report, ServeBenchReport};
 use dck_experiments::conformance::ConformanceReport;
 use dck_obs::MetricsSnapshot;
 use dck_sim::{validate_snapshot, SweepResult, TimelineEvent};
+use serde::{DeError, Deserialize, Reader, Value};
 use std::path::Path;
 
 /// Reads an artifact back and summarizes it in one line, or names what
@@ -159,9 +160,13 @@ fn check_conformance(path: &str) -> Result<String, String> {
 /// with no fallback to another kind.
 fn check_bench(path: &str) -> Result<String, String> {
     let text = read_file(path)?;
-    let sniffed: serde_json::Value =
-        serde_json::from_str(&text).map_err(|e| format!("{path}: not JSON: {e}"))?;
-    let tag = sniffed.get("schema").and_then(|s| s.as_str()).unwrap_or("");
+    // Only a syntax error makes the file "not JSON"; a document that is
+    // not an object has no tag.
+    let tag = match serde::read::from_text::<Tagged>(&text) {
+        Ok(Tagged { schema }) => schema.0,
+        Err(e) if e.is_syntax() => return Err(format!("{path}: not JSON: {e}")),
+        Err(_) => String::new(),
+    };
     let Some((_, check)) = BENCH_REPORTS.iter().find(|(known, _)| *known == tag) else {
         let known: Vec<&str> = BENCH_REPORTS.iter().map(|(known, _)| *known).collect();
         return Err(format!(
@@ -171,6 +176,30 @@ fn check_bench(path: &str) -> Result<String, String> {
     };
     let summary = check(&text).map_err(|e| format!("{path}: {e}"))?;
     Ok(format!("bench {path}: {summary}"))
+}
+
+/// The one field `--bench` reads before it knows the report's kind.
+#[derive(Deserialize)]
+struct Tagged {
+    schema: Tag,
+}
+
+/// A schema tag: the string, or empty when the value is not a string
+/// (or is missing). Read without building the value.
+struct Tag(String);
+
+impl Deserialize for Tag {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Ok(Tag(v.as_str().unwrap_or_default().to_string()))
+    }
+
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        if r.peek() == Some(b'"') {
+            return Ok(Tag(r.string()?.into_owned()));
+        }
+        r.skip()?;
+        Ok(Tag(String::new()))
+    }
 }
 
 /// Decodes and validates one report kind.
@@ -382,9 +411,15 @@ mod tests {
         // message and byte offset.
         for (text, why) in [
             ("schema: dck-bench/v3", "unexpected character `s` at byte 0"),
-            (r#"{"schema": "dck-bench/v3""#, "expected `,` or `}` at byte 25"),
+            (
+                r#"{"schema": "dck-bench/v3""#,
+                "expected `,` or `}` at byte 25",
+            ),
             (r#"{"kind": [1, 2}"#, "expected `,` or `]` at byte 14"),
-            (r#"{"schema": "dck-bench/v3"} x"#, "trailing characters at byte 27"),
+            (
+                r#"{"schema": "dck-bench/v3"} x"#,
+                "trailing characters at byte 27",
+            ),
         ] {
             std::fs::write(&path, text).unwrap();
             let err = run_err(&["validate", "--bench", p]);

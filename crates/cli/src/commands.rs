@@ -378,6 +378,25 @@ mod tests {
         }
     }
 
+    /// The `experiments` help line names every experiment, in the order
+    /// `all` runs them; an unknown name lists them all.
+    #[test]
+    fn experiments_help_names_every_experiment_in_order() {
+        let cmd = COMMANDS
+            .iter()
+            .find(|c| c.usage.starts_with("experiments "));
+        let (_, names) = cmd.unwrap().about.split_once("NAME is one of ").unwrap();
+        let names: Vec<&str> = names.split_whitespace().collect();
+        assert_eq!(names, dck_experiments::ALL);
+        let err = run(&line(&["experiments", "nope"])).unwrap_err();
+        assert_eq!(
+            err,
+            "unknown experiment `nope` (expected all, table1, fig4, fig5, fig6, fig7, fig8, \
+             fig9, period-check, phi-choice, blocking-gain, fig5-sim, hierarchical, refined, \
+             validate, robustness)"
+        );
+    }
+
     #[test]
     fn lint_explain_accepts_the_other_lint_flags() {
         let out = run(&line(&["lint", "--explain", "float-eq", "--root", "."])).unwrap();
