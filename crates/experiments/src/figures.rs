@@ -86,9 +86,7 @@ pub const FIGURES: &[Experiment] = &[
     entry("hierarchical", [12, 0], [40, 0], hierarchical),
 ];
 
-type Files = Vec<(String, String)>;
-
-fn figure(tables: Vec<Table>, files: Files, summary: String) -> Res<Figure> {
+fn figure(tables: Vec<Table>, files: Vec<(String, String)>, summary: String) -> Res<Figure> {
     Ok(Figure {
         tables,
         files,

@@ -165,3 +165,80 @@ impl Figure {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use serde::Serialize;
+
+    const COLS: &[Col] = &[
+        Col {
+            key: "protocol",
+            csv: ("protocol", Fmt::Id),
+            text: ("protocol", Fmt::Paper),
+        },
+        Col {
+            key: "waste",
+            csv: ("waste", Fmt::G),
+            text: ("W", Fmt::F4),
+        },
+        Col {
+            key: "gain",
+            csv: ("", Fmt::G),
+            text: ("gain", Fmt::Pct),
+        },
+        Col {
+            key: "",
+            csv: ("ratio", Fmt::E2),
+            text: ("", Fmt::G),
+        },
+    ];
+
+    fn table() -> Table {
+        let mut t = Table::new(COLS);
+        let p = Protocol::DoubleNbl.to_value();
+        t.push(vec![p, 0.25.to_value(), 0.5.to_value(), 1234.5.to_value()]);
+        t
+    }
+
+    #[test]
+    fn each_rendering_keeps_its_own_columns() {
+        let t = table();
+        assert_eq!(t.csv(), "protocol,waste,ratio\ndouble-nbl,0.25,1.23e3\n");
+        let text = t.text();
+        assert!(text.contains("| protocol  | W      | gain  |"), "{text}");
+        assert!(text.contains("| DOUBLENBL | 0.2500 | 50.0% |"), "{text}");
+        let json = serde_json::to_string(&t.json()).unwrap();
+        assert_eq!(
+            json,
+            r#"[{"protocol":"DoubleNbl","waste":0.25,"gain":0.5}]"#
+        );
+    }
+
+    #[test]
+    fn columns_read_back_by_json_key_or_csv_header() {
+        let t = table();
+        assert_eq!(t.f64s("waste"), Some(vec![0.25]));
+        assert_eq!(t.f64s("ratio"), Some(vec![1234.5]));
+        assert_eq!(t.f64s("protocol"), Some(vec![]));
+        assert_eq!(t.f64s("nope"), None);
+    }
+
+    #[test]
+    fn formats() {
+        let x = 2.0f64.to_value();
+        let cases = [
+            (Fmt::Plain, "2"),
+            (Fmt::F0, "2"),
+            (Fmt::F2, "2.00"),
+            (Fmt::F6, "2.000000"),
+            (Fmt::E3, "2.000e0"),
+            (Fmt::Pct, "200.0%"),
+        ];
+        for (fmt, want) in cases {
+            assert_eq!(fmt.render(&x), want, "{fmt:?}");
+        }
+        assert_eq!(Fmt::Plain.render(&7u64.to_value()), "7");
+        assert_eq!(Fmt::Plain.render(&"Base".to_value()), "Base");
+    }
+}
