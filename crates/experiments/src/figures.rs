@@ -654,16 +654,6 @@ mod tests {
         from_str(file(fig, name)).unwrap()
     }
 
-    #[test]
-    fn registry_sizes_are_the_cli_grids() {
-        let sizes: Vec<(&str, Size, Size)> =
-            FIGURES.iter().map(|e| (e.name, e.fast, e.full)).collect();
-        assert_eq!(sizes.len(), 11);
-        assert!(sizes.contains(&("fig4", [9, 9], [33, 21])));
-        assert!(sizes.contains(&("fig9", [10, 10], [30, 30])));
-        assert!(sizes.contains(&("hierarchical", [12, 0], [40, 0])));
-    }
-
     // T1 — Table I.
 
     #[test]

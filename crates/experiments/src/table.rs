@@ -98,8 +98,7 @@ impl Table {
         z.chunks(width.max(1)).map(<[f64]>::to_vec).collect()
     }
 
-    /// The headers and rendered rows of the columns that `pick` gives a
-    /// header.
+    /// The headers and rendered rows of the columns `pick` names.
     fn render(&self, pick: impl Fn(&Col) -> (Str, Fmt)) -> (Vec<Str>, Vec<Vec<String>>) {
         let shown = |c: &&Col| !pick(c).0.is_empty();
         let headers = self.cols.iter().filter(shown).map(|c| pick(c).0).collect();
