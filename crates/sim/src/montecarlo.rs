@@ -15,13 +15,22 @@ use dck_simcore::stats::wilson_interval;
 use dck_simcore::{ConfidenceInterval, OnlineStats, RngFactory, SimTime};
 use serde::{Deserialize, Serialize};
 
-/// Replications per work unit of the sweep pool in [`crate::sweep`],
+/// Replications per fold chunk of the sweep pool in [`crate::sweep`],
 /// the one engine every waste estimate runs on: it cuts a cell's
-/// replication range into `REP_CHUNK`-sized chunks and merges their
-/// accumulators in ascending order, so results are bit-identical across
-/// entry points and worker counts. [`estimate_success`] counts
-/// survivors over the same chunks.
+/// replication range into `REP_CHUNK`-sized chunks, folds each into its
+/// own accumulator and merges those in ascending order, so results are
+/// bit-identical across entry points, worker counts and unit sizes.
 pub(crate) const REP_CHUNK: usize = 8;
+
+/// Chunks per work unit of the sweep pool. A unit builds one
+/// [`ChunkRunner`] for all its chunks and lands them in the pool's
+/// ordered tail together, so this sets how often the pool locks, parks
+/// and merges, not any bit of a result. [`estimate_success`] counts
+/// survivors over units of the same size.
+pub(crate) const UNIT_CHUNKS: usize = 4;
+
+/// Replications per work unit of the sweep pool.
+pub(crate) const UNIT_REPS: usize = REP_CHUNK * UNIT_CHUNKS;
 
 /// Which failure process drives the replications.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -201,10 +210,10 @@ impl WasteAccum {
     }
 }
 
-/// Reusable per-chunk replication driver: one [`RunMachine`] (the
-/// resolved schedule, failure response and risk tracker) plus the RNG
-/// factory, constructed once per work unit and driven for every
-/// replication in it. The failure source is built on the stack per
+/// Reusable replication driver: one [`RunMachine`] (the resolved
+/// schedule, failure response and risk tracker) plus the RNG factory,
+/// constructed once per work unit and driven for every replication of
+/// every chunk in it. The failure source is built on the stack per
 /// replication — for the Exponential source the whole inner loop is
 /// monomorphized, with no `Box<dyn FailureSource>` allocation and no
 /// per-event dyn dispatch.
@@ -223,7 +232,7 @@ pub(crate) struct ChunkRunner {
 }
 
 impl ChunkRunner {
-    /// Builds the machinery for one chunk of replications.
+    /// Builds the machinery for one work unit of replications.
     ///
     /// # Errors
     /// Propagates configuration errors and rejects renewal sources
@@ -403,21 +412,22 @@ pub fn estimate_success(
 ) -> Result<SuccessEstimate, ModelError> {
     ChunkRunner::new(run_cfg, mc)?;
     let runs = mc.replications;
-    // Each REP_CHUNK-sized chunk builds its runner and returns only its
+    // Each UNIT_REPS-sized unit builds its runner and returns only its
     // survivor count; the sink adds them, and the first error wins.
+    // Integer sums, so the unit size cannot move a bit.
     let mut survived = Ok(0);
     parallel_for_ordered(
-        runs.div_ceil(REP_CHUNK),
+        runs.div_ceil(UNIT_REPS),
         mc.resolved_workers(),
-        |c| {
+        |u| {
             let mut runner = ChunkRunner::new(run_cfg, mc)?;
-            let end = ((c + 1) * REP_CHUNK).min(runs);
-            Ok((c * REP_CHUNK..end)
+            let end = ((u + 1) * UNIT_REPS).min(runs);
+            Ok((u * UNIT_REPS..end)
                 .filter(|&i| runner.run_success(horizon, i as u64))
                 .count())
         },
-        |_, chunk: Result<usize, ModelError>| {
-            survived = std::mem::replace(&mut survived, Ok(0)).and_then(|n| Ok(n + chunk?));
+        |_, unit: Result<usize, ModelError>| {
+            survived = std::mem::replace(&mut survived, Ok(0)).and_then(|n| Ok(n + unit?));
         },
     )
     .map_err(|e| ModelError::execution(e.to_string()))?;

@@ -11,20 +11,23 @@
 //! `run_pool` is the crate's one Monte-Carlo waste engine: the grid,
 //! [`run_sweep_cell`] and [`estimate_waste`](crate::estimate_waste) all
 //! hand it per-cell plans and a round budget. Each round numbers every
-//! `(cell, replication-chunk)` pair in one index space for a single
+//! `(cell, replication-unit)` pair in one index space for a single
 //! work-stealing pool, so workers are spawned once per round and a slow
 //! cell's tail overlaps other cells' work; one worker runs the round
-//! inline on the caller's thread. Each unit merges into its cell as it
-//! lands, so a round holds only the out-of-order tail of units.
+//! inline on the caller's thread. A unit is a run of up to
+//! `UNIT_CHUNKS` chunks sharing one runner build. Each unit's chunks
+//! merge into its cell as it lands, so a round holds only the
+//! out-of-order tail of units.
 //!
 //! # Reproducibility
 //!
 //! Replication `i` of a cell derives its RNG stream from `(cell seed,
 //! i)` only. Outcomes fold into per-chunk accumulators of
 //! [`REP_CHUNK`](crate::montecarlo) consecutive replications, and
-//! chunk accumulators merge in ascending chunk order — so every worker
-//! count yields the same bits, and [`run_sweep_cell`] reproduces any
-//! one cell in isolation.
+//! chunk accumulators merge one by one in ascending chunk order, never
+//! pre-merged within a unit — so every worker count and every unit size
+//! yields the same bits, and [`run_sweep_cell`] reproduces any one cell
+//! in isolation.
 //!
 //! # Early stopping
 //!
@@ -41,7 +44,7 @@
 //! plus the `next[]`/`active[]` vectors, so [`run_sweep_with_checkpoint`]
 //! can snapshot it at round boundaries (see [`crate::checkpoint`]) and
 //! a killed sweep resumes bit-identically from the newest valid
-//! snapshot. Worker panics are contained per chunk by `simcore::par`;
+//! snapshot. Worker panics are contained per unit by `simcore::par`;
 //! one that persists past its retry checkpoints the last consistent
 //! state and surfaces as [`ModelError::Execution`] instead of aborting
 //! the process.
@@ -49,7 +52,8 @@
 use crate::checkpoint::{self, PoolState};
 use crate::config::{PeriodChoice, RunConfig};
 use crate::montecarlo::{
-    ChunkOutcomes, ChunkRunner, MonteCarloConfig, SourceKind, WasteAccum, REP_CHUNK,
+    ChunkOutcomes, ChunkRunner, MonteCarloConfig, SourceKind, WasteAccum, REP_CHUNK, UNIT_CHUNKS,
+    UNIT_REPS,
 };
 use dck_core::{optimal_period, ModelError, PlatformParams, Protocol};
 use dck_obs::Counter;
@@ -324,21 +328,19 @@ impl PanicInjection {
     }
 }
 
-/// Folds replications `[start, end)` of plan `ci` sequentially — the
-/// pool's work unit. Builds one [`ChunkRunner`] for the whole range
-/// (amortizing the config build) and stages outcomes in
-/// structure-of-arrays form; the fold into the returned accumulator
-/// is in replication order, so the result is bit-identical to the old
+/// Folds replications `[start, end)` of plan `ci` — one chunk of at
+/// most [`REP_CHUNK`] — sequentially on `runner`, staging outcomes in
+/// structure-of-arrays form; the fold into the returned accumulator is
+/// in replication order, so the result is bit-identical to the old
 /// per-replication absorb loop.
 fn chunk_accum(
+    runner: &mut ChunkRunner,
     plan: &WastePlan,
     ci: usize,
     start: usize,
     end: usize,
     injection: Option<&PanicInjection>,
 ) -> WasteAccum {
-    let mut runner =
-        ChunkRunner::new(&plan.run_cfg, &plan.mc).expect("validated configuration cannot fail");
     let mut staged = ChunkOutcomes::default();
     for i in start..end {
         if let Some(inj) = injection {
@@ -349,6 +351,36 @@ fn chunk_accum(
     let mut acc = WasteAccum::default();
     staged.fold_into(&mut acc);
     acc
+}
+
+/// One pool unit's chunk accumulators, in ascending chunk order; only
+/// the first `len` are filled.
+#[derive(Default)]
+struct UnitAccums {
+    chunks: [WasteAccum; UNIT_CHUNKS],
+    len: usize,
+}
+
+/// Runs replications `[start, end)` of plan `ci` — the pool's work
+/// unit. Builds one [`ChunkRunner`] for the whole range (amortizing the
+/// config build) and folds each `REP_CHUNK`-aligned chunk into its own
+/// accumulator with [`chunk_accum`].
+fn unit_accums(
+    plan: &WastePlan,
+    ci: usize,
+    start: usize,
+    end: usize,
+    injection: Option<&PanicInjection>,
+) -> UnitAccums {
+    let mut runner =
+        ChunkRunner::new(&plan.run_cfg, &plan.mc).expect("validated configuration cannot fail");
+    let mut unit = UnitAccums::default();
+    for (slot, s) in unit.chunks.iter_mut().zip((start..end).step_by(REP_CHUNK)) {
+        let e = (s + REP_CHUNK).min(end);
+        *slot = chunk_accum(&mut runner, plan, ci, s, e, injection);
+        unit.len += 1;
+    }
+    unit
 }
 
 /// Deterministic convergence test for early stopping: depends only on
@@ -377,7 +409,7 @@ fn finish_cell(plan: &CellPlan, acc: WasteAccum, executed: usize) -> SweepCell {
 }
 
 /// One active plan's share of a round: replications `[start, end)` of
-/// plan `ci`, cut into `REP_CHUNK`-aligned units numbered from
+/// plan `ci`, cut into `UNIT_REPS`-aligned units numbered from
 /// `first_unit` in the round's unit space.
 struct Span {
     ci: usize,
@@ -442,10 +474,13 @@ pub(crate) struct RoundBudget {
 
 /// The crate's one Monte-Carlo waste engine: returns each plan's
 /// accumulator and the replications it ran. Each round numbers every
-/// active plan's next `round` replications as `REP_CHUNK`-aligned
-/// units, runs them on one work-stealing pool, and merges each unit in
-/// ascending order into a working copy of its plan's accumulator,
-/// committed when the round completes. A plan's bits depend neither on
+/// active plan's next `round` replications as `UNIT_REPS`-aligned
+/// units, runs them on one work-stealing pool, and merges each unit's
+/// chunk accumulators, one by one in ascending chunk order, into a
+/// working copy of its plan's accumulator, committed when the round
+/// completes. Chunk boundaries fall every `REP_CHUNK` replications from
+/// the round's start whatever the unit size, so the merge sequence, and
+/// with it every bit, does not depend on `UNIT_CHUNKS`. A plan's bits depend neither on
 /// the worker count nor on the other plans. `ckpt` (a policy and the
 /// spec fingerprint its snapshots carry) and `counters` are the grid's:
 /// only [`run_sweep`] passes them.
@@ -527,7 +562,7 @@ pub(crate) fn run_pool(
                 end,
                 first_unit: units,
             });
-            units += (end - start).div_ceil(REP_CHUNK);
+            units += (end - start).div_ceil(UNIT_REPS);
         }
         if units == 0 {
             break;
@@ -573,11 +608,15 @@ pub(crate) fn run_pool(
                 // Unit to (plan, replication range) by arithmetic.
                 let k = spans.partition_point(|sp| sp.first_unit <= u) - 1;
                 let sp = &spans[k];
-                let s = sp.start + (u - sp.first_unit) * REP_CHUNK;
-                let e = (s + REP_CHUNK).min(sp.end);
-                (k, chunk_accum(&plans[sp.ci], sp.ci, s, e, injection))
+                let s = sp.start + (u - sp.first_unit) * UNIT_REPS;
+                let e = (s + UNIT_REPS).min(sp.end);
+                (k, unit_accums(&plans[sp.ci], sp.ci, s, e, injection))
             },
-            |_, (k, acc)| merged[k].merge_in_place(&acc),
+            |_, (k, unit)| {
+                for acc in unit.chunks.iter().take(unit.len) {
+                    merged[k].merge_in_place(acc);
+                }
+            },
         );
         if let Err(pool_err) = pool_result {
             // Checkpoint the last consistent (pre-round) state before

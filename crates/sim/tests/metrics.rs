@@ -75,11 +75,12 @@ fn metrics_count_work_without_perturbing_results() {
         assert_eq!(a.half_width, b.half_width);
         assert_eq!(a.completed, b.completed);
     }
-    // Without early stopping: one round, 2 cells ×
-    // 16 replications in chunks of 8 = 4 units.
+    // Without early stopping: one round, 2 cells × 16 replications;
+    // a unit holds up to 32 (four chunks of 8), so each cell's 16 fit
+    // one unit = 2 units.
     assert_eq!(snap.counter("sweep.cells"), 2);
     assert_eq!(snap.counter("sweep.rounds"), 1);
-    assert_eq!(snap.counter("sweep.units"), 4);
+    assert_eq!(snap.counter("sweep.units"), 2);
     assert_eq!(snap.counter("sweep.replications"), 32);
     assert_eq!(snap.counter("sweep.cells_early_stopped"), 0);
 }

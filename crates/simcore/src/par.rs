@@ -11,6 +11,12 @@
 //! uneven per-unit cost — unlucky replications run much longer — still
 //! balances well.
 //!
+//! Every unit costs one pass through the pool's mutex, where it either
+//! parks in the tail or merges, so callers size units to amortize that:
+//! the sweep engine in `dck-sim` makes a unit 32 replications, four
+//! fold chunks that land together and merge one by one, while the fold
+//! chunk that fixes its bits stays 8 replications.
+//!
 //! Determinism: each unit derives everything (including RNG seeds) from
 //! its index and the sink sees units in ascending order, so results
 //! never depend on thread scheduling or the worker count, including the
