@@ -24,7 +24,7 @@
 use dck_bench::{latency_ladder, Report, ServeBenchConfig, ServeBenchReport, SERVE_SCHEMA};
 use dck_core::{Protocol, Scenario};
 use dck_sim::SweepSpec;
-use serde::{Map, Serialize, Value};
+use serde::{Map, Reader, Serialize, Value};
 use serde_json::to_string;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -141,6 +141,28 @@ fn build_request(
     to_string(&Value::Object(req)).ok()
 }
 
+/// True when `line` is one JSON object with an `ok` key and no `err`
+/// key: a successful answer. Reads the line through the bounded reader
+/// and builds no tree, only noting which top-level keys it meets.
+fn is_ok_answer(line: &str) -> bool {
+    let Ok(mut r) = Reader::new(line) else {
+        return false;
+    };
+    if r.peek() != Some(b'{') {
+        return false;
+    }
+    let (mut ok, mut err) = (false, false);
+    let read = r.object(|r, key| {
+        match &*key {
+            "ok" => ok = true,
+            "err" => err = true,
+            _ => {}
+        }
+        r.skip()
+    });
+    read.and_then(|()| r.end()).is_ok() && ok && !err
+}
+
 fn client_loop(cfg: &LoadgenConfig, client: usize, deadline: Instant) -> ClientStats {
     let mut stats = ClientStats {
         latencies_us: Vec::new(),
@@ -198,10 +220,7 @@ fn client_loop(cfg: &LoadgenConfig, client: usize, deadline: Instant) -> ClientS
             }
         }
         let us = (t0.elapsed().as_micros() as u64).max(1);
-        let ok = serde_json::from_str::<Value>(line.trim())
-            .map(|v| v.get("ok").is_some() && v.get("err").is_none())
-            .unwrap_or(false);
-        if ok {
+        if is_ok_answer(line.trim()) {
             stats.ok += 1;
             stats.latencies_us.push(us);
             if metrics {
@@ -335,6 +354,47 @@ mod tests {
             sequence(43),
             "different seeds should change the mix"
         );
+    }
+
+    /// What the client counted as a success before it classified answers
+    /// without a tree.
+    fn ok_by_tree(line: &str) -> bool {
+        serde_json::from_str::<Value>(line)
+            .map(|v| v.get("ok").is_some() && v.get("err").is_none())
+            .unwrap_or(false)
+    }
+
+    #[test]
+    fn answers_classify_as_the_tree_did() {
+        let answers = [
+            // Answer lines pinned by tests/wire_bytes.rs (the cell's id is
+            // its request's).
+            r#"{"v":1,"id":"p","ok":{"pong":true}}"#,
+            r#"{"v":1,"id":"s","ok":{"protocol":"double-bof","phi_ratio":1.0,"mtbf_s":1800.0,"period_s":540.0,"period_source":"closed_form","waste_total":0.375}}"#,
+            r#"{"v":1,"id":"w","ok":{"protocol":"double-nbl","phi_ratio":0.5,"phi_s":2.0,"theta_s":24.0,"mtbf_s":25200.0,"period_s":448.74937325861526,"period_source":"closed_form","waste":{"fault_free":0.008913661474229605,"failure_induced":0.010014868517036018,"total":0.018839260843595773,"failure_loss_s":252.37468662930763},"efficiency":0.9811607391564042,"risk_window_s":28.0}}"#,
+            r#"{"v":1,"id":"c","ok":{"cell":{"phi_ratio":0.0,"mtbf":3600.0,"period":119.19731540601072,"model_waste":0.04616592094611416,"sim_waste":0.04750999523345271,"half_width":0.00556211463360554,"completed":16,"fatal":0,"truncated":0,"replications_run":16},"fingerprint":"613649a962017982","mtbf_idx":1,"phi_idx":0,"cached":false}}"#,
+            r#"{"v":1,"id":"q","ok":{"draining":true}}"#,
+            r#"{"v":1,"id":-7,"err":{"code":"unknown_method","message":"unknown method `frobnicate` (known: ping, waste, risk, pstar, sweep_cell, shutdown)"}}"#,
+            r#"{"v":1,"id":null,"err":{"code":"bad_request","message":"request is not JSON: expected `"` at byte 16"}}"#,
+            // Both keys, duplicate keys, nested `ok` only, empty object.
+            r#"{"v":1,"ok":{},"err":{"code":"x"}}"#,
+            r#"{"ok":1,"ok":2}"#,
+            r#"{"v":1,"id":{"ok":true}}"#,
+            r#"{}"#,
+            // Malformed or not an object.
+            r#"{"v":1,"id":"w","ok":{"protocol":"double-nbl""#,
+            r#"{"v":1,"ok":true} trailing"#,
+            r#"[{"ok":true}]"#,
+            r#""ok""#,
+            "",
+            "not json",
+        ];
+        for line in answers {
+            assert_eq!(is_ok_answer(line), ok_by_tree(line), "{line}");
+        }
+        let deep = "[".repeat(200) + &"]".repeat(200);
+        assert_eq!(is_ok_answer(&deep), ok_by_tree(&deep));
+        assert!(is_ok_answer(answers[0]) && !is_ok_answer(answers[5]));
     }
 
     #[test]
