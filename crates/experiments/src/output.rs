@@ -79,10 +79,13 @@ pub fn write_table(
 /// Renders a fixed-width ASCII table (for terminal summaries).
 pub fn ascii_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let cols = headers.len();
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+    // Widths in chars, the unit `{:width$}` pads by: a byte count
+    // would pad a column holding `±` one space too wide.
+    let width = |s: &str| s.chars().count();
+    let mut widths: Vec<usize> = headers.iter().map(|h| width(h)).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate().take(cols) {
-            widths[i] = widths[i].max(cell.len());
+            widths[i] = widths[i].max(width(cell));
         }
     }
     let mut out = String::new();
@@ -168,6 +171,19 @@ mod tests {
         );
         assert!(t.contains("| name   | v   |"));
         assert!(t.contains("| longer | 2   |"));
+    }
+
+    #[test]
+    fn ascii_table_measures_multibyte_cells_in_chars() {
+        let t = ascii_table(&["sim (mean ± se)"], &[vec!["0.28 ± 0.01".into()]]);
+        assert_eq!(
+            t,
+            "+-----------------+\n\
+             | sim (mean ± se) |\n\
+             +-----------------+\n\
+             | 0.28 ± 0.01     |\n\
+             +-----------------+\n"
+        );
     }
 
     #[test]

@@ -202,7 +202,7 @@ const FAST: &[Pins] = &[
         &[
             ("hierarchical.csv", 0xf83e_f5cd_2581_c650),
             ("hierarchical.json", 0xe9e7_8e94_13da_7f0d),
-            ("hierarchical.txt", 0x10bd_26dd_d75e_9096),
+            ("hierarchical.txt", 0xc804_1f10_5c85_1519),
         ],
     ),
     (
@@ -324,7 +324,7 @@ const FULL: &[Pins] = &[
         &[
             ("hierarchical.csv", 0xf83e_f5cd_2581_c650),
             ("hierarchical.json", 0x1cda_399d_0f82_712f),
-            ("hierarchical.txt", 0x085a_8418_1f7f_6441),
+            ("hierarchical.txt", 0xe83c_fc68_e035_ea60),
         ],
     ),
 ];
