@@ -328,31 +328,6 @@ impl PanicInjection {
     }
 }
 
-/// Folds replications `[start, end)` of plan `ci` — one chunk of at
-/// most [`REP_CHUNK`] — sequentially on `runner`, staging outcomes in
-/// structure-of-arrays form; the fold into the returned accumulator is
-/// in replication order, so the result is bit-identical to the old
-/// per-replication absorb loop.
-fn chunk_accum(
-    runner: &mut ChunkRunner,
-    plan: &WastePlan,
-    ci: usize,
-    start: usize,
-    end: usize,
-    injection: Option<&PanicInjection>,
-) -> WasteAccum {
-    let mut staged = ChunkOutcomes::default();
-    for i in start..end {
-        if let Some(inj) = injection {
-            inj.trip(ci, i);
-        }
-        staged.record(&runner.run_waste(plan.t_base, i as u64));
-    }
-    let mut acc = WasteAccum::default();
-    staged.fold_into(&mut acc);
-    acc
-}
-
 /// One pool unit's chunk accumulators, in ascending chunk order; only
 /// the first `len` are filled.
 #[derive(Default)]
@@ -364,7 +339,9 @@ struct UnitAccums {
 /// Runs replications `[start, end)` of plan `ci` — the pool's work
 /// unit. Builds one [`ChunkRunner`] for the whole range (amortizing the
 /// config build) and folds each `REP_CHUNK`-aligned chunk into its own
-/// accumulator with [`chunk_accum`].
+/// accumulator. A chunk's outcomes are staged in structure-of-arrays
+/// form and folded in replication order, so each accumulator is
+/// bit-identical to the old per-replication absorb loop.
 fn unit_accums(
     plan: &WastePlan,
     ci: usize,
@@ -375,9 +352,15 @@ fn unit_accums(
     let mut runner =
         ChunkRunner::new(&plan.run_cfg, &plan.mc).expect("validated configuration cannot fail");
     let mut unit = UnitAccums::default();
-    for (slot, s) in unit.chunks.iter_mut().zip((start..end).step_by(REP_CHUNK)) {
-        let e = (s + REP_CHUNK).min(end);
-        *slot = chunk_accum(&mut runner, plan, ci, s, e, injection);
+    for (acc, s) in unit.chunks.iter_mut().zip((start..end).step_by(REP_CHUNK)) {
+        let mut staged = ChunkOutcomes::default();
+        for i in s..(s + REP_CHUNK).min(end) {
+            if let Some(inj) = injection {
+                inj.trip(ci, i);
+            }
+            staged.record(&runner.run_waste(plan.t_base, i as u64));
+        }
+        staged.fold_into(acc);
         unit.len += 1;
     }
     unit
@@ -480,8 +463,8 @@ pub(crate) struct RoundBudget {
 /// working copy of its plan's accumulator, committed when the round
 /// completes. Chunk boundaries fall every `REP_CHUNK` replications from
 /// the round's start whatever the unit size, so the merge sequence, and
-/// with it every bit, does not depend on `UNIT_CHUNKS`. A plan's bits depend neither on
-/// the worker count nor on the other plans. `ckpt` (a policy and the
+/// with it every bit, does not depend on `UNIT_CHUNKS`. A plan's bits
+/// depend neither on the worker count nor on the other plans. `ckpt` (a policy and the
 /// spec fingerprint its snapshots carry) and `counters` are the grid's:
 /// only [`run_sweep`] passes them.
 pub(crate) fn run_pool(
