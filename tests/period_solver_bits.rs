@@ -1,17 +1,18 @@
-//! Bit pins of the two golden-section period solvers.
+//! Bit pins of the period solvers.
 //!
-//! `numeric_optimal_period` (the paper's Eqs. 9/10/15 re-derived
-//! numerically) and `predicted_optimal_period` (the first-order
-//! predictor model) feed every adaptive retune. These digests record
-//! the exact `to_bits` of their results over every registered protocol,
-//! three overheads, MTBFs from the saturated regime to 1e7 s and three
+//! `optimal_period` (the paper's closed forms, Eqs. 9/10/15),
+//! `numeric_optimal_period` (the same optimum re-derived by
+//! golden-section search) and `predicted_optimal_period` (the
+//! first-order predictor model). These digests record the exact
+//! `to_bits` of their results over every registered protocol, three
+//! overheads, MTBFs from the saturated regime to 1e7 s and three
 //! predictor shapes, so any change to the probe arithmetic, the bracket
 //! or the search order shows up here. The exact errors of the invalid
 //! inputs are pinned too, including which one wins when two apply.
 
 use dck::model::{
-    numeric_optimal_period, predicted_optimal_period, proactive_cost, ModelError, PeriodSource,
-    PlatformParams, PredictedWaste, PredictorSpec, Protocol, Scenario,
+    numeric_optimal_period, optimal_period, predicted_optimal_period, proactive_cost, ModelError,
+    OptimalPeriod, PeriodSource, PlatformParams, PredictedWaste, PredictorSpec, Protocol, Scenario,
 };
 
 /// FNV-1a over the exact bit patterns of the solvers' numbers.
@@ -82,6 +83,16 @@ fn source_word(s: PeriodSource) -> u64 {
     }
 }
 
+fn optimal_bits(h: &mut Bits, opt: &OptimalPeriod) {
+    h.f64(opt.period)
+        .f64(opt.waste.fault_free)
+        .f64(opt.waste.failure_induced)
+        .f64(opt.waste.total)
+        .f64(opt.waste.failure_loss)
+        .f64(opt.waste.period)
+        .word(source_word(opt.source));
+}
+
 fn predicted_bits(h: &mut Bits, w: &PredictedWaste) {
     h.f64(w.fault_free)
         .f64(w.failure_induced)
@@ -101,13 +112,7 @@ fn numeric_optimal_period_keeps_its_bits() {
                 for m in MTBFS {
                     match numeric_optimal_period(protocol, &params, phi, m) {
                         Ok(opt) => {
-                            h.f64(opt.period)
-                                .f64(opt.waste.fault_free)
-                                .f64(opt.waste.failure_induced)
-                                .f64(opt.waste.total)
-                                .f64(opt.waste.failure_loss)
-                                .f64(opt.waste.period)
-                                .word(source_word(opt.source));
+                            optimal_bits(&mut h, &opt);
                             sources[source_word(opt.source) as usize] += 1;
                             solves += 1;
                         }
@@ -127,6 +132,45 @@ fn numeric_optimal_period_keeps_its_bits() {
     assert_eq!(
         h.0, 0x849d_514f_1d6f_14d5,
         "numeric_optimal_period digest moved"
+    );
+}
+
+/// The closed form (Eqs. 9/10/15, clamped to `Pmin`) on the same grid:
+/// `dck period`, serve `pstar`, `RunConfig::resolve_period`, the regret
+/// harness's static and oracle arms and the adaptive controller's
+/// retunes all report this period.
+#[test]
+fn optimal_period_keeps_its_bits() {
+    let mut h = Bits::new();
+    let mut solves = 0;
+    let mut sources = [0usize; 4];
+    for params in platforms() {
+        for protocol in Protocol::registry() {
+            for phi in phis(&params) {
+                for m in MTBFS {
+                    match optimal_period(protocol, &params, phi, m) {
+                        Ok(opt) => {
+                            optimal_bits(&mut h, &opt);
+                            sources[source_word(opt.source) as usize] += 1;
+                            solves += 1;
+                        }
+                        Err(e) => {
+                            h.error(&e);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(solves, 2 * 9 * 3 * MTBFS.len());
+    assert!(
+        sources[1..].iter().all(|&n| n > 0),
+        "every regime must be covered: {sources:?}"
+    );
+    assert_eq!(
+        h.0, 0x7094_0cc7_e6f9_5da6,
+        "optimal_period digest moved: {:#018x}",
+        h.0
     );
 }
 
