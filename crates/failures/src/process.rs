@@ -49,6 +49,22 @@ pub trait FailureSource {
     fn platform_mtbf(&self) -> SimTime;
 }
 
+/// A boxed source is a source, so code generic over the source takes
+/// one as readily as a concrete type.
+impl<S: FailureSource + ?Sized> FailureSource for Box<S> {
+    fn next_failure(&mut self) -> FailureEvent {
+        (**self).next_failure()
+    }
+
+    fn nodes(&self) -> u64 {
+        (**self).nodes()
+    }
+
+    fn platform_mtbf(&self) -> SimTime {
+        (**self).platform_mtbf()
+    }
+}
+
 /// Largest number of `(gap, victim)` pairs drawn per RNG refill once
 /// the batch size has warmed up. Refills consume the generator in the
 /// same per-event order as an unbatched loop (see

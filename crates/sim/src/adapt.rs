@@ -38,6 +38,13 @@
 //! before continuing from the same live source. An arm that outruns a
 //! full buffer continues on a fresh copy of the stream, advanced past
 //! the recorded prefix, so the cap bounds memory without changing a bit.
+//!
+//! Like the sweep's chunk runner, a case builds its arms once and drives
+//! them for every replication: one adaptive policy, cloned per
+//! replication; one run machine shared by the adaptive and static arms,
+//! which start from the same configuration; and one for the oracle. The
+//! case's failure source is a concrete type, so every arm's run is
+//! monomorphized over it.
 
 use crate::config::RunConfig;
 use crate::montecarlo::WasteAccum;
@@ -47,7 +54,9 @@ use dck_core::{
     optimal_period, predicted_optimal_period, ControllerConfig, ModelError, PeriodController,
     PlatformParams, PredictorSpec, Protocol, Retune,
 };
-use dck_failures::{DriftingExponential, FailureEvent, FailureSource, MtbfSpec};
+use dck_failures::{
+    AggregatedExponential, DriftingExponential, FailureEvent, FailureSource, MtbfSpec,
+};
 use dck_simcore::{ConfidenceInterval, OnlineStats, RngFactory, SimTime};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -172,6 +181,7 @@ pub fn run_adaptive_predicted_to_completion(
 
 /// The adaptive policy: every failure feeds the controller's MTBF
 /// estimator, and each outage end consults it for a retune.
+#[derive(Clone)]
 pub(crate) struct Adaptive(PeriodController);
 
 impl Adaptive {
@@ -398,20 +408,56 @@ fn run_regret_with_replay(
     Ok(results)
 }
 
+/// The failure source of a regret case, as a concrete type so that
+/// every arm's run is monomorphized over it. It lives on the stack, one
+/// per replication (two when an arm outruns the replay buffer), so the
+/// stationary source's inline draw buffers are not boxed.
+#[allow(clippy::large_enum_variant)]
+enum CaseSource {
+    /// A stationary platform (the misspecified and predicted cases).
+    Stationary(AggregatedExponential),
+    /// A platform whose MTBF drifts over the work horizon.
+    Drifting(DriftingExponential),
+}
+
+impl FailureSource for CaseSource {
+    #[inline]
+    fn next_failure(&mut self) -> FailureEvent {
+        match self {
+            CaseSource::Stationary(s) => s.next_failure(),
+            CaseSource::Drifting(s) => s.next_failure(),
+        }
+    }
+
+    fn nodes(&self) -> u64 {
+        match self {
+            CaseSource::Stationary(s) => s.nodes(),
+            CaseSource::Drifting(s) => s.nodes(),
+        }
+    }
+
+    fn platform_mtbf(&self) -> SimTime {
+        match self {
+            CaseSource::Stationary(s) => s.platform_mtbf(),
+            CaseSource::Drifting(s) => s.platform_mtbf(),
+        }
+    }
+}
+
 /// One replication's failure stream, shared by its arms: the live
 /// source and the events it has produced so far, recorded up to the
 /// cap.
-struct SharedStream<'a, F> {
+struct SharedStream<'a, S, F> {
     /// Builds a fresh copy of the replication's stream.
     fresh: F,
-    live: Box<dyn FailureSource>,
+    live: S,
     recorded: &'a mut Vec<FailureEvent>,
     cap: usize,
     /// Events the live source has produced.
     drawn: usize,
 }
 
-impl<'a, F: Fn() -> Box<dyn FailureSource>> SharedStream<'a, F> {
+impl<'a, S: FailureSource, F: Fn() -> S> SharedStream<'a, S, F> {
     fn new(fresh: F, recorded: &'a mut Vec<FailureEvent>, cap: usize) -> Self {
         recorded.clear();
         SharedStream {
@@ -424,7 +470,7 @@ impl<'a, F: Fn() -> Box<dyn FailureSource>> SharedStream<'a, F> {
     }
 
     /// A view that reads the stream from its first event.
-    fn view(&mut self) -> StreamView<'_, 'a, F> {
+    fn view(&mut self) -> StreamView<'_, 'a, S, F> {
         StreamView {
             shared: self,
             next: 0,
@@ -435,16 +481,16 @@ impl<'a, F: Fn() -> Box<dyn FailureSource>> SharedStream<'a, F> {
 
 /// One arm's cursor into a [`SharedStream`]. It reports the live
 /// source's node count and MTBF.
-struct StreamView<'s, 'a, F> {
-    shared: &'s mut SharedStream<'a, F>,
+struct StreamView<'s, 'a, S, F> {
+    shared: &'s mut SharedStream<'a, S, F>,
     /// Index of the next event this arm reads.
     next: usize,
     /// The arm's own copy, once it has read past a full buffer that the
     /// live source has already moved beyond.
-    own: Option<Box<dyn FailureSource>>,
+    own: Option<S>,
 }
 
-impl<F: Fn() -> Box<dyn FailureSource>> FailureSource for StreamView<'_, '_, F> {
+impl<S: FailureSource, F: Fn() -> S> FailureSource for StreamView<'_, '_, S, F> {
     fn next_failure(&mut self) -> FailureEvent {
         if let Some(own) = &mut self.own {
             return own.next_failure();
@@ -476,6 +522,33 @@ impl<F: Fn() -> Box<dyn FailureSource>> FailureSource for StreamView<'_, '_, F> 
 
     fn platform_mtbf(&self) -> SimTime {
         self.shared.live.platform_mtbf()
+    }
+}
+
+/// Runs one arm of a replication to `t_base` units of work on
+/// `machine` under `policy`, wrapped in the predicted policy of `cfg`
+/// when the case deploys a predictor (its stream then drives the
+/// alarms). Returns the outcome and the policy's final state.
+fn run_arm<S: FailureSource, P: Policy>(
+    machine: &mut RunMachine,
+    policy: P,
+    predicted: Option<(PredictorSpec, StdRng)>,
+    cfg: &RunConfig,
+    t_base: f64,
+    source: &mut S,
+) -> Result<(RunOutcome, P), ModelError> {
+    let stop = Stop::Work(t_base);
+    match predicted {
+        Some((predictor, mut rng)) => {
+            let mut policy = Predicted::new(policy, &predictor, cfg, &mut rng)?;
+            let run = machine.drive(stop, source, &mut policy, |_| {})?;
+            Ok((run, policy.inner))
+        }
+        None => {
+            let mut policy = policy;
+            let run = machine.drive(stop, source, &mut policy, |_| {})?;
+            Ok((run, policy))
+        }
     }
 }
 
@@ -523,7 +596,9 @@ fn run_case(
         controller.half_life = Some(t_base / 8.0);
     }
 
-    // All arms share the physics config (true MTBF, explicit periods).
+    // All arms share the physics config (true MTBF, explicit periods);
+    // the adaptive arm starts from the static arm's, so the two drive
+    // one machine.
     let arm_cfg = |period: f64| -> RunConfig {
         let mut c = RunConfig::new(spec.protocol, spec.params, spec.phi, m_true);
         c.period = crate::config::PeriodChoice::Explicit(period);
@@ -531,30 +606,29 @@ fn run_case(
     };
     let static_cfg = arm_cfg(static_period);
     let oracle_cfg = arm_cfg(oracle_period);
-    let adaptive_cfg = AdaptiveRunConfig {
+    let template = Adaptive::new(&AdaptiveRunConfig {
         base: static_cfg,
         prior_mtbf: believed,
         controller,
-    };
+    })?;
+    let mut machine = RunMachine::new(&static_cfg)?;
+    let mut oracle_machine = RunMachine::new(&oracle_cfg)?;
     let usable = static_cfg.usable_nodes();
     let factory = RngFactory::new(seed);
-    let source = |rep: u64| -> Box<dyn FailureSource> {
+    let stationary = MtbfSpec::Platform {
+        mtbf: SimTime::seconds(m_true),
+        nodes: usable,
+    };
+    let source = |rep: u64| {
         let stream = factory.component_stream("failures", rep);
         match case.scenario {
-            RegretScenario::Drift { end_factor } => Box::new(DriftingExponential::new(
-                m_true,
-                end_factor * m_true,
-                t_base,
-                usable,
-                stream,
-            )),
-            _ => Box::new(dck_failures::AggregatedExponential::new(
-                MtbfSpec::Platform {
-                    mtbf: SimTime::seconds(m_true),
-                    nodes: usable,
-                },
-                stream,
-            )),
+            RegretScenario::Drift { end_factor } => {
+                let end = end_factor * m_true;
+                CaseSource::Drifting(DriftingExponential::new(
+                    m_true, end, t_base, usable, stream,
+                ))
+            }
+            _ => CaseSource::Stationary(AggregatedExponential::new(stationary, stream)),
         }
     };
 
@@ -564,34 +638,33 @@ fn run_case(
         // Paired arms: identical failure stream, drawn once; identical
         // predictor stream where applicable.
         let mut stream = SharedStream::new(|| source(rep), replay, replay_cap);
-        let adaptive_out = {
-            let mut src = stream.view();
-            match &predictor {
-                Some(_) => {
-                    let mut rng = factory.component_stream("predictor", rep);
-                    run_adaptive_predicted_to_completion(&adaptive_cfg, t_base, &mut src, &mut rng)?
-                }
-                None => run_adaptive_to_completion(&adaptive_cfg, t_base, &mut src)?,
-            }
-        };
-        let mut run_static = |cfg: &RunConfig| -> Result<RunOutcome, ModelError> {
-            let mut src = stream.view();
-            match &predictor {
-                Some(p) => {
-                    let mut rng = factory.component_stream("predictor", rep);
-                    crate::predict::run_predicted_to_completion(cfg, p, t_base, &mut src, &mut rng)
-                        .map(|o| o.run)
-                }
-                None => crate::run::run_to_completion(cfg, t_base, &mut src),
-            }
-        };
-        retunes.push(adaptive_out.retunes as f64);
-        let outs = [
-            adaptive_out.run,
-            run_static(&static_cfg)?,
-            run_static(&oracle_cfg)?,
-        ];
-        for (arm, out) in arms.iter_mut().zip(&outs) {
+        let predicted = || predictor.map(|p| (p, factory.component_stream("predictor", rep)));
+        let (adaptive_run, policy) = run_arm(
+            &mut machine,
+            template.clone(),
+            predicted(),
+            &static_cfg,
+            t_base,
+            &mut stream.view(),
+        )?;
+        retunes.push(policy.0.retunes() as f64);
+        let (static_run, _) = run_arm(
+            &mut machine,
+            Static,
+            predicted(),
+            &static_cfg,
+            t_base,
+            &mut stream.view(),
+        )?;
+        let (oracle_run, _) = run_arm(
+            &mut oracle_machine,
+            Static,
+            predicted(),
+            &oracle_cfg,
+            t_base,
+            &mut stream.view(),
+        )?;
+        for (arm, out) in arms.iter_mut().zip(&[adaptive_run, static_run, oracle_run]) {
             arm.absorb(out);
         }
     }
