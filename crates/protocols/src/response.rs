@@ -81,17 +81,21 @@ impl FailureResponse {
         })
     }
 
-    /// Builds the response model matching a [`PeriodSchedule`].
-    pub fn for_schedule(
-        params: &PlatformParams,
-        schedule: &PeriodSchedule,
-    ) -> Result<Self, ModelError> {
-        Self::new(
-            schedule.protocol(),
-            params,
-            schedule.phi(),
-            schedule.period(),
-        )
+    /// Builds the response model matching a [`PeriodSchedule`] built
+    /// on `params`. The schedule already holds the validated `θ`, `φ`,
+    /// `σ` and `P`, so this copies them instead of rebuilding the waste
+    /// model.
+    pub fn for_schedule(params: &PlatformParams, schedule: &PeriodSchedule) -> Self {
+        FailureResponse {
+            protocol: schedule.protocol(),
+            downtime: params.downtime,
+            recovery: params.recovery(),
+            delta: params.delta,
+            theta: schedule.theta(),
+            phi: schedule.phi(),
+            sigma: schedule.sigma(),
+            period: schedule.period(),
+        }
     }
 
     /// Blocked time after any failure (independent of the offset).
@@ -305,11 +309,28 @@ mod tests {
         }
     }
 
+    /// `for_schedule` copies what `new` derives, bit for bit, including
+    /// the `φ` that `DoubleBlocking` pins and `σ` at `Pmin`.
     #[test]
-    fn schedule_and_response_agree_on_structure() {
-        let params = base_params();
-        let sched = PeriodSchedule::new(Protocol::Triple, &params, 2.0, 120.0).unwrap();
-        let resp = FailureResponse::for_schedule(&params, &sched).unwrap();
-        assert_eq!(resp.period, sched.period());
+    fn response_for_a_schedule_equals_a_fresh_one() {
+        for params in [base_params(), exa_params()] {
+            for protocol in Protocol::registry() {
+                for phi in [0.0, params.theta_min / 3.0, params.theta_min] {
+                    let p_min = WasteModel::new(protocol, &params, phi)
+                        .unwrap()
+                        .min_period();
+                    for period in [p_min, p_min * 1.7 + 0.1, 3_600.0] {
+                        let sched = PeriodSchedule::new(protocol, &params, phi, period).unwrap();
+                        let fresh = FailureResponse::new(protocol, &params, phi, period).unwrap();
+                        let copied = FailureResponse::for_schedule(&params, &sched);
+                        assert_eq!(
+                            format!("{copied:?}"),
+                            format!("{fresh:?}"),
+                            "{protocol:?} φ = {phi} P = {period}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -72,7 +72,7 @@ impl RunConfig {
     pub fn build(&self) -> Result<(PeriodSchedule, FailureResponse, RiskTracker), ModelError> {
         let period = self.resolve_period()?;
         let schedule = PeriodSchedule::new(self.protocol, &self.params, self.phi, period)?;
-        let response = FailureResponse::for_schedule(&self.params, &schedule)?;
+        let response = FailureResponse::for_schedule(&self.params, &schedule);
         let mut layout_params = self.params;
         layout_params.nodes = self.usable_nodes();
         let layout = GroupLayout::new(self.protocol, layout_params.nodes)?;

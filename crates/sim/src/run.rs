@@ -522,7 +522,7 @@ impl RunMachine {
                                         r.phi,
                                         r.new_period,
                                     )?;
-                                    resp = FailureResponse::for_schedule(&self.cfg.params, &sched)?;
+                                    resp = FailureResponse::for_schedule(&self.cfg.params, &sched);
                                     st.t = ts;
                                     st.v = 0.0;
                                     observe(TimelineEvent::Retune {
