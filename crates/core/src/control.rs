@@ -6,14 +6,15 @@
 //! pure loss for the whole run. [`PeriodController`] closes the loop:
 //! it feeds every observed failure into the censored-MLE estimator of
 //! [`crate::estimate`] and, when consulted, re-solves the operating
-//! point for the current estimate through the golden-section
-//! optimizers — [`crate::numeric_optimal_period`] for the period alone
-//! (or [`crate::predicted_optimal_period`] under a predictor), or
-//! the full [`optimal_operating_point`] `φ`-scan when `rescan_phi` is
-//! set. The period solver for the configured `φ` — its validated model
-//! and every period-independent term of its objective — is built once,
-//! in [`PeriodController::new`], so a retune pays only for the search;
-//! the `φ`-scan builds its models at every retune because `φ` moves.
+//! point for the current estimate: the period alone at the configured
+//! `φ`, by the paper's closed form exactly as [`crate::optimal_period`]
+//! solves it (by the golden-section search of
+//! [`crate::predicted_optimal_period`] under a predictor), or the full
+//! [`optimal_operating_point`] `φ`-scan when `rescan_phi` is set. The
+//! period solver for the configured `φ` — its validated model and every
+//! period-independent term of its objective — is built once, in
+//! [`PeriodController::new`]; the `φ`-scan builds its models at every
+//! retune because `φ` moves.
 //!
 //! The controller is deliberately *mechanism-free*: it never touches a
 //! schedule. It hands back a [`Retune`] decision and the executor
@@ -32,7 +33,7 @@ use crate::error::ModelError;
 use crate::estimate::{EstimatorConfig, FitKind, MtbfEstimator};
 use crate::opt::optimal_operating_point;
 use crate::params::PlatformParams;
-use crate::period::numeric_period;
+use crate::period::{closed_form_optimum, search_bracket};
 use crate::predict::{PredictedSearch, PredictorSpec};
 use crate::protocol::Protocol;
 use crate::waste::{check_mtbf, Objective, WasteModel};
@@ -141,7 +142,8 @@ pub struct Retune {
 /// How a retune solves for the new operating point.
 #[derive(Debug, Clone)]
 enum Solver {
-    /// The period alone at the configured `φ`, over the base waste.
+    /// The period alone at the configured `φ`, over the base waste, by
+    /// the closed form.
     Period(Objective),
     /// The period alone at the configured `φ`, over the predicted waste.
     Predicted(PredictedSearch),
@@ -209,7 +211,7 @@ impl PeriodController {
         };
         ctl.period = match initial_period {
             Some(p) => p,
-            None => ctl.solve(prior_mtbf)?.1,
+            None => ctl.operating_point(prior_mtbf)?.1,
         };
         Ok(ctl)
     }
@@ -248,12 +250,24 @@ impl PeriodController {
         self.estimator.record_failure(at)
     }
 
-    /// Solves the operating point for MTBF `m`: `(φ, P)`, with the
-    /// errors and precedence of [`crate::numeric_optimal_period`] and
-    /// [`crate::predicted_optimal_period`].
-    fn solve(&self, m: f64) -> Result<(f64, f64), ModelError> {
+    /// The operating point `(φ, P)` a retune at MTBF estimate `m`
+    /// commits. Without a predictor or `rescan_phi`, `P` is the period
+    /// [`crate::optimal_period`] reports at `m`, bit for bit. The errors
+    /// and their precedence are those of [`crate::numeric_optimal_period`]
+    /// and [`crate::predicted_optimal_period`].
+    ///
+    /// # Errors
+    /// An invalid `m`, then an invalid model, then an `m` whose period
+    /// search bracket overflows.
+    pub fn operating_point(&self, m: f64) -> Result<(f64, f64), ModelError> {
         let period = match &self.solver {
-            Ok(Solver::Period(objective)) => numeric_period(objective, m)?,
+            Ok(Solver::Period(objective)) => {
+                // The closed form needs no bracket, but a retune keeps
+                // the golden-section solvers' domain and its error.
+                check_mtbf(m)?;
+                search_bracket(objective, m)?;
+                closed_form_optimum(objective, m).0
+            }
             Ok(Solver::Predicted(search)) => search.period(m)?,
             Ok(Solver::PhiScan) => {
                 let op = optimal_operating_point(self.protocol, &self.params, m)?;
@@ -299,7 +313,7 @@ impl PeriodController {
             }
             return Ok(None);
         }
-        let (phi, new_period) = self.solve(est.mtbf)?;
+        let (phi, new_period) = self.operating_point(est.mtbf)?;
         let retune = Retune {
             at: now,
             old_period: self.period,
@@ -322,7 +336,7 @@ impl PeriodController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::period::numeric_optimal_period;
+    use crate::period::optimal_period;
     use crate::predict::predicted_optimal_period;
 
     fn base() -> PlatformParams {
@@ -393,11 +407,11 @@ mod tests {
             ctl.record_failure(i as f64 * 3_600.0).unwrap();
         }
         let r = ctl.maybe_retune(50.0 * 3_600.0).unwrap().unwrap();
-        let expect = numeric_optimal_period(Protocol::DoubleNbl, &base(), 1.0, r.mtbf_estimate)
+        let expect = optimal_period(Protocol::DoubleNbl, &base(), 1.0, r.mtbf_estimate)
             .unwrap()
             .period;
-        assert!((r.new_period - expect).abs() < 1e-9 * expect);
-        assert!((ctl.current_period() - expect).abs() < 1e-9 * expect);
+        assert_eq!(r.new_period.to_bits(), expect.to_bits());
+        assert_eq!(ctl.current_period().to_bits(), expect.to_bits());
     }
 
     #[test]
@@ -478,7 +492,10 @@ mod tests {
             ControllerConfig::default(),
         )
         .unwrap();
-        assert_eq!(ctl.solve(0.0).unwrap_err(), check_mtbf(0.0).unwrap_err());
+        assert_eq!(
+            ctl.operating_point(0.0).unwrap_err(),
+            check_mtbf(0.0).unwrap_err()
+        );
         for i in 1..=10 {
             ctl.record_failure(i as f64 * 10.0).unwrap();
         }

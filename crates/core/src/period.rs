@@ -30,13 +30,17 @@
 //!   the smallest feasible period — the platform makes no progress and
 //!   the optimum is reported at `Pmin` with waste 1.
 //!
+//! The closed-form rule (the interior optimum, clamped to `Pmin`) has
+//! one copy, [`closed_form_optimum`]: [`optimal_period`] applies it,
+//! and so does every period-only retune of the adaptive controller, so
+//! a retune at an MTBF estimate commits exactly the period
+//! `optimal_period` reports there.
+//!
 //! The golden-section search probes the waste about a hundred times per
 //! solve. Everything that depends on neither the period nor the MTBF —
 //! validation, `Cff`, `A`, `Pmin` — is computed once per solve, and
 //! each probe evaluates the one copy of the waste formula that
-//! [`WasteModel::waste`] and the predicted model use too. The adaptive
-//! controller keeps its solver across retunes, so a retune pays only
-//! for the search.
+//! [`WasteModel::waste`] and the predicted model use too.
 
 use crate::error::ModelError;
 use crate::params::PlatformParams;
@@ -69,13 +73,26 @@ pub struct OptimalPeriod {
 /// Closed-form interior optimum at platform MTBF `m`, or `None` when
 /// the argument of the square root is non-positive or `Cff = 0`.
 pub fn closed_form_period_at(model: &WasteModel, m: f64) -> Option<f64> {
-    let cff = model.fault_free_overhead();
-    let a = model.failure_loss_constant();
-    let arg = 2.0 * cff * (m - a);
-    if cff <= 0.0 || arg <= 0.0 {
+    interior_optimum(&Objective::new(model), m)
+}
+
+fn interior_optimum(objective: &Objective, m: f64) -> Option<f64> {
+    let arg = 2.0 * objective.cff * (m - objective.a);
+    if objective.cff <= 0.0 || arg <= 0.0 {
         None
     } else {
         Some(arg.sqrt())
+    }
+}
+
+/// The closed-form optimum at platform MTBF `m` and where it came
+/// from: the interior optimum when it is at least `Pmin`, else `Pmin`.
+/// [`optimal_period`] and the adaptive controller's period retunes
+/// both apply this one rule.
+pub(crate) fn closed_form_optimum(objective: &Objective, m: f64) -> (f64, PeriodSource) {
+    match interior_optimum(objective, m) {
+        Some(p) if p >= objective.p_min => (p, PeriodSource::ClosedForm),
+        _ => (objective.p_min, PeriodSource::ClampedToMin),
     }
 }
 
@@ -91,14 +108,9 @@ pub fn optimal_period(
     m: f64,
 ) -> Result<OptimalPeriod, ModelError> {
     check_mtbf(m)?;
-    let model = WasteModel::new(protocol, params, phi)?;
-    let p_min = model.min_period();
-
-    let (period, mut source) = match closed_form_period_at(&model, m) {
-        Some(p) if p >= p_min => (p, PeriodSource::ClosedForm),
-        _ => (p_min, PeriodSource::ClampedToMin),
-    };
-    let waste = model.waste(period, m)?;
+    let objective = Objective::new(&WasteModel::new(protocol, params, phi)?);
+    let (period, mut source) = closed_form_optimum(&objective, m);
+    let waste = objective.breakdown(period, m)?;
     if waste.total >= 1.0 {
         source = PeriodSource::Saturated;
     }
@@ -124,7 +136,10 @@ pub fn numeric_optimal_period(
 ) -> Result<OptimalPeriod, ModelError> {
     check_mtbf(m)?;
     let objective = Objective::new(&WasteModel::new(protocol, params, phi)?);
-    let period = numeric_period(&objective, m)?;
+    let (period, probes) = search_period(&objective, m, 1e-10)?;
+    if dck_obs::enabled() {
+        dck_obs::add("opt.period_probes", probes);
+    }
     let waste = objective.breakdown(period, m)?;
     let source = if waste.total >= 1.0 {
         PeriodSource::Saturated
@@ -140,31 +155,11 @@ pub fn numeric_optimal_period(
     })
 }
 
-/// The period of [`numeric_optimal_period`] at MTBF `m`, counting the
-/// probes under `opt.period_probes`.
-///
-/// # Errors
-/// An invalid `m`, then see [`search_period`].
-pub(crate) fn numeric_period(objective: &Objective, m: f64) -> Result<f64, ModelError> {
-    check_mtbf(m)?;
-    let (period, probes) = search_period(objective, m, 1e-10)?;
-    if dck_obs::enabled() {
-        dck_obs::add("opt.period_probes", probes);
-    }
-    Ok(period)
-}
-
-/// Golden-section minimization of `objective` at a valid MTBF `m` over
-/// `[Pmin, p_hi]`, to relative tolerance `rel_tol`: the period and the
-/// probes it took.
+/// The golden-section bracket `[Pmin, p_hi]` at a valid MTBF `m`.
 ///
 /// # Errors
 /// An `m` so large that `p_hi` overflows to `+∞`.
-pub(crate) fn search_period(
-    objective: &Objective,
-    m: f64,
-    rel_tol: f64,
-) -> Result<(f64, u64), ModelError> {
+pub(crate) fn search_bracket(objective: &Objective, m: f64) -> Result<(f64, f64), ModelError> {
     let lo = objective.p_min;
     // The interior optimum satisfies P*² = 2·Cff·(M − A) ≤ 2·Cff·M, so
     // √(2·Cff·M) bounds it; double it for safety and keep at least a
@@ -176,6 +171,21 @@ pub(crate) fn search_period(
             format!("{m} is too large: the period search bracket overflows"),
         ));
     }
+    Ok((lo, hi))
+}
+
+/// Golden-section minimization of `objective` at a valid MTBF `m` over
+/// [`search_bracket`], to relative tolerance `rel_tol`: the period and
+/// the probes it took.
+///
+/// # Errors
+/// See [`search_bracket`].
+pub(crate) fn search_period(
+    objective: &Objective,
+    m: f64,
+    rel_tol: f64,
+) -> Result<(f64, u64), ModelError> {
+    let (lo, hi) = search_bracket(objective, m)?;
     let probes = std::cell::Cell::new(0u64);
     let f = |p: f64| {
         probes.set(probes.get() + 1);

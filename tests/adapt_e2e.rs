@@ -241,7 +241,7 @@ fn adaptive_and_predicted_results_keep_their_bits() {
             format!("{:016x}", predicted.0)
         ),
         (
-            "a3b2707ad7fc50e7".to_string(),
+            "28e442920e4f3163".to_string(),
             "59766aa830089028".to_string()
         )
     );

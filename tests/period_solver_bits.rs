@@ -11,8 +11,9 @@
 //! inputs are pinned too, including which one wins when two apply.
 
 use dck::model::{
-    numeric_optimal_period, optimal_period, predicted_optimal_period, proactive_cost, ModelError,
-    OptimalPeriod, PeriodSource, PlatformParams, PredictedWaste, PredictorSpec, Protocol, Scenario,
+    numeric_optimal_period, optimal_period, predicted_optimal_period, proactive_cost,
+    ControllerConfig, ModelError, OptimalPeriod, PeriodController, PeriodSource, PlatformParams,
+    PredictedWaste, PredictorSpec, Protocol, Scenario,
 };
 
 /// FNV-1a over the exact bit patterns of the solvers' numbers.
@@ -172,6 +173,69 @@ fn optimal_period_keeps_its_bits() {
         "optimal_period digest moved: {:#018x}",
         h.0
     );
+}
+
+/// A period-only retune of the adaptive controller commits exactly
+/// `optimal_period`'s period on the grid above, bit for bit, and fails
+/// where the golden-section solver fails, with its error.
+#[test]
+fn controller_retunes_match_optimal_period() {
+    let cfg = ControllerConfig::default();
+    let mut retunes = 0;
+    for params in platforms() {
+        for protocol in Protocol::registry() {
+            for phi in phis(&params) {
+                let controller = |prior: f64| {
+                    PeriodController::new(protocol, &params, phi, prior, Some(3_600.0), cfg)
+                        .unwrap()
+                };
+                let expect = |m: f64| optimal_period(protocol, &params, phi, m).unwrap().period;
+                let at =
+                    |m: f64| format!("{protocol:?} on {} nodes, φ = {phi}, M = {m}", params.nodes);
+                for m in MTBFS {
+                    let (_, period) = controller(m).operating_point(m).unwrap();
+                    assert_eq!(period.to_bits(), expect(m).to_bits(), "{}", at(m));
+                    // A real retune: failures every `m` seconds against a
+                    // belief four times too high.
+                    let mut ctl = controller(4.0 * m);
+                    for i in 1..=8 {
+                        ctl.record_failure(f64::from(i) * m).unwrap();
+                    }
+                    let r = ctl
+                        .maybe_retune(8.0 * m)
+                        .unwrap()
+                        .expect("the estimate moved");
+                    let e = r.mtbf_estimate;
+                    assert_eq!(r.new_period.to_bits(), expect(e).to_bits(), "{}", at(e));
+                    retunes += 1;
+                }
+                for m in [0.0, -1.0, f64::NAN, f64::INFINITY, 1e308, f64::MAX] {
+                    assert_eq!(
+                        controller(3_600.0).operating_point(m).unwrap_err(),
+                        numeric_optimal_period(protocol, &params, phi, m).unwrap_err(),
+                        "{}",
+                        at(m)
+                    );
+                }
+            }
+        }
+    }
+    assert_eq!(retunes, 2 * 9 * 3 * MTBFS.len());
+
+    // An invalid φ is reported at the first solve, after the MTBF check,
+    // as the golden-section solver reports it.
+    let params = platforms()[0];
+    let phi = 2.0 * params.theta_min;
+    let mut ctl =
+        PeriodController::new(Protocol::DoubleNbl, &params, phi, 3_600.0, Some(777.0), cfg)
+            .unwrap();
+    let solver = |m| numeric_optimal_period(Protocol::DoubleNbl, &params, phi, m).unwrap_err();
+    assert_eq!(ctl.operating_point(0.0).unwrap_err(), solver(0.0));
+    assert_eq!(ctl.operating_point(3_600.0).unwrap_err(), solver(3_600.0));
+    for i in 1..=10 {
+        ctl.record_failure(f64::from(i) * 10.0).unwrap();
+    }
+    assert_eq!(ctl.maybe_retune(100.0).unwrap_err(), solver(10.0));
 }
 
 #[test]
