@@ -31,7 +31,7 @@
 //!   the optimum is reported at `Pmin` with waste 1.
 //!
 //! The closed-form rule (the interior optimum, clamped to `Pmin`) has
-//! one copy, [`closed_form_optimum`]: [`optimal_period`] applies it,
+//! one copy, `closed_form_optimum`: [`optimal_period`] applies it,
 //! and so does every period-only retune of the adaptive controller, so
 //! a retune at an MTBF estimate commits exactly the period
 //! `optimal_period` reports there.

@@ -371,7 +371,16 @@ fn case_seed(master: u64, index: usize) -> u64 {
 /// hold in 800 MB.
 const REPLAY_CAP: usize = 4096;
 
-/// Runs the full regret measurement.
+/// Runs the full regret measurement: for each case, `spec.replications`
+/// paired replications of the adaptive, static and oracle arms (see the
+/// module docs), single-threaded, in replication order.
+///
+/// Every unpredicted arm plans with one solver: the static and oracle
+/// periods are [`optimal_period`]'s at the believed and the oracle
+/// MTBF, and each adaptive retune commits [`optimal_period`]'s period at
+/// its estimate, so an adaptive arm whose estimate reaches the oracle's
+/// MTBF runs the oracle's period exactly. Predicted cases plan with
+/// [`predicted_optimal_period`] throughout.
 ///
 /// # Errors
 /// Propagates configuration validation and optimizer failures.
