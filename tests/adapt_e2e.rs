@@ -12,7 +12,8 @@
 //!    lands within a z-scaled standard error of the true MTBF.
 //! 3. **Adaptive and predicted results keep their bits.** Digests of a
 //!    regret run (one case per scenario kind) and of a predicted-waste
-//!    estimate are recorded as exact `to_bits` hashes.
+//!    estimate (at 1, 2 and 3 workers) are recorded as exact `to_bits`
+//!    hashes.
 //! 4. **Estimator and sweep results keep their bits.** Digests of
 //!    `estimate_waste` under every failure source, and of `run_sweep`
 //!    with a fixed budget and with early stopping at 1 and 8 workers.
@@ -218,33 +219,28 @@ fn adaptive_and_predicted_results_keep_their_bits() {
             .f64(r.retunes_mean);
     }
 
+    assert_eq!(format!("{:016x}", regret.0), "28e442920e4f3163");
+
+    // The predicted estimate must hold its bits at every worker count.
     let mut cfg = RunConfig::new(Protocol::Triple, params, 0.5, 1800.0);
     cfg.period = PeriodChoice::Explicit(300.0);
-    let est = estimate_predicted_waste(
-        &cfg,
-        &predictor,
-        20.0 * 1800.0,
-        &MonteCarloConfig::new(24, 7),
-    )
-    .unwrap();
-    let mut predicted = Bits::default();
-    predicted
-        .stats(&est.waste)
-        .stats(&est.failures)
-        .word(est.completed as u64)
-        .word(est.fatal as u64)
-        .word(est.truncated as u64);
-
-    assert_eq!(
-        (
-            format!("{:016x}", regret.0),
-            format!("{:016x}", predicted.0)
-        ),
-        (
-            "28e442920e4f3163".to_string(),
-            "59766aa830089028".to_string()
-        )
-    );
+    for workers in [1, 2, 3] {
+        let mut mc = MonteCarloConfig::new(24, 7);
+        mc.workers = workers;
+        let est = estimate_predicted_waste(&cfg, &predictor, 20.0 * 1800.0, &mc).unwrap();
+        let mut predicted = Bits::default();
+        predicted
+            .stats(&est.waste)
+            .stats(&est.failures)
+            .word(est.completed as u64)
+            .word(est.fatal as u64)
+            .word(est.truncated as u64);
+        assert_eq!(
+            format!("{:016x}", predicted.0),
+            "59766aa830089028",
+            "{workers} workers"
+        );
+    }
 }
 
 /// Bits of the waste estimator (one digest per failure source) and of
