@@ -30,5 +30,7 @@ pub mod trace;
 pub use distribution::{DistributionSpec, InterArrival};
 pub use drift::DriftingExponential;
 pub use mtbf::MtbfSpec;
-pub use process::{AggregatedExponential, FailureEvent, FailureSource, NodeId, PerNodeRenewal};
-pub use trace::{FailureTrace, OwnedTraceReplay, TraceReplay};
+pub use process::{
+    AggregatedExponential, FailureEvent, FailureSource, NodeId, PerNodeRenewal, Source,
+};
+pub use trace::{FailureTrace, TraceReplay};

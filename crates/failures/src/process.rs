@@ -16,9 +16,11 @@
 //!
 //! Both yield identical *distributions* in the Exponential case (tested
 //! below), so experiments can switch sources without re-deriving
-//! anything.
+//! anything. [`Source`] holds either, or a [`DriftingExponential`], as
+//! one concrete type.
 
 use crate::distribution::{DistributionSpec, InterArrival};
+use crate::drift::DriftingExponential;
 use crate::mtbf::MtbfSpec;
 use dck_simcore::{fill_exponential_events, EventQueue, SimTime};
 use rand::rngs::StdRng;
@@ -47,22 +49,6 @@ pub trait FailureSource {
     /// The calibrated platform MTBF of the stream (mean spacing between
     /// successive events, over all nodes).
     fn platform_mtbf(&self) -> SimTime;
-}
-
-/// A boxed source is a source, so code generic over the source takes
-/// one as readily as a concrete type.
-impl<S: FailureSource + ?Sized> FailureSource for Box<S> {
-    fn next_failure(&mut self) -> FailureEvent {
-        (**self).next_failure()
-    }
-
-    fn nodes(&self) -> u64 {
-        (**self).nodes()
-    }
-
-    fn platform_mtbf(&self) -> SimTime {
-        (**self).platform_mtbf()
-    }
 }
 
 /// Largest number of `(gap, victim)` pairs drawn per RNG refill once
@@ -246,6 +232,46 @@ impl FailureSource for PerNodeRenewal {
 
     fn platform_mtbf(&self) -> SimTime {
         self.dist.mean() / self.nodes as f64
+    }
+}
+
+/// Every failure process the simulators draw from, as one concrete
+/// type: code generic over the source is monomorphized once for all of
+/// them, and a replication's source lives on the stack with no box.
+#[allow(clippy::large_enum_variant)]
+pub enum Source {
+    /// A stationary Exponential platform.
+    AggregatedExponential(AggregatedExponential),
+    /// Per-node renewal under any inter-arrival law.
+    PerNodeRenewal(PerNodeRenewal),
+    /// An Exponential platform whose MTBF drifts over a horizon.
+    DriftingExponential(DriftingExponential),
+}
+
+impl FailureSource for Source {
+    #[inline]
+    fn next_failure(&mut self) -> FailureEvent {
+        match self {
+            Source::AggregatedExponential(s) => s.next_failure(),
+            Source::PerNodeRenewal(s) => s.next_failure(),
+            Source::DriftingExponential(s) => s.next_failure(),
+        }
+    }
+
+    fn nodes(&self) -> u64 {
+        match self {
+            Source::AggregatedExponential(s) => s.nodes(),
+            Source::PerNodeRenewal(s) => s.nodes(),
+            Source::DriftingExponential(s) => s.nodes(),
+        }
+    }
+
+    fn platform_mtbf(&self) -> SimTime {
+        match self {
+            Source::AggregatedExponential(s) => s.platform_mtbf(),
+            Source::PerNodeRenewal(s) => s.platform_mtbf(),
+            Source::DriftingExponential(s) => s.platform_mtbf(),
+        }
     }
 }
 

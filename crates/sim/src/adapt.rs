@@ -43,19 +43,19 @@
 //! them for every replication: one adaptive policy, cloned per
 //! replication; one run machine shared by the adaptive and static arms,
 //! which start from the same configuration; and one for the oracle. The
-//! case's failure source is a concrete type, so every arm's run is
+//! case's failure source is a concrete [`Source`], so every arm's run is
 //! monomorphized over it.
 
 use crate::config::RunConfig;
 use crate::montecarlo::WasteAccum;
-use crate::predict::Predicted;
+use crate::predict::{drive_with_predictor, Predicted};
 use crate::run::{Policy, RunMachine, RunOutcome, Static, Stop, TimelineEvent};
 use dck_core::{
     optimal_period, predicted_optimal_period, ControllerConfig, ModelError, PeriodController,
     PlatformParams, PredictorSpec, Protocol, Retune,
 };
 use dck_failures::{
-    AggregatedExponential, DriftingExponential, FailureEvent, FailureSource, MtbfSpec,
+    AggregatedExponential, DriftingExponential, FailureEvent, FailureSource, MtbfSpec, Source,
 };
 use dck_simcore::{ConfidenceInterval, OnlineStats, RngFactory, SimTime};
 use rand::rngs::StdRng;
@@ -417,42 +417,6 @@ fn run_regret_with_replay(
     Ok(results)
 }
 
-/// The failure source of a regret case, as a concrete type so that
-/// every arm's run is monomorphized over it. It lives on the stack, one
-/// per replication (two when an arm outruns the replay buffer), so the
-/// stationary source's inline draw buffers are not boxed.
-#[allow(clippy::large_enum_variant)]
-enum CaseSource {
-    /// A stationary platform (the misspecified and predicted cases).
-    Stationary(AggregatedExponential),
-    /// A platform whose MTBF drifts over the work horizon.
-    Drifting(DriftingExponential),
-}
-
-impl FailureSource for CaseSource {
-    #[inline]
-    fn next_failure(&mut self) -> FailureEvent {
-        match self {
-            CaseSource::Stationary(s) => s.next_failure(),
-            CaseSource::Drifting(s) => s.next_failure(),
-        }
-    }
-
-    fn nodes(&self) -> u64 {
-        match self {
-            CaseSource::Stationary(s) => s.nodes(),
-            CaseSource::Drifting(s) => s.nodes(),
-        }
-    }
-
-    fn platform_mtbf(&self) -> SimTime {
-        match self {
-            CaseSource::Stationary(s) => s.platform_mtbf(),
-            CaseSource::Drifting(s) => s.platform_mtbf(),
-        }
-    }
-}
-
 /// One replication's failure stream, shared by its arms: the live
 /// source and the events it has produced so far, recorded up to the
 /// cap.
@@ -534,33 +498,6 @@ impl<S: FailureSource, F: Fn() -> S> FailureSource for StreamView<'_, '_, S, F> 
     }
 }
 
-/// Runs one arm of a replication to `t_base` units of work on
-/// `machine` under `policy`, wrapped in the predicted policy of `cfg`
-/// when the case deploys a predictor (its stream then drives the
-/// alarms). Returns the outcome and the policy's final state.
-fn run_arm<S: FailureSource, P: Policy>(
-    machine: &mut RunMachine,
-    policy: P,
-    predicted: Option<(PredictorSpec, StdRng)>,
-    cfg: &RunConfig,
-    t_base: f64,
-    source: &mut S,
-) -> Result<(RunOutcome, P), ModelError> {
-    let stop = Stop::Work(t_base);
-    match predicted {
-        Some((predictor, mut rng)) => {
-            let mut policy = Predicted::new(policy, &predictor, cfg, &mut rng)?;
-            let run = machine.drive(stop, source, &mut policy, |_| {})?;
-            Ok((run, policy.inner))
-        }
-        None => {
-            let mut policy = policy;
-            let run = machine.drive(stop, source, &mut policy, |_| {})?;
-            Ok((run, policy))
-        }
-    }
-}
-
 fn run_case(
     spec: &RegretSpec,
     case: &RegretCase,
@@ -633,11 +570,11 @@ fn run_case(
         match case.scenario {
             RegretScenario::Drift { end_factor } => {
                 let end = end_factor * m_true;
-                CaseSource::Drifting(DriftingExponential::new(
+                Source::DriftingExponential(DriftingExponential::new(
                     m_true, end, t_base, usable, stream,
                 ))
             }
-            _ => CaseSource::Stationary(AggregatedExponential::new(stationary, stream)),
+            _ => Source::AggregatedExponential(AggregatedExponential::new(stationary, stream)),
         }
     };
 
@@ -648,29 +585,26 @@ fn run_case(
         // predictor stream where applicable.
         let mut stream = SharedStream::new(|| source(rep), replay, replay_cap);
         let predicted = || predictor.map(|p| (p, factory.component_stream("predictor", rep)));
-        let (adaptive_run, policy) = run_arm(
+        let (adaptive_run, policy) = drive_with_predictor(
             &mut machine,
             template.clone(),
             predicted(),
-            &static_cfg,
-            t_base,
+            Stop::Work(t_base),
             &mut stream.view(),
         )?;
         retunes.push(policy.0.retunes() as f64);
-        let (static_run, _) = run_arm(
+        let (static_run, _) = drive_with_predictor(
             &mut machine,
             Static,
             predicted(),
-            &static_cfg,
-            t_base,
+            Stop::Work(t_base),
             &mut stream.view(),
         )?;
-        let (oracle_run, _) = run_arm(
+        let (oracle_run, _) = drive_with_predictor(
             &mut oracle_machine,
             Static,
             predicted(),
-            &oracle_cfg,
-            t_base,
+            Stop::Work(t_base),
             &mut stream.view(),
         )?;
         for (arm, out) in arms.iter_mut().zip(&[adaptive_run, static_run, oracle_run]) {
@@ -998,7 +932,7 @@ mod tests {
     /// one reads.
     #[test]
     fn stream_views_replay_the_source() {
-        let fresh = || -> Box<dyn FailureSource> { Box::new(platform_source(600.0, 8, 5)) };
+        let fresh = || platform_source(600.0, 8, 5);
         let mut direct = fresh();
         let expect: Vec<FailureEvent> = (0..40).map(|_| direct.next_failure()).collect();
         for cap in [0, 1, 3, 7, 4096] {

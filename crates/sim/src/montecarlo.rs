@@ -6,14 +6,18 @@
 //! across worker counts.
 
 use crate::config::RunConfig;
+use crate::predict::{drive_with_predictor, Predicted};
 use crate::run::{RunMachine, RunOutcome, Static, Stop, StopReason};
 use crate::sweep::{run_pool, RoundBudget, WastePlan};
-use dck_core::ModelError;
-use dck_failures::{AggregatedExponential, DistributionSpec, MtbfSpec, PerNodeRenewal};
+use dck_core::{ModelError, PredictorSpec};
+use dck_failures::{
+    AggregatedExponential, DistributionSpec, FailureSource, MtbfSpec, PerNodeRenewal, Source,
+};
 use dck_simcore::par::{default_workers, parallel_for_ordered};
 use dck_simcore::stats::wilson_interval;
 use dck_simcore::{ConfidenceInterval, OnlineStats, RngFactory, SimTime};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Replications per fold chunk of the sweep pool in [`crate::sweep`],
 /// the one engine every waste estimate runs on: it cuts a cell's
@@ -25,8 +29,8 @@ pub(crate) const REP_CHUNK: usize = 8;
 /// Chunks per work unit of the sweep pool. A unit builds one
 /// [`ChunkRunner`] for all its chunks and lands them in the pool's
 /// ordered tail together, so this sets how often the pool locks, parks
-/// and merges, not any bit of a result. [`estimate_success`] counts
-/// survivors over units of the same size.
+/// and merges, not any bit of a result. The success and predicted
+/// estimates run over units of the same size ([`run_units`]).
 pub(crate) const UNIT_CHUNKS: usize = 4;
 
 /// Replications per work unit of the sweep pool.
@@ -89,9 +93,45 @@ impl MonteCarloConfig {
     }
 }
 
-/// Builds the failure source for one replication. The platform MTBF is
-/// calibrated so the *per-node* rate matches `run_cfg.params` even when
-/// the node count is rounded down to a group multiple.
+/// Replication `replication`'s failure source, the one place a
+/// [`RunConfig`] becomes one: stream `(seed, "failures", replication)`
+/// over the configuration's usable nodes, at a per-node MTBF of n·M for
+/// the configured n, so the per-node rate matches `run_cfg.params` even
+/// when the node count is rounded down to a group multiple. A warmed
+/// renewal source runs ten per-node MTBFs before t = 0. Renewal
+/// platforms are bounded by [`ChunkRunner::new`]. `usable` is
+/// `run_cfg.usable_nodes()`, which a runner keeps rather than divide
+/// again for every replication.
+fn calibrated_source(
+    run_cfg: &RunConfig,
+    usable: u64,
+    mc: &MonteCarloConfig,
+    replication: u64,
+) -> Source {
+    let individual = SimTime::seconds(run_cfg.mtbf * run_cfg.params.nodes as f64);
+    let rng = RngFactory::new(mc.seed).component_stream("failures", replication);
+    match mc.source {
+        SourceKind::Exponential => {
+            let mtbf = MtbfSpec::Individual {
+                mtbf: individual,
+                nodes: usable,
+            };
+            Source::AggregatedExponential(AggregatedExponential::new(mtbf, rng))
+        }
+        SourceKind::Renewal(spec) => {
+            Source::PerNodeRenewal(PerNodeRenewal::new(spec.with_mean(individual), usable, rng))
+        }
+        SourceKind::RenewalWarmed(spec) => Source::PerNodeRenewal(PerNodeRenewal::with_warmup(
+            spec.with_mean(individual),
+            usable,
+            rng,
+            individual * 10.0,
+        )),
+    }
+}
+
+/// Builds the failure source for one replication, calibrated as the
+/// estimators calibrate it; renewal platforms are not bounded here.
 ///
 /// Public so single-run tooling (e.g. `dck run --trace`) can replay
 /// exactly the stream that replication `i` of a Monte-Carlo estimate
@@ -100,28 +140,13 @@ pub fn replication_source(
     run_cfg: &RunConfig,
     mc: &MonteCarloConfig,
     replication: u64,
-) -> Box<dyn dck_failures::FailureSource> {
-    let usable = run_cfg.usable_nodes();
-    let n_cfg = run_cfg.params.nodes as f64;
-    // Per-node MTBF is n·M; keep it fixed under rounding.
-    let individual = SimTime::seconds(run_cfg.mtbf * n_cfg);
-    let mtbf = MtbfSpec::Individual {
-        mtbf: individual,
-        nodes: usable,
-    };
-    let rng = RngFactory::new(mc.seed).component_stream("failures", replication);
-    match mc.source {
-        SourceKind::Exponential => Box::new(AggregatedExponential::new(mtbf, rng)),
-        SourceKind::Renewal(spec) => {
-            Box::new(PerNodeRenewal::new(spec.with_mean(individual), usable, rng))
-        }
-        SourceKind::RenewalWarmed(spec) => Box::new(PerNodeRenewal::with_warmup(
-            spec.with_mean(individual),
-            usable,
-            rng,
-            individual * 10.0,
-        )),
-    }
+) -> Box<dyn FailureSource> {
+    Box::new(calibrated_source(
+        run_cfg,
+        run_cfg.usable_nodes(),
+        mc,
+        replication,
+    ))
 }
 
 /// Aggregated waste estimate across replications.
@@ -211,33 +236,38 @@ impl WasteAccum {
 }
 
 /// Reusable replication driver: one [`RunMachine`] (the resolved
-/// schedule, failure response and risk tracker) plus the RNG factory,
-/// constructed once per work unit and driven for every replication of
-/// every chunk in it. The failure source is built on the stack per
-/// replication — for the Exponential source the whole inner loop is
-/// monomorphized, with no `Box<dyn FailureSource>` allocation and no
-/// per-event dyn dispatch.
+/// schedule, failure response and risk tracker), constructed once per
+/// work unit and driven for every replication in it. Each replication's
+/// failure source is a concrete [`Source`] on the stack, with no
+/// `Box<dyn FailureSource>` allocation or dyn dispatch. With a
+/// predictor, each replication runs the predicted policy around the
+/// static one, its alarms drawn from stream
+/// `(seed, "predictor", replication)`.
 ///
 /// Stream identity: replication `i` consumes exactly the RNG stream of
 /// [`replication_source`]`(run_cfg, mc, i)`, so driving that boxed
 /// source through [`run_to_completion`](crate::run::run_to_completion)
-/// gives the same outcome (and `dck run --rep i` replays precisely what
-/// the estimator simulated).
+/// (or [`run_predicted_to_completion`](crate::run_predicted_to_completion)
+/// with the predictor stream) gives the same outcome, and `dck run
+/// --rep i` replays precisely what the estimator simulated.
 pub(crate) struct ChunkRunner {
     machine: RunMachine,
-    factory: RngFactory,
-    source: SourceKind,
-    usable: u64,
-    individual: SimTime,
+    mc: MonteCarloConfig,
+    predictor: Option<PredictorSpec>,
 }
 
 impl ChunkRunner {
-    /// Builds the machinery for one work unit of replications.
+    /// Builds the machinery for one work unit of replications, each
+    /// predicting under `predictor` if one is given.
     ///
     /// # Errors
-    /// Propagates configuration errors and rejects renewal sources
-    /// above [`MAX_RENEWAL_NODES`].
-    pub(crate) fn new(run_cfg: &RunConfig, mc: &MonteCarloConfig) -> Result<Self, ModelError> {
+    /// Propagates configuration errors, rejects renewal sources above
+    /// [`MAX_RENEWAL_NODES`] and a predictor the platform cannot act on.
+    pub(crate) fn new(
+        run_cfg: &RunConfig,
+        mc: &MonteCarloConfig,
+        predictor: Option<&PredictorSpec>,
+    ) -> Result<Self, ModelError> {
         let usable = run_cfg.usable_nodes();
         if usable > MAX_RENEWAL_NODES && !matches!(mc.source, SourceKind::Exponential) {
             return Err(ModelError::invalid(
@@ -248,42 +278,32 @@ impl ChunkRunner {
                 ),
             ));
         }
-        // Per-node MTBF is n·M; keep it fixed under rounding (same
-        // calibration as `replication_source`).
-        let individual = SimTime::seconds(run_cfg.mtbf * run_cfg.params.nodes as f64);
+        let machine = RunMachine::new(run_cfg)?;
+        if let Some(p) = predictor {
+            // Building the policy validates the predictor against the
+            // platform; its stream is not drawn from.
+            Predicted::new(Static, p, run_cfg, &mut RngFactory::new(0).stream(0))?;
+        }
         Ok(ChunkRunner {
-            machine: RunMachine::new(run_cfg)?,
-            factory: RngFactory::new(mc.seed),
-            source: mc.source,
-            usable,
-            individual,
+            machine,
+            mc: *mc,
+            predictor: predictor.copied(),
         })
     }
 
     fn drive(&mut self, stop: Stop, replication: u64) -> RunOutcome {
-        let rng = self.factory.component_stream("failures", replication);
-        let result = match self.source {
-            SourceKind::Exponential => {
-                let mtbf = MtbfSpec::Individual {
-                    mtbf: self.individual,
-                    nodes: self.usable,
-                };
-                let mut src = AggregatedExponential::new(mtbf, rng);
-                self.machine.drive(stop, &mut src, &mut Static, |_| {})
-            }
-            SourceKind::Renewal(spec) => {
-                let mut src =
-                    PerNodeRenewal::new(spec.with_mean(self.individual), self.usable, rng);
-                self.machine.drive(stop, &mut src, &mut Static, |_| {})
-            }
-            SourceKind::RenewalWarmed(spec) => {
-                let mut src = PerNodeRenewal::with_warmup(
-                    spec.with_mean(self.individual),
-                    self.usable,
-                    rng,
-                    self.individual * 10.0,
-                );
-                self.machine.drive(stop, &mut src, &mut Static, |_| {})
+        let predicted = self.predictor.map(|p| {
+            let rng = RngFactory::new(self.mc.seed).component_stream("predictor", replication);
+            (p, rng)
+        });
+        let machine = &mut self.machine;
+        let mut source = calibrated_source(&machine.cfg, machine.usable, &self.mc, replication);
+        // The sweeps' static exponential runs get a kernel of their own:
+        // a match on the enum per failure costs them a few percent.
+        let result = match (&mut source, predicted) {
+            (Source::AggregatedExponential(s), None) => machine.drive(stop, s, &mut Static, |_| {}),
+            (source, predicted) => {
+                drive_with_predictor(machine, Static, predicted, stop, source).map(|r| r.0)
             }
         };
         result.expect("validated configuration cannot fail")
@@ -348,6 +368,44 @@ impl ChunkOutcomes {
     }
 }
 
+/// Runs replications `0..mc.replications` of `run_cfg` in
+/// [`UNIT_REPS`]-sized units on the ordered pool: each unit builds one
+/// [`ChunkRunner`] (predicting under `predictor`, if any) and maps it
+/// over its replication range with `unit`, and `sink` takes the units'
+/// results in ascending unit order, so a sink that folds in that order
+/// gives the same bits at every worker count. The first error wins.
+///
+/// # Errors
+/// Propagates configuration and predictor errors, and rejects renewal
+/// sources on platforms too large to hold their per-node state.
+pub(crate) fn run_units<T: Send>(
+    run_cfg: &RunConfig,
+    mc: &MonteCarloConfig,
+    predictor: Option<&PredictorSpec>,
+    unit: impl Fn(&mut ChunkRunner, Range<u64>) -> T + Sync,
+    mut sink: impl FnMut(T) + Send,
+) -> Result<(), ModelError> {
+    // Validate once up front so that no replication count hides a
+    // configuration error.
+    ChunkRunner::new(run_cfg, mc, None)?;
+    let (runs, size) = (mc.replications as u64, UNIT_REPS as u64);
+    let mut status = Ok(());
+    parallel_for_ordered(
+        mc.replications.div_ceil(UNIT_REPS),
+        mc.resolved_workers(),
+        |u| {
+            let mut runner = ChunkRunner::new(run_cfg, mc, predictor)?;
+            let start = u as u64 * size;
+            Ok(unit(&mut runner, start..(start + size).min(runs)))
+        },
+        |_, result: Result<T, ModelError>| {
+            status = std::mem::replace(&mut status, Ok(())).and_then(|()| result.map(&mut sink));
+        },
+    )
+    .map_err(|e| ModelError::execution(e.to_string()))?;
+    status
+}
+
 /// Aggregated success-probability estimate across replications.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct SuccessEstimate {
@@ -381,7 +439,7 @@ pub fn estimate_waste(
         ));
     }
     // Validate once up front so worker panics can't hide config errors.
-    ChunkRunner::new(run_cfg, mc)?;
+    ChunkRunner::new(run_cfg, mc, None)?;
     // One plan, one round: the sweep pool without early stopping.
     let plan = WastePlan {
         run_cfg: *run_cfg,
@@ -410,28 +468,15 @@ pub fn estimate_success(
     horizon: f64,
     mc: &MonteCarloConfig,
 ) -> Result<SuccessEstimate, ModelError> {
-    ChunkRunner::new(run_cfg, mc)?;
+    let mut survived = 0;
+    run_units(
+        run_cfg,
+        mc,
+        None,
+        |runner, reps| reps.filter(|&i| runner.run_success(horizon, i)).count(),
+        |unit| survived += unit,
+    )?;
     let runs = mc.replications;
-    // Each UNIT_REPS-sized unit builds its runner and returns only its
-    // survivor count; the sink adds them, and the first error wins.
-    // Integer sums, so the unit size cannot move a bit.
-    let mut survived = Ok(0);
-    parallel_for_ordered(
-        runs.div_ceil(UNIT_REPS),
-        mc.resolved_workers(),
-        |u| {
-            let mut runner = ChunkRunner::new(run_cfg, mc)?;
-            let end = ((u + 1) * UNIT_REPS).min(runs);
-            Ok((u * UNIT_REPS..end)
-                .filter(|&i| runner.run_success(horizon, i as u64))
-                .count())
-        },
-        |_, unit: Result<usize, ModelError>| {
-            survived = std::mem::replace(&mut survived, Ok(0)).and_then(|n| Ok(n + unit?));
-        },
-    )
-    .map_err(|e| ModelError::execution(e.to_string()))?;
-    let survived = survived?;
     let p_hat = if runs == 0 {
         0.0
     } else {
@@ -566,7 +611,7 @@ mod tests {
             mean: SimTime::seconds(1.0),
             shape: 0.7,
         });
-        let predictor = dck_core::PredictorSpec::new(0.8, 0.5, 30.0);
+        let predictor = PredictorSpec::new(0.8, 0.5, 30.0);
         let errors = [
             estimate_waste(&run_cfg, 10_000.0, &mc).unwrap_err(),
             estimate_success(&run_cfg, 10_000.0, &mc).unwrap_err(),
@@ -577,7 +622,7 @@ mod tests {
         }
         p.nodes = MAX_RENEWAL_NODES;
         let at_bound = RunConfig::new(Protocol::DoubleNbl, p, 1.0, 1800.0);
-        assert!(ChunkRunner::new(&at_bound, &mc).is_ok());
+        assert!(ChunkRunner::new(&at_bound, &mc, None).is_ok());
     }
 
     #[test]
@@ -640,18 +685,33 @@ mod tests {
             &boxed_reference(&exp_cfg, t_base, &mc),
         );
 
-        let ren_cfg = RunConfig::new(Protocol::DoubleNbl, params(8), 1.0, 1800.0);
         let spec = DistributionSpec::Weibull {
             mean: SimTime::seconds(1.0), // retargeted internally
             shape: 0.7,
         };
-        for source in [SourceKind::Renewal(spec), SourceKind::RenewalWarmed(spec)] {
-            let mut mc = MonteCarloConfig::new(8, 3);
-            mc.source = source;
-            assert_estimates_bit_identical(
-                &estimate_waste(&ren_cfg, 10_000.0, &mc).unwrap(),
-                &boxed_reference(&ren_cfg, 10_000.0, &mc),
-            );
+        // Every source kind, also where the node count rounds down to a
+        // group multiple: the per-node MTBF stays n·M of the configured
+        // n while the source covers only the usable nodes.
+        let cases = [
+            (Protocol::DoubleNbl, 8, 8),
+            (Protocol::Triple, 64, 63),
+            (Protocol::BuddyNbl { k: 4 }, 30, 28),
+        ];
+        for (protocol, nodes, usable) in cases {
+            let cfg = RunConfig::new(protocol, params(nodes), 1.0, 1800.0);
+            assert_eq!(cfg.usable_nodes(), usable);
+            for source in [
+                SourceKind::Exponential,
+                SourceKind::Renewal(spec),
+                SourceKind::RenewalWarmed(spec),
+            ] {
+                let mut mc = MonteCarloConfig::new(8, 3);
+                mc.source = source;
+                assert_estimates_bit_identical(
+                    &estimate_waste(&cfg, 10_000.0, &mc).unwrap(),
+                    &boxed_reference(&cfg, 10_000.0, &mc),
+                );
+            }
         }
     }
 

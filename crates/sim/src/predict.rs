@@ -19,13 +19,10 @@
 //! the two approximations documented in [`crate::run`].
 
 use crate::config::RunConfig;
-use crate::montecarlo::{
-    replication_source, ChunkRunner, MonteCarloConfig, WasteAccum, WasteEstimate,
-};
+use crate::montecarlo::{run_units, MonteCarloConfig, WasteAccum, WasteEstimate};
 use crate::run::{Policy, RunMachine, RunOutcome, RunState, Static, Stop};
 use dck_core::{predict::proactive_cost, ModelError, PredictorSpec, Retune};
 use dck_failures::{FailureEvent, FailureSource};
-use dck_simcore::RngFactory;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -62,6 +59,29 @@ pub fn run_predicted_to_completion(
         alarms: policy.alarms,
         predicted_hits: policy.hits,
     })
+}
+
+/// Drives one run on `machine` under `policy`, wrapped in the predicted
+/// policy when `predicted` carries a predictor and the stream that
+/// drives its alarms. Returns the outcome and `policy`'s final state.
+///
+/// # Errors
+/// Propagates predictor validation and the kernel's errors.
+pub(crate) fn drive_with_predictor<S: FailureSource, P: Policy>(
+    machine: &mut RunMachine,
+    mut policy: P,
+    predicted: Option<(PredictorSpec, StdRng)>,
+    stop: Stop,
+    source: &mut S,
+) -> Result<(RunOutcome, P), ModelError> {
+    let Some((predictor, mut rng)) = predicted else {
+        return machine
+            .drive(stop, source, &mut policy, |_| {})
+            .map(|run| (run, policy));
+    };
+    let mut policy = Predicted::new(policy, &predictor, &machine.cfg, &mut rng)?;
+    let run = machine.drive(stop, source, &mut policy, |_| {})?;
+    Ok((run, policy.inner))
 }
 
 /// The predicted policy, wrapped around the policy `P` that handles
@@ -212,12 +232,12 @@ impl<P: Policy> Policy for Predicted<'_, P> {
 }
 
 /// Monte-Carlo estimate of the predicted waste: `mc.replications`
-/// independent runs of `t_base` work each, aggregated exactly like
-/// [`crate::montecarlo::estimate_waste`]. Replication `i` derives its
+/// independent runs of `t_base` work each. Replication `i` derives its
 /// failure stream from `(seed, "failures", i)` and its predictor
-/// stream from `(seed, "predictor", i)`, so the two never correlate
-/// and the estimate is reproducible across worker counts (the loop is
-/// sequential — prediction grids are small).
+/// stream from `(seed, "predictor", i)`, so the two never correlate.
+/// The replications run in units on `mc.workers` threads, and every
+/// outcome is absorbed into one accumulator in replication order, so
+/// the estimate is bit-identical at every worker count.
 ///
 /// # Errors
 /// Propagates configuration/predictor validation, and rejects renewal
@@ -229,17 +249,17 @@ pub fn estimate_predicted_waste(
     mc: &MonteCarloConfig,
 ) -> Result<WasteEstimate, ModelError> {
     predictor.validate()?;
-    // Validates the configuration and the source once, up front.
-    ChunkRunner::new(cfg, mc)?;
-    let factory = RngFactory::new(mc.seed);
     let mut acc = WasteAccum::default();
-    for i in 0..mc.replications as u64 {
-        let mut source = replication_source(cfg, mc, i);
-        let mut rng = factory.component_stream("predictor", i);
-        acc.absorb(
-            &run_predicted_to_completion(cfg, predictor, t_base, source.as_mut(), &mut rng)?.run,
-        );
-    }
+    run_units(
+        cfg,
+        mc,
+        Some(predictor),
+        |runner, reps| {
+            reps.map(|i| runner.run_waste(t_base, i))
+                .collect::<Vec<_>>()
+        },
+        |outcomes| outcomes.iter().for_each(|o| acc.absorb(o)),
+    )?;
     Ok(acc.into_estimate())
 }
 
@@ -251,7 +271,7 @@ mod tests {
     use crate::run::StopReason;
     use dck_core::{PlatformParams, Protocol};
     use dck_failures::{FailureEvent, FailureTrace};
-    use dck_simcore::SimTime;
+    use dck_simcore::{RngFactory, SimTime};
 
     fn base_params(nodes: u64) -> PlatformParams {
         PlatformParams::new(0.0, 2.0, 4.0, 10.0, nodes).unwrap()
@@ -409,6 +429,54 @@ mod tests {
             ci.mean,
             base_ci.mean
         );
+    }
+
+    /// The pooled estimate folds every outcome in replication order,
+    /// exactly as a sequential loop over the boxed replication sources
+    /// absorbs them, across several units and at every worker count.
+    #[test]
+    fn pooled_estimate_matches_sequential_reference() {
+        let c = cfg(Protocol::Triple, 300.0, 1_800.0);
+        let predictor = PredictorSpec::new(0.6, 0.5, 30.0);
+        let t_base = 5_000.0;
+        let mut mc = MonteCarloConfig::new(70, 42);
+        let mut reference = WasteAccum::default();
+        for i in 0..mc.replications as u64 {
+            let mut source = crate::replication_source(&c, &mc, i);
+            let mut rng = RngFactory::new(mc.seed).component_stream("predictor", i);
+            let out =
+                run_predicted_to_completion(&c, &predictor, t_base, source.as_mut(), &mut rng)
+                    .unwrap();
+            reference.absorb(&out.run);
+        }
+        let reference = reference.into_estimate();
+        for workers in [1, 3] {
+            mc.workers = workers;
+            let est = estimate_predicted_waste(&c, &predictor, t_base, &mc).unwrap();
+            assert_eq!(
+                format!("{est:?}"),
+                format!("{reference:?}"),
+                "{workers} workers"
+            );
+        }
+    }
+
+    /// A predictor the platform cannot act on is the same typed error on
+    /// the pooled estimator, at every worker count.
+    #[test]
+    fn short_window_fails_the_estimator_typed() {
+        let c = cfg(Protocol::DoubleNbl, 100.0, 3_600.0);
+        let predictor = PredictorSpec::new(1.0, 0.5, 1.0); // w = 1 < C_p = 6
+        for workers in [1, 3] {
+            let mut mc = MonteCarloConfig::new(70, 1);
+            mc.workers = workers;
+            let err = estimate_predicted_waste(&c, &predictor, 970.0, &mc).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "invalid parameter `window`: lead window 1 shorter than the proactive checkpoint 6",
+                "{workers} workers"
+            );
+        }
     }
 
     #[test]

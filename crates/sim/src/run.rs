@@ -405,11 +405,11 @@ impl Policy for Static {}
 /// path is monomorphized (no per-event dyn dispatch) while the public
 /// entry points keep their `&mut dyn FailureSource` signatures.
 pub(crate) struct RunMachine {
-    cfg: RunConfig,
+    pub(crate) cfg: RunConfig,
     pub(crate) sched: PeriodSchedule,
     resp: FailureResponse,
     tracker: dck_protocols::RiskTracker,
-    usable: u64,
+    pub(crate) usable: u64,
 }
 
 impl RunMachine {

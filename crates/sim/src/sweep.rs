@@ -261,7 +261,7 @@ fn build_plan(spec: &SweepSpec, mi: usize, pi: usize) -> Result<(CellPlan, Waste
         workers: spec.workers,
         source: spec.source,
     };
-    ChunkRunner::new(&run_cfg, &mc)?;
+    ChunkRunner::new(&run_cfg, &mc, None)?;
     let cell = CellPlan {
         phi_ratio: ratio,
         mtbf,
@@ -349,8 +349,8 @@ fn unit_accums(
     end: usize,
     injection: Option<&PanicInjection>,
 ) -> UnitAccums {
-    let mut runner =
-        ChunkRunner::new(&plan.run_cfg, &plan.mc).expect("validated configuration cannot fail");
+    let mut runner = ChunkRunner::new(&plan.run_cfg, &plan.mc, None)
+        .expect("validated configuration cannot fail");
     let mut unit = UnitAccums::default();
     for (acc, s) in unit.chunks.iter_mut().zip((start..end).step_by(REP_CHUNK)) {
         let mut staged = ChunkOutcomes::default();
