@@ -33,4 +33,4 @@ pub use mtbf::MtbfSpec;
 pub use process::{
     AggregatedExponential, FailureEvent, FailureSource, NodeId, PerNodeRenewal, Source,
 };
-pub use trace::{FailureTrace, TraceReplay};
+pub use trace::{FailureTrace, OwnedTraceReplay, TraceReplay};

@@ -209,6 +209,15 @@ impl FailureTrace {
             next: 0,
         }
     }
+
+    /// Like [`replay`](Self::replay) but consuming the trace — the
+    /// owned form a `Box<dyn FailureSource>` plumbing layer needs.
+    pub fn into_replay(self) -> OwnedTraceReplay {
+        OwnedTraceReplay {
+            trace: self,
+            next: 0,
+        }
+    }
 }
 
 /// Replays a [`FailureTrace`] as a [`FailureSource`].
@@ -219,6 +228,46 @@ pub struct TraceReplay<'a> {
 }
 
 impl FailureSource for TraceReplay<'_> {
+    fn next_failure(&mut self) -> FailureEvent {
+        match self.trace.events.get(self.next) {
+            Some(ev) => {
+                self.next += 1;
+                *ev
+            }
+            None => FailureEvent {
+                at: SimTime::INFINITY,
+                node: 0,
+            },
+        }
+    }
+
+    fn nodes(&self) -> u64 {
+        self.trace.nodes
+    }
+
+    fn platform_mtbf(&self) -> SimTime {
+        self.trace
+            .empirical_platform_mtbf()
+            .unwrap_or(SimTime::INFINITY)
+    }
+}
+
+/// Owning counterpart of [`TraceReplay`] (see
+/// [`FailureTrace::into_replay`]).
+#[derive(Debug, Clone)]
+pub struct OwnedTraceReplay {
+    trace: FailureTrace,
+    next: usize,
+}
+
+impl OwnedTraceReplay {
+    /// The trace being replayed.
+    pub fn trace(&self) -> &FailureTrace {
+        &self.trace
+    }
+}
+
+impl FailureSource for OwnedTraceReplay {
     fn next_failure(&mut self) -> FailureEvent {
         match self.trace.events.get(self.next) {
             Some(ev) => {
@@ -408,6 +457,19 @@ mod tests {
         assert!(err.contains("out of order"), "{err}");
         let err = FailureTrace::from_jsonl("{\"nodes\":2}\n{\"at\":5.0,\"node\":7}\n").unwrap_err();
         assert!(err.contains("out of range"), "{err}");
+    }
+
+    #[test]
+    fn owned_replay_matches_borrowed() {
+        let trace = small_trace();
+        let mut owned = trace.clone().into_replay();
+        let mut borrowed = trace.replay();
+        assert_eq!(owned.nodes(), borrowed.nodes());
+        assert_eq!(owned.platform_mtbf(), borrowed.platform_mtbf());
+        for _ in 0..trace.len() + 2 {
+            assert_eq!(owned.next_failure(), borrowed.next_failure());
+        }
+        assert_eq!(owned.trace(), &trace);
     }
 
     #[test]

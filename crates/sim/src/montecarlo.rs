@@ -99,15 +99,9 @@ impl MonteCarloConfig {
 /// the configured n, so the per-node rate matches `run_cfg.params` even
 /// when the node count is rounded down to a group multiple. A warmed
 /// renewal source runs ten per-node MTBFs before t = 0. Renewal
-/// platforms are bounded by [`ChunkRunner::new`]. `usable` is
-/// `run_cfg.usable_nodes()`, which a runner keeps rather than divide
-/// again for every replication.
-fn calibrated_source(
-    run_cfg: &RunConfig,
-    usable: u64,
-    mc: &MonteCarloConfig,
-    replication: u64,
-) -> Source {
+/// platforms are bounded by [`ChunkRunner::new`].
+fn calibrated_source(run_cfg: &RunConfig, mc: &MonteCarloConfig, replication: u64) -> Source {
+    let usable = run_cfg.usable_nodes();
     let individual = SimTime::seconds(run_cfg.mtbf * run_cfg.params.nodes as f64);
     let rng = RngFactory::new(mc.seed).component_stream("failures", replication);
     match mc.source {
@@ -141,12 +135,7 @@ pub fn replication_source(
     mc: &MonteCarloConfig,
     replication: u64,
 ) -> Box<dyn FailureSource> {
-    Box::new(calibrated_source(
-        run_cfg,
-        run_cfg.usable_nodes(),
-        mc,
-        replication,
-    ))
+    Box::new(calibrated_source(run_cfg, mc, replication))
 }
 
 /// Aggregated waste estimate across replications.
@@ -297,7 +286,7 @@ impl ChunkRunner {
             (p, rng)
         });
         let machine = &mut self.machine;
-        let mut source = calibrated_source(&machine.cfg, machine.usable, &self.mc, replication);
+        let mut source = calibrated_source(&machine.cfg, &self.mc, replication);
         // The sweeps' static exponential runs get a kernel of their own:
         // a match on the enum per failure costs them a few percent.
         let result = match (&mut source, predicted) {

@@ -409,7 +409,7 @@ pub(crate) struct RunMachine {
     pub(crate) sched: PeriodSchedule,
     resp: FailureResponse,
     tracker: dck_protocols::RiskTracker,
-    pub(crate) usable: u64,
+    usable: u64,
 }
 
 impl RunMachine {
