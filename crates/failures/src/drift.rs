@@ -17,14 +17,13 @@
 //! Λ(t) = (h/Δ) · ln(1 + Δ·t/(m0·h)),   t⁻¹(Λ) = (m0·h/Δ)·(e^{Δ·Λ/h} − 1)
 //! ```
 //!
-//! and linearly (`Λ = t/m0`) when `Δ = 0`. One exponential deviate and
-//! one victim draw are consumed per event, in that order — the same
-//! stream discipline as the stationary source.
+//! and linearly (`Λ = t/m0`) when `Δ = 0`. Each event's hazard step
+//! and victim are one unit-mean [`exponential_event`], the stationary
+//! source's draw.
 
 use crate::process::{FailureEvent, FailureSource};
-use dck_simcore::SimTime;
+use dck_simcore::{exponential_event, SimTime};
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Inhomogeneous Poisson failure source with linearly drifting MTBF.
 #[derive(Debug)]
@@ -119,9 +118,8 @@ impl DriftingExponential {
 
 impl FailureSource for DriftingExponential {
     fn next_failure(&mut self) -> FailureEvent {
-        let u: f64 = self.rng.gen();
-        self.hazard += -(1.0 - u).ln();
-        let node = self.rng.gen_range(0..self.nodes);
+        let (hazard, node) = exponential_event(&mut self.rng, 1.0, self.nodes);
+        self.hazard += hazard;
         self.now = SimTime::seconds(self.time_at_hazard(self.hazard));
         FailureEvent { at: self.now, node }
     }

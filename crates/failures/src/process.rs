@@ -8,7 +8,9 @@
 //!   processes with rate `λ` is a single Poisson process with rate
 //!   `nλ`, with the victim chosen uniformly. O(1) per event and valid
 //!   even while nodes are being replaced (the replacement inherits the
-//!   memoryless clock). This is the paper-faithful source.
+//!   memoryless clock). Each event is drawn when it is asked for, so a
+//!   run pays for exactly the failures it consumes. This is the
+//!   paper-faithful source.
 //! * [`PerNodeRenewal`] — keeps one pending arrival per node in a
 //!   [`dck_simcore::EventQueue`] and resamples a node's next arrival
 //!   whenever one fires. Correct for *any* inter-arrival law (Weibull,
@@ -22,7 +24,7 @@
 use crate::distribution::{DistributionSpec, InterArrival};
 use crate::drift::DriftingExponential;
 use crate::mtbf::MtbfSpec;
-use dck_simcore::{fill_exponential_events, EventQueue, SimTime};
+use dck_simcore::{exponential_event, EventQueue, SimTime};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
@@ -51,36 +53,19 @@ pub trait FailureSource {
     fn platform_mtbf(&self) -> SimTime;
 }
 
-/// Largest number of `(gap, victim)` pairs drawn per RNG refill once
-/// the batch size has warmed up. Refills consume the generator in the
-/// same per-event order as an unbatched loop (see
-/// [`fill_exponential_events`]), so the emitted event stream is
-/// bit-identical for a given seed regardless of batching.
-const EVENT_BATCH_MAX: usize = 64;
-
-/// First refill size. Short runs — a typical Monte-Carlo replication
-/// consumes only a handful of events — should not pay for a full batch
-/// of `ln()` transforms they never use, so refills start small and
-/// double up to [`EVENT_BATCH_MAX`].
-const EVENT_BATCH_FIRST: usize = 8;
-
 /// O(1)-per-event Poisson failure source (Exponential law only).
 ///
-/// Draws are buffered in batches so the hot replication loop runs a
-/// straight array fill instead of alternating transform/consume per
-/// event; batching never changes the emitted stream (the generator is
-/// consumed in identical order).
+/// Each [`next_failure`](FailureSource::next_failure) draws one event
+/// with [`exponential_event`]: a uniform deviate for the gap, then a
+/// bounded draw for the victim. Nothing is buffered, so a replication
+/// pays for exactly the events it consumes, and the source is a few
+/// words plus its generator.
 #[derive(Debug)]
 pub struct AggregatedExponential {
     now: SimTime,
     platform_mean: f64,
     nodes: u64,
     rng: StdRng,
-    gaps: [f64; EVENT_BATCH_MAX],
-    victims: [u64; EVENT_BATCH_MAX],
-    filled: usize,
-    next: usize,
-    batch: usize,
 }
 
 impl AggregatedExponential {
@@ -96,37 +81,14 @@ impl AggregatedExponential {
             platform_mean,
             nodes: mtbf.nodes(),
             rng,
-            gaps: [0.0; EVENT_BATCH_MAX],
-            victims: [0; EVENT_BATCH_MAX],
-            filled: 0,
-            next: 0,
-            batch: EVENT_BATCH_FIRST,
         }
-    }
-
-    fn refill(&mut self) {
-        let n = self.batch;
-        fill_exponential_events(
-            &mut self.rng,
-            self.platform_mean,
-            self.nodes,
-            &mut self.gaps[..n],
-            &mut self.victims[..n],
-        );
-        self.filled = n;
-        self.next = 0;
-        self.batch = (self.batch * 2).min(EVENT_BATCH_MAX);
     }
 }
 
 impl FailureSource for AggregatedExponential {
+    #[inline]
     fn next_failure(&mut self) -> FailureEvent {
-        if self.next == self.filled {
-            self.refill();
-        }
-        let gap = self.gaps[self.next];
-        let node = self.victims[self.next];
-        self.next += 1;
+        let (gap, node) = exponential_event(&mut self.rng, self.platform_mean, self.nodes);
         self.now += SimTime::seconds(gap);
         FailureEvent { at: self.now, node }
     }
@@ -238,7 +200,6 @@ impl FailureSource for PerNodeRenewal {
 /// Every failure process the simulators draw from, as one concrete
 /// type: code generic over the source is monomorphized once for all of
 /// them, and a replication's source lives on the stack with no box.
-#[allow(clippy::large_enum_variant)]
 pub enum Source {
     /// A stationary Exponential platform.
     AggregatedExponential(AggregatedExponential),
@@ -502,6 +463,14 @@ mod tests {
             assert_eq!(ev.at, now, "event {i} time");
             assert_eq!(ev.node, node, "event {i} victim");
         }
+    }
+
+    #[test]
+    fn source_stays_small() {
+        // Every replication builds and moves one `Source`, so an event
+        // buffer held inline would show up here first.
+        let size = size_of::<Source>();
+        assert!(size <= 128, "Source is {size} bytes");
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! [`run_sweep_cell`] and [`estimate_waste`](crate::estimate_waste) all
 //! hand it per-cell plans and a round budget. Each round numbers every
 //! `(cell, replication-unit)` pair in one index space for a single
-//! work-stealing pool, so workers are spawned once per round and a slow
-//! cell's tail overlaps other cells' work; one worker runs the round
-//! inline on the caller's thread. A unit is a run of up to
+//! work-stealing pool, so a round starts its workers once and a slow
+//! cell's tail overlaps other cells' work. The caller's thread is one
+//! of the workers, so `w` workers spawn `w − 1` threads per round and
+//! one worker spawns none. A unit is a run of up to
 //! `UNIT_CHUNKS` chunks sharing one runner build. Each unit's chunks
 //! merge into its cell as it lands, so a round holds only the
 //! out-of-order tail of units.
@@ -579,9 +580,9 @@ pub(crate) fn run_pool(
             c.replications
                 .add(spans.iter().map(|sp| (sp.end - sp.start) as u64).sum());
         }
-        // One pool over every unit of every cell: workers are spawned
-        // once for the whole round, and work-stealing overlaps slow
-        // cells with fast ones.
+        // One pool over every unit of every cell: the round starts its
+        // workers once (the caller's thread plus `workers - 1` spawned
+        // ones), and work-stealing overlaps slow cells with fast ones.
         let mut merged: Vec<WasteAccum> =
             spans.iter().map(|sp| state.accs[sp.ci].clone()).collect();
         let pool_result = parallel_for_ordered(

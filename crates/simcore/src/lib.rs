@@ -38,6 +38,6 @@ pub mod stats;
 pub mod time;
 
 pub use event::{EventQueue, ScheduledEvent};
-pub use rng::{derive_seed, fill_exponential_events, RngFactory, SplitMix64};
+pub use rng::{derive_seed, exponential_event, fill_exponential_events, RngFactory, SplitMix64};
 pub use stats::{ConfidenceInterval, Histogram, OnlineStats, TimeWeighted};
 pub use time::SimTime;

@@ -2,14 +2,15 @@
 //!
 //! The workspace's dependency policy does not include `rayon`, so this
 //! module provides one engine, [`parallel_for_ordered`]: run `f` over
-//! units `0..n` on a fixed number of worker threads and hand each
+//! units `0..n` on a fixed number of workers and hand each
 //! result to a sink *in ascending unit order*, as soon as every lower
 //! unit is in. The sink only merges, so the pool holds just the
 //! out-of-order tail of finished units. [`parallel_map_fold`] is a thin
 //! wrapper that folds chunks of an index range and merges them in the
 //! sink. Units are claimed through an atomic cursor (work stealing), so
 //! uneven per-unit cost — unlucky replications run much longer — still
-//! balances well.
+//! balances well. The calling thread is one of the workers, so `w`
+//! workers spawn `w − 1` scoped threads and one worker spawns none.
 //!
 //! Every unit costs one pass through the pool's mutex, where it either
 //! parks in the tail or merges, so callers size units to amortize that:
@@ -19,8 +20,8 @@
 //!
 //! Determinism: each unit derives everything (including RNG seeds) from
 //! its index and the sink sees units in ascending order, so results
-//! never depend on thread scheduling or the worker count, including the
-//! inline `workers <= 1` path.
+//! never depend on thread scheduling or the worker count, nor on which
+//! thread, the caller's or a spawned one, ran a unit.
 //!
 //! # Failure containment
 //!
@@ -30,8 +31,8 @@
 //! [`PoolError`]; every lower unit was claimed before it, so the lowest
 //! failing unit is always the one reported. A retried unit produces
 //! bit-identical results, so containment never perturbs the merge
-//! order. A panic in the sink ends its worker and surfaces as
-//! [`PoolError::WorkerLost`].
+//! order. A panic in the sink ends its worker, the caller's included,
+//! and surfaces as [`PoolError::WorkerLost`].
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -225,11 +226,11 @@ impl<U, S: FnMut(usize, U)> Ordered<U, S> {
 }
 
 /// The engine behind both public entry points: runs units `0..n` on
-/// `workers` threads (inline on the caller's thread for one worker or
-/// one unit). After a real pool joins — never during, so recording
-/// cannot perturb the work-stealing race — the units each worker
-/// claimed go to the `occupancy_metric` histogram, the load-balance
-/// signal for `dck sweep --metrics`.
+/// `workers` workers, one of them the caller's thread and the rest
+/// scoped threads (none for one worker or one unit). After a real pool
+/// joins — never during, so recording cannot perturb the work-stealing
+/// race — the units each worker claimed go to the `occupancy_metric`
+/// histogram, the load-balance signal for `dck sweep --metrics`.
 fn run_ordered<U, F, S>(
     n: usize,
     workers: usize,
@@ -270,14 +271,13 @@ where
         claimed
     };
     let workers = workers.min(n);
-    let joined: Vec<thread::Result<u64>> = if workers <= 1 {
-        vec![catch_unwind(AssertUnwindSafe(worker))]
-    } else {
-        thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
-            handles.into_iter().map(|h| h.join()).collect()
-        })
-    };
+    let joined: Vec<thread::Result<u64>> = thread::scope(|scope| {
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
+        let own = catch_unwind(AssertUnwindSafe(worker));
+        std::iter::once(own)
+            .chain(handles.into_iter().map(|h| h.join()))
+            .collect()
+    });
     // A worker that died outside the per-unit containment means the
     // sink or the pool's own bookkeeping panicked: a bug, not a
     // workload failure, so it is not retried.
@@ -301,18 +301,19 @@ where
         .finish(n)
 }
 
-/// Runs `f` over units `0..n` on `workers` threads and hands each
+/// Runs `f` over units `0..n` on `workers` workers and hands each
 /// result to `sink` in ascending unit order.
 ///
 /// `f` must be `Sync` (shared by reference across workers). `sink` runs
 /// under the pool's mutex on whichever worker completes the lowest
 /// missing unit, so it should only merge; units that finish early wait
-/// in a tail until every lower unit is in. With `workers <= 1` the pool
-/// runs inline on the caller's thread, which keeps small jobs cheap.
-/// Either way a panic in `f` is contained: the unit is retried once in
-/// place, and a persistent panic returns [`PoolError::UnitPanicked`]
-/// for the lowest failing unit instead of aborting the process. The
-/// sink has then seen every unit below that one and none above it.
+/// in a tail until every lower unit is in. The caller's thread is one of
+/// the workers, so `workers <= 1` spawns nothing and keeps small jobs
+/// cheap. On every worker a panic in `f` is contained: the unit is
+/// retried once in place, and a persistent panic returns
+/// [`PoolError::UnitPanicked`] for the lowest failing unit instead of
+/// aborting the process. The sink has then seen every unit below that
+/// one and none above it.
 ///
 /// # Errors
 /// [`PoolError`] when a unit panics twice, the sink panics, or the
@@ -349,7 +350,7 @@ where
 /// **in ascending chunk order**, starting from one more `new_acc()`, as
 /// the sink of [`parallel_for_ordered`]. Because both the chunk geometry
 /// and the merge order are fixed, the result is bit-identical for every
-/// `workers` value, including the inline `workers <= 1` path.
+/// `workers` value, whichever thread runs a chunk.
 ///
 /// # Errors
 /// [`PoolError`] when a chunk panics on both its attempts, `merge`
@@ -545,8 +546,9 @@ mod tests {
     fn transient_panic_is_contained_and_retried() {
         // Unit 13 panics on its first execution only; the retry in
         // place must recover it and the result must be complete and
-        // correct, with both worker counts (inline and pooled paths).
-        for workers in [1, 4] {
+        // correct at every worker count, whether the unit lands on the
+        // caller's thread or a spawned one.
+        for workers in [1, 2, 4] {
             let fired = AtomicU64::new(0);
             let out = collect(40, workers, |i| {
                 if i == 13 && fired.swap(1, Ordering::Relaxed) == 0 {
@@ -599,7 +601,7 @@ mod tests {
     /// sink has seen exactly the units below it.
     #[test]
     fn lowest_failing_unit_is_reported() {
-        for workers in [1, 4] {
+        for workers in [1, 2, 4] {
             let mut seen = Vec::new();
             let err = parallel_for_ordered(
                 64,
@@ -642,7 +644,9 @@ mod tests {
 
     #[test]
     fn sink_panic_is_a_lost_worker() {
-        for workers in [1, 4] {
+        // At two and more workers the sink call may run on the caller's
+        // worker or a spawned one; either way it is a lost worker.
+        for workers in [1, 2, 4] {
             let err = parallel_for_ordered(
                 16,
                 workers,

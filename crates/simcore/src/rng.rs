@@ -112,22 +112,21 @@ impl RngFactory {
     }
 }
 
-/// Fills `gaps` / `victims` with a batch of aggregated-Poisson event
-/// draws: for each slot, one uniform deviate becomes an
-/// `Exponential(mean)` inter-arrival gap, then one bounded draw picks
-/// the victim node — in exactly that per-event order.
-///
-/// Because the generator is consumed event by event (two draws per
-/// slot, gap first), event `k` of a seeded stream has the same value
-/// whether events are drawn one at a time or refilled in batches of
-/// any size — batching changes *when* the RNG is advanced, never *what*
-/// it produces. This is what lets the failure sources buffer draws in
-/// a tight fill loop while keeping every seeded event stream
-/// bit-identical to the scalar implementation.
-///
-/// # Panics
-/// Debug-asserts that the two slices have equal length; `nodes` must be
-/// nonzero (enforced by the bounded draw).
+/// Draws one aggregated-Poisson event `(gap, victim)`: a uniform
+/// deviate becomes an `Exponential(mean)` gap, then a bounded draw picks
+/// the victim among `nodes` (nonzero). This is the one definition of
+/// that draw order: the exponential failure sources call it once per
+/// event and [`fill_exponential_events`] loops over it, so event `k` of
+/// a seeded stream has the same bits however the events are drawn.
+#[inline]
+pub fn exponential_event(rng: &mut StdRng, mean: f64, nodes: u64) -> (f64, u64) {
+    let u: f64 = rng.gen();
+    let gap = -mean * (1.0 - u).ln();
+    (gap, rng.gen_range(0..nodes))
+}
+
+/// Fills `gaps` / `victims` (equal lengths, debug-asserted) with
+/// consecutive [`exponential_event`] draws.
 pub fn fill_exponential_events(
     rng: &mut StdRng,
     mean: f64,
@@ -137,9 +136,7 @@ pub fn fill_exponential_events(
 ) {
     debug_assert_eq!(gaps.len(), victims.len());
     for (gap, victim) in gaps.iter_mut().zip(victims.iter_mut()) {
-        let u: f64 = rng.gen();
-        *gap = -mean * (1.0 - u).ln();
-        *victim = rng.gen_range(0..nodes);
+        (*gap, *victim) = exponential_event(rng, mean, nodes);
     }
 }
 
