@@ -287,17 +287,9 @@ impl ChunkRunner {
         });
         let machine = &mut self.machine;
         let mut source = calibrated_source(&machine.cfg, &self.mc, replication);
-        // The sweeps' static exponential runs get a kernel of their own:
-        // driving the enum instead read 0.982 of the throughput on
-        // sweep-base and 0.997 on sweep-exa (medians of 10 pairs each,
-        // the split kernel ahead in 7 of 10 on both).
-        let result = match (&mut source, predicted) {
-            (Source::AggregatedExponential(s), None) => machine.drive(stop, s, &mut Static, |_| {}),
-            (source, predicted) => {
-                drive_with_predictor(machine, Static, predicted, stop, source).map(|r| r.0)
-            }
-        };
-        result.expect("validated configuration cannot fail")
+        drive_with_predictor(machine, Static, predicted, stop, &mut source)
+            .map(|r| r.0)
+            .expect("validated configuration cannot fail")
     }
 
     /// Runs replication `replication` to completion of `t_base` work.
